@@ -3,9 +3,10 @@
 A degree-d component is handled through the free commutative monomials of that
 degree: the defining quadrics span a subspace of each degree, a monomial
 k-basis for the quotient is chosen greedily (user-preferred monomials first,
-then lexicographic order), and every monomial gets an exact normal-form
-coordinate vector over the chosen basis.  No Groebner machinery: everything is
-linear algebra over the exact field.
+then lexicographic order) by one elimination of that subspace with columns in
+reverse candidate order, and its pivot rows give every monomial an exact
+normal-form coordinate vector over the chosen basis.  No Groebner machinery:
+everything is linear algebra over the exact field.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DegreeOverflow
+from .errors import DegreeOverflow, ElementMismatch
 from .linalg import Subspace
 
 __all__ = [
@@ -72,13 +73,9 @@ class RingPresentation:
         return len(self.var_names)
 
 
-def _reduce_by_pivots(fld, v, pivot_rows):
-    for c in sorted(pivot_rows):
-        f = v[c]
-        if f:
-            row = pivot_rows[c]
-            v = [fld.sub(a, fld.mul(f, b)) for a, b in zip(v, row)]
-    return v
+def _same_degree(a, b):
+    if a.degree != b.degree:
+        raise ElementMismatch(f"degrees {a.degree} and {b.degree} differ")
 
 
 @dataclass(frozen=True)
@@ -94,14 +91,12 @@ class AlgebraElement:
 
 
 class _DegreeData:
-    __slots__ = ("monomials", "index", "relation_space", "basis", "basis_index", "nf")
+    __slots__ = ("index", "relation_space", "basis", "nf")
 
-    def __init__(self, monomials, index, relation_space, basis, basis_index, nf):
-        self.monomials = monomials
+    def __init__(self, index, relation_space, basis, nf):
         self.index = index
         self.relation_space = relation_space
         self.basis = basis
-        self.basis_index = basis_index
         self.nf = nf  # monomial position -> coords tuple over basis
 
 
@@ -121,6 +116,7 @@ class GradedAlgebra:
         self.cutoff = cutoff
         self.warnings = []
         self._degrees = {}
+        self._mult_columns = {}
 
     # -- degree construction ----------------------------------------------
 
@@ -151,66 +147,33 @@ class GradedAlgebra:
                     rows.append(row)
         relation_space = Subspace.from_rows(fld, rows, nmons)
 
-        basis = self._select_basis(d, mons, index, relation_space)
-        basis_index = {m: i for i, m in enumerate(basis)}
-        nf = self._normal_forms(mons, index, relation_space, basis, basis_index)
-        return _DegreeData(mons, index, relation_space, basis, basis_index, nf)
-
-    def _select_basis(self, d, mons, index, relation_space):
-        fld = self.field
+        # Greedy basis: a candidate (preferred monomials first, then lex)
+        # joins iff its class is independent of those chosen before it.  By
+        # matroid duality its complement is the pivot set of the relation rows
+        # with columns in reverse candidate order, so that one elimination
+        # leaves the basis free and expresses every other monomial over it.
         preferred = [m for m in self.presentation.preferred if sum(m) == d]
-        candidates = preferred + [m for m in mons if m not in set(preferred)]
-        # incremental echelon seeded with the relation rows: a candidate joins
-        # the basis iff its class is independent of the classes chosen so far
-        pivot_rows = {c: row for row, c in zip(relation_space.rows, relation_space.pivots)}
-        chosen = []
-        for mon in candidates:
-            v = [fld.zero] * len(mons)
-            v[index[mon]] = fld.one
-            v = _reduce_by_pivots(fld, v, pivot_rows)
-            if any(v):
-                lead = next(c for c, x in enumerate(v) if x)
-                inv = fld.inv(v[lead])
-                pivot_rows[lead] = [fld.mul(inv, x) for x in v]
-                chosen.append(mon)
-            elif mon in set(preferred):
-                self.warnings.append(
-                    f"InconsistentPreferred: monomial {self.format_monomial(mon)} "
-                    f"is dependent in degree {d}; skipped"
-                )
-        assert len(chosen) == len(mons) - relation_space.dim
-        return chosen
-
-    def _normal_forms(self, mons, index, relation_space, basis, basis_index):
-        fld = self.field
-        nmons = len(mons)
-        basis_cols = set(index[m] for m in basis)
-        # eliminate preferring non-basis columns so pivots avoid the basis;
-        # possible exactly because basis classes are independent mod relations
-        order = [c for c in range(nmons) if c not in basis_cols] + \
-                [c for c in range(nmons) if c in basis_cols]
-        pos = {c: k for k, c in enumerate(order)}
+        candidates = list(dict.fromkeys(preferred + list(mons)))
+        order = [index[m] for m in reversed(candidates)]
         permuted = [[row[c] for c in order] for row in relation_space.rows]
         rref, pivots = fld.rref(permuted, nmons)
-        pivot_of = {}
-        for r, pc in enumerate(pivots):
-            orig = order[pc]
-            assert orig not in basis_cols, "relation pivot landed on a basis monomial"
-            pivot_of[orig] = r
-        basis_positions = [pos[index[b]] for b in basis]
+        pivot_row = {order[pc]: r for r, pc in enumerate(pivots)}
+        free = [k for k, m in enumerate(candidates) if index[m] not in pivot_row]
+        basis = [candidates[k] for k in free]
+        for k, m in enumerate(preferred):
+            if m in preferred[:k] or index[m] in pivot_row:
+                self.warnings.append(
+                    f"InconsistentPreferred: monomial {self.format_monomial(m)} "
+                    f"is dependent in degree {d}; skipped"
+                )
         nf = []
         for m in mons:
-            c = index[m]
-            if c in basis_cols:
-                coords = [fld.zero] * len(basis)
-                coords[basis_index[m]] = fld.one
-                nf.append(tuple(coords))
+            r = pivot_row.get(index[m])
+            if r is None:
+                nf.append(tuple(fld.one if b == m else fld.zero for b in basis))
             else:
-                # every non-basis column is a pivot: counts match and no
-                # combination of basis monomials lies in the relation span
-                row = rref[pivot_of[c]]
-                nf.append(tuple(fld.neg(row[bp]) for bp in basis_positions))
-        return nf
+                nf.append(tuple(fld.neg(rref[r][nmons - 1 - k]) for k in free))
+        return _DegreeData(index, relation_space, basis, nf)
 
     # -- queries -----------------------------------------------------------
 
@@ -239,7 +202,9 @@ class GradedAlgebra:
 
     def element(self, d, coords):
         coords = tuple(coords)
-        assert len(coords) == self.dim(d)
+        if len(coords) != self.dim(d):
+            raise ElementMismatch(
+                f"{len(coords)} coordinates for degree {d}, which has dimension {self.dim(d)}")
         return AlgebraElement(d, coords)
 
     def monomial_element(self, exp):
@@ -268,12 +233,12 @@ class GradedAlgebra:
         return AlgebraElement(degree, tuple(coords))
 
     def add(self, a, b):
-        assert a.degree == b.degree
+        _same_degree(a, b)
         fld = self.field
         return AlgebraElement(a.degree, tuple(fld.add(x, y) for x, y in zip(a.coords, b.coords)))
 
     def sub(self, a, b):
-        assert a.degree == b.degree
+        _same_degree(a, b)
         fld = self.field
         return AlgebraElement(a.degree, tuple(fld.sub(x, y) for x, y in zip(a.coords, b.coords)))
 
@@ -310,15 +275,12 @@ class GradedAlgebra:
         Cached per (element, source degree); column j is the coordinate tuple
         of a times the j-th basis monomial of A_e.
         """
-        cache = getattr(self, "_mult_columns", None)
-        if cache is None:
-            cache = self._mult_columns = {}
         key = (a.degree, a.coords, e)
-        got = cache.get(key)
+        got = self._mult_columns.get(key)
         if got is None:
             got = [self.multiply(a, self.monomial_element(mu)).coords
                    for mu in self.basis(e)]
-            cache[key] = got
+            self._mult_columns[key] = got
         return got
 
     # -- degree-2 pair bookkeeping ------------------------------------------

@@ -120,11 +120,15 @@ def parse_ring_text(text, field_override=None):
     field = None
     var_names = None
     var_index = {}
-    relations = []
+    rel_lines = []
     preferred = []
     ideal = []
     if field_override is not None:
-        field = QQ if field_override == "q" else GF(int(field_override))
+        try:
+            field = QQ if field_override == "q" else GF(int(field_override))
+        except ValueError as e:
+            raise InputError(
+                f"--field must be a prime or 'q', got {field_override!r} ({e})") from None
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -155,9 +159,8 @@ def parse_ring_text(text, field_override=None):
         elif keyword == "rel":
             if var_names is None:
                 raise ParseError("rel before vars", line_no, 1)
-            if field is None:
-                raise ParseError("rel before field", line_no, 1)
-            relations.append(_parse_relation(rest, var_index, field, line_no))
+            # coefficients are read once the field is settled
+            rel_lines.append((rest, var_index, line_no))
         elif keyword == "prefer":
             if var_names is None:
                 raise ParseError("prefer before vars", line_no, 1)
@@ -174,6 +177,7 @@ def parse_ring_text(text, field_override=None):
         raise ParseError("missing vars line", 1, 1)
     if field is None:
         field = GF(101)
+    relations = [_parse_relation(rest, vi, field, line_no) for rest, vi, line_no in rel_lines]
     char = getattr(field, "char", 0)
     return JobSpec(char, var_names, tuple(relations), tuple(preferred), tuple(ideal))
 

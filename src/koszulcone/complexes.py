@@ -25,6 +25,7 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (
     CalibrationFailure,
     ClosureFailure,
+    ConeNotComplex,
     LiftingFailure,
     NonMinimalCone,
     NotMinimal,
@@ -423,7 +424,8 @@ def iterated_mapping_cone(ideal, hmax, check=True):
         F = _cone(F, K, psi, hmax)
     if check:
         w = F.d_squared_witness()
-        assert w is None, f"cone differential broke d.d = 0 at {w}"
+        if w is not None:
+            raise ConeNotComplex(f"cone differential broke d.d = 0 at {w}", witness=w)
         m = F.minimality_witness()
         if m is not None:
             raise NonMinimalCone(f"constant entry at {m}")

@@ -38,6 +38,20 @@ class LiftingFailure(KoszulConeError):
     """A mapping-cone comparison map has no solution at some degree."""
 
 
+class ElementMismatch(KoszulConeError):
+    """An algebra element's coordinate count or degree does not fit the
+    operation applied to it."""
+
+
+class ConeNotComplex(KoszulConeError):
+    """An iterated mapping cone composed to a nonzero d.d; witness is the
+    (homological degree, row, column) of a nonzero entry."""
+
+    def __init__(self, message, witness=None):
+        super().__init__(message)
+        self.witness = witness
+
+
 class NonMinimalCone(KoszulConeError):
     """A constant entry appeared in a cone differential (generator degrees
     must be nondecreasing)."""

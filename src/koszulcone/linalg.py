@@ -5,11 +5,13 @@ ranks) reduces to the operations here, so exactness is non-negotiable: prime
 field elements are Python ints kept in [0, p), rational entries are
 fractions.Fraction.  Matrices are plain lists of rows at the API boundary.
 
-Elimination over F_p is vectorized through numpy int64 (pivoting products stay
-below 2**63 because p is capped), the rational path runs fraction-free
-(Bareiss) forward elimination on denominator-cleared rows before normalizing
-to the reduced echelon form.  Both paths produce the same canonical RREF, so
-every Subspace has a unique representation.
+Elimination over F_p stays in numpy int64 from input to answer (products stay
+below 2**63 because p is capped) and returns Python ints through one
+tolist(); the rational path runs fraction-free (Bareiss) forward elimination
+on denominator-cleared rows before normalizing to the reduced echelon form.
+Both produce the same canonical RREF, so every Subspace has a unique
+representation.  rank() reads pivots only: rref(reduced=False) eliminates
+below each pivot and builds no reduced rows.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ class PrimeField:
 
     # -- elimination (numpy fast path) ------------------------------------
 
-    def rref(self, rows, ncols):
+    def rref(self, rows, ncols, reduced=True):
+        """(rref_rows, pivot_columns); rref_rows is None when not reduced."""
         if not rows:
             return [], []
         p = self.char
@@ -111,14 +114,16 @@ class PrimeField:
             i = r + int(nz[0])
             if i != r:
                 m[[r, i]] = m[[i, r]]
-            m[r] = (m[r] * pow(int(m[r, c]), p - 2, p)) % p
-            others = np.nonzero(m[:, c])[0]
+            # rows r.. vanish left of c, so every update starts at column c
+            m[r, c:] = (m[r, c:] * pow(int(m[r, c]), p - 2, p)) % p
+            top = 0 if reduced else r + 1
+            others = top + np.nonzero(m[top:, c])[0]
             others = others[others != r]
             if others.size:
-                m[others] = (m[others] - np.outer(m[others, c], m[r])) % p
+                m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
             pivots.append(c)
             r += 1
-        return [[int(x) for x in row] for row in m[:r]], pivots
+        return (m[:r].tolist() if reduced else None), pivots
 
 
 class RationalField:
@@ -170,7 +175,7 @@ class RationalField:
     def parse(self, s):
         return Fraction(s)
 
-    def rref(self, rows, ncols):
+    def rref(self, rows, ncols, reduced=True):
         if not rows:
             return [], []
         # clear denominators row by row; row spans are unchanged
@@ -183,6 +188,8 @@ class RationalField:
                     lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
             work.append([int(x * lcm) for x in fr])
         echelon, pivots = _bareiss_forward(work, ncols)
+        if not reduced:
+            return None, pivots
         # normalize + back-eliminate with exact fractions
         rowsf = [[Fraction(x) for x in row] for row in echelon]
         for r in range(len(pivots) - 1, -1, -1):
@@ -309,7 +316,7 @@ class Subspace:
             coeffs = v[self.pivots].copy()
             if coeffs.any():
                 v = (v - coeffs @ self._np_rows()) % p
-            return [int(x) for x in v], [int(x) for x in coeffs]
+            return v.tolist(), coeffs.tolist()
         v = list(vec)
         coeffs = []
         for row, c in zip(self.rows, self.pivots):
@@ -372,7 +379,7 @@ def kernel(field, rows, ncols):
 def rank(field, rows, ncols):
     if not rows:
         return 0
-    return len(field.rref(list(rows), ncols)[1])
+    return len(field.rref(list(rows), ncols, reduced=False)[1])
 
 
 def transpose(rows, ncols):
@@ -387,8 +394,7 @@ def matmul(field, a, b, bcols):
             return [[0] * bcols for _ in a]
         aa = np.array(a, dtype=np.int64) % p
         bb = np.array(b, dtype=np.int64) % p
-        out = (aa @ bb) % p
-        return [[int(x) for x in row] for row in out]
+        return ((aa @ bb) % p).tolist()
     out = []
     for row in a:
         acc = [field.zero] * bcols
@@ -405,16 +411,16 @@ def intersect_subspaces(spaces, ambient_dim=None, field=None):
     """Canonical echelon basis of the intersection of the given subspaces.
 
     The intersection of an empty list is the full ambient space, so
-    ambient_dim (and a field) is required in that case.
+    ambient_dim and field are required in that case.
 
     Raises:
         MismatchedAmbient: if the ambient dimensions differ.
     """
     spaces = list(spaces)
     if not spaces:
-        if ambient_dim is None:
-            raise MismatchedAmbient("empty intersection needs an explicit ambient dimension")
-        return Subspace.full(field if field is not None else _DEFAULT_FIELD, ambient_dim)
+        if ambient_dim is None or field is None:
+            raise MismatchedAmbient("empty intersection needs an explicit ambient and field")
+        return Subspace.full(field, ambient_dim)
     ambient = spaces[0].ambient
     field = spaces[0].field
     for s in spaces[1:]:
@@ -473,5 +479,3 @@ def solve_membership(field, target, generator_rows):
         coeffs[c] = rref[r][ngens]
     return coeffs
 
-
-_DEFAULT_FIELD = GF(101)

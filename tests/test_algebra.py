@@ -4,8 +4,8 @@ from math import comb
 import pytest
 
 from koszulcone.algebra import GradedAlgebra, RingPresentation, monomials_of_degree
-from koszulcone.errors import DegreeOverflow
-from koszulcone.linalg import GF, QQ
+from koszulcone.errors import DegreeOverflow, ElementMismatch
+from koszulcone.linalg import GF, QQ, rank, solve_membership
 
 F101 = GF(101)
 
@@ -209,3 +209,105 @@ def test_rational_field_ring():
     assert B.hilbert(3) == A.hilbert(3)
     xz = B.monomial_element((1, 0, 1))
     assert [str(c) for c in xz.coords] == ["-1", "-1", "0", "0", "0"]
+
+
+def test_element_checks_are_typed_errors():
+    A = poly_ring(2)
+    with pytest.raises(ElementMismatch):
+        A.element(2, [1, 0])
+    a, b = A.var(0), A.monomial_element((1, 1))
+    with pytest.raises(ElementMismatch):
+        A.add(a, b)
+    with pytest.raises(ElementMismatch):
+        A.sub(a, b)
+
+
+def greedy_reference(presentation, d):
+    """Basis, normal forms and warnings of degree d, chosen one candidate at a
+    time: a candidate joins the basis iff its class is independent of the
+    relation span together with the candidates chosen so far."""
+    fld = presentation.field
+    n = presentation.nvars
+    mons = monomials_of_degree(n, d)
+    index = {m: i for i, m in enumerate(mons)}
+
+    def unit(m):
+        v = [fld.zero] * len(mons)
+        v[index[m]] = fld.one
+        return v
+
+    relations = []
+    for mu in monomials_of_degree(n, d - 2):
+        for rel in presentation.relations:
+            v = [fld.zero] * len(mons)
+            for coeff, (i, j) in rel:
+                t = list(mu)
+                t[i] += 1
+                t[j] += 1
+                v[index[tuple(t)]] = fld.add(v[index[tuple(t)]], fld.of(coeff))
+            relations.append(v)
+    preferred = [m for m in presentation.preferred if sum(m) == d]
+    candidates = preferred + [m for m in mons if m not in preferred]
+    basis, warnings = [], []
+    for m in candidates:
+        before = relations + [unit(b) for b in basis]
+        if rank(fld, before + [unit(m)], len(mons)) > rank(fld, before, len(mons)):
+            basis.append(m)
+        elif m in preferred:
+            name = "*".join(presentation.var_names[i] + (f"^{e}" if e > 1 else "")
+                            for i, e in enumerate(m) if e)
+            warnings.append(f"InconsistentPreferred: monomial {name} "
+                            f"is dependent in degree {d}; skipped")
+    nf = {}
+    for m in mons:
+        sol = solve_membership(fld, unit(m), [unit(b) for b in basis] + relations)
+        nf[m] = tuple(sol[:len(basis)])
+    return basis, nf, warnings
+
+
+def random_presentation(rng, field, p):
+    n = rng.randint(2, 4)
+    names = tuple(f"x{i + 1}" for i in range(n))
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # one monomial relation makes its monomial a dependent preferred choice
+    dead = rng.choice(pairs)
+    rels = [((field.one, dead),)]
+    for _ in range(rng.randint(0, 3)):
+        terms = rng.sample(pairs, rng.randint(1, 3))
+        rels.append(tuple((field.of(rng.randrange(1, p)), t) for t in terms))
+
+    def exp(pair):
+        e = [0] * n
+        for i in pair:
+            e[i] += 1
+        return tuple(e)
+
+    preferred = [exp(t) for t in rng.sample(pairs, rng.randint(1, len(pairs)))]
+    preferred.insert(rng.randrange(len(preferred) + 1), exp(dead))
+    preferred.append(rng.choice(preferred))  # a repeated preferred monomial
+    preferred.append(tuple(3 if i == 0 else 0 for i in range(n)))
+    return RingPresentation(names, field, tuple(rels), tuple(preferred))
+
+
+@pytest.mark.parametrize("p, trials, cutoff", [(2, 12, 4), (101, 12, 4), (0, 5, 3)])
+def test_basis_choice_matches_incremental_greedy(p, trials, cutoff):
+    field = QQ if p == 0 else GF(p)
+    rng = random.Random(1000 + p)
+    for _ in range(trials):
+        pres = random_presentation(rng, field, p or 7)
+        A = GradedAlgebra(pres, cutoff)
+        expected_warnings = []
+        for d in range(cutoff + 1):
+            basis, nf, warnings = greedy_reference(pres, d)
+            expected_warnings += warnings
+            assert list(A.basis(d)) == basis
+            for m, coords in nf.items():
+                assert A.monomial_element(m).coords == coords
+                # m - nf(m) lies in the relation span
+                v = [field.zero] * len(nf)
+                v[A.monomial_index(d)[m]] = field.one
+                for b, c in zip(basis, coords):
+                    v[A.monomial_index(d)[b]] = field.sub(v[A.monomial_index(d)[b]], c)
+                assert A.relation_space(d).contains(v)
+        assert A.warnings == expected_warnings
+        assert any("InconsistentPreferred" in w for w in expected_warnings)

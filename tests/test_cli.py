@@ -8,6 +8,8 @@ import pytest
 from koszulcone.cli import format_jobspec, main, parse_ring_text
 from koszulcone.errors import ParseError
 
+from test_complexes import corrupt_lifts
+
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -207,3 +209,36 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout
+
+
+def test_relations_without_field_line_default_to_gf101(tmp_path, capsys):
+    js = parse_ring_text("vars x y\nrel x*y - y^2\nideal x\n")
+    assert js.field_char == 101
+    assert js.relations == (((1, (0, 1)), (100, (1, 1))),)
+    # a field line after the relations still decides their coefficients
+    js = parse_ring_text("vars x y\nrel 1/2*x*y\nfield q\n")
+    assert js.field_char == 0 and str(js.relations[0][0][0]) == "1/2"
+    ring = tmp_path / "nofield.ring"
+    ring.write_text("vars x y\nrel x*y\nideal x\n")
+    with_field = tmp_path / "field.ring"
+    with_field.write_text("field p=101\n" + ring.read_text())
+    code, out, err = run_main(["dual", str(ring), "--out", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert run_main(["dual", str(with_field), "--out", "json"], capsys) == (0, out, "")
+
+
+@pytest.mark.parametrize("bad", ["4", "abc", "1", "-7"])
+def test_bad_field_flag_is_input_error(bad, capsys):
+    code, out, err = run_main(
+        ["dual", str(FIXTURES / "hhr_example.ring"), "--field", bad], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: --field") and "Traceback" not in err
+
+
+def test_cone_d_squared_failure_exits_1_with_witness(monkeypatch, capsys):
+    corrupt_lifts(monkeypatch)
+    code, out, err = run_main(
+        ["resolve", str(FIXTURES / "poly_m2_n2.ring"), "--method", "cone", "--hmax", "3"],
+        capsys)
+    assert code == 1 and out == ""
+    assert "d.d = 0" in err and "witness: (" in err

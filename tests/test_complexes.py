@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+import koszulcone.complexes
 from koszulcone.complexes import (
     ideal_resolution,
     betti_from_complex,
@@ -20,7 +21,7 @@ from koszulcone.complexes import (
     verify_complex,
 )
 from koszulcone.dual import QuadraticDual
-from koszulcone.errors import NotMinimal, NotRegular
+from koszulcone.errors import ConeNotComplex, NotMinimal, NotRegular
 from koszulcone.ideals import MonomialIdeal
 
 from syzygy_oracle import brute_force_betti
@@ -412,3 +413,29 @@ def test_verify_complex_reports_minimality_violation():
     c.diffs[1][(0, 0)] = A.one()
     rep = verify_complex(c, 3)
     assert not rep.minimal
+
+
+def corrupt_lifts(monkeypatch):
+    """Double one entry in the top nonzero degree of every comparison-map
+    lift.  Over a polynomial ring that breaks the chain-map identity, so the
+    cone has d.d != 0."""
+    lift = koszulcone.complexes._lift_comparison
+
+    def corrupted(F, K, m_element):
+        psi = lift(F, K, m_element)
+        A = F.algebra
+        top = next((entries for entries in reversed(psi[1:]) if entries), None)
+        if top is not None:
+            key = next(iter(top))
+            top[key] = A.scale(A.field.of(2), top[key])
+        return psi
+
+    monkeypatch.setattr(koszulcone.complexes, "_lift_comparison", corrupted)
+
+
+def test_cone_d_squared_failure_is_typed_with_witness(monkeypatch):
+    corrupt_lifts(monkeypatch)
+    with pytest.raises(ConeNotComplex) as e:
+        iterated_mapping_cone(poly_m2(2), 3)
+    l, row, col = e.value.witness
+    assert 2 <= l <= 3 and row >= 0 and col >= 0

@@ -212,3 +212,53 @@ def test_subspace_coords_roundtrip():
     coords = s.coords_of(v)
     assert coords == [1, 5]
     assert s.coords_of([1, 0, 0]) is None
+
+
+def _random_matrix(rng, p, nrows, ncols, rank_cap):
+    """Product of random nrows x rank_cap and rank_cap x ncols matrices, with
+    a random set of columns zeroed: rank at most rank_cap, empty columns."""
+    left = [[rng.randrange(p) for _ in range(rank_cap)] for _ in range(nrows)]
+    right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank_cap)]
+    m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+    dead = {c for c in range(ncols) if rng.random() < 0.25}
+    return [[0 if c in dead else x for c, x in enumerate(row)] for row in m]
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_forward_rank_equals_rref_pivot_count(p):
+    F = GF(p)
+    rng = random.Random(p)
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 12), (12, 3), (8, 8), (20, 6), (6, 20)]
+    for nrows, ncols in shapes:
+        for cap in range(1, min(nrows, ncols) + 2):
+            rows = _random_matrix(rng, p, nrows, ncols, cap)
+            full, pivots = F.rref(rows, ncols)
+            assert F.rref(rows, ncols, reduced=False) == (None, pivots)
+            assert rank(F, rows, ncols) == len(pivots) == len(full)
+    assert rank(F, [], 5) == 0
+    assert rank(F, [[0] * 7] * 3, 7) == 0
+
+
+def test_forward_rank_over_rationals():
+    rng = random.Random(23)
+    for _ in range(30):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+                for _ in range(nrows)]
+        _, pivots = QQ.rref(rows, ncols)
+        assert QQ.rref(rows, ncols, reduced=False) == (None, pivots)
+        assert rank(QQ, rows, ncols) == len(pivots)
+
+
+def test_prime_field_results_are_python_ints():
+    rows = [[3, 5, 7], [2, 4, 100]]
+    rref, _ = F101.rref(rows, 3)
+    residual, coeffs = Subspace.from_rows(F101, rows[:1], 3).reduce([1, 2, 3])
+    product = matmul(F101, rows, transpose(rows, 3), 2)
+    for vec in rref + [residual, coeffs] + product:
+        assert all(type(x) is int for x in vec)
+
+
+def test_intersect_empty_list_needs_a_field():
+    with pytest.raises(MismatchedAmbient):
+        intersect_subspaces([], ambient_dim=4)
