@@ -393,9 +393,20 @@ def cmd_verify(args):
     js = _load_jobspec(args)
     if args.complex:
         A = _algebra_for(js, _resolution_cutoff(js, args.hmax, args.dmax))
-        with open(args.complex) as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.complex) as fh:
+                doc = json.load(fh)
+        except OSError as e:
+            raise InputError(f"cannot read {args.complex}: {e}") from None
+        except ValueError as e:
+            raise InputError(f"{args.complex} is not JSON: {e}") from None
         F = complex_from_json(A, doc)
+        r = len(js.ideal)
+        for l, mod in enumerate(F.modules):
+            for g in mod:
+                if g.gen is not None and g.gen > r:
+                    raise InputError(f"modules[{l}].basis[{g.dual_index}]: generator_index "
+                                     f"{g.gen} exceeds the ideal's {r} generators")
     else:
         A, J, F = _build_resolution(js, args)
     rep = verify_complex(F, args.dmax)

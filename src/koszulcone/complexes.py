@@ -19,13 +19,13 @@ negated differential, which matches the closed form's leading minus sign.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
     CalibrationFailure,
     ClosureFailure,
     ConeNotComplex,
+    InputError,
     LiftingFailure,
     NonMinimalCone,
     NotMinimal,
@@ -459,7 +459,9 @@ def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4,
     (those contractions vanish on the quotient dual); in general only the
     strict mode yields an exact complex, so "printed" exists as a diagnostic.
     """
-    assert self_term_mode in ("strict", "printed")
+    if self_term_mode not in ("strict", "printed"):
+        raise ValueError(
+            f"self_term_mode must be 'strict' or 'printed', not {self_term_mode!r}")
     if check_regular:
         rep = ideal.check_regular_ordering(check_to=check_to)
         if not rep.passed:
@@ -825,26 +827,113 @@ def complex_to_json(c):
 
 
 def complex_from_json(algebra, doc):
+    """Rebuild a complex_to_json document over algebra.
+
+    Raises:
+        InputError: if doc is not such a document over algebra's field: a
+            missing key or a value of the wrong type, another field, a dual
+            word outside its ambient n^k (k at most the homological degree),
+            a generator label other than null or a positive integer, a
+            negative internal degree, an entry outside its matrix or given
+            twice, or a coefficient whose degree is not the column's internal
+            degree minus the row's, or whose length is not that degree's
+            dimension.
+    """
     fld = algebra.field
+    _json_need(isinstance(doc, dict), "the complex JSON must be an object")
+    if type(doc.get("field")) is not int or doc["field"] != fld.char:
+        raise InputError(f"the complex is over field {doc.get('field')!r}, "
+                         f"the ring over {fld!r}")
+    kind = doc.get("kind", "complex")
+    _json_need(isinstance(kind, str), "kind must be a string")
     modules = []
-    for mod in doc["modules"]:
+    for l, mod in enumerate(_json_list(doc, "modules", "the complex")):
+        where = f"modules[{l}]"
+        _json_int(mod, "hom_degree", where, l, l)
+        ambients = [algebra.n ** k for k in range(l + 1)]
         gens = []
-        for b in mod["basis"]:
-            vec = [fld.zero] * b["dual_ambient"]
-            for i, s in b["dual_word"]:
-                vec[int(i)] = fld.parse(s)
-            gens.append(Generator(b["generator_index"], len(gens),
-                                  b["internal_degree"], tuple(vec)))
+        for b in _json_list(mod, "basis", where):
+            at = f"{where}.basis[{len(gens)}]"
+            gen = _json_get(b, "generator_index", at)
+            if gen is not None:
+                _json_int(b, "generator_index", at, 1)
+            ambient = _json_int(b, "dual_ambient", at, 1)
+            _json_need(ambient in ambients,
+                       f"{at}: dual_ambient {ambient} is not n^k for n = {algebra.n}, k <= {l}")
+            vec = [fld.zero] * ambient
+            for pair in _json_list(b, "dual_word", at):
+                _json_need(isinstance(pair, list) and len(pair) == 2,
+                           f"{at}: dual_word items must be [index, scalar] pairs")
+                i, x = pair
+                _json_need(type(i) is int and 0 <= i < ambient,
+                           f"{at}: dual_word index {i!r} outside 0..{ambient - 1}")
+                vec[i] = _json_scalar(fld, x, at)
+            degree = _json_int(b, "internal_degree", at, 0)
+            gens.append(Generator(gen, len(gens), degree, tuple(vec)))
         modules.append(gens)
+    _json_need(modules, "the complex has no modules")
+    differentials = _json_list(doc, "differentials", "the complex")
+    _json_need(len(differentials) == len(modules) - 1,
+               f"{len(modules)} modules need {len(modules) - 1} differentials, "
+               f"not {len(differentials)}")
     diffs = [None]
-    for dd in doc["differentials"]:
+    for l, dd in enumerate(differentials, start=1):
+        where = f"differentials[{l - 1}]"
+        _json_int(dd, "hom_degree", where, l, l)
         entries = {}
-        for e in dd["entries"]:
-            coords = tuple(fld.parse(s) for s in e["coefficient"]["coords"])
-            entries[(e["row"], e["col"])] = algebra.element(e["coefficient"]["degree"], coords)
+        for e in _json_list(dd, "entries", where):
+            at = f"{where}.entries[{len(entries)}]"
+            r = _json_int(e, "row", at, 0, len(modules[l - 1]) - 1)
+            c = _json_int(e, "col", at, 0, len(modules[l]) - 1)
+            _json_need((r, c) not in entries, f"{at}: entry ({r}, {c}) given twice")
+            coeff = _json_get(e, "coefficient", at)
+            deg = modules[l][c].internal_degree - modules[l - 1][r].internal_degree
+            _json_need(0 <= deg <= algebra.cutoff,
+                       f"{at}: internal degrees give the entry degree {deg}, outside "
+                       f"0..{algebra.cutoff}")
+            _json_int(coeff, "degree", f"{at}.coefficient", deg, deg)
+            coords = _json_list(coeff, "coords", f"{at}.coefficient")
+            _json_need(len(coords) == algebra.dim(deg),
+                       f"{at}: {len(coords)} coords for degree {deg}, which has "
+                       f"dimension {algebra.dim(deg)}")
+            entries[(r, c)] = algebra.element(
+                deg, tuple(_json_scalar(fld, x, at) for x in coords))
         diffs.append(entries)
-    return ChainComplex(algebra, modules, diffs, kind=doc.get("kind", "complex"))
+    return ChainComplex(algebra, modules, diffs, kind=kind)
 
 
-def complex_json_text(c):
-    return json.dumps(complex_to_json(c), sort_keys=True, indent=1)
+def _json_need(ok, message):
+    if not ok:
+        raise InputError(message)
+
+
+def _json_get(obj, key, where):
+    _json_need(isinstance(obj, dict) and key in obj, f"{where}: missing {key!r}")
+    return obj[key]
+
+
+def _json_list(obj, key, where):
+    value = _json_get(obj, key, where)
+    _json_need(isinstance(value, list), f"{where}: {key} must be a list")
+    return value
+
+
+def _json_int(obj, key, where, lo, hi=None):
+    value = _json_get(obj, key, where)
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        if hi is None:
+            want = f"an integer >= {lo}"
+        elif hi < lo:
+            want = "absent, as that module is empty"
+        else:
+            want = str(lo) if hi == lo else f"an integer in {lo}..{hi}"
+        raise InputError(f"{where}: {key} must be {want}, not {value!r}")
+    return value
+
+
+def _json_scalar(fld, text, where):
+    _json_need(isinstance(text, str), f"{where}: scalar {text!r} must be a string")
+    try:
+        return fld.parse(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"{where}: bad scalar {text!r} for {fld!r}") from None

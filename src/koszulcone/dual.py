@@ -16,7 +16,7 @@ documented in the README): the module action f |-> f.x_j^* used by all
 differentials is the FIRST-slot contraction (pairing against words with x_j^*
 prepended); membership in a quotient dual is LAST-slot annihilation (the left
 ideal is spanned by words with an excluded variable in the final slot).  Both
-contractions are exposed; closure of every quotient-dual action is asserted.
+contractions are exposed; closure of every quotient-dual action is checked.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import AmbientTooLarge, ClosureFailure
+from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch, SingularMatrix
 from .linalg import PrimeField, Subspace, intersect_subspaces, kernel, matmul
 
 CALIBRATED_SLOT = "first"
@@ -74,7 +74,11 @@ class QuadraticDual:
                     row[i * n + j] = fld.add(row[i * n + j], fld.of(coeff))
                 rows.append(row)
             space = Subspace.from_rows(fld, rows, n * n)
-            assert space.dim == n * n - self.algebra.dim(2)
+            expected = n * n - self.algebra.dim(2)
+            if space.dim != expected:
+                raise DimensionMismatch(
+                    f"relation space of V (x) V has dimension {space.dim}, "
+                    f"expected n^2 - dim A_2 = {expected}", witness=(space.dim, expected))
             self._relation_space = space
         return self._relation_space
 
@@ -193,10 +197,13 @@ class QuadraticDual:
         src = self.component(l)
         dst = self.component(l - 1)
         cols = []
-        for b in src.rows:
+        for i, b in enumerate(src.rows):
             img = self.contract(b, l, j, slot)
             coords = dst.coords_of(img)
-            assert coords is not None, "contraction left the dual component"
+            if coords is None:
+                raise ClosureFailure(
+                    f"action x_{j} left the dual component (degree {l}, basis vector {i}, "
+                    f"slot {slot})", witness=(l, j, i))
             cols.append(coords)
         mat = [[cols[c][r] for c in range(src.dim)] for r in range(dst.dim)]
         self._act[key] = mat
@@ -308,7 +315,9 @@ def _invert(fld, rows):
     aug = [list(r) + [fld.one if j == i else fld.zero for j in range(m)]
            for i, r in enumerate(rows)]
     rref, pivots = fld.rref(aug, 2 * m)
-    assert pivots[:m] == list(range(m)), "matrix is singular"
+    if pivots[:m] != list(range(m)):
+        rk = sum(1 for c in pivots if c < m)
+        raise SingularMatrix(f"{m} x {m} matrix to invert has rank {rk}", witness=(rk, m))
     return [row[m:] for row in rref]
 
 
@@ -360,7 +369,7 @@ class QuotientDual:
         return self.component(l).dim
 
     def act_matrix(self, l, j, slot=CALIBRATED_SLOT):
-        """Action f -> f.x_j^* in quotient coordinates; closure is asserted."""
+        """Action f -> f.x_j^* in quotient coordinates; closure is checked."""
         key = (l, j, slot)
         got = self._act.get(key)
         if got is not None:
@@ -368,14 +377,13 @@ class QuotientDual:
         src = self.component(l)
         dst = self.component(l - 1)
         cols = []
-        for b in src.rows:
+        for i, b in enumerate(src.rows):
             img = self.parent.contract(b, l, j, slot)
             coords = dst.coords_of(img)
             if coords is None:
                 raise ClosureFailure(
                     f"action x_{j} left the quotient dual (allowed={sorted(self.allowed)}, "
-                    f"degree {l}, slot {slot})"
-                )
+                    f"degree {l}, basis vector {i}, slot {slot})", witness=(l, j, i))
             cols.append(coords)
         mat = [[cols[c][r] for c in range(src.dim)] for r in range(dst.dim)]
         self._act[key] = mat
@@ -394,10 +402,6 @@ class ContainmentReport:
     holds: bool
     fail_degree: int | None = None
     per_degree: dict = dc_field(default_factory=dict)
-
-    @property
-    def holds_bounded(self):
-        return self.holds
 
     def as_dict(self):
         return {
@@ -422,7 +426,9 @@ def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
     src_allowed = frozenset(src_allowed)
     dst_allowed = frozenset(dst_allowed)
     prefix = tuple(prefix)
-    assert len(prefix) <= 2, "only one- and two-letter prefixes occur"
+    if len(prefix) > 2:
+        raise ValueError(f"prefix {prefix} is longer than two letters; only one- and "
+                         "two-letter prefixes occur")
     if not prefix:
         holds = dst_allowed <= src_allowed
         return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, True, holds,

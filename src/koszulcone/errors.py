@@ -2,7 +2,14 @@
 
 
 class KoszulConeError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    witness, when not None, locates the failure (the CLI prints it).
+    """
+
+    def __init__(self, message="", witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class MismatchedAmbient(KoszulConeError):
@@ -30,8 +37,9 @@ class CalibrationFailure(KoszulConeError):
 
 
 class ClosureFailure(KoszulConeError):
-    """The trace differential left a quotient-dual subcomplex; signals an
-    action-convention or subspace bug."""
+    """A contraction left a dual or quotient-dual component; signals an
+    action-convention or subspace bug.  witness is (degree l, variable j,
+    basis index) of the basis vector whose image fell outside."""
 
 
 class LiftingFailure(KoszulConeError):
@@ -47,10 +55,6 @@ class ConeNotComplex(KoszulConeError):
     """An iterated mapping cone composed to a nonzero d.d; witness is the
     (homological degree, row, column) of a nonzero entry."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 class NonMinimalCone(KoszulConeError):
     """A constant entry appeared in a cone differential (generator degrees
@@ -61,9 +65,20 @@ class RegularOrderingViolation(KoszulConeError):
     """A closed-form differential term fell outside its quotient-dual basis
     with a nonzero residual."""
 
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+
+class DecompositionFailure(KoszulConeError):
+    """The greedy decomposition of an ideal element broke its support
+    guarantee; witness is (generator index j, degree) of the failed step."""
+
+
+class DimensionMismatch(KoszulConeError):
+    """A computed space has a dimension other than the one its construction
+    guarantees; witness is (computed, expected)."""
+
+
+class SingularMatrix(KoszulConeError):
+    """A matrix that must be invertible has dependent rows; witness is its
+    rank and size."""
 
 
 class NotRegular(KoszulConeError):

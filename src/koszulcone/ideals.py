@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .dual import QuadraticDual, left_ideal_contains
-from .errors import NotInIdeal, NotMultigraded
+from .errors import DecompositionFailure, NotInIdeal, NotMultigraded
 from .linalg import Subspace, kernel, solve_membership
 
 __all__ = [
@@ -240,7 +240,8 @@ class MonomialIdeal:
         Condition (2)(b) concludes s outside E_j (the well-definedness lemma's
         form); the naive `s outside E_k` evaluation is reported alongside.
         """
-        assert mode in ("symmetric", "literal")
+        if mode not in ("symmetric", "literal"):
+            raise ValueError(f"mode must be 'symmetric' or 'literal', not {mode!r}")
         report = CheckReport("regular-ordering", True)
         lq = self.check_linear_quotients(check_to)
         if not lq.passed:
@@ -427,13 +428,8 @@ class DecompositionTable:
     (generator index, coefficient) with nonzero AlgebraElement coefficients.
     """
 
-    def __init__(self, ideal, strategy="canonical"):
-        # hook for alternative decomposition choices; only the canonical
-        # greedy top-down strategy is implemented
-        if strategy != "canonical":
-            raise NotImplementedError(f"decomposition strategy {strategy!r}")
+    def __init__(self, ideal):
         self.ideal = ideal
-        self.strategy = strategy
         self._var_gen = {}
         self._var_var_gen = {}
 
@@ -486,8 +482,13 @@ class DecompositionTable:
         """Greedy top-down decomposition with canonical echelon witnesses.
 
         Peels the minimal prefix j with v in J_j, solves v = u + c m_j with u
-        in J_{j-1} canonically, and recurses on u.  Asserts the support
+        in J_{j-1} canonically, and recurses on u.  Checks the support
         guarantee: each extracted c m_j lies outside J_{j-1}.
+
+        Raises:
+            NotInIdeal: if element is outside the prefix ideal J_bound.
+            DecompositionFailure: if a step breaks the support guarantee; the
+                witness is (j, degree of the remainder).
         """
         J = self.ideal
         A = J.algebra
@@ -512,12 +513,20 @@ class DecompositionTable:
             prev = J.membership_space(j - 1, d)
             rows = multiples + list(prev.rows)
             sol = solve_membership(fld, list(v.coords), rows)
-            assert sol is not None, "minimal prefix membership must be solvable"
+            if sol is None:
+                raise DecompositionFailure(
+                    f"degree-{d} element in J_{j} has no expression over m_{j} and J_{j - 1}",
+                    witness=(j, d))
             coeff = A.element(cdeg, sol[: len(multiples)])
-            assert not coeff.is_zero, "support guarantee: coefficient vanished"
+            if coeff.is_zero:
+                raise DecompositionFailure(
+                    f"support guarantee: coefficient on m_{j} vanished in degree {d}",
+                    witness=(j, d))
             piece = A.multiply(coeff, gel)
-            assert not J.contains(piece, prefix=j - 1), \
-                "support guarantee: coefficient times generator fell into the prefix"
+            if J.contains(piece, prefix=j - 1):
+                raise DecompositionFailure(
+                    f"support guarantee: coefficient times m_{j} fell into J_{j - 1} "
+                    f"in degree {d}", witness=(j, d))
             entries.append((j, coeff))
             v = A.sub(v, piece)
             bound = j - 1

@@ -7,15 +7,18 @@ fractions.Fraction.  Matrices are plain lists of rows at the API boundary.
 
 Elimination over F_p stays in numpy int64 from input to answer (products stay
 below 2**63 because p is capped) and returns Python ints through one
-tolist(); the rational path runs fraction-free (Bareiss) forward elimination
-on denominator-cleared rows before normalizing to the reduced echelon form.
-Both produce the same canonical RREF, so every Subspace has a unique
+tolist().  Elimination over the rationals stays on Python ints from input to
+answer: each row's denominators are cleared by their lcm, forward elimination
+is fraction-free (Bareiss), back-substitution is fraction-free on the integer
+echelon rows, and one Fraction is built per entry of the reduced rows.  Both
+produce the same canonical RREF, so every Subspace has a unique
 representation.  rank() reads pivots only: rref(reduced=False) eliminates
 below each pivot and builds no reduced rows.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -127,7 +130,11 @@ class PrimeField:
 
 
 class RationalField:
-    """Exact rational arithmetic; elimination is fraction-free (Bareiss)."""
+    """Exact rational arithmetic on fractions.Fraction.
+
+    rref eliminates on Python ints (Bareiss forward, fraction-free
+    back-substitution) and builds one Fraction per output entry.
+    """
 
     char = 0
 
@@ -178,44 +185,47 @@ class RationalField:
     def rref(self, rows, ncols, reduced=True):
         if not rows:
             return [], []
-        # clear denominators row by row; row spans are unchanged
+        # clear denominators row by row (row spans are unchanged); ints and
+        # Fractions both carry numerator and denominator
         work = []
         for row in rows:
-            fr = [Fraction(x) for x in row]
-            lcm = 1
-            for x in fr:
-                if x:
-                    lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-            work.append([int(x * lcm) for x in fr])
+            lcm = math.lcm(*[x.denominator for x in row])
+            if lcm == 1:
+                work.append([x.numerator for x in row])
+            else:
+                work.append([x.numerator * (lcm // x.denominator) for x in row])
         echelon, pivots = _bareiss_forward(work, ncols)
         if not reduced:
             return None, pivots
-        # normalize + back-eliminate with exact fractions
-        rowsf = [[Fraction(x) for x in row] for row in echelon]
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            lead = rowsf[r][c]
-            rowsf[r] = [x / lead for x in rowsf[r]]
-            for rr in range(r):
-                f = rowsf[rr][c]
+        # fraction-free back-substitution: clear every pivot column above its
+        # pivot, keeping each updated row primitive
+        for k in range(len(pivots) - 1, 0, -1):
+            c = pivots[k]
+            low = echelon[k]
+            lead = low[c]
+            for i in range(k):
+                row = echelon[i]
+                f = row[c]
                 if f:
-                    rowsf[rr] = [a - f * b for a, b in zip(rowsf[rr], rowsf[r])]
-        return rowsf, pivots
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+                    s = pivots[i]
+                    new = [lead * a - f * b for a, b in zip(row[s:], low[s:])]
+                    g = math.gcd(*new)
+                    if g != 1:
+                        new = [a // g for a in new]
+                    echelon[i] = row[:s] + new
+        zero = Fraction(0)
+        return [
+            [Fraction(a, row[c]) if a else zero for a in row]
+            for row, c in zip(echelon, pivots)
+        ], pivots
 
 
 def _bareiss_forward(m, ncols):
-    """Fraction-free forward elimination on integer rows.
+    """Fraction-free forward elimination on integer rows, in place.
 
     Returns (echelon_rows, pivot_columns); every division is exact, which
     keeps intermediate entries bounded by minor determinants.
     """
-    m = [row[:] for row in m]
     nrows = len(m)
     pivots = []
     r = 0
@@ -232,15 +242,20 @@ def _bareiss_forward(m, ncols):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+        # rows r.. vanish left of c, so every update starts at column c
+        tail = m[r][c:]
+        mrc = tail[0]
         for i in range(r + 1, nrows):
-            if any(m[i]):
-                mic = m[i][c]
-                mrc = m[r][c]
-                m[i] = [(mrc * m[i][j] - mic * m[r][j]) // prev for j in range(ncols)]
-        prev = m[r][c]
+            row = m[i]
+            mic = row[c]
+            if mic:
+                m[i] = row[:c] + [(mrc * a - mic * b) // prev for a, b in zip(row[c:], tail)]
+            elif mrc != prev and any(row):
+                m[i] = row[:c] + [mrc * a // prev for a in row[c:]]
+        prev = mrc
         pivots.append(c)
         r += 1
-    return [m[i] for i in range(r)], pivots
+    return m[:r], pivots
 
 
 QQ = RationalField()

@@ -242,3 +242,125 @@ def test_cone_d_squared_failure_exits_1_with_witness(monkeypatch, capsys):
         capsys)
     assert code == 1 and out == ""
     assert "d.d = 0" in err and "witness: (" in err
+
+
+def _export_hhr(tmp_path, capsys):
+    exported = tmp_path / "complex.json"
+    code, _, _ = run_main(
+        ["resolve", str(FIXTURES / "hhr_example.ring"), "--method", "closed",
+         "--hmax", "3", "--export", str(exported)], capsys)
+    assert code == 0
+    return json.loads(exported.read_text())
+
+
+def _set(*path_and_value):
+    *path, value = path_and_value
+
+    def mutate(doc):
+        obj = doc
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+        return doc
+    return mutate
+
+
+def _pad_coords(doc):
+    doc["differentials"][0]["entries"][0]["coefficient"]["coords"].append("0")
+    return doc
+
+
+BAD_COMPLEX_DOCS = {
+    "modules-not-a-list": (lambda doc: {"field": 101, "modules": 5, "differentials": []},
+                           "modules must be a list"),
+    "dual-ambient-not-a-power": (_set("modules", 2, "basis", 0, "dual_ambient", 10 ** 12),
+                                 "dual_ambient 1000000000000 is not n^k"),
+    "dual-word-outside-ambient": (_set("modules", 2, "basis", 0, "dual_word", [[3, "1"]]),
+                                  "dual_word index 3 outside 0..2"),
+    "row-out-of-range": (_set("differentials", 0, "entries", 0, "row", 1),
+                         "row must be 0, not 1"),
+    "col-out-of-range": (_set("differentials", 1, "entries", 0, "col", 99),
+                         "col must be an integer in 0.."),
+    "coefficient-length": (_pad_coords, "5 coords for degree 2, which has dimension 4"),
+    "coefficient-degree": (_set("differentials", 1, "entries", 0, "coefficient", "degree", 2),
+                           "degree must be 1, not 2"),
+    "bad-scalar": (_set("differentials", 1, "entries", 0, "coefficient", "coords", 0, "1/2"),
+                   "bad scalar '1/2' for GF(101)"),
+    "label-not-an-integer": (_set("modules", 1, "basis", 0, "generator_index", "m1"),
+                             "generator_index must be an integer >= 1"),
+    "label-beyond-the-ideal": (_set("modules", 1, "basis", 0, "generator_index", 3),
+                               "generator_index 3 exceeds the ideal's 2 generators"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_COMPLEX_DOCS))
+def test_verify_rejects_malformed_complex(case, tmp_path, capsys):
+    mutate, message = BAD_COMPLEX_DOCS[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(mutate(_export_hhr(tmp_path, capsys))))
+    code, out, err = run_main(
+        ["verify", str(FIXTURES / "hhr_example.ring"), "--complex", str(bad), "--hmax", "3"],
+        capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and message in err, err
+
+
+def test_verify_missing_complex_file_is_input_error(tmp_path, capsys):
+    code, out, err = run_main(
+        ["verify", str(FIXTURES / "hhr_example.ring"), "--complex", str(tmp_path / "no.json")],
+        capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: cannot read")
+
+
+def test_verify_non_json_complex_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("resolution of A/J\n")
+    code, out, err = run_main(
+        ["verify", str(FIXTURES / "hhr_example.ring"), "--complex", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and "is not JSON" in err
+
+
+@pytest.mark.parametrize("field", ["103", "q"])
+def test_verify_refuses_a_complex_over_another_field(field, tmp_path, capsys):
+    exported = tmp_path / "complex.json"
+    exported.write_text(json.dumps(_export_hhr(tmp_path, capsys)))
+    code, out, err = run_main(
+        ["verify", str(FIXTURES / "hhr_example.ring"), "--complex", str(exported),
+         "--hmax", "3", "--field", field], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: the complex is over field 101")
+
+
+def _field_invariants(command, doc):
+    """The parts of a command's JSON answer that must not depend on the field
+    when the ring has integer relations and no 101-torsion."""
+    if command == "resolve":
+        cx = doc["complex"]
+        degrees = [[b["internal_degree"] for b in m["basis"]] for m in cx["modules"]]
+        return degrees, doc["verified"]
+    if command == "priddy":
+        return doc["ranks"], doc["homology"], doc["passed"]
+    if command == "betti":
+        return doc
+    return doc["dims"]
+
+
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.ring")))
+def test_gf101_and_rationals_agree_on_fixtures(fixture, capsys):
+    path = FIXTURES / fixture
+    commands = ["priddy", "dual"]
+    if parse_ring_text(path.read_text()).ideal:
+        commands += ["resolve", "betti"]
+    for command in commands:
+        answers = []
+        for field in ("101", "q"):
+            argv = [command, str(path), "--hmax", "3", "--dmax", "4", "--field", field,
+                    "--out", "json"]
+            if command == "resolve":
+                argv += ["--method", "cone"]
+            code, out, err = run_main(argv, capsys)
+            assert (code, err) == (0, ""), (command, field)
+            answers.append(_field_invariants(command, json.loads(out)))
+        assert answers[0] == answers[1], command

@@ -439,3 +439,8 @@ def test_cone_d_squared_failure_is_typed_with_witness(monkeypatch):
         iterated_mapping_cone(poly_m2(2), 3)
     l, row, col = e.value.witness
     assert 2 <= l <= 3 and row >= 0 and col >= 0
+
+
+def test_self_term_mode_is_a_value_error():
+    with pytest.raises(ValueError, match="strict"):
+        closed_form_resolution(hhr_ideal(), 3, self_term_mode="literal")

@@ -3,8 +3,13 @@ from math import comb
 
 import pytest
 
-from koszulcone.dual import QuadraticDual, left_ideal_contains, tensor_index
-from koszulcone.errors import AmbientTooLarge
+from koszulcone.dual import QuadraticDual, _invert, left_ideal_contains, tensor_index
+from koszulcone.errors import (
+    AmbientTooLarge,
+    ClosureFailure,
+    DimensionMismatch,
+    SingularMatrix,
+)
 from koszulcone.linalg import GF
 
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
@@ -305,3 +310,45 @@ def test_full_component_trace_complex_closes_both_slots():
                 diffs.append(_trace_differential(A, modules[l], modules[l - 1], acts))
             c = ChainComplex(A, modules, diffs)
             assert c.d_squared_witness() is None, (mk.__name__, slot)
+
+
+def test_action_leaving_the_dual_component_is_typed_with_witness(monkeypatch):
+    D = dual_of(poly_ring(3))
+    assert (D.component(3).dim, D.component(2).dim) == (1, 3)
+    outside = [1] + [0] * 8  # x0 (x) x0 is not in the exterior component(2)
+    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j, slot: outside)
+    with pytest.raises(ClosureFailure) as e:
+        D.act_matrix(3, 2)
+    assert e.value.witness == (3, 2, 0)
+
+
+def test_quotient_action_leaving_the_component_is_typed_with_witness(monkeypatch):
+    Q = dual_of(poly_ring(3)).quotient({0, 1})
+    assert (Q.rank(2), Q.rank(1)) == (1, 2)
+    outside = [0, 0, 1]  # x2 is excluded
+    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j, slot: outside)
+    with pytest.raises(ClosureFailure) as e:
+        Q.act_matrix(2, 1)
+    assert e.value.witness == (2, 1, 0)
+
+
+def test_relation_space_dimension_is_checked(monkeypatch):
+    A = poly_ring(3)
+    D = dual_of(A)
+    monkeypatch.setattr(A, "dim", lambda d: 5)
+    with pytest.raises(DimensionMismatch) as e:
+        D.relation_space
+    assert e.value.witness == (3, 4)
+
+
+def test_invert_refuses_a_singular_matrix():
+    with pytest.raises(SingularMatrix) as e:
+        _invert(F101, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    assert e.value.witness == (2, 3)
+    assert _invert(F101, [[2, 0], [0, 1]]) == [[51, 0], [0, 1]]
+
+
+def test_containment_prefix_longer_than_two_is_a_value_error():
+    D = dual_of(poly_ring(3))
+    with pytest.raises(ValueError, match="longer than two"):
+        left_ideal_contains(D, {0, 1}, (0, 1, 2), {0}, 2)

@@ -1,6 +1,7 @@
 import pytest
 
-from koszulcone.errors import NotInIdeal, NotMultigraded
+import koszulcone.ideals
+from koszulcone.errors import DecompositionFailure, NotInIdeal, NotMultigraded
 from koszulcone.ideals import MonomialIdeal, annihilator_vars, check_strongly_koszul
 from koszulcone.linalg import GF
 
@@ -263,3 +264,23 @@ def test_colon_sets_match_left_ideal_containment():
         for k in range(J.r):
             rep = left_ideal_contains(J.dual, sets[k], (), sets[j], 3)
             assert rep.holds == (sets[j] <= sets[k])
+
+
+@pytest.mark.parametrize("breakage", ["unsolvable", "zero-coefficient", "piece-in-prefix"])
+def test_decomposition_support_guarantees_are_typed(breakage, monkeypatch):
+    J = hhr_ideal()
+    if breakage == "unsolvable":
+        monkeypatch.setattr(koszulcone.ideals, "solve_membership", lambda *args: None)
+    elif breakage == "zero-coefficient":
+        monkeypatch.setattr(koszulcone.ideals, "solve_membership",
+                            lambda fld, target, rows: [fld.zero] * len(rows))
+    else:
+        monkeypatch.setattr(J, "contains", lambda element, prefix=None: True)
+    with pytest.raises(DecompositionFailure) as e:
+        J.decomposition.of_element(J.gen_elements[0])
+    assert e.value.witness == (1, 2)
+
+
+def test_regular_ordering_mode_is_a_value_error():
+    with pytest.raises(ValueError, match="symmetric"):
+        hhr_ideal().check_regular_ordering(mode="printed")

@@ -262,3 +262,73 @@ def test_prime_field_results_are_python_ints():
 def test_intersect_empty_list_needs_a_field():
     with pytest.raises(MismatchedAmbient):
         intersect_subspaces([], ambient_dim=4)
+
+
+def _fraction_gauss_jordan(rows, ncols):
+    """Reference RREF: textbook Gauss-Jordan on Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+BIG_DENOMINATOR = 10 ** 12 + 39
+
+
+def _random_rational_entry(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)
+    if kind == 2:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+    if kind == 3:
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, BIG_DENOMINATOR))
+    return rng.choice((-1, 1)) * rng.randint(2 ** 63, 2 ** 70)
+
+
+def _random_rational_matrix(rng, nrows, ncols, rank_cap):
+    """Rows are sparse random combinations of rank_cap sparse random rows
+    (so dependent when nrows > rank_cap), some columns are zero, and entries
+    with denominator 1 are handed in as ints half of the time."""
+    basis = [[_random_rational_entry(rng) for _ in range(ncols)] for _ in range(rank_cap)]
+    dead = {c for c in range(ncols) if rng.random() < 0.2}
+    rows = []
+    for _ in range(nrows):
+        coeffs = [Fraction(rng.randint(-3, 3), rng.choice((1, 2, 7, BIG_DENOMINATOR)))
+                  if rng.random() < 0.5 else 0 for _ in range(rank_cap)]
+        row = [0 if c in dead else sum(k * b[c] for k, b in zip(coeffs, basis))
+               for c in range(ncols)]
+        rows.append([int(x) if x.denominator == 1 and rng.random() < 0.5 else x
+                     for x in map(Fraction, row)])
+    return rows
+
+
+def test_rational_rref_matches_fraction_gauss_jordan():
+    rng = random.Random(47)
+    shapes = [(1, 1), (1, 9), (9, 1), (3, 12), (12, 3), (6, 6), (16, 5), (5, 16)]
+    for nrows, ncols in shapes:
+        for cap in range(1, min(nrows, ncols) + 2):
+            rows = _random_rational_matrix(rng, nrows, ncols, cap)
+            before = [list(row) for row in rows]
+            got, pivots = QQ.rref(rows, ncols)
+            assert (got, pivots) == _fraction_gauss_jordan(rows, ncols)
+            assert all(type(x) is Fraction for row in got for x in row)
+            assert QQ.rref(rows, ncols, reduced=False) == (None, pivots)
+            assert rows == before
+    assert QQ.rref([], 4) == ([], [])
+    assert QQ.rref([[0, Fraction(0)]] * 3, 2) == ([], [])
