@@ -10,7 +10,9 @@ Two resolution paths exist for an ideal with linear quotients: the generic
 iterated mapping cone, whose comparison maps are lifted degreewise through
 canonical echelon solves, and the closed-form differential available under a
 regular ordering.  The generic path is the in-house oracle for the closed
-form: ranks must agree and both must verify.
+form: ranks must agree and both must verify.  The closed form is the cone
+with its comparison maps written out, so comparison_maps reads each map off
+it as a block of the differential (a regular ordering is required).
 
 Cone sign conventions: cone(psi: K -> F)_l = F_l (+) K_{l-1} with
 differential (f, k) |-> (dF f + psi k, -dK k); the shifted copy carries the
@@ -105,27 +107,9 @@ class ChainComplex:
 
     def d_squared_witness(self):
         """None when d.d = 0 holds exactly, else (l, row, col) of a violation."""
-        A = self.algebra
         for l in range(2, len(self.modules)):
-            d1 = self.diffs[l]
-            d0 = self.diffs[l - 1]
-            by_col = {}
-            for (g, c), a in d1.items():
-                by_col.setdefault(c, []).append((g, a))
-            for c, col_entries in by_col.items():
-                acc = {}
-                for g, a in col_entries:
-                    for (r, gg), b in d0.items():
-                        if gg != g:
-                            continue
-                        prod = A.multiply(b, a)
-                        if prod.is_zero:
-                            continue
-                        # keyed by degree too, so inhomogeneous (corrupted)
-                        # inputs are diagnosed instead of crashing
-                        key = (r, prod.degree)
-                        acc[key] = A.add(acc[key], prod) if key in acc else prod
-                for (r, _), val in acc.items():
+            for c, sums in _compose_columns(self.algebra, self.diffs[l - 1], self.diffs[l]):
+                for (r, _), val in sums.items():
                     if not val.is_zero:
                         return (l, r, c)
         return None
@@ -193,6 +177,32 @@ def _offsets(dims):
     return out
 
 
+def _compose_columns(algebra, first, second):
+    """The columns of first o second, for entry dicts with exact algebra entries.
+
+    Yields (col, sums) for each column of second in order of first
+    appearance; sums maps (row, degree) to the summed nonzero products, which
+    may cancel to zero.  Keying by degree too diagnoses inhomogeneous
+    (corrupted) input instead of crashing on a mixed-degree sum.
+    """
+    by_inner = {}
+    for (r, g), a in first.items():
+        by_inner.setdefault(g, []).append((r, a))
+    by_col = {}
+    for (g, c), b in second.items():
+        by_col.setdefault(c, []).append((g, b))
+    for c, col_entries in by_col.items():
+        sums = {}
+        for g, b in col_entries:
+            for r, a in by_inner.get(g, ()):
+                prod = algebra.multiply(a, b)
+                if prod.is_zero:
+                    continue
+                key = (r, prod.degree)
+                sums[key] = algebra.add(sums[key], prod) if key in sums else prod
+        yield c, sums
+
+
 # -- Priddy and sub-Priddy complexes -----------------------------------------
 
 
@@ -215,46 +225,43 @@ def _trace_differential(algebra, source, target, act_matrices):
     return {k: v for k, v in entries.items() if not v.is_zero}
 
 
-def priddy_complex(dual, hmax):
-    """A (x) dual-component complex with the trace differential; d.d=0 asserted."""
-    A = dual.algebra
+def _trace_complex(algebra, space, hmax, kind, failure, shift=0, gen=None):
+    """A (x) space-component complex with the trace differential.
+
+    space is a dual or a quotient dual; failure is the exception raised when
+    d.d = 0 fails.
+    """
     modules = []
     for l in range(hmax + 1):
-        comp = dual.component(l)
-        modules.append([Generator(None, i, l, tuple(row))
+        comp = space.component(l)
+        modules.append([Generator(gen, i, l + shift, tuple(row))
                         for i, row in enumerate(comp.rows)])
     diffs = [None]
     for l in range(1, hmax + 1):
-        acts = [dual.act_matrix(l, j, slot="first") for j in range(A.n)]
-        diffs.append(_trace_differential(A, modules[l], modules[l - 1], acts))
-    c = ChainComplex(A, modules, diffs, kind="priddy")
+        acts = [space.act_matrix(l, j, slot="first") for j in range(algebra.n)]
+        diffs.append(_trace_differential(algebra, modules[l], modules[l - 1], acts))
+    c = ChainComplex(algebra, modules, diffs, kind=kind)
     if c.d_squared_witness() is not None:
-        raise CalibrationFailure("trace differential failed d.d = 0 on the full dual")
+        raise failure
     return c
 
 
-def sub_priddy_complex(dual, allowed, hmax, shift=0, gen=None, check_d2=True):
+def priddy_complex(dual, hmax):
+    """A (x) dual-component complex with the trace differential; d.d=0 asserted."""
+    return _trace_complex(dual.algebra, dual, hmax, "priddy", CalibrationFailure(
+        "trace differential failed d.d = 0 on the full dual"))
+
+
+def sub_priddy_complex(dual, allowed, hmax, shift=0, gen=None):
     """The quotient-dual subcomplex; closure of the action is asserted.
 
     shift raises every internal degree (used when the complex enters a cone
     against multiplication by a degree-shift generator); gen labels the
     basis elements with an ideal-generator index.
     """
-    A = dual.algebra
-    quot = dual.quotient(allowed)
-    modules = []
-    for l in range(hmax + 1):
-        comp = quot.component(l)
-        modules.append([Generator(gen, i, l + shift, tuple(row))
-                        for i, row in enumerate(comp.rows)])
-    diffs = [None]
-    for l in range(1, hmax + 1):
-        acts = [quot.act_matrix(l, j, slot="first") for j in range(A.n)]
-        diffs.append(_trace_differential(A, modules[l], modules[l - 1], acts))
-    c = ChainComplex(A, modules, diffs, kind="sub_priddy")
-    if check_d2 and c.d_squared_witness() is not None:
-        raise ClosureFailure("sub-Priddy differential failed d.d = 0")
-    return c
+    return _trace_complex(dual.algebra, dual.quotient(allowed), hmax, "sub_priddy",
+                          ClosureFailure("sub-Priddy differential failed d.d = 0"),
+                          shift, gen)
 
 
 def koszulness_certificate(dual, hmax, dmax):
@@ -342,32 +349,16 @@ def _lift_comparison(F, K, m_element):
         # right-hand sides: psi_{l-1} o dK, flattened in internal degree D
         tgt_dims = F.block_dims(l - 1, D)
         tgt_off = _offsets(tgt_dims)
-        targets = []
-        for c in range(len(src)):
-            acc = {}
-            for (g, cc), a in K.diffs[l].items():
-                if cc != c:
-                    continue
-                for (r, gg), b in psi[l - 1].items():
-                    if gg != g:
-                        continue
-                    prod = A.multiply(b, a)
-                    if prod.is_zero:
-                        continue
-                    acc[r] = A.add(acc[r], prod) if r in acc else prod
-            vec = [fld.zero] * sum(tgt_dims)
-            for r, elem in acc.items():
-                for i, x in enumerate(elem.coords):
-                    vec[tgt_off[r] + i] = x
-            targets.append(vec)
+        targets = [[fld.zero] * sum(tgt_dims) for _ in src]
+        for c, sums in _compose_columns(A, psi[l - 1], K.diffs[l]):
+            for (r, _), elem in sums.items():
+                targets[c][tgt_off[r] : tgt_off[r] + tgt_dims[r]] = elem.coords
         mat, nrows, ncols = F.degreewise_matrix(l, D)
         if ncols == 0:
             if any(any(t) for t in targets):
                 raise LiftingFailure(f"nonzero lift target into a zero module at degree {l}")
             psi.append({})
             continue
-        if not mat:
-            mat = [[fld.zero] * ncols for _ in range(nrows)]
         sols = _solve_many(fld, mat, nrows, ncols, targets)
         src_dims = F.block_dims(l, D)
         src_off = _offsets(src_dims)
@@ -394,11 +385,9 @@ def _cone(F, K, psi, hmax):
     for l in range(1, hmax + 1):
         entries = dict(F.diffs[l])
         col_off = len(F.modules[l])
-        row_off_f = 0
         row_off_k = len(F.modules[l - 1])
-        if l - 1 >= 0:
-            for (r, c), a in psi[l - 1].items():
-                entries[(row_off_f + r, col_off + c)] = a
+        for (r, c), a in psi[l - 1].items():
+            entries[(r, col_off + c)] = a
         if l >= 2:
             for (r, c), a in K.diffs[l - 1].items():
                 entries[(row_off_k + r, col_off + c)] = A.scale(A.field.neg(A.field.one), a)
@@ -406,7 +395,7 @@ def _cone(F, K, psi, hmax):
     return ChainComplex(A, modules, diffs, kind="resolution")
 
 
-def iterated_mapping_cone(ideal, hmax, check=True):
+def iterated_mapping_cone(ideal, hmax):
     """Resolution of A/J by successive cones over canonical chain-map lifts.
 
     Requires linear quotients (the caller is expected to have checked; the
@@ -422,13 +411,12 @@ def iterated_mapping_cone(ideal, hmax, check=True):
         K = sub_priddy_complex(dual, allowed, hmax, shift=ideal.degs[i - 1], gen=i)
         psi = _lift_comparison(F, K, ideal.gen_elements[i - 1])
         F = _cone(F, K, psi, hmax)
-    if check:
-        w = F.d_squared_witness()
-        if w is not None:
-            raise ConeNotComplex(f"cone differential broke d.d = 0 at {w}", witness=w)
-        m = F.minimality_witness()
-        if m is not None:
-            raise NonMinimalCone(f"constant entry at {m}")
+    w = F.d_squared_witness()
+    if w is not None:
+        raise ConeNotComplex(f"cone differential broke d.d = 0 at {w}", witness=w)
+    m = F.minimality_witness()
+    if m is not None:
+        raise NonMinimalCone(f"constant entry at {m}")
     return F
 
 
@@ -537,52 +525,32 @@ def comparison_maps(ideal, r, hmax):
     closed-form resolution of the previous prefix.
 
     psi_l(m_r (x) f) = sum over s and j < r of c_j(x_s m_r) (m_j (x) f.x_s^*).
+    The closed form is triangular in generator index, so F is its restriction
+    to the generators before r and psi[l] is the (gens < r) x (gen r) block
+    of its differential l + 1.  The closed form is built to hmax + 1, and its
+    d.d = 0 there is exactly the chain-map identity up to hmax; on an
+    ordering that is not regular it raises RegularOrderingViolation.
     Returns (K, F, psi) with psi[l] an entry dict K_l -> F_l.
+
+    Raises:
+        ValueError: if r is not a generator index 1..ideal.r.
     """
-    A = ideal.algebra
-    fld = A.field
-    dual = ideal.dual
-    prefix = type(ideal)(A, ideal.gens[: r - 1]) if r > 1 else None
-    F = closed_form_resolution(prefix, hmax, check_regular=False) if prefix else \
-        _base_complex(A, hmax)
-    allowed = ideal.colon_vars(r).variables
-    K = sub_priddy_complex(dual, allowed, hmax, shift=ideal.degs[r - 1], gen=r)
-    quots = [dual.quotient(ideal.colon_vars(i).variables) for i in range(1, r)]
-    row_index = [
-        {(g.gen, g.dual_index): idx for idx, g in enumerate(F.modules[l])}
-        for l in range(hmax + 1)
-    ]
+    if not 1 <= r <= ideal.r:
+        raise ValueError(f"r must be a generator index in 1..{ideal.r}, not {r!r}")
+    full = closed_form_resolution(ideal, hmax + 1, check_regular=False)
+    # gen-major bases: the generators before r are a prefix of every module
+    lo = [sum(1 for g in mod if g.gen is None or g.gen < r) for mod in full.modules]
+    modules = [full.modules[l][: lo[l]] for l in range(hmax + 1)]
+    diffs = [None] + [{(i, c): a for (i, c), a in full.diffs[l].items() if c < lo[l]}
+                      for l in range(1, hmax + 1)]
+    F = ChainComplex(ideal.algebra, modules, diffs, kind="resolution")
+    K = sub_priddy_complex(ideal.dual, ideal.colon_vars(r).variables, hmax,
+                           shift=ideal.degs[r - 1], gen=r)
     psi = []
-    for l in range(0, hmax + 1):
-        entries = {}
-        if l == 0:
-            entries[(0, 0)] = ideal.gen_elements[r - 1]
-            psi.append(entries)
-            continue
-        for c, gen in enumerate(K.modules[l]):
-            f = list(gen.dual_vector)
-            for s in range(A.n):
-                contracted = dual.contract(f, l, s, slot="first")
-                if not any(contracted):
-                    continue
-                for j, coeff in ideal.decomposition.times_var(s, r):
-                    if j >= r:
-                        continue
-                    comp = quots[j - 1].component(l - 1)
-                    coords = comp.coords_of(contracted)
-                    if coords is None:
-                        # invalid symbol, zero by definition
-                        continue
-                    for t, x in enumerate(coords):
-                        if not x:
-                            continue
-                        key = (row_index[l][(j, t)], c)
-                        term = A.scale(x, coeff)
-                        if key in entries:
-                            entries[key] = A.add(entries[key], term)
-                        else:
-                            entries[key] = term
-        psi.append({k2: v for k2, v in entries.items() if not v.is_zero})
+    for l in range(hmax + 1):
+        hi = lo[l + 1] + K.rank(l)
+        psi.append({(i, c - lo[l + 1]): a for (i, c), a in full.diffs[l + 1].items()
+                    if lo[l + 1] <= c < hi and i < lo[l]})
     return K, F, psi
 
 
@@ -590,27 +558,15 @@ def verify_chain_map(F, K, psi, hmax):
     """Exact check of dF . psi_l = psi_{l-1} . dK for 1 <= l <= hmax."""
     A = F.algebra
     for l in range(1, hmax + 1):
-        left = _compose(A, F.diffs[l], psi[l], len(F.modules[l - 1]))
-        right = _compose(A, psi[l - 1], K.diffs[l], len(F.modules[l - 1]))
-        if left != right:
+        if _compose(A, F.diffs[l], psi[l]) != _compose(A, psi[l - 1], K.diffs[l]):
             return False, l
     return True, None
 
 
-def _compose(algebra, first_entries, second_entries, nrows):
-    """Entry dict of (first o second) with exact algebra products."""
-    out = {}
-    by_col = {}
-    for (r, c), a in first_entries.items():
-        by_col.setdefault(c, []).append((r, a))
-    for (g, c), b in second_entries.items():
-        for r, a in by_col.get(g, ()):
-            prod = algebra.multiply(a, b)
-            if prod.is_zero:
-                continue
-            key = (r, c)
-            out[key] = algebra.add(out[key], prod) if key in out else prod
-    return {k: v for k, v in out.items() if not v.is_zero}
+def _compose(algebra, first, second):
+    """Nonzero entries of first o second, keyed (row, degree, col)."""
+    return {(r, d, c): v for c, sums in _compose_columns(algebra, first, second)
+            for (r, d), v in sums.items() if not v.is_zero}
 
 
 # -- verification, strands, Betti tables -----------------------------------------

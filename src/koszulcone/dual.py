@@ -190,24 +190,7 @@ class QuadraticDual:
 
     def act_matrix(self, l, j, slot=CALIBRATED_SLOT):
         """Matrix of f -> f.x_j^* from component(l) coords to component(l-1) coords."""
-        key = (l, j, slot)
-        got = self._act.get(key)
-        if got is not None:
-            return got
-        src = self.component(l)
-        dst = self.component(l - 1)
-        cols = []
-        for i, b in enumerate(src.rows):
-            img = self.contract(b, l, j, slot)
-            coords = dst.coords_of(img)
-            if coords is None:
-                raise ClosureFailure(
-                    f"action x_{j} left the dual component (degree {l}, basis vector {i}, "
-                    f"slot {slot})", witness=(l, j, i))
-            cols.append(coords)
-        mat = [[cols[c][r] for c in range(src.dim)] for r in range(dst.dim)]
-        self._act[key] = mat
-        return mat
+        return _act_matrix(self, self, l, j, slot)
 
     # -- quotient duals ---------------------------------------------------------
 
@@ -370,24 +353,36 @@ class QuotientDual:
 
     def act_matrix(self, l, j, slot=CALIBRATED_SLOT):
         """Action f -> f.x_j^* in quotient coordinates; closure is checked."""
-        key = (l, j, slot)
-        got = self._act.get(key)
-        if got is not None:
-            return got
-        src = self.component(l)
-        dst = self.component(l - 1)
-        cols = []
-        for i, b in enumerate(src.rows):
-            img = self.parent.contract(b, l, j, slot)
-            coords = dst.coords_of(img)
-            if coords is None:
-                raise ClosureFailure(
-                    f"action x_{j} left the quotient dual (allowed={sorted(self.allowed)}, "
-                    f"degree {l}, basis vector {i}, slot {slot})", witness=(l, j, i))
-            cols.append(coords)
-        mat = [[cols[c][r] for c in range(src.dim)] for r in range(dst.dim)]
-        self._act[key] = mat
-        return mat
+        return _act_matrix(self, self.parent, l, j, slot, self.allowed)
+
+
+def _act_matrix(space, dual, l, j, slot, allowed=None):
+    """Cached matrix of f -> f.x_j^* on the components of space.
+
+    space is dual itself or a quotient of it (allowed its retained
+    variables), and dual contracts the tensors.  A contraction outside
+    component(l-1) of space raises ClosureFailure.
+    """
+    key = (l, j, slot)
+    got = space._act.get(key)
+    if got is not None:
+        return got
+    src = space.component(l)
+    dst = space.component(l - 1)
+    cols = []
+    for i, b in enumerate(src.rows):
+        img = dual.contract(b, l, j, slot)
+        coords = dst.coords_of(img)
+        if coords is None:
+            where = "the dual component (" if allowed is None else \
+                f"the quotient dual (allowed={sorted(allowed)}, "
+            raise ClosureFailure(
+                f"action x_{j} left {where}degree {l}, basis vector {i}, slot {slot})",
+                witness=(l, j, i))
+        cols.append(coords)
+    mat = [[cols[c][r] for c in range(src.dim)] for r in range(dst.dim)]
+    space._act[key] = mat
+    return mat
 
 
 @dataclass

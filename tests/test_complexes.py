@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -21,7 +22,12 @@ from koszulcone.complexes import (
     verify_complex,
 )
 from koszulcone.dual import QuadraticDual
-from koszulcone.errors import ConeNotComplex, NotMinimal, NotRegular
+from koszulcone.errors import (
+    ConeNotComplex,
+    NotMinimal,
+    NotRegular,
+    RegularOrderingViolation,
+)
 from koszulcone.ideals import MonomialIdeal
 
 from syzygy_oracle import brute_force_betti
@@ -444,3 +450,165 @@ def test_cone_d_squared_failure_is_typed_with_witness(monkeypatch):
 def test_self_term_mode_is_a_value_error():
     with pytest.raises(ValueError, match="strict"):
         closed_form_resolution(hhr_ideal(), 3, self_term_mode="literal")
+
+
+# -- d.d witnesses on corrupted complexes ----------------------------------------
+
+
+def corrupted(c, seed):
+    """Corrupt one entry in each of up to three columns of one differential.
+
+    One entry is doubled, one is multiplied by a variable (a degree the
+    grading does not allow, so d.d has mixed-degree sums) and one is replaced
+    by a random element of its degree.
+    """
+    rng = random.Random(seed)
+    A = c.algebra
+    # one of the two highest differentials, so the witness row is not always 0
+    levels = [l for l in range(2, len(c.modules)) if len({k[1] for k in c.diffs[l]}) >= 2]
+    l = rng.choice(levels[-2:])
+    cols = sorted({k[1] for k in c.diffs[l]})
+    for action, col in enumerate(rng.sample(cols, min(3, len(cols)))):
+        key = rng.choice(sorted(k for k in c.diffs[l] if k[1] == col))
+        a = c.diffs[l][key]
+        if action == 0:
+            c.diffs[l][key] = A.scale(A.field.of(2), a)
+        elif action == 1:
+            c.diffs[l][key] = A.multiply(A.var(rng.randrange(A.n)), a)
+        else:
+            coords = [A.field.of(rng.randrange(100)) for _ in a.coords]
+            c.diffs[l][key] = A.element(a.degree, coords)
+    return c
+
+
+def violating_columns(c):
+    """Every (l, col) where d.d is nonzero, by a direct double loop."""
+    A = c.algebra
+    out = []
+    for l in range(2, len(c.modules)):
+        for col in range(len(c.modules[l])):
+            sums = {}
+            for (g, cc), a in c.diffs[l].items():
+                for (r, gg), b in c.diffs[l - 1].items():
+                    if cc == col and gg == g:
+                        prod = A.multiply(b, a)
+                        key = (r, prod.degree)
+                        sums[key] = A.add(sums[key], prod) if key in sums else prod
+            if any(not v.is_zero for v in sums.values()):
+                out.append((l, col))
+    return out
+
+
+CORRUPTION_CASES = [
+    (name, path, seed)
+    for name in ("hhr", "poly_m2_3", "poly_mixed", "poly_vars_3")
+    for path in ("cone", "closed")
+    for seed in (1, 2, 3)
+] + [("md_squares", "cone", seed) for seed in (1, 2, 3)]
+
+
+def corrupted_case(name, path, seed):
+    J = {"hhr": hhr_ideal, "poly_m2_3": lambda: poly_m2(3), "poly_mixed": poly_mixed_ideal,
+         "poly_vars_3": lambda: poly_vars_ideal(3), "md_squares": lambda: md_squares(3, 2),
+         }[name]()
+    build = iterated_mapping_cone if path == "cone" else closed_form_resolution
+    return corrupted(build(J, 4), seed)
+
+
+# recorded from the three-loop d_squared_witness that the composition kernel
+# replaced: the first violating column at the lowest level, first row in it
+PINNED_WITNESSES = {
+    ('hhr', 'cone', 1): (3, 0, 1),
+    ('hhr', 'cone', 2): (3, 0, 1),
+    ('hhr', 'cone', 3): (3, 1, 3),
+    ('hhr', 'closed', 1): (3, 0, 1),
+    ('hhr', 'closed', 2): (3, 0, 1),
+    ('hhr', 'closed', 3): (3, 1, 3),
+    ('poly_m2_3', 'cone', 1): (2, 0, 0),
+    ('poly_m2_3', 'cone', 2): (2, 0, 0),
+    ('poly_m2_3', 'cone', 3): (2, 0, 2),
+    ('poly_m2_3', 'closed', 1): (2, 0, 0),
+    ('poly_m2_3', 'closed', 2): (2, 0, 0),
+    ('poly_m2_3', 'closed', 3): (2, 0, 2),
+    ('poly_mixed', 'cone', 1): (2, 0, 0),
+    ('poly_mixed', 'cone', 2): (2, 0, 0),
+    ('poly_mixed', 'cone', 3): (2, 0, 0),
+    ('poly_mixed', 'closed', 1): (2, 0, 0),
+    ('poly_mixed', 'closed', 2): (2, 0, 0),
+    ('poly_mixed', 'closed', 3): (2, 0, 0),
+    ('poly_vars_3', 'cone', 1): (2, 0, 0),
+    ('poly_vars_3', 'cone', 2): (2, 0, 0),
+    ('poly_vars_3', 'cone', 3): (2, 0, 0),
+    ('poly_vars_3', 'closed', 1): (2, 0, 0),
+    ('poly_vars_3', 'closed', 2): (2, 0, 0),
+    ('poly_vars_3', 'closed', 3): (2, 0, 0),
+    ('md_squares', 'cone', 1): (3, 0, 9),
+    ('md_squares', 'cone', 2): (3, 0, 1),
+    ('md_squares', 'cone', 3): (3, 0, 2),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTION_CASES,
+                         ids=["-".join(map(str, case)) for case in CORRUPTION_CASES])
+def test_d_squared_witness_is_pinned_on_corrupted_complexes(case):
+    c = corrupted_case(*case)
+    assert len(violating_columns(c)) >= 2
+    assert c.d_squared_witness() == PINNED_WITNESSES[case]
+
+
+# -- comparison maps read off the closed form --------------------------------------
+
+
+def test_comparison_maps_require_a_regular_ordering():
+    J = md_squares(3, 2)  # linear quotients but condition (1) fails
+    for r in range(1, J.r + 1):
+        with pytest.raises(RegularOrderingViolation) as e:
+            comparison_maps(J, r, 3)
+        assert e.value.witness is not None
+
+
+@pytest.mark.parametrize("r", [0, 3])
+def test_comparison_maps_reject_a_bad_generator_index(r):
+    with pytest.raises(ValueError, match="generator index"):
+        comparison_maps(hhr_ideal(), r, 3)
+
+
+def random_ideals(seed, count):
+    """Seeded monomial ideals over polynomial and squares rings, n <= 3.
+
+    Up to one variable, then up to three quadrics and three cubics, each
+    outside the ideal of the earlier ones, in random order within a degree.
+    """
+    rng = random.Random(seed)
+    rings = [mk(n, cutoff=8) for mk in (poly_ring, squares_ring) for n in (2, 3)]
+    seen = set()
+    for _ in range(count):
+        ring = rng.randrange(len(rings))
+        A = rings[ring]
+        gens = []
+        for d in (1, 2, 3):
+            new = [m for m in A.basis(d)
+                   if not any(all(a <= b for a, b in zip(g, m)) for g in gens)]
+            gens += rng.sample(new, rng.randint(0, min(len(new), 3 if d > 1 else 1)))
+        if gens and (ring, tuple(gens)) not in seen:
+            seen.add((ring, tuple(gens)))
+            yield MonomialIdeal(A, gens)
+
+
+def test_random_regular_ideals_cone_equals_closed_form():
+    hmax = 3
+    regular = 0
+    for J in random_ideals(seed=4, count=60):
+        if not J.check_regular_ordering(4).passed:
+            continue
+        regular += 1
+        cone = iterated_mapping_cone(J, hmax)
+        closed = closed_form_resolution(J, hmax, check_regular=False)
+        assert cone.modules == closed.modules, J.gens
+        assert all(cone.diffs[l] == closed.diffs[l] for l in range(1, hmax + 1)), J.gens
+        for F in (cone, closed):
+            assert verify_complex(F, J.max_degree + hmax).passed, J.gens
+        for r in range(1, J.r + 1):
+            K, F, psi = comparison_maps(J, r, hmax)
+            assert verify_chain_map(F, K, psi, hmax) == (True, None), (J.gens, r)
+    assert regular >= 10

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "koszulcone"
@@ -13,3 +15,33 @@ def test_no_assert_statements_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def tracer_keys():
+    """Every koszulcone function that perfbench/tracer.py keys a metric on."""
+    path = SRC.parent.parent / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    keys = {*tracer.RREF, tracer.RANK, *tracer.COMPONENT, tracer.MULT_COLUMNS,
+            tracer.DEGREEWISE}
+    for group in (*tracer.INCLUSIVE.values(), tracer.CALL_COUNTS.values()):
+        keys.update(group)
+    keys.update(f"{layer}.{name}" for layer, names in tracer.EXTRA.items() for name in names)
+    return keys
+
+
+def test_every_traced_function_still_resolves():
+    # a renamed function is silently absent from the trace and reads 0 in
+    # the per-layer metrics, so every key must name a live function
+    keys = tracer_keys()
+    assert len(keys) >= 24
+    missing = []
+    for key in sorted(keys):
+        layer, *attrs = key.split(".")
+        obj = importlib.import_module(f"koszulcone.{layer}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if not callable(obj):
+            missing.append(key)
+    assert missing == []
