@@ -7,9 +7,14 @@ Components are computed by the equivalent recursion
 
     comp(l) = (V (x) comp(l-1))  intersect  (R (x) V^(l-2)),
 
-which keeps eliminations at the size of the component instead of the full
-tensor power.  Quotient duals cut these down by annihilation conditions coming
-from left ideals generated by excluded dual variables.
+built block by block: the candidate e_i (x) b, for b in comp(l-1), is b in
+column block i of V^(x l) and zero elsewhere.  So the constraints from the
+degree-2 normal form on the two leading slots, and their kernel, are
+n * dim comp(l-1) columns wide, and the rows of comp(l) are blockwise
+products with comp(l-1); no n^l wide candidate row is written out.  What is
+still n^l wide is the stored component: its final canonical RREF runs on
+rows in V^(x l).  Quotient duals cut these down by annihilation conditions
+coming from left ideals generated by excluded dual variables.
 
 Slot conventions (fixed by the d.d = 0 calibration on polynomial rings and
 documented in the README): the module action f |-> f.x_j^* used by all
@@ -117,33 +122,25 @@ class QuadraticDual:
         return self._nf2
 
     def _component_step(self, l):
+        """comp(l) = (V (x) comp(l-1)) intersect (R (x) V^(l-2)), block by block.
+
+        Candidate (i, kk) is e_i (x) prev[kk]: it is zero outside column
+        block i of V^(x l), where it equals prev[kk].  Its image under the
+        degree-2 normal form on the two leading slots is therefore, at key
+        (t, r), sum_a nf2[t][i*n+a] * prev[kk][a*rest+r], with rest =
+        n^(l-2).  The kernel C of these constraints (rows in ascending
+        (t, r), all-zero rows dropped) spans comp(l), and block i of its row
+        d is sum_kk C[d][i*k+kk] * prev[kk], with k = dim comp(l-1).
+        """
         fld, n = self.field, self.n
         prev = self.component(l - 1)
         if prev.dim == 0:
             return Subspace.zero(fld, n ** l)
-        # candidates e_i (x) b span V (x) comp(l-1); cut by the degree-2
-        # normal form applied to the two leading slots
-        cand = []
-        tail = n ** (l - 1)
-        for i in range(n):
-            for b in prev.rows:
-                row = [fld.zero] * (n ** l)
-                row[i * tail : (i + 1) * tail] = b
-                cand.append(row)
-        nf2 = self._nf2_matrix()
-        dim2 = self.algebra.dim(2)
-        rest = n ** (l - 2)
-        constraints = {}
-        for c, w in enumerate(cand):
-            img = _apply_leading_pairs(fld, nf2, w, n, rest, dim2)
-            for key, val in img.items():
-                constraints.setdefault(key, [fld.zero] * len(cand))[c] = val
-        rows = [constraints[k] for k in sorted(constraints)]
-        coeffs = kernel(fld, rows, len(cand))
+        rows = _leading_pair_constraints(fld, self._nf2_matrix(), prev, n)
+        coeffs = kernel(fld, rows, n * prev.dim)
         if coeffs.dim == 0:
             return Subspace.zero(fld, n ** l)
-        new_rows = matmul(fld, coeffs.rows, cand, n ** l)
-        return Subspace.from_rows(fld, new_rows, n ** l)
+        return Subspace.from_rows(fld, _expand_blocks(fld, coeffs, prev, n), n ** l)
 
     def naive_component(self, l):
         """Literal intersection over all embeddings of the relation space.
@@ -270,26 +267,56 @@ class QuadraticDual:
         return True
 
 
-def _apply_leading_pairs(fld, nf2, w, n, rest, dim2):
-    """Sparse image of w under the degree-2 normal form on the two leading slots."""
-    out = {}
-    if dim2 == 0:
-        return out
+def _leading_pair_constraints(fld, nf2, prev, n):
+    """Rows keyed by ascending (t, r), columns by candidate (i, kk); zero rows dropped."""
+    k = prev.dim
+    rest = prev.ambient // n
     if isinstance(fld, PrimeField):
-        arr = np.array(w, dtype=np.int64).reshape(n * n, rest)
-        img = (np.array(nf2, dtype=np.int64) @ arr) % fld.char
-        for t, r in zip(*np.nonzero(img)):
-            out[(int(t), int(r))] = int(img[t, r])
-        return out
-    for t in range(dim2):
-        rownf = nf2[t]
-        for r in range(rest):
-            acc = fld.zero
-            for q in range(n * n):
-                if rownf[q] and w[q * rest + r]:
-                    acc = fld.add(acc, fld.mul(rownf[q], w[q * rest + r]))
-            if acc != fld.zero:
-                out[(t, r)] = acc
+        nf = np.array(nf2, dtype=np.int64).reshape(len(nf2) * n, n)
+        blocks = prev._np_rows().reshape(k, n, rest).transpose(1, 0, 2).reshape(n, k * rest)
+        # each entry sums n products of residues below p, so it stays below
+        # n * p^2 < 2**63 (p <= MAX_PRIME)
+        img = (nf @ blocks) % fld.char
+        img = img.reshape(len(nf2), n, k, rest).transpose(0, 3, 1, 2).reshape(-1, n * k)
+        return img[img.any(axis=1)].tolist()
+    zero = fld.zero
+    # nonzeros (t, coefficient) of each column (i, a) of nf2
+    cols = [[(t, row[q]) for t, row in enumerate(nf2) if row[q]] for q in range(n * n)]
+    constraints = {}
+    for kk, b in enumerate(prev.rows):
+        entries = [(*divmod(pos, rest), x) for pos, x in enumerate(b) if x]
+        for i in range(n):
+            img = {}
+            for a, r, x in entries:
+                for t, f in cols[i * n + a]:
+                    img[(t, r)] = img.get((t, r), zero) + f * x
+            c = i * k + kk
+            for key, val in img.items():
+                if val:
+                    constraints.setdefault(key, [zero] * (n * k))[c] = val
+    return [constraints[key] for key in sorted(constraints)]
+
+
+def _expand_blocks(fld, coeffs, prev, n):
+    """Rows of V^(x l) whose block i is sum_kk coeffs[d][i*k+kk] * prev[kk]."""
+    k, tail = prev.dim, prev.ambient
+    if isinstance(fld, PrimeField):
+        # each entry sums k = dim comp(l-1) products of residues below p, so
+        # it stays below k * p^2 < 2**63 while k < 2**23 (p <= MAX_PRIME)
+        c = coeffs._np_rows().reshape(coeffs.dim, n, k)
+        return ((c @ prev._np_rows()) % fld.char).reshape(coeffs.dim, n * tail).tolist()
+    zero = fld.zero
+    nonzeros = [[(pos, x) for pos, x in enumerate(b) if x] for b in prev.rows]
+    out = []
+    for crow in coeffs.rows:
+        row = [zero] * (n * tail)
+        for c, y in enumerate(crow):
+            if y:
+                i, kk = divmod(c, k)
+                off = i * tail
+                for pos, x in nonzeros[kk]:
+                    row[off + pos] += y * x
+        out.append(row)
     return out
 
 

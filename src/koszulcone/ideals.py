@@ -583,13 +583,20 @@ def check_strongly_koszul(algebra, check_to=4, subset_bound=None, extra_subsets=
     var_rows = {j: list(algebra.var(j).coords) for j in range(n)}
     for Y in subsets:
         y_rows = [var_rows[j] for j in sorted(Y)]
+        y_spaces = {}
+
+        def y_space(d):
+            # (Y)_d depends on Y and d only: build it once, on first use
+            if d not in y_spaces:
+                y_spaces[d] = _variable_ideal_space(algebra, y_rows, d) if y_rows else \
+                    Subspace.zero(fld, algebra.dim(d))
+            return y_spaces[d]
+
         for x in range(n):
             if x in Y:
                 continue
             xel = algebra.var(x)
-            target1 = _variable_ideal_space(algebra, y_rows, 2) if Y else \
-                Subspace.zero(fld, algebra.dim(2))
-            z1 = _colon_against_space(algebra, xel, 1, target1)
+            z1 = _colon_against_space(algebra, xel, 1, y_space(2))
             zvars = sorted(j for j in range(n) if z1.contains(var_rows[j]))
             vars_span = Subspace.from_rows(fld, [var_rows[j] for j in zvars], n).dim == z1.dim
             entry = {
@@ -602,9 +609,7 @@ def check_strongly_koszul(algebra, check_to=4, subset_bound=None, extra_subsets=
                 )
             fail_d = None
             for d in range(2, check_to + 1):
-                target = _variable_ideal_space(algebra, y_rows, d + 1) if Y else \
-                    Subspace.zero(fld, algebra.dim(d + 1))
-                colon_d = _colon_against_space(algebra, xel, d, target)
+                colon_d = _colon_against_space(algebra, xel, d, y_space(d + 1))
                 span_d = _variable_ideal_space(algebra, z1.rows, d)
                 if span_d.dim != colon_d.dim:
                     fail_d = d

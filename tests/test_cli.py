@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -364,3 +366,53 @@ def test_gf101_and_rationals_agree_on_fixtures(fixture, capsys):
             assert (code, err) == (0, ""), (command, field)
             answers.append(_field_invariants(command, json.loads(out)))
         assert answers[0] == answers[1], command
+
+
+def all_quadrics_ring_text(kind, n, field):
+    """Ring file of the squares or polynomial ring in x1..xn with the ideal of all quadrics."""
+    names = [f"x{i}" for i in range(1, n + 1)]
+    lines = [f"field {field}", "vars " + " ".join(names)]
+    if kind == "squares":
+        lines += [f"rel {v}^2" for v in names]
+        pairs = itertools.combinations(range(n), 2)
+    else:
+        pairs = itertools.combinations_with_replacement(range(n), 2)
+    lines.append("ideal " + ", ".join(
+        f"{names[a]}^2" if a == b else f"{names[a]}*{names[b]}" for a, b in pairs))
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of stdout, recorded before dual components were built block by
+# block; betti and check strongly-koszul answers do not depend on the field
+PINNED_JSON_SHA256 = {
+    ("squares", "p=101", "dual"):
+        "a19566a51b2131569048ae7294ab6bbc1c4c701c31f3cf7e0aaeebeaed480fca",
+    ("squares", "q", "dual"):
+        "d43700897edf3f0a8ec5256bc8f02fc7cca7f0d0f94e537da175fe2b4c0e2b5f",
+    ("poly", "p=101", "dual"):
+        "fd5225f6d57d47d7f50bc64b0f77cafdb9ee982bc6bc0ac739d8823b1028a8bf",
+    ("poly", "q", "dual"):
+        "96386f28793cfa17d8dc743f11c4d40dd311b54ded17985f0204c1009baf2157",
+    **{("squares", field, "betti"):
+       "dfca1a8fd8cf30d8c8dbf0b4c968365704ab827d817061f74166ede4f7cdcd7e"
+       for field in ("p=101", "q")},
+    **{("poly", field, "betti"):
+       "964689fef492b34c86900a794c87229850324be207680986c5d540fcaa17fcd3"
+       for field in ("p=101", "q")},
+    **{("squares", field, "check strongly-koszul"):
+       "cd7367d9390a5f5876cb135947661d298bc0a36fdf991588af3c0592f21d460c"
+       for field in ("p=101", "q")},
+    **{("poly", field, "check strongly-koszul"):
+       "3f772aed678aceae952bcd2a89e6f46986ca610b55da561bc90c5bb81be62d2d"
+       for field in ("p=101", "q")},
+}
+
+
+@pytest.mark.parametrize("kind,field,command", sorted(PINNED_JSON_SHA256))
+def test_exported_json_bytes_are_pinned(kind, field, command, tmp_path, capsys):
+    ring = tmp_path / f"{kind}4.ring"
+    ring.write_text(all_quadrics_ring_text(kind, 4, field))
+    code, out, err = run_main(
+        [*command.split(), str(ring), "--hmax", "5", "--out", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[kind, field, command]

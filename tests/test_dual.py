@@ -1,8 +1,10 @@
-from itertools import combinations
+import random
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
 
+from koszulcone.algebra import GradedAlgebra, RingPresentation
 from koszulcone.dual import QuadraticDual, _invert, left_ideal_contains, tensor_index
 from koszulcone.errors import (
     AmbientTooLarge,
@@ -10,7 +12,7 @@ from koszulcone.errors import (
     DimensionMismatch,
     SingularMatrix,
 )
-from koszulcone.linalg import GF
+from koszulcone.linalg import GF, QQ
 
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
 
@@ -60,6 +62,44 @@ def test_recursion_matches_naive_intersection():
         D = dual_of(A)
         for l in (3, 4):
             assert D.component(l) == D.naive_component(l)
+
+
+def oracle_rings(field):
+    """Presentations over field for the block-step oracle, n = 3."""
+    names = ("x", "y", "z")
+    one = field.one
+    pairs = list(combinations_with_replacement(range(3), 2))
+    rings = {
+        # every quadric is a relation: dim A_2 = 0, no constraint survives
+        "all-quadrics": RingPresentation(names, field, tuple(((one, q),) for q in pairs)),
+        "poly": RingPresentation(names, field),
+        "squares": RingPresentation(names, field, tuple(((one, (i, i)),) for i in range(3))),
+        "hhr": RingPresentation(names, field, (((one, (0, 2)),), ((one, (2, 2)),))),
+        "sym": RingPresentation(names, field, (((one, (0, 1)), (one, (0, 2)), (one, (1, 2))),),
+                                ((1, 1, 0), (0, 1, 1))),
+    }
+    rng = random.Random(20261018)
+    for k in range(10):
+        rels = tuple(
+            tuple((field.of(rng.choice((1, -1, 2, 3))), q)
+                  for q in rng.sample(pairs, rng.randint(1, 2)))
+            for _ in range(rng.randint(1, 3)))
+        rings[f"random-{k}"] = RingPresentation(names, field, rels)
+    return rings
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_block_step_matches_naive_intersection(field):
+    # component() builds comp(l) block by block from comp(l-1); the naive
+    # intersection of every embedding of the relation space is independent
+    dims = {}
+    for name, pres in oracle_rings(field).items():
+        D = QuadraticDual(GradedAlgebra(pres, 6))
+        for l in range(6):
+            assert D.component(l) == D.naive_component(l), (name, l)
+        dims[name] = tuple(D.component(l).dim for l in range(6))
+    assert dims["all-quadrics"] == tuple(3 ** l for l in range(6))
+    assert len({dims[f"random-{k}"] for k in range(10)}) > 1
 
 
 def test_hhr_dual_dims_match_inverted_hilbert_series():

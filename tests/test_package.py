@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "koszulcone"
@@ -14,6 +15,24 @@ def test_no_assert_statements_in_the_package():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # numpy is the only runtime dependency; scipy, sympy and hypothesis may
+    # be installed but belong to test and bench code only
+    allowed = set(sys.stdlib_module_names) | {"numpy", "koszulcone"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.split(".")[0] not in allowed]
     assert found == []
 
 
