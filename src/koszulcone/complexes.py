@@ -399,9 +399,9 @@ def iterated_mapping_cone(ideal, hmax):
     """Resolution of A/J by successive cones over canonical chain-map lifts.
 
     Requires linear quotients (the caller is expected to have checked; the
-    colon variable sets are recomputed here).  The resulting labeled basis is
-    gen-major: homological degree l holds m_i (x) (quotient-dual basis of
-    degree l-1) for each generator i in order.
+    colon variable sets come from the ideal's cache).  The resulting labeled
+    basis is gen-major: homological degree l holds m_i (x) (quotient-dual
+    basis of degree l-1) for each generator i in order.
     """
     A = ideal.algebra
     dual = ideal.dual

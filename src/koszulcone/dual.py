@@ -34,7 +34,6 @@ from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch, Singular
 from .linalg import PrimeField, Subspace, intersect_subspaces, kernel, matmul
 
 CALIBRATED_SLOT = "first"
-OPPOSITE_SLOT = "last"
 
 
 def tensor_index(indices, n):

@@ -5,6 +5,13 @@ ambient graded algebra.  All ideal-theoretic questions (membership, colon
 ideals, minimality of generators) are answered degreewise by exact linear
 algebra on the per-degree membership spaces span{monomial * generator}.
 
+The bounded colon checks compare dimensions only, and build no colon: m_i maps
+A_d onto (J_i / J_{i-1})_{d+e} (e = deg m_i) with kernel the colon, so
+dim (J_{i-1} : m_i)_d = dim A_d - dim (J_i)_{d+e} + dim (J_{i-1})_{d+e}
+(Herzog-Takayama, HHA 4, 2002); (Y) + (x) = (Y u {x}) gives the same identity
+for variable ideals.  The ideal generated by the degree-1 part of a colon lies
+inside it, so equal dimensions mean equal spaces.
+
 The decomposition table realizes the coefficient functions v = sum_i c_i(v) m_i
 with the support guarantee c_i(v) m_i outside the earlier prefix ideal: the
 algorithm peels off the minimal prefix containing v and solves the canonical
@@ -70,12 +77,20 @@ class CheckReport:
 
 def _variable_ideal_space(algebra, row_vectors, d):
     """Degree-d span of the ideal generated by degree-1 rows (as elements)."""
-    rows = []
-    for w in row_vectors:
-        wel = algebra.element(1, w)
-        for mu in algebra.basis(d - 1):
-            rows.append(list(algebra.multiply(wel, algebra.monomial_element(mu)).coords))
+    rows = [list(algebra.multiply(wel, algebra.monomial_element(mu)).coords)
+            for wel in (algebra.element(1, w) for w in row_vectors) for mu in algebra.basis(d - 1)]
     return Subspace.from_rows(algebra.field, rows, algebra.dim(d))
+
+
+def _variable_ideal_dim(algebra, cache, row_vectors, d):
+    """dim of _variable_ideal_space, cached in the caller's dict under (rows, d).
+
+    A canonical degree-1 part spanned by variables has those variables' rows.
+    """
+    key = (tuple(map(tuple, row_vectors)), d)
+    if key not in cache:
+        cache[key] = _variable_ideal_space(algebra, row_vectors, d).dim
+    return cache[key]
 
 
 def _colon_against_space(algebra, m_element, d, target_space):
@@ -114,6 +129,7 @@ class MonomialIdeal:
         self.gen_elements = [algebra.monomial_element(g) for g in self.gens]
         self._membership = {}
         self._colon_vars = {}
+        self._var_ideal_dims = {}
         self._dual = None
         self.decomposition = DecompositionTable(self)
         for i in range(len(self.gens)):
@@ -180,42 +196,31 @@ class MonomialIdeal:
 
     # -- colon ideals ----------------------------------------------------------
 
-    def colon_space(self, prefix, m_element, d):
-        """{v in A_d : v * m lies in the prefix ideal}, as a subspace of A_d."""
-        target = self.membership_space(prefix, d + m_element.degree)
-        return _colon_against_space(self.algebra, m_element, d, target)
-
     def colon_vars(self, i, check_to=0):
         """Variables of (J_{i-1} : m_i), with bounded linearity verification.
 
-        The set {j : x_j m_i in J_{i-1}} is exact; the verification compares
-        the colon with the ideal those variables generate in degrees up to
-        check_to (tri-state: linear up to the bound, or first failing degree).
+        The set {j : x_j m_i in J_{i-1}} is exact and computed once per i; for
+        2 <= d <= check_to the check compares dim (J_{i-1} : m_i)_d = dim A_d -
+        dim (J_i)_{d+e} + dim (J_{i-1})_{d+e} (e = deg m_i) with the dimension of
+        the ideal those variables generate in degree d, both from cached spaces
+        (tri-state: linear up to the bound, or first failing degree).
         """
-        key = (i, check_to)
-        got = self._colon_vars.get(key)
-        if got is not None:
-            return got
         A = self.algebra
-        fld = self.field
-        mel = self.gen_elements[i - 1]
-        vars_ = frozenset(
-            j for j in range(A.n)
-            if self.contains(A.multiply(A.var(j), mel), prefix=i - 1)
-        )
+        if i not in self._colon_vars:
+            mel = self.gen_elements[i - 1]
+            self._colon_vars[i] = frozenset(
+                j for j in range(A.n) if self.contains(A.multiply(A.var(j), mel), prefix=i - 1))
+        vars_ = self._colon_vars[i]
+        e = self.degs[i - 1]
         var_rows = [list(A.var(j).coords) for j in sorted(vars_)]
-        linear = True
         fail_degree = None
         for d in range(2, check_to + 1):
-            colon = self.colon_space(i - 1, mel, d)
-            span = _variable_ideal_space(A, var_rows, d)
-            if span.dim != colon.dim:
-                linear = False
+            colon_dim = (A.dim(d) - self.membership_space(i, d + e).dim
+                         + self.membership_space(i - 1, d + e).dim)
+            if _variable_ideal_dim(A, self._var_ideal_dims, var_rows, d) != colon_dim:
                 fail_degree = d
                 break
-        data = ColonData(i, vars_, check_to, linear, fail_degree)
-        self._colon_vars[key] = data
-        return data
+        return ColonData(i, vars_, check_to, fail_degree is None, fail_degree)
 
     def colon_variable_sets(self):
         return [self.colon_vars(i).variables for i in range(1, self.r + 1)]
@@ -562,7 +567,9 @@ def check_strongly_koszul(algebra, check_to=4, subset_bound=None, extra_subsets=
     For each subset Y of the variables (exhaustive when n <= 10, else subsets
     up to subset_bound plus extra_subsets) and each variable x outside Y, the
     degree-1 part Z of ((Y):x) is computed exactly and the bounded check
-    verifies ((Y):x)_d = (Z . A_{d-1}) for 2 <= d <= check_to.  The first
+    verifies ((Y):x)_d = (Z . A_{d-1}) for 2 <= d <= check_to.  Only
+    dimensions are compared: dim ((Y):x)_d = dim A_d - dim (Y u {x})_{d+1} +
+    dim (Y)_{d+1}, and (Z . A_{d-1}) lies inside the colon.  The first
     failing witness (Y, x, d) is reported; whether Z is spanned by variables
     is a per-pair diagnostic (the strict subset-of-variables reading).
     """
@@ -581,22 +588,14 @@ def check_strongly_koszul(algebra, check_to=4, subset_bound=None, extra_subsets=
 
     first_witness = None
     var_rows = {j: list(algebra.var(j).coords) for j in range(n)}
+    dims = {}  # variable-ideal dimensions, shared by every (Y, x) pair
     for Y in subsets:
         y_rows = [var_rows[j] for j in sorted(Y)]
-        y_spaces = {}
-
-        def y_space(d):
-            # (Y)_d depends on Y and d only: build it once, on first use
-            if d not in y_spaces:
-                y_spaces[d] = _variable_ideal_space(algebra, y_rows, d) if y_rows else \
-                    Subspace.zero(fld, algebra.dim(d))
-            return y_spaces[d]
-
+        y2 = _variable_ideal_space(algebra, y_rows, 2)
         for x in range(n):
             if x in Y:
                 continue
-            xel = algebra.var(x)
-            z1 = _colon_against_space(algebra, xel, 1, y_space(2))
+            z1 = _colon_against_space(algebra, algebra.var(x), 1, y2)
             zvars = sorted(j for j in range(n) if z1.contains(var_rows[j]))
             vars_span = Subspace.from_rows(fld, [var_rows[j] for j in zvars], n).dim == z1.dim
             entry = {
@@ -607,11 +606,12 @@ def check_strongly_koszul(algebra, check_to=4, subset_bound=None, extra_subsets=
                 report.warnings.append(
                     f"(({sorted(Y)}):x_{x}) has non-variable degree-1 part"
                 )
+            yx_rows = [var_rows[j] for j in sorted(Y | {x})]
             fail_d = None
             for d in range(2, check_to + 1):
-                colon_d = _colon_against_space(algebra, xel, d, y_space(d + 1))
-                span_d = _variable_ideal_space(algebra, z1.rows, d)
-                if span_d.dim != colon_d.dim:
+                colon_dim = (algebra.dim(d) - _variable_ideal_dim(algebra, dims, yx_rows, d + 1)
+                             + _variable_ideal_dim(algebra, dims, y_rows, d + 1))
+                if _variable_ideal_dim(algebra, dims, z1.rows, d) != colon_dim:
                     fail_d = d
                     break
             if fail_d is not None:

@@ -416,3 +416,57 @@ def test_exported_json_bytes_are_pinned(kind, field, command, tmp_path, capsys):
         [*command.split(), str(ring), "--hmax", "5", "--out", "json"], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[kind, field, command]
+
+
+# sha256 of `check quotients|regular --out json` stdout, recorded before the
+# colon checks compared dimensions; the answers do not depend on the field
+PINNED_CHECK_SHA256 = {
+    **{(ring, field, "check quotients"): sha for ring, sha in (
+        ("squares4", "bb5f8218960eac71024d51e93b685e45754d73f5223b42f474d171e2cef4b132"),
+        ("poly4", "659914dbdbaee41c6f78abbf699267399e5ff09e36fee3e3e820a12944e6bfac"),
+        ("hhr_example", "ee2a154ee006b3659a89c3df1b58d67ba5cf140670849e56438ea0586235e297"),
+    ) for field in ("101", "q")},
+    **{(ring, field, "check regular"): sha for ring, sha in (
+        ("squares4", "47c0cfcdc596fb21bcaa5ac36c52d15a1a246f1d277e808b0ce799f37816b116"),
+        ("poly4", "fd4bfe69d552548e5673b0b744b6d2b642ed45fa4be21b0f476d931ebf9c7a03"),
+        ("hhr_example", "529e384b7fe0408264bf043656d7c0ce785099e3d1629f466e14ec6940f194e7"),
+    ) for field in ("101", "q")},
+}
+
+
+@pytest.mark.parametrize("ring,field,command", sorted(PINNED_CHECK_SHA256))
+def test_check_json_bytes_are_pinned(ring, field, command, tmp_path, capsys):
+    if ring == "hhr_example":
+        path = FIXTURES / "hhr_example.ring"
+    else:
+        path = tmp_path / f"{ring}.ring"
+        path.write_text(all_quadrics_ring_text(ring[:-1], 4, "p=101"))
+    code, out, err = run_main(
+        [*command.split(), str(path), "--field", field, "--out", "json"], capsys)
+    # the only failing case: the ordering of all quadrics over the squares ring is not regular
+    assert (code, err) == (1 if (ring, command) == ("squares4", "check regular") else 0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHECK_SHA256[ring, field, command]
+
+
+@pytest.mark.parametrize("field", ["p=101", "q"])
+@pytest.mark.parametrize("e", [2, 3])
+def test_check_quotients_failing_ordering_is_pinned(e, field, tmp_path, capsys):
+    # (x^e, y^e) in k[x, y]: the colon (x^e) : y^e = (x^e) is not linear, first in degree e
+    ring = tmp_path / "pure_powers.ring"
+    ring.write_text(f"field {field}\nvars x y\nideal x^{e}, y^{e}\n")
+    code, out, err = run_main(["check", "quotients", str(ring), "--out", "json"], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "check": "linear-quotients", "command": "check quotients",
+        "details": [
+            {"checked_to": 4, "colon_variables": [], "fail_degree": None, "generator": 1,
+             "linear": True},
+            {"checked_to": 4, "colon_variables": [], "fail_degree": e, "generator": 2,
+             "linear": False},
+        ],
+        "first_witness": None, "passed": False, "warnings": [],
+    }
+    code, out, err = run_main(["check", "quotients", str(ring)], capsys)
+    assert (code, err) == (1, "")
+    assert out == ("check quotients: FAIL\n  witness: {'generator': 2, 'colon_variables': [], "
+                   f"'checked_to': 4, 'linear': False, 'fail_degree': {e}}}\n")

@@ -1,11 +1,19 @@
+import gc
+import random
+from pathlib import Path
+
 import pytest
 
 import koszulcone.ideals
+from koszulcone.algebra import GradedAlgebra
+from koszulcone.cli import parse_ring_text
 from koszulcone.errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from koszulcone.ideals import MonomialIdeal, annihilator_vars, check_strongly_koszul
-from koszulcone.linalg import GF
+from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _variable_ideal_space,
+                               annihilator_vars, check_strongly_koszul)
+from koszulcone.linalg import GF, QQ
 
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
+from test_dual import oracle_rings
 
 F101 = GF(101)
 
@@ -284,3 +292,137 @@ def test_decomposition_support_guarantees_are_typed(breakage, monkeypatch):
 def test_regular_ordering_mode_is_a_value_error():
     with pytest.raises(ValueError, match="symmetric"):
         hhr_ideal().check_regular_ordering(mode="printed")
+
+
+# -- colon dimensions against the kernel oracle -------------------------------
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def oracle_algebras(field, cutoff=8):
+    """The dual tests' n = 3 oracle rings (10 random quadratic ones among them)
+    and every fixture ring, over one field."""
+    out = {name: GradedAlgebra(pres, cutoff) for name, pres in oracle_rings(field).items()}
+    override = "q" if field == QQ else str(field.char)
+    for path in sorted(FIXTURES.glob("*.ring")):
+        js = parse_ring_text(path.read_text(), field_override=override)
+        out[path.stem] = GradedAlgebra(js.presentation(), cutoff)
+    return out
+
+
+def random_ideal(A, rng):
+    """Minimal generators of degree 2 and 3 in a random order within each degree."""
+    cands = [m for d in (2, 3) for m in A.basis(d)]
+    gens = []
+    for g in sorted(rng.sample(cands, min(len(cands), rng.randint(2, 4))), key=sum):
+        try:
+            MonomialIdeal(A, gens + [g])
+        except ValueError:  # redundant after the earlier ones
+            continue
+        gens.append(g)
+    return MonomialIdeal(A, gens)
+
+
+def var_rows(A, vars_):
+    return [list(A.var(j).coords) for j in sorted(vars_)]
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_colon_dimension_identity_matches_kernel_oracle(field):
+    # dim (J_{i-1} : m_i)_d = dim A_d - dim (J_i)_{d+e} + dim (J_{i-1})_{d+e},
+    # against the kernel of multiplication by m_i modulo J_{i-1}
+    rng = random.Random(6060 + getattr(field, "char", 0))
+    outcomes = []
+    for name, A in oracle_algebras(field).items():
+        pure_cubes = [MonomialIdeal(A, [(3, 0, 0), (0, 3, 0)])] if name == "poly" else []
+        for J in [random_ideal(A, rng) for _ in range(3)] + pure_cubes:
+            for i in range(1, J.r + 1):
+                mel, e = J.gen_elements[i - 1], J.degs[i - 1]
+                data = J.colon_vars(i, check_to=4)
+                deg1 = _colon_against_space(A, mel, 1, J.membership_space(i - 1, 1 + e))
+                assert data.variables == {j for j in range(A.n)
+                                          if deg1.contains(list(A.var(j).coords))}
+                expected = None
+                for d in range(2, 5):
+                    kernel_dim = _colon_against_space(
+                        A, mel, d, J.membership_space(i - 1, d + e)).dim
+                    identity = (A.dim(d) - J.membership_space(i, d + e).dim
+                                + J.membership_space(i - 1, d + e).dim)
+                    assert kernel_dim == identity, (name, J.gens, i, d)
+                    span = _variable_ideal_space(A, var_rows(A, data.variables), d)
+                    if expected is None and span.dim != kernel_dim:
+                        expected = d
+                assert (data.fail_degree, data.linear) == (expected, expected is None), \
+                    (name, J.gens, i)
+                outcomes.append(expected)
+    assert {None, 2, 3} <= set(outcomes)  # failing orderings are covered
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_strongly_koszul_fail_degrees_match_kernel_oracle(field):
+    algebras = oracle_algebras(field, cutoff=6)
+    spanned, failed = set(), set()
+    for name in ("conca", "sym_relation", "hhr_example", "squares", "random-0", "random-1",
+                 "random-2", "random-3"):
+        A = algebras[name]
+        rep = check_strongly_koszul(A, check_to=3)
+        witness = None
+        for entry in rep.details:
+            Y, x = entry["Y"], entry["x"]
+            xel = A.var(x)
+            y_rows = var_rows(A, Y)
+            z1 = _colon_against_space(A, xel, 1, _variable_ideal_space(A, y_rows, 2))
+            expected = None
+            for d in (2, 3):
+                colon = _colon_against_space(A, xel, d, _variable_ideal_space(A, y_rows, d + 1))
+                if _variable_ideal_space(A, z1.rows, d).dim != colon.dim:
+                    expected = d
+                    break
+            assert (entry["colon_degree1_dim"], entry.get("fail_degree")) == (z1.dim, expected), \
+                (name, Y, x)
+            spanned.add(entry["variable_spanned"])
+            failed.add(expected is not None)
+            if witness is None and expected is not None:
+                witness = (tuple(Y), x, expected)
+        assert (rep.passed, rep.first_witness) == (witness is None, witness), name
+    assert spanned == {True, False} and failed == {True, False}
+
+
+def test_back_to_back_objects_give_independent_answers():
+    # caches live on the ideal or the call; one keyed by id() would hand an
+    # answer to a later algebra that reuses a collected algebra's address
+    n3 = (lambda: poly_ring(3, cutoff=7), lambda: squares_ring(3, cutoff=7),
+          lambda: hhr_ring(cutoff=7), lambda: sym_relation_ring(cutoff=7))
+    n4 = ((lambda: conca_ring(cutoff=5), ((), 1, 2)),
+          (lambda: poly_ring(4, cutoff=5), None), (lambda: squares_ring(4, cutoff=5), None))
+    for _ in range(8):
+        for build in n3:
+            A = build()
+            J = MonomialIdeal(A, [(1, 1, 0), (0, 1, 1)])
+            assert [d.fail_degree for d in map(J.colon_vars, (1, 2), (4, 4))] == [None, None]
+            rep = check_strongly_koszul(A, check_to=3)
+            assert rep.passed and all("fail_degree" not in e for e in rep.details)
+            del A, J, rep
+            gc.collect()
+    for _ in range(3):
+        for build, witness in n4:
+            assert check_strongly_koszul(build(), check_to=3).first_witness == witness
+            gc.collect()
+    A = poly_ring(2, cutoff=8)  # two ideals of one algebra
+    assert MonomialIdeal(A, [(2, 0), (1, 1)]).check_linear_quotients(4).passed
+    assert MonomialIdeal(A, [(2, 0), (0, 2)]).colon_vars(2, 4).fail_degree == 2
+
+
+@pytest.mark.parametrize("field", [F101, QQ], ids=repr)
+@pytest.mark.parametrize("e", [2, 3])
+def test_failing_ordering_witness_is_pinned(field, e):
+    # (x^e, y^e): (x^e) : y^e = (x^e) has no degree-1 part, so the check fails in degree e
+    rep = MonomialIdeal(poly_ring(2, cutoff=8, field=field), [(e, 0), (0, e)]) \
+        .check_linear_quotients(4)
+    assert not rep.passed
+    assert rep.details == [
+        {"generator": 1, "colon_variables": [], "checked_to": 4, "linear": True,
+         "fail_degree": None},
+        {"generator": 2, "colon_variables": [], "checked_to": 4, "linear": False,
+         "fail_degree": e},
+    ]

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import importlib.util
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -64,3 +66,17 @@ def test_every_traced_function_still_resolves():
         if not callable(obj):
             missing.append(key)
     assert missing == []
+
+
+def test_cli_digest_prints_one_line_per_run():
+    # tools/cli_digest.py: fixtures x 11 subcommands x {GF(101), QQ} x {json, text}
+    root = SRC.parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "cli_digest.py"), str(root),
+         "--fixture", "hhr_example.ring"],
+        capture_output=True, text=True, check=True, timeout=120)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 11 * 2 * 2
+    assert all(re.fullmatch(r"[0-9a-f]{64} 0 \S.* fixtures/hhr_example\.ring .*", line)
+               for line in lines), lines
+    assert len({line.split(" ", 2)[2] for line in lines}) == len(lines)

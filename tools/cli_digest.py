@@ -1,0 +1,87 @@
+"""Digest of the koszulcone CLI's behaviour on the fixtures, for byte-identity checks.
+
+    python tools/cli_digest.py CHECKOUT [--fixture NAME ...] [--hmax 3] [--dmax 5]
+
+Imports koszulcone from CHECKOUT/src and runs its CLI in this one process over
+every fixture (or the named ones) x the eleven subcommands (resolve and verify
+with --method cone and closed; dual, priddy, betti; check quotients, regular,
+strongly-koszul and star) x {GF(101), QQ} x {json, text}: 352 runs on the
+eight fixtures.  Each run prints one line
+
+    <sha256 of stdout, a NUL byte and stderr> <exit code> <label>
+
+so two checkouts are compared with `diff` of their outputs.  Ring files are
+passed relative to CHECKOUT, so no path of the checkout enters the output.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+from pathlib import Path
+
+COMMANDS = (
+    ("resolve", "--method", "cone"),
+    ("resolve", "--method", "closed"),
+    ("dual",),
+    ("priddy",),
+    ("betti",),
+    ("check", "quotients"),
+    ("check", "regular"),
+    ("check", "strongly-koszul"),
+    ("check", "star"),
+    ("verify", "--method", "cone"),
+    ("verify", "--method", "closed"),
+)
+FIELDS = ("101", "q")
+FORMATS = ("json", "text")
+
+
+def run_cli(main, argv):
+    """Exit code, stdout and stderr of one CLI call, as the console script gives them."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = 0 if e.code is None else e.code if isinstance(e.code, int) else 1
+        except Exception as e:  # an uncaught error exits 1 with a traceback
+            print(f"uncaught {type(e).__name__}: {e}", file=sys.stderr)
+            code = 1
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest_lines(checkout, fixtures=None, hmax=3, dmax=5):
+    checkout = Path(checkout).resolve()
+    sys.path.insert(0, str(checkout / "src"))
+    from koszulcone.cli import main
+
+    os.chdir(checkout)
+    names = fixtures or sorted(p.name for p in Path("fixtures").glob("*.ring"))
+    for name in names:
+        for command in COMMANDS:
+            for field in FIELDS:
+                for fmt in FORMATS:
+                    argv = [*command, f"fixtures/{name}", "--hmax", str(hmax), "--dmax", str(dmax),
+                            "--field", field, "--out", fmt]
+                    code, out, err = run_cli(main, argv)
+                    sha = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()
+                    yield f"{sha} {code} {' '.join(argv)}"
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("checkout", help="directory holding src/koszulcone and fixtures/")
+    p.add_argument("--fixture", action="append", help="fixture file name (repeatable)")
+    p.add_argument("--hmax", type=int, default=3)
+    p.add_argument("--dmax", type=int, default=5)
+    args = p.parse_args(argv)
+    for line in digest_lines(args.checkout, args.fixture, args.hmax, args.dmax):
+        print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
