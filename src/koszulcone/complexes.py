@@ -150,22 +150,27 @@ class ChainComplex:
                         mat[ro + i][co + j] = x
         return mat, nrows, ncols
 
-    def homology_rank(self, i, d):
-        """dim over k of the degree-d part of H_i (needs diffs i and i+1)."""
-        dims = self.block_dims(i, d)
-        total = sum(dims)
+    def homology_rank(self, i, d, diff_ranks=None):
+        """dim over k of the degree-d part of H_i (needs diffs i and i+1).
+
+        diff_ranks maps (l, d) to the rank of diff l in degree d and is filled
+        as ranks are computed.  Adjacent homology ranks share a differential,
+        so the calls of one computation pass one dict; it is valid only while
+        the differentials stay unchanged.
+        """
+        total = sum(self.block_dims(i, d))
         if total == 0:
             return 0
-        fld = self.algebra.field
-        rank_out = 0
-        if i >= 1:
-            m, _, nc = self.degreewise_matrix(i, d)
-            rank_out = mat_rank(fld, m, nc) if m else 0
-        rank_in = 0
-        if i + 1 < len(self.modules):
-            m, _, nc = self.degreewise_matrix(i + 1, d)
-            rank_in = mat_rank(fld, m, nc) if m else 0
+        diff_ranks = {} if diff_ranks is None else diff_ranks
+        rank_out = self._diff_rank(i, d, diff_ranks) if i >= 1 else 0
+        rank_in = self._diff_rank(i + 1, d, diff_ranks) if i + 1 < len(self.modules) else 0
         return total - rank_out - rank_in
+
+    def _diff_rank(self, l, d, diff_ranks):
+        if (l, d) not in diff_ranks:
+            m, _, nc = self.degreewise_matrix(l, d)
+            diff_ranks[(l, d)] = mat_rank(self.algebra.field, m, nc) if m else 0
+        return diff_ranks[(l, d)]
 
 
 def _offsets(dims):
@@ -272,18 +277,19 @@ def koszulness_certificate(dual, hmax, dmax):
     definitive witness against Koszulness.
     """
     c = priddy_complex(dual, hmax)
+    diff_ranks = {}
     ranks = {}
     passed = True
     witness = None
     for i in range(1, hmax):
         for d in range(0, dmax + 1):
-            h = c.homology_rank(i, d)
+            h = c.homology_rank(i, d, diff_ranks)
             ranks[(i, d)] = h
             if h != 0 and passed:
                 passed = False
                 witness = (i, d, h)
     # augmentation sanity: H_0 is the ground field in degree 0
-    h0 = {d: c.homology_rank(0, d) for d in range(0, dmax + 1)}
+    h0 = {d: c.homology_rank(0, d, diff_ranks) for d in range(0, dmax + 1)}
     h0_ok = h0.get(0, 0) == 1 and all(v == 0 for d, v in h0.items() if d > 0)
     return {
         "complex": c,
@@ -601,10 +607,11 @@ def verify_complex(c, dmax):
     d2w = c.d_squared_witness()
     mw = c.minimality_witness()
     homology = {}
+    diff_ranks = {}
     exact = True
     for i in range(1, c.length):
         for d in range(0, dmax + 1):
-            h = c.homology_rank(i, d)
+            h = c.homology_rank(i, d, diff_ranks)
             homology[(i, d)] = h
             if h:
                 exact = False
@@ -618,10 +625,11 @@ def homology_window(c, i_range, offsets=(0, 1)):
     also the bounded exactness statement for sub-Priddy complexes.
     """
     initial = min((g.internal_degree for g in c.modules[0]), default=0)
+    diff_ranks = {}
     out = {}
     for i in i_range:
         for j in offsets:
-            out[(i, j)] = c.homology_rank(i, initial + i + j)
+            out[(i, j)] = c.homology_rank(i, initial + i + j, diff_ranks)
     return out
 
 

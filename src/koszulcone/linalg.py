@@ -5,21 +5,30 @@ ranks) reduces to the operations here, so exactness is non-negotiable: prime
 field elements are Python ints kept in [0, p), rational entries are
 fractions.Fraction.  Matrices are plain lists of rows at the API boundary.
 
-Elimination over F_p stays in numpy int64 from input to answer (products stay
-below 2**63 because p is capped) and returns Python ints through one
-tolist().  Elimination over the rationals stays on Python ints from input to
-answer: each row's denominators are cleared by their lcm, forward elimination
-is fraction-free (Bareiss), back-substitution is fraction-free on the integer
-echelon rows, and one Fraction is built per entry of the reduced rows.  Both
-produce the same canonical RREF, so every Subspace has a unique
-representation.  rank() reads pivots only: rref(reduced=False) eliminates
-below each pivot and builds no reduced rows.
+Elimination over F_p has two kernels.  The matrices of monomial ideals
+(membership spaces, multiplication blocks, closed-form differentials, dual
+constraints) hold one or two nonzeros per row, so the first kernel runs
+Gauss-Jordan on dict rows {column: value} and touches nonzeros only.  Its
+work, the input's nonzero count plus one per entry updated, has a budget of
+4 (nrows + ncols) + nrows ncols / 16.  A matrix that goes over it (a dense
+input by its nonzero count alone, before any elimination) is left to the
+second kernel, which eliminates column by column in numpy int64
+(products stay below 2**63 because p is capped) and returns Python ints
+through one tolist().  Elimination over the rationals stays on Python ints
+from input to answer: each row's denominators are cleared by their lcm,
+forward elimination is fraction-free (Bareiss), back-substitution is
+fraction-free on the integer echelon rows, and one Fraction is built per
+entry of the reduced rows.  The reduced row echelon form of a matrix is
+unique, so every kernel returns the same rows and pivots, and every Subspace
+has a unique representation.  rank() reads pivots only: rref(reduced=False)
+builds no reduced rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 
 import numpy as np
 
@@ -27,6 +36,10 @@ from .errors import MismatchedAmbient
 
 # int64 products p^2 * n_cols must stay below 2**63 during elimination
 MAX_PRIME = 1 << 20
+
+# scale of the sparse kernel's work budget (see PrimeField.rref); 0 sends
+# every nonzero matrix to the dense kernel
+SPARSE_WORK_SCALE = 1
 
 
 def _is_prime(p):
@@ -97,36 +110,134 @@ class PrimeField:
     def parse(self, s):
         return int(s) % self.char
 
-    # -- elimination (numpy fast path) ------------------------------------
+    # -- elimination ----------------------------------------------------------
 
     def rref(self, rows, ncols, reduced=True):
-        """(rref_rows, pivot_columns); rref_rows is None when not reduced."""
+        """(rref_rows, pivot_columns); rref_rows is None when not reduced.
+
+        Runs the sparse Gauss-Jordan kernel while its work (the input's
+        nonzero count plus one per entry updated) stays within
+        SPARSE_WORK_SCALE * (4 (nrows + ncols) + nrows ncols // 16), and the
+        dense numpy kernel otherwise.  Both return the unique RREF, so the
+        answer does not depend on the kernel.
+        """
         if not rows:
             return [], []
         p = self.char
-        m = np.array(rows, dtype=np.int64) % p
-        nrows = m.shape[0]
-        pivots = []
-        r = 0
-        for c in range(ncols):
-            if r == nrows:
-                break
-            nz = np.nonzero(m[r:, c])[0]
-            if nz.size == 0:
-                continue
-            i = r + int(nz[0])
-            if i != r:
-                m[[r, i]] = m[[i, r]]
-            # rows r.. vanish left of c, so every update starts at column c
-            m[r, c:] = (m[r, c:] * pow(int(m[r, c]), p - 2, p)) % p
-            top = 0 if reduced else r + 1
-            others = top + np.nonzero(m[top:, c])[0]
-            others = others[others != r]
-            if others.size:
-                m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
-            pivots.append(c)
-            r += 1
-        return (m[:r].tolist() if reduced else None), pivots
+        nrows = len(rows)
+        budget = SPARSE_WORK_SCALE * (4 * (nrows + ncols) + nrows * ncols // 16)
+        found = _sparse_rref(rows, ncols, p, budget)
+        if found is None:
+            return _dense_rref(rows, ncols, p, reduced)
+        pivots = sorted(found)
+        if not reduced:
+            return None, pivots
+        out = []
+        for c in pivots:
+            row = [0] * ncols
+            row[c] = 1
+            for j, v in found[c].items():
+                row[j] = v
+            out.append(row)
+        return out, pivots
+
+
+def _sparse_rref(rows, ncols, p, budget):
+    """Gauss-Jordan over F_p on dict rows; None once the work exceeds budget.
+
+    The nonzero count is checked first, so a dense input costs one count
+    per row and builds no dict rows.
+
+    Returns {pivot column: {column: value}} holding each reduced row without
+    its pivot entry (which is 1).  The pivot rows stay in RREF throughout:
+    each is zero at every other pivot column.  So one pass over the pivot
+    columns a new row touches reduces it, its minimum column becomes its
+    pivot, and that column is cleared from the earlier pivot rows that hold
+    it, found through `holders` (non-pivot column -> pivot columns of the
+    rows nonzero there).
+    """
+    work = 0
+    for row in rows:
+        work += len(row) - row.count(0)
+        if work > budget:
+            return None
+    sparse = []
+    cols = range(ncols)
+    for row in rows:
+        r = {j: v for j in compress(cols, row) if (v := row[j] % p)}
+        if r:
+            sparse.append(r)
+    piv = {}
+    holders = {}
+    for r in sparse:
+        for c in [c for c in r if c in piv]:
+            f = r.pop(c)
+            tail = piv[c]
+            work += len(tail)
+            for j, v in tail.items():
+                x = (r.get(j, 0) - f * v) % p
+                if x:
+                    r[j] = x
+                else:
+                    del r[j]
+        if work > budget:
+            return None
+        if not r:
+            continue
+        c0 = min(r)
+        f = r.pop(c0)
+        if f != 1:
+            inv = pow(f, p - 2, p)
+            r = {j: v * inv % p for j, v in r.items()}
+        earlier = holders.pop(c0, ())
+        for j in r:
+            holders.setdefault(j, set()).add(c0)
+        for c in earlier:
+            tail = piv[c]
+            f = tail.pop(c0)
+            work += len(r)
+            for j, v in r.items():
+                x = (tail.get(j, 0) - f * v) % p
+                if x:
+                    if j not in tail:
+                        holders[j].add(c)
+                    tail[j] = x
+                else:
+                    del tail[j]
+                    holders[j].discard(c)
+        if work > budget:
+            return None
+        piv[c0] = r
+        if len(piv) == ncols:
+            break
+    return piv
+
+
+def _dense_rref(rows, ncols, p, reduced):
+    """The numpy int64 kernel: column by column over the whole matrix."""
+    m = np.array(rows, dtype=np.int64) % p
+    nrows = m.shape[0]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            m[[r, i]] = m[[i, r]]
+        # rows r.. vanish left of c, so every update starts at column c
+        m[r, c:] = (m[r, c:] * pow(int(m[r, c]), p - 2, p)) % p
+        top = 0 if reduced else r + 1
+        others = top + np.nonzero(m[top:, c])[0]
+        others = others[others != r]
+        if others.size:
+            m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
+        pivots.append(c)
+        r += 1
+    return (m[:r].tolist() if reduced else None), pivots
 
 
 class RationalField:

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from koszulcone import linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
 from koszulcone.errors import ParseError
 
@@ -470,3 +472,48 @@ def test_check_quotients_failing_ordering_is_pinned(e, field, tmp_path, capsys):
     assert (code, err) == (1, "")
     assert out == ("check quotients: FAIL\n  witness: {'generator': 2, 'colon_variables': [], "
                    f"'checked_to': 4, 'linear': False, 'fail_degree': {e}}}\n")
+
+
+def generic_ring_text(seed, n, nrels):
+    """Ring file over GF(101) whose nrels relations each use every quadratic
+    monomial of x1..xn with a seeded random nonzero coefficient; ideal (x1)."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    quadrics = [f"{a}*{b}" if a != b else f"{a}^2" for a, b in
+                itertools.combinations_with_replacement(names, 2)]
+    lines = ["field p=101", "vars " + " ".join(names)]
+    lines += ["rel " + " + ".join(f"{rng.randrange(1, 101)}*{m}" for m in quadrics)
+              for _ in range(nrels)]
+    lines.append("ideal x1")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("ring", ["sym_relation", "generic4"])
+def test_both_elimination_kernels_give_the_same_cli_bytes(ring, tmp_path, capsys, monkeypatch):
+    # SPARSE_WORK_SCALE 0 eliminates every nonzero GF(p) matrix in the dense
+    # kernel, 10**12 every one in the sparse kernel; 1 is the budget rule
+    if ring == "sym_relation":
+        path = FIXTURES / "sym_relation.ring"
+    else:
+        path = tmp_path / "generic4.ring"
+        path.write_text(generic_ring_text(0, 4, 3))
+    dense_calls = []
+    dense = linalg._dense_rref
+
+    def counting(*args):
+        dense_calls.append(1)
+        return dense(*args)
+
+    monkeypatch.setattr(linalg, "_dense_rref", counting)
+    outputs, used = {}, {}
+    for scale in (0, 1, 10 ** 12):
+        monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+        dense_calls.clear()
+        outputs[scale] = [
+            run_main([*command, str(path), "--hmax", "4", "--dmax", "4", "--out", fmt], capsys)
+            for command in (["dual"], ["priddy"], ["betti"], ["resolve", "--method", "cone"])
+            for fmt in ("json", "text")]
+        used[scale] = len(dense_calls)
+    assert all(code == 0 and err == "" for code, _, err in outputs[1])
+    assert outputs[0] == outputs[1] == outputs[10 ** 12]
+    assert used[0] > used[1] > 0 and used[10 ** 12] == 0

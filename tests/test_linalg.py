@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from koszulcone import linalg
 from koszulcone.errors import MismatchedAmbient
 from koszulcone.linalg import (
     GF,
@@ -332,3 +333,123 @@ def test_rational_rref_matches_fraction_gauss_jordan():
             assert rows == before
     assert QQ.rref([], 4) == ([], [])
     assert QQ.rref([[0, Fraction(0)]] * 3, 2) == ([], [])
+
+
+KERNEL_PRIMES = [2, 3, 101, 1048573]
+
+
+def _entry(rng, p):
+    """A nonzero-or-not representative from [-2p, 2p): negatives, multiples of
+    p and values >= p all occur."""
+    return rng.randrange(-2 * p, 2 * p)
+
+
+def _monomial_rows(rng, p, nrows, ncols):
+    """One or two nonzeros per row, in shuffled rows and columns."""
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for c in rng.sample(range(ncols), min(ncols, rng.randint(1, 2))):
+            row[c] = rng.randrange(1, p) * rng.choice((1, -1))
+        rows.append(row)
+    perm = list(range(ncols))
+    rng.shuffle(perm)
+    rng.shuffle(rows)
+    return [[row[c] for c in perm] for row in rows]
+
+
+def _kernel_inputs(rng, p):
+    """(label, rows, ncols): monomial-like, 1-5% dense, fully dense, edge cases."""
+    for nrows, ncols in [(1, 1), (5, 7), (30, 30), (120, 90), (40, 160), (160, 40)]:
+        yield "monomial", _monomial_rows(rng, p, nrows, ncols), ncols
+    for nrows, ncols in [(60, 60), (100, 120), (150, 100)]:
+        density = rng.uniform(0.01, 0.05)
+        rows = [[_entry(rng, p) if rng.random() < density else 0 for _ in range(ncols)]
+                for _ in range(nrows)]
+        yield "sparse", rows, ncols
+    for nrows, ncols in [(3, 3), (20, 8), (8, 20), (60, 60)]:
+        yield "dense", [[_entry(rng, p) for _ in range(ncols)] for _ in range(nrows)], ncols
+    base = _monomial_rows(rng, p, 12, 10) + [[_entry(rng, p) for _ in range(10)]]
+    repeated = base + [[0] * 10] * 3 + [list(row) for row in base[::2]]
+    rng.shuffle(repeated)
+    yield "repeated", repeated, 10
+    yield "multiples of p", [[p, -p, 0, 2 * p], [0, 0, 3 * p, 0]], 4
+    yield "zero", [[0] * 6 for _ in range(4)], 6
+    yield "no columns", [[] for _ in range(3)], 0
+    yield "tall", [[_entry(rng, p) for _ in range(3)] for _ in range(70)], 3
+    yield "wide", [[_entry(rng, p) for _ in range(90)] for _ in range(2)], 90
+
+
+@pytest.mark.parametrize("scale", [0, 1, 10 ** 12])
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_sparse_kernel_matches_dense_kernel(p, scale, monkeypatch):
+    # scale 0 sends every nonzero matrix to the dense kernel, 10**12 keeps
+    # every one on the sparse kernel, 1 is the budget rule itself
+    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+    F = GF(p)
+    rng = random.Random(1000 + p)
+    for label, rows, ncols in _kernel_inputs(rng, p):
+        before = [list(row) for row in rows]
+        for reduced in (True, False):
+            want = linalg._dense_rref([list(row) for row in rows], ncols, p, reduced)
+            got = F.rref(rows, ncols, reduced=reduced)
+            assert got == want, (label, reduced)
+            assert rows == before, label
+        got_rows, pivots = F.rref(rows, ncols)
+        assert all(type(x) is int and 0 <= x < p for row in got_rows for x in row), label
+        assert all(type(c) is int for c in pivots), label
+        assert got_rows == _textbook_rref_mod_p(rows, ncols, p)
+
+
+def _textbook_rref_mod_p(rows, ncols, p):
+    """Reference RREF over F_p: textbook Gauss-Jordan on reduced ints."""
+    m = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = pow(m[r][c], p - 2, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            f = m[i][c]
+            if i != r and f:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+        r += 1
+    return m[:r]
+
+
+def _count_dense_calls(monkeypatch):
+    calls = []
+    dense = linalg._dense_rref
+
+    def counting(*args):
+        calls.append(1)
+        return dense(*args)
+
+    monkeypatch.setattr(linalg, "_dense_rref", counting)
+    return calls
+
+
+@pytest.mark.parametrize("p", KERNEL_PRIMES)
+def test_kernel_choice_follows_the_work_budget(p, monkeypatch):
+    calls = _count_dense_calls(monkeypatch)
+    F = GF(p)
+    rng = random.Random(2000 + p)
+    for nrows, ncols in [(1, 1), (30, 30), (200, 200), (300, 80), (80, 300)]:
+        for reduced in (True, False):
+            F.rref(_monomial_rows(rng, p, nrows, ncols), ncols, reduced=reduced)
+    assert calls == []
+    dense = [[rng.randrange(1, p) for _ in range(60)] for _ in range(60)]
+    F.rref(dense, 60)
+    assert len(calls) == 1
+    # under budget by its nonzero count, over it by the fill-in: the
+    # elimination starts sparse and restarts dense
+    sparse = [[rng.randrange(1, p) if rng.random() < 0.03 else 0 for _ in range(200)]
+              for _ in range(200)]
+    nnz = sum(1 for row in sparse for x in row if x)
+    assert nnz <= 4 * 400 + 200 * 200 // 16
+    assert linalg._sparse_rref(sparse, 200, p, 4 * 400 + 200 * 200 // 16) is None
+    assert F.rref(sparse, 200) == linalg._dense_rref(sparse, 200, p, True)
+    assert len(calls) == 3

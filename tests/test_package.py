@@ -68,7 +68,7 @@ def test_every_traced_function_still_resolves():
     assert missing == []
 
 
-def test_cli_digest_prints_one_line_per_run():
+def test_cli_digest_prints_one_line_per_run(tmp_path):
     # tools/cli_digest.py: fixtures x 11 subcommands x {GF(101), QQ} x {json, text}
     root = SRC.parent.parent
     done = subprocess.run(
@@ -80,3 +80,14 @@ def test_cli_digest_prints_one_line_per_run():
     assert all(re.fullmatch(r"[0-9a-f]{64} 0 \S.* fixtures/hhr_example\.ring .*", line)
                for line in lines), lines
     assert len({line.split(" ", 2)[2] for line in lines}) == len(lines)
+    # --ring: a ring file outside fixtures/ digests like the same fixture
+    copy = tmp_path / "copy.ring"
+    copy.write_text((root / "fixtures" / "hhr_example.ring").read_text())
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "cli_digest.py"), str(root), "--ring", str(copy)],
+        capture_output=True, text=True, check=True, timeout=120)
+    ring_lines = done.stdout.splitlines()
+    assert [line.split(" ", 2)[:2] for line in ring_lines] == [
+        line.split(" ", 2)[:2] for line in lines]
+    assert [line.split(" ", 2)[2] for line in ring_lines] == [
+        line.split(" ", 2)[2].replace("fixtures/hhr_example.ring", str(copy)) for line in lines]

@@ -1,17 +1,20 @@
-"""Digest of the koszulcone CLI's behaviour on the fixtures, for byte-identity checks.
+"""Digest of the koszulcone CLI's behaviour on ring files, for byte-identity checks.
 
-    python tools/cli_digest.py CHECKOUT [--fixture NAME ...] [--hmax 3] [--dmax 5]
+    python tools/cli_digest.py CHECKOUT [--fixture NAME ...] [--ring PATH ...]
+                               [--hmax 3] [--dmax 5]
 
 Imports koszulcone from CHECKOUT/src and runs its CLI in this one process over
-every fixture (or the named ones) x the eleven subcommands (resolve and verify
-with --method cone and closed; dual, priddy, betti; check quotients, regular,
-strongly-koszul and star) x {GF(101), QQ} x {json, text}: 352 runs on the
-eight fixtures.  Each run prints one line
+every fixture (or the named fixtures and ring files) x the eleven subcommands
+(resolve and verify with --method cone and closed; dual, priddy, betti; check
+quotients, regular, strongly-koszul and star) x {GF(101), QQ} x {json, text}:
+352 runs on the eight fixtures.  Each run prints one line
 
     <sha256 of stdout, a NUL byte and stderr> <exit code> <label>
 
-so two checkouts are compared with `diff` of their outputs.  Ring files are
+so two checkouts are compared with `diff` of their outputs.  Fixtures are
 passed relative to CHECKOUT, so no path of the checkout enters the output.
+A --ring file (a perfbench ring, a generated ring) is passed by its absolute
+path, which is the same for both checkouts.
 """
 
 import argparse
@@ -53,18 +56,20 @@ def run_cli(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def digest_lines(checkout, fixtures=None, hmax=3, dmax=5):
+def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
     checkout = Path(checkout).resolve()
+    rings = [str(Path(ring).resolve()) for ring in rings or ()]
     sys.path.insert(0, str(checkout / "src"))
     from koszulcone.cli import main
 
     os.chdir(checkout)
-    names = fixtures or sorted(p.name for p in Path("fixtures").glob("*.ring"))
-    for name in names:
+    if not fixtures and not rings:
+        fixtures = sorted(p.name for p in Path("fixtures").glob("*.ring"))
+    for ring in [f"fixtures/{name}" for name in fixtures or ()] + rings:
         for command in COMMANDS:
             for field in FIELDS:
                 for fmt in FORMATS:
-                    argv = [*command, f"fixtures/{name}", "--hmax", str(hmax), "--dmax", str(dmax),
+                    argv = [*command, ring, "--hmax", str(hmax), "--dmax", str(dmax),
                             "--field", field, "--out", fmt]
                     code, out, err = run_cli(main, argv)
                     sha = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()
@@ -75,10 +80,11 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("checkout", help="directory holding src/koszulcone and fixtures/")
     p.add_argument("--fixture", action="append", help="fixture file name (repeatable)")
+    p.add_argument("--ring", action="append", help="path of a ring file outside fixtures/ (repeatable)")
     p.add_argument("--hmax", type=int, default=3)
     p.add_argument("--dmax", type=int, default=5)
     args = p.parse_args(argv)
-    for line in digest_lines(args.checkout, args.fixture, args.hmax, args.dmax):
+    for line in digest_lines(args.checkout, args.fixture, args.hmax, args.dmax, args.ring):
         print(line, flush=True)
     return 0
 
