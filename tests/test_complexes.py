@@ -612,3 +612,30 @@ def test_random_regular_ideals_cone_equals_closed_form():
             K, F, psi = comparison_maps(J, r, hmax)
             assert verify_chain_map(F, K, psi, hmax) == (True, None), (J.gens, r)
     assert regular >= 10
+
+
+def test_one_verification_ranks_each_differential_once(monkeypatch):
+    # adjacent homology ranks share a differential; one call builds its
+    # degreewise matrix once per (l, d), and a second call builds it afresh
+    built = []
+    build = koszulcone.complexes.ChainComplex.degreewise_matrix
+
+    def counting(self, l, d):
+        built.append((l, d))
+        return build(self, l, d)
+
+    D = QuadraticDual(poly_ring(3, cutoff=9))
+    F = iterated_mapping_cone(md_squares(3, 2), 4)
+    unshared = {(i, d): F.homology_rank(i, d) for i in range(1, F.length) for d in range(7)}
+    monkeypatch.setattr(koszulcone.complexes.ChainComplex, "degreewise_matrix", counting)
+    calls = (
+        lambda: verify_complex(F, 6).homology == unshared,
+        lambda: koszulness_certificate(D, 4, 5)["passed"],
+        lambda: all(v == 0 for v in homology_window(
+            sub_priddy_complex(D, {0, 1}, 5), range(1, 4)).values()),
+    )
+    for call in calls:
+        for _ in range(2):
+            built.clear()
+            assert call()
+            assert built and len(built) == len(set(built)), built
