@@ -44,10 +44,9 @@ from .linalg import (
     QQ,
     Subspace,
     echelonize,
-    intersect_subspaces,
     kernel,
     rank,
-    solve_membership,
+    solve_columns,
 )
 
 __version__ = "0.1.0"

@@ -318,12 +318,6 @@ class GradedAlgebra:
             out[(u, v)] = {spairs[k]: c for k, c in enumerate(nf) if c}
         return out
 
-    def pair_expansion(self, a, b):
-        """Normal-form coordinates of x_a x_b indexed by chosen pairs (any order)."""
-        spairs = self.basis_pairs()
-        nf = self.monomial_element(self.pair_monomial(a, b)).coords
-        return {spairs[k]: c for k, c in enumerate(nf) if c}
-
     # -- formatting ----------------------------------------------------------
 
     def format_monomial(self, exp):

@@ -96,8 +96,12 @@ def _parse_relation(text, var_index, field, line_no):
     out = []
     for sgn, term in terms:
         parts = term.split("*")
-        if _NUM.match(parts[0].strip()):
-            coeff = field.parse(parts[0].strip())
+        head = parts[0].strip()
+        if _NUM.match(head):
+            try:
+                coeff = field.parse(head)
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad coefficient {head!r} for {field!r}", line_no, 1) from None
             mono = "*".join(parts[1:])
             if not mono:
                 raise ParseError("coefficient without monomial", line_no, 1)
@@ -340,6 +344,12 @@ def _resolution_cutoff(js, hmax, dmax):
     return max(maxdeg + hmax + 1, dmax + 1, maxdeg + dmax + 2)
 
 
+def _require_linear_quotients(J, dmax):
+    """The cone and the rank-sum Betti formula need linear quotients."""
+    if not J.check_linear_quotients(dmax).passed:
+        raise InputError("ideal does not have linear quotients to the checked degree")
+
+
 def _build_resolution(js, args):
     A = _algebra_for(js, _resolution_cutoff(js, args.hmax, args.dmax))
     J = _ideal_for(js, A)
@@ -348,9 +358,7 @@ def _build_resolution(js, args):
         # homological window, so the ordering check is bounded by hmax
         F = closed_form_resolution(J, args.hmax, check_to=min(args.dmax, args.hmax))
     else:
-        lq = J.check_linear_quotients(args.dmax)
-        if not lq.passed:
-            raise InputError("ideal does not have linear quotients to the checked degree")
+        _require_linear_quotients(J, args.dmax)
         F = iterated_mapping_cone(J, args.hmax)
     return A, J, F
 
@@ -361,8 +369,11 @@ def cmd_resolve(args):
     doc = complex_to_json(F)
     doc["job"] = {"ring": format_jobspec(js), "method": args.method, "hmax": args.hmax}
     if args.export:
-        with open(args.export, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
+        try:
+            with open(args.export, "w") as fh:
+                json.dump(doc, fh, sort_keys=True, indent=1)
+        except OSError as e:
+            raise InputError(f"cannot write {args.export}: {e}") from None
     rep = verify_complex(F, args.dmax)
     payload = {"command": "resolve", "complex": doc, "verified": rep.as_dict()}
     lines = [f"resolution of A/J by the {args.method} method, ranks {F.ranks()}"]
@@ -377,8 +388,9 @@ def cmd_resolve(args):
 
 def cmd_betti(args):
     js = _load_jobspec(args)
-    A = _algebra_for(js, _resolution_cutoff(js, args.hmax, 2))
+    A = _algebra_for(js, _resolution_cutoff(js, args.hmax, args.dmax))
     J = _ideal_for(js, A)
+    _require_linear_quotients(J, args.dmax)
     bt = betti_table(J, args.hmax)
     payload = {"command": "betti", **bt.as_dict()}
     lines = ["ideal-level graded Betti numbers (rows q, columns homological degree):",
@@ -497,7 +509,7 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, ideal_command=True):
+    def common(sp):
         sp.add_argument("ringfile", help="input ring/ideal description file")
         sp.add_argument("--hmax", type=int, default=4, help="homological cutoff")
         sp.add_argument("--dmax", type=int, default=4, help="internal-degree cutoff")

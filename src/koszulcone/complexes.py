@@ -34,7 +34,7 @@ from .errors import (
     NotRegular,
     RegularOrderingViolation,
 )
-from .linalg import rank as mat_rank
+from .linalg import rank as mat_rank, solve_columns
 
 __all__ = [
     "Generator",
@@ -99,9 +99,6 @@ class ChainComplex:
             for g in mod:
                 out[(l, g.internal_degree)] = out.get((l, g.internal_degree), 0) + 1
         return out
-
-    def entry(self, l, row, col):
-        return self.diffs[l].get((row, col))
 
     # -- exact verification -------------------------------------------------
 
@@ -311,29 +308,6 @@ def _base_complex(algebra, hmax):
     return ChainComplex(algebra, modules, diffs, kind="resolution")
 
 
-def _solve_many(field, mat_rows, nrows, ncols, targets):
-    """Canonical solutions of mat . w = t for each target column.
-
-    Returns a list of solution vectors (free coordinates zero) or raises
-    LiftingFailure naming the first unsolvable target.
-    """
-    ntargets = len(targets)
-    aug = []
-    for r in range(nrows):
-        aug.append([mat_rows[r][c] for c in range(ncols)] + [t[r] for t in targets])
-    rref, pivots = field.rref(aug, ncols + ntargets)
-    sols = [[field.zero] * ncols for _ in range(ntargets)]
-    for r, c in enumerate(pivots):
-        if c >= ncols:
-            # a pivot inside the target block: that column is inconsistent
-            bad = c - ncols
-            raise LiftingFailure(f"no lift exists for target column {bad}")
-        row = rref[r]
-        for k in range(ntargets):
-            sols[k][c] = row[ncols + k]
-    return sols
-
-
 def _lift_comparison(F, K, m_element):
     """Chain-map lift of multiplication by a generator, degree by degree.
 
@@ -359,13 +333,15 @@ def _lift_comparison(F, K, m_element):
         for c, sums in _compose_columns(A, psi[l - 1], K.diffs[l]):
             for (r, _), elem in sums.items():
                 targets[c][tgt_off[r] : tgt_off[r] + tgt_dims[r]] = elem.coords
-        mat, nrows, ncols = F.degreewise_matrix(l, D)
+        mat, _, ncols = F.degreewise_matrix(l, D)
         if ncols == 0:
             if any(any(t) for t in targets):
                 raise LiftingFailure(f"nonzero lift target into a zero module at degree {l}")
             psi.append({})
             continue
-        sols = _solve_many(fld, mat, nrows, ncols, targets)
+        sols, bad = solve_columns(fld, mat, ncols, targets)
+        if bad is not None:
+            raise LiftingFailure(f"no lift exists for target column {bad}")
         src_dims = F.block_dims(l, D)
         src_off = _offsets(src_dims)
         entries = {}
@@ -715,7 +691,9 @@ def betti_table(ideal, hmax):
 
     The l-th ideal-level Betti number in internal degree l + deg(m_i) sums the
     degree-l quotient-dual ranks over generators of that degree; the module
-    table of A/J is the same data shifted one homological step.
+    table of A/J is the same data shifted one homological step.  The formula
+    assumes linear quotients and does not check them: without them the table
+    is wrong, so callers check first (check_linear_quotients), as the CLI does.
     """
     dual = ideal.dual
     ideal_table = {}

@@ -26,12 +26,12 @@ contractions are exposed; closure of every quotient-dual action is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch, SingularMatrix
-from .linalg import PrimeField, Subspace, intersect_subspaces, kernel, matmul
+from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch
+from .linalg import PrimeField, Subspace, kernel, matmul
 
 CALIBRATED_SLOT = "first"
 
@@ -141,33 +141,6 @@ class QuadraticDual:
             return Subspace.zero(fld, n ** l)
         return Subspace.from_rows(fld, _expand_blocks(fld, coeffs, prev, n), n ** l)
 
-    def naive_component(self, l):
-        """Literal intersection over all embeddings of the relation space.
-
-        Quadratic in the ambient dimension; used to cross-check component().
-        """
-        fld, n = self.field, self.n
-        if l <= 2:
-            return self.component(l)
-        spaces = []
-        for j in range(l - 1):
-            rows = []
-            for q in self.relation_space.rows:
-                qmat = [[q[a * n + b] for b in range(n)] for a in range(n)]
-                left = n ** j
-                right = n ** (l - 2 - j)
-                for a_pre in range(left):
-                    for b_post in range(right):
-                        row = [fld.zero] * (n ** l)
-                        for a in range(n):
-                            for b in range(n):
-                                if qmat[a][b]:
-                                    idx = ((a_pre * n + a) * n + b) * right + b_post
-                                    row[idx] = qmat[a][b]
-                        rows.append(row)
-            spaces.append(Subspace.from_rows(fld, rows, n ** l))
-        return intersect_subspaces(spaces)
-
     # -- contractions and actions ---------------------------------------------
 
     def contract(self, vec, l, j, slot=CALIBRATED_SLOT):
@@ -206,40 +179,6 @@ class QuadraticDual:
         return [(a, b) for a in range(self.n) for b in range(self.n)
                 if not (a <= b and (a, b) in chosen)]
 
-    def deg2_relations(self):
-        """Rewriting of each basis-pair word over the excluded-pair dual basis.
-
-        For a chosen pair (s,t) the degree-2 dual algebra satisfies
-        x_s^* x_t^* = sum over excluded ordered (u,v) of -(expansion of x_u x_v
-        at x_s x_t) x_u^* x_v^*.  Zero coefficients are omitted.
-        """
-        A = self.algebra
-        out = {}
-        for (s, t) in A.basis_pairs():
-            rewr = {}
-            for (u, v) in self.ordered_excluded_pairs():
-                f = A.pair_expansion(u, v).get((s, t))
-                if f:
-                    rewr[(u, v)] = self.field.neg(f)
-            out[(s, t)] = rewr
-        return out
-
-    def deg2_labeled_duals(self):
-        """Basis of component(2) dual to the excluded-pair word classes.
-
-        Returns (labels, rows): labels[i] is the ordered pair (u, v) and
-        rows[i] the unique tensor in the relation space pairing to the
-        indicator of that pair on excluded-pair coordinates.
-        """
-        fld, n = self.field, self.n
-        comp = self.component(2)
-        labels = self.ordered_excluded_pairs()
-        positions = [u * n + v for (u, v) in labels]
-        restricted = [[row[p] for p in positions] for row in comp.rows]
-        inv = _invert(fld, restricted)
-        rows = matmul(fld, inv, comp.rows, n * n)
-        return labels, rows
-
     def pair_word_is_zero(self, a, b):
         """Whether the length-2 dual word x_a^* x_b^* vanishes in the dual algebra.
 
@@ -248,22 +187,6 @@ class QuadraticDual:
         """
         pos = a * self.n + b
         return all(row[pos] == self.field.zero for row in self.component(2).rows)
-
-    def deg2_consistency(self):
-        """Check the degree-2 presentation against the subspace realization."""
-        n = self.n
-        comp = self.component(2)
-        if comp.dim != len(self.ordered_excluded_pairs()):
-            return False
-        rels = self.deg2_relations()
-        for q in comp.rows:
-            for (s, t), rewr in rels.items():
-                acc = q[s * n + t]
-                for (u, v), c in rewr.items():
-                    acc = self.field.sub(acc, self.field.mul(c, q[u * n + v]))
-                if acc != self.field.zero:
-                    return False
-        return True
 
 
 def _leading_pair_constraints(fld, nf2, prev, n):
@@ -317,17 +240,6 @@ def _expand_blocks(fld, coeffs, prev, n):
                     row[off + pos] += y * x
         out.append(row)
     return out
-
-
-def _invert(fld, rows):
-    m = len(rows)
-    aug = [list(r) + [fld.one if j == i else fld.zero for j in range(m)]
-           for i, r in enumerate(rows)]
-    rref, pivots = fld.rref(aug, 2 * m)
-    if pivots[:m] != list(range(m)):
-        rk = sum(1 for c in pivots if c < m)
-        raise SingularMatrix(f"{m} x {m} matrix to invert has rank {rk}", witness=(rk, m))
-    return [row[m:] for row in rref]
 
 
 class QuotientDual:
@@ -422,18 +334,6 @@ class ContainmentReport:
     definitive: bool
     holds: bool
     fail_degree: int | None = None
-    per_degree: dict = dc_field(default_factory=dict)
-
-    def as_dict(self):
-        return {
-            "src_allowed": sorted(self.src_allowed),
-            "prefix": list(self.prefix),
-            "dst_allowed": sorted(self.dst_allowed),
-            "checked_to": self.checked_to,
-            "definitive": self.definitive,
-            "holds": self.holds,
-            "fail_degree": self.fail_degree,
-        }
 
 
 def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
@@ -456,10 +356,8 @@ def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
                                  None if holds else 1)
     src_q = dual.quotient(src_allowed)
     dst_q = dual.quotient(dst_allowed)
-    per_degree = {}
     for d in range(1, lmax + 1):
         top = dst_q.component(d + len(prefix))
-        ok = True
         for f in top.rows:
             g = f
             deg = d + len(prefix)
@@ -467,11 +365,5 @@ def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
                 g = dual.contract(g, deg, t, slot="first")
                 deg -= 1
             if not src_q.component(d).contains(g):
-                ok = False
-                break
-        per_degree[d] = ok
-        if not ok:
-            return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, True, False,
-                                     d, per_degree)
-    return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, False, True,
-                             None, per_degree)
+                return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, True, False, d)
+    return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, False, True)

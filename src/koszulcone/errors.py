@@ -12,10 +12,6 @@ class KoszulConeError(Exception):
         self.witness = witness
 
 
-class MismatchedAmbient(KoszulConeError):
-    """Subspaces fed to an intersection do not share an ambient dimension."""
-
-
 class AmbientTooLarge(KoszulConeError):
     """A tensor-power ambient dimension exceeds the configured resource bound."""
 
@@ -33,7 +29,8 @@ class NotMultigraded(KoszulConeError):
 
 
 class CalibrationFailure(KoszulConeError):
-    """Neither contraction slot yields d.d = 0; signals an upstream bug."""
+    """The first-slot trace differential of the Priddy complex fails d.d = 0;
+    signals an upstream bug."""
 
 
 class ClosureFailure(KoszulConeError):
@@ -74,11 +71,6 @@ class DecompositionFailure(KoszulConeError):
 class DimensionMismatch(KoszulConeError):
     """A computed space has a dimension other than the one its construction
     guarantees; witness is (computed, expected)."""
-
-
-class SingularMatrix(KoszulConeError):
-    """A matrix that must be invertible has dependent rows; witness is its
-    rank and size."""
 
 
 class NotRegular(KoszulConeError):

@@ -25,7 +25,7 @@ from itertools import combinations
 
 from .dual import QuadraticDual, left_ideal_contains
 from .errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from .linalg import Subspace, kernel, solve_membership
+from .linalg import Subspace, kernel, solve_columns
 
 __all__ = [
     "MonomialIdeal",
@@ -517,12 +517,14 @@ class DecompositionTable:
             ]
             prev = J.membership_space(j - 1, d)
             rows = multiples + list(prev.rows)
-            sol = solve_membership(fld, list(v.coords), rows)
-            if sol is None:
+            # the unknowns are the coefficients of the rows: solve rows^T . c = v
+            eqs = [[row[c] for row in rows] for c in range(len(v.coords))]
+            sols, _ = solve_columns(fld, eqs, len(rows), [v.coords])
+            if sols is None:
                 raise DecompositionFailure(
                     f"degree-{d} element in J_{j} has no expression over m_{j} and J_{j - 1}",
                     witness=(j, d))
-            coeff = A.element(cdeg, sol[: len(multiples)])
+            coeff = A.element(cdeg, sols[0][: len(multiples)])
             if coeff.is_zero:
                 raise DecompositionFailure(
                     f"support guarantee: coefficient on m_{j} vanished in degree {d}",
@@ -561,13 +563,13 @@ def annihilator_vars(algebra, exp, check_to=0):
     return vars_, deg1, report
 
 
-def check_strongly_koszul(algebra, check_to=4, subset_bound=None, extra_subsets=()):
+def check_strongly_koszul(algebra, check_to=4):
     """Bounded certificate that variable-ideal colons are linear.
 
-    For each subset Y of the variables (exhaustive when n <= 10, else subsets
-    up to subset_bound plus extra_subsets) and each variable x outside Y, the
-    degree-1 part Z of ((Y):x) is computed exactly and the bounded check
-    verifies ((Y):x)_d = (Z . A_{d-1}) for 2 <= d <= check_to.  Only
+    For each subset Y of the variables (every subset when n <= 10, else those
+    of size at most 2) and each variable x outside Y, the degree-1 part Z of
+    ((Y):x) is computed exactly and the bounded check verifies
+    ((Y):x)_d = (Z . A_{d-1}) for 2 <= d <= check_to.  Only
     dimensions are compared: dim ((Y):x)_d = dim A_d - dim (Y u {x})_{d+1} +
     dim (Y)_{d+1}, and (Z . A_{d-1}) lies inside the colon.  The first
     failing witness (Y, x, d) is reported; whether Z is spanned by variables
@@ -576,15 +578,9 @@ def check_strongly_koszul(algebra, check_to=4, subset_bound=None, extra_subsets=
     n = algebra.n
     fld = algebra.field
     report = CheckReport("strongly-koszul", True)
-    if subset_bound is None:
-        subset_bound = n if n <= 10 else 2
-    subsets = []
-    for size in range(0, min(subset_bound, n) + 1):
-        subsets.extend(frozenset(c) for c in combinations(range(n), size))
-    for extra in extra_subsets:
-        fs = frozenset(extra)
-        if fs not in subsets:
-            subsets.append(fs)
+    max_size = n if n <= 10 else 2
+    subsets = [frozenset(c) for size in range(max_size + 1)
+               for c in combinations(range(n), size)]
 
     first_witness = None
     var_rows = {j: list(algebra.var(j).coords) for j in range(n)}

@@ -32,8 +32,6 @@ from itertools import compress
 
 import numpy as np
 
-from .errors import MismatchedAmbient
-
 # int64 products p^2 * n_cols must stay below 2**63 during elimination
 MAX_PRIME = 1 << 20
 
@@ -463,9 +461,6 @@ class Subspace:
             return None
         return coeffs
 
-    def contains_space(self, other):
-        return all(self.contains(r) for r in other.rows)
-
 
 def echelonize(field, rows, ncols):
     """Reduced row echelon form with rank, pivot columns and kernel.
@@ -533,75 +528,22 @@ def matmul(field, a, b, bcols):
     return out
 
 
-def intersect_subspaces(spaces, ambient_dim=None, field=None):
-    """Canonical echelon basis of the intersection of the given subspaces.
+def solve_columns(field, rows, ncols, targets):
+    """Canonical solutions w of rows . w = t, one per target column t.
 
-    The intersection of an empty list is the full ambient space, so
-    ambient_dim and field are required in that case.
-
-    Raises:
-        MismatchedAmbient: if the ambient dimensions differ.
+    rows is a matrix with ncols columns and each target has one entry per
+    row.  One elimination of [rows | targets] serves every target.  Each
+    solution is the unique one whose free coordinates (non-pivot unknowns)
+    are zero: same input, same witness.  Returns (solutions, None), or
+    (None, k) when target k is the first without a solution.
     """
-    spaces = list(spaces)
-    if not spaces:
-        if ambient_dim is None or field is None:
-            raise MismatchedAmbient("empty intersection needs an explicit ambient and field")
-        return Subspace.full(field, ambient_dim)
-    ambient = spaces[0].ambient
-    field = spaces[0].field
-    for s in spaces[1:]:
-        if s.ambient != ambient or s.field != field:
-            raise MismatchedAmbient(f"ambient {s.ambient} != {ambient}")
-    if ambient_dim is not None and ambient_dim != ambient:
-        raise MismatchedAmbient(f"ambient {ambient} != requested {ambient_dim}")
-    acc = spaces[0]
-    for s in spaces[1:]:
-        acc = _intersect_pair(acc, s)
-    return acc
-
-
-def _intersect_pair(u, w):
-    field, ambient = u.field, u.ambient
-    if u.dim == ambient:
-        return w
-    if w.dim == ambient:
-        return u
-    if u.dim == 0 or w.dim == 0:
-        return Subspace.zero(field, ambient)
-    # v in both spans iff v = cu . U = cw . W; solve for (cu, cw) in the
-    # kernel of the stacked transpose [U^T | -W^T]
-    stacked = []
-    for c in range(ambient):
-        row = [r[c] for r in u.rows] + [field.neg(r[c]) for r in w.rows]
-        stacked.append(row)
-    ker = kernel(field, stacked, u.dim + w.dim)
-    combos = [krow[: u.dim] for krow in ker.rows]
-    rows = matmul(field, combos, u.rows, ambient)
-    return Subspace.from_rows(field, rows, ambient)
-
-
-def solve_membership(field, target, generator_rows):
-    """Canonical expression of target over the span of generator_rows.
-
-    Returns the unique coefficient vector whose free coordinates (non-pivot
-    unknowns, in generator order) are zero, or None when target is outside
-    the row span.  Same input, same witness: the choice is deterministic.
-    """
-    gens = list(generator_rows)
-    ngens = len(gens)
-    if not any(target):
-        return [field.zero] * ngens
-    if ngens == 0:
-        return None
-    ambient = len(target)
-    aug = []
-    for c in range(ambient):
-        aug.append([row[c] for row in gens] + [target[c]])
-    rref, pivots = field.rref(aug, ngens + 1)
-    if ngens in pivots:
-        return None
-    coeffs = [field.zero] * ngens
+    aug = [list(row) + [t[r] for t in targets] for r, row in enumerate(rows)]
+    rref, pivots = field.rref(aug, ncols + len(targets))
+    sols = [[field.zero] * ncols for _ in targets]
     for r, c in enumerate(pivots):
-        coeffs[c] = rref[r][ngens]
-    return coeffs
-
+        if c >= ncols:
+            # a pivot inside the target block: that target is inconsistent
+            return None, c - ncols
+        for k, sol in enumerate(sols):
+            sol[c] = rref[r][ncols + k]
+    return sols, None

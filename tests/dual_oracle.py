@@ -1,0 +1,113 @@
+"""Independent cross-checks of the quadratic dual components.
+
+The degree-l dual component is the intersection of the embeddings
+V^(x j) (x) R (x) V^(x l-2-j) of the tensor relation space R.  A vector lies in
+one embedding iff it pairs to zero with V*^(x j) (x) R^perp (x) V*^(x l-2-j),
+so the intersection is the kernel of all those annihilator rows at once:
+annihilator_component() builds them and takes one kernel per degree.  It
+shares no code with the block-by-block recursion of QuadraticDual.component
+(no comp(l-1), no normal-form constraints on the leading pair).
+
+The degree-2 helpers check component(2) against the presentation of the dual
+algebra by excluded-pair words: the rewriting rules of the basis-pair words,
+and the basis of component(2) dual to the excluded-pair word classes.
+"""
+
+from koszulcone.linalg import kernel, matmul
+
+
+def annihilator_component(D, l):
+    """comp(l) of the QuadraticDual D as the kernel of the stacked annihilators.
+
+    R^perp is the kernel of the relation space rows in V (x) V.  For every
+    slot pair (j, j+1), prefix index and suffix index, each w in R^perp gives
+    the row pairing w with a tensor at those two slots.
+    """
+    fld, n = D.field, D.n
+    perp = kernel(fld, D.relation_space.rows, n * n).rows
+    rows = []
+    for j in range(l - 1):
+        right = n ** (l - 2 - j)
+        for w in perp:
+            entries = [(a * n + b, x) for a in range(n) for b in range(n)
+                       if (x := w[a * n + b])]
+            for a_pre in range(n ** j):
+                for b_post in range(right):
+                    # int zeros: both fields eliminate ints, and over QQ
+                    # they are cheaper to read than Fraction(0)
+                    row = [0] * (n ** l)
+                    for ab, x in entries:
+                        row[(a_pre * n * n + ab) * right + b_post] = x
+                    rows.append(row)
+    return kernel(fld, rows, n ** l)
+
+
+def pair_expansion(A, a, b):
+    """Normal-form coordinates of x_a x_b indexed by chosen pairs (any order)."""
+    spairs = A.basis_pairs()
+    nf = A.monomial_element(A.pair_monomial(a, b)).coords
+    return {spairs[k]: c for k, c in enumerate(nf) if c}
+
+
+def deg2_relations(D):
+    """Rewriting of each basis-pair word over the excluded-pair dual basis.
+
+    For a chosen pair (s,t) the degree-2 dual algebra satisfies
+    x_s^* x_t^* = sum over excluded ordered (u,v) of -(expansion of x_u x_v
+    at x_s x_t) x_u^* x_v^*.  Zero coefficients are omitted.
+    """
+    A = D.algebra
+    out = {}
+    for (s, t) in A.basis_pairs():
+        rewr = {}
+        for (u, v) in D.ordered_excluded_pairs():
+            f = pair_expansion(A, u, v).get((s, t))
+            if f:
+                rewr[(u, v)] = D.field.neg(f)
+        out[(s, t)] = rewr
+    return out
+
+
+def deg2_labeled_duals(D):
+    """Basis of component(2) dual to the excluded-pair word classes.
+
+    Returns (labels, rows): labels[i] is the ordered pair (u, v) and
+    rows[i] the unique tensor in the relation space pairing to the
+    indicator of that pair on excluded-pair coordinates.
+    """
+    fld, n = D.field, D.n
+    comp = D.component(2)
+    labels = D.ordered_excluded_pairs()
+    positions = [u * n + v for (u, v) in labels]
+    restricted = [[row[p] for p in positions] for row in comp.rows]
+    inv = _invert(fld, restricted)
+    rows = matmul(fld, inv, comp.rows, n * n)
+    return labels, rows
+
+
+def deg2_consistency(D):
+    """Check the degree-2 presentation against the subspace realization."""
+    n, fld = D.n, D.field
+    comp = D.component(2)
+    if comp.dim != len(D.ordered_excluded_pairs()):
+        return False
+    rels = deg2_relations(D)
+    for q in comp.rows:
+        for (s, t), rewr in rels.items():
+            acc = q[s * n + t]
+            for (u, v), c in rewr.items():
+                acc = fld.sub(acc, fld.mul(c, q[u * n + v]))
+            if acc != fld.zero:
+                return False
+    return True
+
+
+def _invert(fld, rows):
+    m = len(rows)
+    aug = [list(r) + [fld.one if j == i else fld.zero for j in range(m)]
+           for i, r in enumerate(rows)]
+    rref, pivots = fld.rref(aug, 2 * m)
+    if pivots[:m] != list(range(m)):
+        rk = sum(1 for c in pivots if c < m)
+        raise ValueError(f"{m} x {m} matrix to invert has rank {rk}")
+    return [row[m:] for row in rref]

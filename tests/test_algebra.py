@@ -5,7 +5,7 @@ import pytest
 
 from koszulcone.algebra import GradedAlgebra, RingPresentation, monomials_of_degree
 from koszulcone.errors import DegreeOverflow, ElementMismatch
-from koszulcone.linalg import GF, QQ, rank, solve_membership
+from koszulcone.linalg import GF, QQ, rank, solve_columns, transpose
 
 F101 = GF(101)
 
@@ -260,8 +260,9 @@ def greedy_reference(presentation, d):
                             f"is dependent in degree {d}; skipped")
     nf = {}
     for m in mons:
-        sol = solve_membership(fld, unit(m), [unit(b) for b in basis] + relations)
-        nf[m] = tuple(sol[:len(basis)])
+        gens = [unit(b) for b in basis] + relations
+        sols, _ = solve_columns(fld, transpose(gens, len(mons)), len(gens), [unit(m)])
+        nf[m] = tuple(sols[0][:len(basis)])
     return basis, nf, warnings
 
 

@@ -67,6 +67,61 @@ def test_round_trip_all_fixtures():
         assert again == js, path.name
 
 
+
+def random_ring_text(rng, field):
+    """Ring file text with random relations (signed terms, optional
+    coefficients, fractional ones over QQ), preferred monomials and ideal."""
+    n = rng.randint(1, 4)
+    names = [f"v{i}" for i in range(1, n + 1)]
+
+    def mono(deg):
+        exp = [0] * n
+        for _ in range(deg):
+            exp[rng.randrange(n)] += 1
+        return "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, exp) if e)
+
+    def term(first):
+        sign = rng.choice(("-", "") if first else ("-", "+"))
+        coeff = str(rng.randint(1, 250))
+        if field == "q" and rng.random() < 0.5:
+            coeff += f"/{rng.randint(1, 12)}"
+        return f"{sign} {coeff + '*' if rng.random() < 0.7 else ''}{mono(2)}"
+
+    lines = [f"field {field}", "vars " + " ".join(names)]
+    for _ in range(rng.randint(0, 3)):
+        lines.append("rel " + " ".join(term(k == 0) for k in range(rng.randint(1, 3))))
+    if rng.random() < 0.5:
+        lines.append("prefer " + ", ".join(mono(2) for _ in range(rng.randint(1, 2))))
+    lines.append("ideal " + ", ".join(mono(rng.randint(1, 3)) for _ in range(rng.randint(1, 3))))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("field", ["p=101", "p=2", "q"])
+def test_round_trip_random_ring_texts(field):
+    rng = random.Random(f"ring text {field}")
+    fractional = 0
+    for _ in range(60):
+        text = random_ring_text(rng, field)
+        js = parse_ring_text(text)
+        assert parse_ring_text(format_jobspec(js)) == js, text
+        fractional += any(getattr(c, "denominator", 1) != 1
+                          for rel in js.relations for c, _ in rel)
+    assert (fractional > 0) == (field == "q")
+
+
+@pytest.mark.parametrize("text", ["field p=101\nvars x y\nrel 1/2*x*y\n",
+                                  "field q\nvars x y\nrel x^2 - 1/0*x*y\n"],
+                         ids=["fraction-over-gf101", "zero-denominator-over-qq"])
+def test_bad_relation_coefficient_is_a_parse_error(text, tmp_path, capsys):
+    with pytest.raises(ParseError) as e:
+        parse_ring_text(text)
+    assert e.value.line == 3
+    ring = tmp_path / "bad.ring"
+    ring.write_text(text)
+    code, out, err = run_main(["dual", str(ring)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: bad coefficient ") and "(line 3, col 1)" in err
+
 def test_betti_command_spec_example(capsys):
     code, out, _ = run_main(
         ["betti", "--hmax", "3", str(FIXTURES / "md_squares_n3_d2.ring")], capsys
@@ -196,6 +251,26 @@ def test_bad_file_is_input_error(tmp_path, capsys):
     assert code == 2
     assert "line 3" in err
 
+
+
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_betti_refuses_an_ideal_without_linear_quotients(out, tmp_path, capsys):
+    # (x^2, y^2) in k[x, y]: the rank-sum formula would print only beta_0 = 2
+    # and miss the Koszul syzygy in degree 4
+    ring = tmp_path / "pure_squares.ring"
+    ring.write_text("field p=101\nvars x y\nideal x^2, y^2\n")
+    code, stdout, err = run_main(["betti", str(ring), "--out", out], capsys)
+    assert (code, stdout, err) == (
+        2, "", "input error: ideal does not have linear quotients to the checked degree\n")
+
+
+def test_resolve_export_to_an_unwritable_path_is_input_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_main(
+        ["resolve", str(FIXTURES / "hhr_example.ring"), "--export", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot write {target}: ")
+    assert not target.exists()
 
 def test_sym_relation_fixture_resolves(capsys):
     code, out, _ = run_main(

@@ -373,14 +373,16 @@ def test_closed_form_without_precheck_raises_on_broken_ordering():
         closed_form_resolution(md_squares(3, 2), 3, check_regular=False)
 
 
-def test_lifting_failure_on_inconsistent_system():
-    from koszulcone.complexes import _solve_many
+def test_lifting_failure_on_inconsistent_system(monkeypatch):
     from koszulcone.errors import LiftingFailure
-    from koszulcone.linalg import GF
+    from koszulcone.linalg import GF, solve_columns
     f = GF(101)
     mat = [[1, 0], [0, 0]]
-    with pytest.raises(LiftingFailure):
-        _solve_many(f, mat, 2, 2, [[0, 1]])
+    assert solve_columns(f, mat, 2, [[0, 1]]) == (None, 0)
+    # the lift turns an unsolvable target into LiftingFailure
+    monkeypatch.setattr(koszulcone.complexes, "solve_columns", lambda *args: (None, 0))
+    with pytest.raises(LiftingFailure, match="target column 0"):
+        iterated_mapping_cone(hhr_ideal(), 3)
 
 
 def test_characteristic_two_smoke():

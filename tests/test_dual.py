@@ -5,15 +5,21 @@ from math import comb
 import pytest
 
 from koszulcone.algebra import GradedAlgebra, RingPresentation
-from koszulcone.dual import QuadraticDual, _invert, left_ideal_contains, tensor_index
+from koszulcone.dual import QuadraticDual, left_ideal_contains, tensor_index
 from koszulcone.errors import (
     AmbientTooLarge,
     ClosureFailure,
     DimensionMismatch,
-    SingularMatrix,
 )
 from koszulcone.linalg import GF, QQ
 
+from dual_oracle import (
+    _invert,
+    annihilator_component,
+    deg2_consistency,
+    deg2_labeled_duals,
+    deg2_relations,
+)
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
 
 F101 = GF(101)
@@ -61,7 +67,7 @@ def test_recursion_matches_naive_intersection():
     for A in (poly_ring(3), squares_ring(2), sym_relation_ring(), hhr_ring()):
         D = dual_of(A)
         for l in (3, 4):
-            assert D.component(l) == D.naive_component(l)
+            assert D.component(l) == annihilator_component(D, l)
 
 
 def oracle_rings(field):
@@ -90,13 +96,14 @@ def oracle_rings(field):
 
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
 def test_block_step_matches_naive_intersection(field):
-    # component() builds comp(l) block by block from comp(l-1); the naive
-    # intersection of every embedding of the relation space is independent
+    # component() builds comp(l) block by block from comp(l-1); the
+    # intersection of every embedding of the relation space, taken as one
+    # kernel of their stacked annihilators, is independent
     dims = {}
     for name, pres in oracle_rings(field).items():
         D = QuadraticDual(GradedAlgebra(pres, 6))
         for l in range(6):
-            assert D.component(l) == D.naive_component(l), (name, l)
+            assert D.component(l) == annihilator_component(D, l), (name, l)
         dims[name] = tuple(D.component(l).dim for l in range(6))
     assert dims["all-quadrics"] == tuple(3 ** l for l in range(6))
     assert len({dims[f"random-{k}"] for k in range(10)}) > 1
@@ -215,7 +222,7 @@ def test_quotient_action_closure_first_slot():
 
 def test_deg2_relations_polynomial_ring():
     D = dual_of(poly_ring(2))
-    rels = D.deg2_relations()
+    rels = deg2_relations(D)
     assert rels[(0, 0)] == {}
     assert rels[(1, 1)] == {}
     assert rels[(0, 1)] == {(1, 0): 100}  # X0 X1 = -X1 X0
@@ -224,12 +231,12 @@ def test_deg2_relations_polynomial_ring():
 def test_deg2_relations_squares_ring():
     D = dual_of(squares_ring(2))
     assert D.ordered_excluded_pairs() == [(0, 0), (1, 0), (1, 1)]
-    assert D.deg2_relations() == {(0, 1): {(1, 0): 100}}
+    assert deg2_relations(D) == {(0, 1): {(1, 0): 100}}
 
 
 def test_deg2_relations_sym_ring():
     D = dual_of(sym_relation_ring())
-    rels = D.deg2_relations()
+    rels = deg2_relations(D)
     assert rels[(0, 1)][(0, 2)] == 1  # spec: coefficient +1 on x*_x x*_z
     assert rels[(0, 1)][(2, 0)] == 1
     assert rels[(0, 1)][(1, 0)] == 100
@@ -237,13 +244,13 @@ def test_deg2_relations_sym_ring():
 
 def test_deg2_consistency_all_rings():
     for A in (poly_ring(3), squares_ring(3), sym_relation_ring(), hhr_ring()):
-        assert dual_of(A).deg2_consistency()
+        assert deg2_consistency(dual_of(A))
 
 
 def test_deg2_labeled_duals_pairing():
     for A in (poly_ring(2), sym_relation_ring()):
         D = dual_of(A)
-        labels, rows = D.deg2_labeled_duals()
+        labels, rows = deg2_labeled_duals(D)
         n = A.n
         for i, (u, v) in enumerate(labels):
             for k, (u2, v2) in enumerate(labels):
@@ -254,7 +261,7 @@ def test_deg2_labeled_duals_pairing():
 def test_labeled_dual_contraction_sign():
     # dual of x1* x2* in the exterior algebra contracts to +-(dual of x1*)
     D = dual_of(poly_ring(2))
-    labels, rows = D.deg2_labeled_duals()
+    labels, rows = deg2_labeled_duals(D)
     f = rows[labels.index((1, 0))]
     img = D.contract(f, 2, 1, slot="first")
     assert img in ([1, 0], [100, 0])
@@ -382,9 +389,8 @@ def test_relation_space_dimension_is_checked(monkeypatch):
 
 
 def test_invert_refuses_a_singular_matrix():
-    with pytest.raises(SingularMatrix) as e:
+    with pytest.raises(ValueError, match=r"^3 x 3 matrix to invert has rank 2$"):
         _invert(F101, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
-    assert e.value.witness == (2, 3)
     assert _invert(F101, [[2, 0], [0, 1]]) == [[51, 0], [0, 1]]
 
 

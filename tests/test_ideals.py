@@ -278,10 +278,10 @@ def test_colon_sets_match_left_ideal_containment():
 def test_decomposition_support_guarantees_are_typed(breakage, monkeypatch):
     J = hhr_ideal()
     if breakage == "unsolvable":
-        monkeypatch.setattr(koszulcone.ideals, "solve_membership", lambda *args: None)
+        monkeypatch.setattr(koszulcone.ideals, "solve_columns", lambda *args: (None, 0))
     elif breakage == "zero-coefficient":
-        monkeypatch.setattr(koszulcone.ideals, "solve_membership",
-                            lambda fld, target, rows: [fld.zero] * len(rows))
+        monkeypatch.setattr(koszulcone.ideals, "solve_columns",
+                            lambda fld, rows, ncols, targets: ([[fld.zero] * ncols], None))
     else:
         monkeypatch.setattr(J, "contains", lambda element, prefix=None: True)
     with pytest.raises(DecompositionFailure) as e:

@@ -4,17 +4,15 @@ from fractions import Fraction
 import pytest
 
 from koszulcone import linalg
-from koszulcone.errors import MismatchedAmbient
 from koszulcone.linalg import (
     GF,
     QQ,
     Subspace,
     echelonize,
-    intersect_subspaces,
     kernel,
     matmul,
     rank,
-    solve_membership,
+    solve_columns,
     transpose,
 )
 
@@ -77,64 +75,34 @@ def test_rank_nullity():
             assert all(sum(r * x for r, x in zip(row, v)) % 101 == 0 for row in rows)
 
 
-def test_intersect_coordinate_subspaces():
-    s1 = Subspace.from_rows(F101, [unit(F101, 3, 0), unit(F101, 3, 1)], 3)
-    s2 = Subspace.from_rows(F101, [unit(F101, 3, 1), unit(F101, 3, 2)], 3)
-    got = intersect_subspaces([s1, s2])
-    assert got.rows == [unit(F101, 3, 1)]
+def solve_membership(field, target, gens):
+    """target over the span of the rows gens: solve_columns on the transpose."""
+    sols, _ = solve_columns(field, transpose(gens, len(target)), len(gens), [target])
+    return None if sols is None else sols[0]
 
 
-def test_intersect_single_space_is_identity():
-    s = Subspace.from_rows(F101, [[1, 2, 3], [0, 1, 4]], 3)
-    assert intersect_subspaces([s]) == s
-
-
-def test_intersect_transverse_lines():
-    s1 = Subspace.from_rows(F101, [[1, 1]], 2)
-    s2 = Subspace.from_rows(F101, [[1, 100]], 2)
-    assert intersect_subspaces([s1, s2]).dim == 0
-
-
-def test_intersect_empty_list_is_full():
-    full = intersect_subspaces([], ambient_dim=4, field=F101)
-    assert full.dim == 4
-
-
-def test_intersect_mismatched_ambient():
-    s1 = Subspace.from_rows(F101, [[1, 0]], 2)
-    s2 = Subspace.from_rows(F101, [[1, 0, 0]], 3)
-    with pytest.raises(MismatchedAmbient):
-        intersect_subspaces([s1, s2])
-
-
-def test_intersect_contained_in_inputs_random():
-    rng = random.Random(17)
-    for _ in range(15):
-        n = rng.randint(2, 6)
-        spaces = []
-        for _ in range(rng.randint(2, 3)):
-            rows = [[rng.randrange(101) for _ in range(n)] for _ in range(rng.randint(1, n))]
-            spaces.append(Subspace.from_rows(F101, rows, n))
-        inter = intersect_subspaces(spaces)
-        for s in spaces:
-            assert s.contains_space(inter)
-        # any random combination of the intersection basis lies in every input
-        if inter.dim:
-            combo = [0] * n
-            for row in inter.rows:
-                c = rng.randrange(101)
-                combo = [(a + c * b) % 101 for a, b in zip(combo, row)]
-            assert all(s.contains(combo) for s in spaces)
-        # converse: a sampled vector lying in every input lies in the result
-        first = spaces[0]
-        for _ in range(5):
-            v = [0] * n
-            for row in first.rows:
-                c = rng.randrange(101)
-                v = [(a + c * b) % 101 for a, b in zip(v, row)]
-            if all(s.contains(v) for s in spaces[1:]):
-                assert inter.contains(v)
-
+def test_solve_columns_batches_targets_and_names_the_first_unsolvable():
+    # one elimination serves every target, with the same canonical answers
+    # as one target at a time; a failure names the first unsolvable target
+    rng = random.Random(29)
+    for field in (F101, QQ):
+        for _ in range(20):
+            nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
+            rows = [[field.of(rng.randrange(-3, 4)) for _ in range(ncols)] for _ in range(nrows)]
+            targets = []
+            for _ in range(rng.randint(1, 4)):
+                w = [field.of(rng.randrange(-3, 4)) for _ in range(ncols)]
+                targets.append([sum((a * b for a, b in zip(row, w)), field.zero) for row in rows])
+            targets = [[field.of(x) for x in t] for t in targets]
+            sols, bad = solve_columns(field, rows, ncols, targets)
+            assert bad is None
+            assert sols == [solve_columns(field, rows, ncols, [t])[0][0] for t in targets]
+            for w, t in zip(sols, targets):
+                assert [field.of(sum((a * b for a, b in zip(row, w)), field.zero))
+                        for row in rows] == t
+    rows = [[1, 0], [0, 0], [0, 0]]
+    assert solve_columns(F101, rows, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (None, 1)
+    assert solve_columns(F101, rows, 2, [[3, 0, 0]]) == ([[3, 0]], None)
 
 def test_solve_membership_zero_target():
     gens = [[1, 0], [0, 1]]
@@ -258,11 +226,6 @@ def test_prime_field_results_are_python_ints():
     product = matmul(F101, rows, transpose(rows, 3), 2)
     for vec in rref + [residual, coeffs] + product:
         assert all(type(x) is int for x in vec)
-
-
-def test_intersect_empty_list_needs_a_field():
-    with pytest.raises(MismatchedAmbient):
-        intersect_subspaces([], ambient_dim=4)
 
 
 def _fraction_gauss_jordan(rows, ncols):
