@@ -127,6 +127,7 @@ def parse_ring_text(text, field_override=None):
     rel_lines = []
     preferred = []
     ideal = []
+    first_line = {}  # "field" and "vars" -> the line that set it
     if field_override is not None:
         try:
             field = QQ if field_override == "q" else GF(int(field_override))
@@ -139,6 +140,11 @@ def parse_ring_text(text, field_override=None):
             continue
         keyword, _, rest = line.partition(" ")
         rest = rest.strip()
+        if keyword in first_line:
+            raise ParseError(f"second {keyword!r} line (the first is line "
+                             f"{first_line[keyword]})", line_no, 1)
+        if keyword in ("field", "vars"):
+            first_line[keyword] = line_no
         if keyword == "field":
             got = None
             if rest == "q":

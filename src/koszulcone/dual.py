@@ -11,10 +11,10 @@ built block by block: the candidate e_i (x) b, for b in comp(l-1), is b in
 column block i of V^(x l) and zero elsewhere.  So the constraints from the
 degree-2 normal form on the two leading slots, and their kernel, are
 n * dim comp(l-1) columns wide, and the rows of comp(l) are blockwise
-products with comp(l-1); no n^l wide candidate row is written out.  What is
-still n^l wide is the stored component: its final canonical RREF runs on
-rows in V^(x l).  Quotient duals cut these down by annihilation conditions
-coming from left ideals generated by excluded dual variables.
+products with comp(l-1); no n^l wide candidate row is written out.  Quotient
+duals cut comp(l) down by annihilation conditions coming from left ideals
+generated by excluded dual variables.  _assemble writes out both kinds of
+component, and no elimination runs on rows of V^(x l): its rows are RREF.
 
 Slot conventions (fixed by the d.d = 0 calibration on polynomial rings and
 documented in the README): the module action f |-> f.x_j^* used by all
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch
-from .linalg import PrimeField, Subspace, kernel, matmul
+from .linalg import PrimeField, Subspace, kernel
 
 CALIBRATED_SLOT = "first"
 
@@ -129,17 +129,14 @@ class QuadraticDual:
         (t, r), sum_a nf2[t][i*n+a] * prev[kk][a*rest+r], with rest =
         n^(l-2).  The kernel C of these constraints (rows in ascending
         (t, r), all-zero rows dropped) spans comp(l), and block i of its row
-        d is sum_kk C[d][i*k+kk] * prev[kk], with k = dim comp(l-1).
+        d is sum_kk C[d][i*k+kk] * prev[kk], with k = dim comp(l-1) (_assemble).
         """
         fld, n = self.field, self.n
         prev = self.component(l - 1)
         if prev.dim == 0:
             return Subspace.zero(fld, n ** l)
         rows = _leading_pair_constraints(fld, self._nf2_matrix(), prev, n)
-        coeffs = kernel(fld, rows, n * prev.dim)
-        if coeffs.dim == 0:
-            return Subspace.zero(fld, n ** l)
-        return Subspace.from_rows(fld, _expand_blocks(fld, coeffs, prev, n), n ** l)
+        return _assemble(fld, kernel(fld, rows, n * prev.dim), prev, n ** l)
 
     # -- contractions and actions ---------------------------------------------
 
@@ -219,27 +216,39 @@ def _leading_pair_constraints(fld, nf2, prev, n):
     return [constraints[key] for key in sorted(constraints)]
 
 
-def _expand_blocks(fld, coeffs, prev, n):
-    """Rows of V^(x l) whose block i is sum_kk coeffs[d][i*k+kk] * prev[kk]."""
-    k, tail = prev.dim, prev.ambient
+def _assemble(fld, coeffs, basis, ambient):
+    """The span of coeffs over the block candidates of basis, as a Subspace.
+
+    Candidate c = i * basis.dim + kk is basis row kk placed in column block
+    i, each block basis.ambient wide (ambient // basis.ambient blocks); row d
+    of the result is sum_c coeffs[d][c] * candidate c.  No elimination runs:
+    basis is RREF, so candidate c is 1 at column P(c) = i * basis.ambient +
+    basis.pivots[kk], zero left of it and zero at every other candidate's
+    P, and P increases with c.  coeffs is RREF too, so row d is 1 at P of
+    its pivot, zero at P of every other coeffs pivot, and zero left of its
+    own P: the rows are the canonical RREF, with those pivots.
+    """
+    k, width = basis.dim, basis.ambient
+    pivots = [i * width + basis.pivots[kk] for i, kk in (divmod(c, k) for c in coeffs.pivots)]
     if isinstance(fld, PrimeField):
-        # each entry sums k = dim comp(l-1) products of residues below p, so
-        # it stays below k * p^2 < 2**63 while k < 2**23 (p <= MAX_PRIME)
-        c = coeffs._np_rows().reshape(coeffs.dim, n, k)
-        return ((c @ prev._np_rows()) % fld.char).reshape(coeffs.dim, n * tail).tolist()
+        # each entry sums k products of residues below p, so it stays below
+        # k * p^2 < 2**63 while k < 2**23 (p <= MAX_PRIME)
+        c = coeffs._np_rows().reshape(coeffs.dim, ambient // width, k)
+        rows = ((c @ basis._np_rows()) % fld.char).reshape(coeffs.dim, ambient).tolist()
+        return Subspace(fld, ambient, rows, pivots)
     zero = fld.zero
-    nonzeros = [[(pos, x) for pos, x in enumerate(b) if x] for b in prev.rows]
-    out = []
+    nonzeros = [[(pos, x) for pos, x in enumerate(b) if x] for b in basis.rows]
+    rows = []
     for crow in coeffs.rows:
-        row = [zero] * (n * tail)
+        row = [zero] * ambient
         for c, y in enumerate(crow):
             if y:
                 i, kk = divmod(c, k)
-                off = i * tail
+                off = i * width
                 for pos, x in nonzeros[kk]:
                     row[off + pos] += y * x
-        out.append(row)
-    return out
+        rows.append(row)
+    return Subspace(fld, ambient, rows, pivots)
 
 
 class QuotientDual:
@@ -264,9 +273,7 @@ class QuotientDual:
         fld, n = self.field, parent.n
         full = parent.component(l)
         excluded = sorted(set(range(n)) - self.allowed)
-        if l == 0 or not excluded:
-            comp = full
-        elif full.dim == 0:
+        if l == 0 or not excluded or full.dim == 0:
             comp = full
         else:
             constraints = {}
@@ -277,12 +284,7 @@ class QuotientDual:
                         if val:
                             constraints.setdefault((j, r), [fld.zero] * full.dim)[c] = val
             rows = [constraints[k] for k in sorted(constraints)]
-            coeffs = kernel(fld, rows, full.dim)
-            if coeffs.dim == 0:
-                comp = Subspace.zero(fld, n ** l)
-            else:
-                new_rows = matmul(fld, coeffs.rows, full.rows, n ** l)
-                comp = Subspace.from_rows(fld, new_rows, n ** l)
+            comp = _assemble(fld, kernel(fld, rows, full.dim), full, n ** l)
         self._components[l] = comp
         return comp
 

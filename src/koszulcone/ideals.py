@@ -4,12 +4,14 @@ A monomial ideal here is an ordered list of chosen-basis monomials of the
 ambient graded algebra.  All ideal-theoretic questions (membership, colon
 ideals, minimality of generators) are answered degreewise by exact linear
 algebra on the per-degree membership spaces span{monomial * generator}.
+Every product row is read from GradedAlgebra.multiplication_columns.
 
-The bounded colon checks compare dimensions only, and build no colon: m_i maps
-A_d onto (J_i / J_{i-1})_{d+e} (e = deg m_i) with kernel the colon, so
-dim (J_{i-1} : m_i)_d = dim A_d - dim (J_i)_{d+e} + dim (J_{i-1})_{d+e}
+One colon rule serves every bounded check, and no colon is built above degree
+1: m_i maps A_d onto (J_i / J_{i-1})_{d+e} (e = deg m_i) with kernel the colon,
+so dim (J_{i-1} : m_i)_d = dim A_d - dim (J_i)_{d+e} + dim (J_{i-1})_{d+e}
 (Herzog-Takayama, HHA 4, 2002); (Y) + (x) = (Y u {x}) gives the same identity
-for variable ideals.  The ideal generated by the degree-1 part of a colon lies
+for variable ideals, and J_{i-1} = 0 gives dim (0:m)_d = dim A_d - rank(m . A_d)
+for annihilators.  The ideal generated by the degree-1 part of a colon lies
 inside it, so equal dimensions mean equal spaces.
 
 The decomposition table realizes the coefficient functions v = sum_i c_i(v) m_i
@@ -25,7 +27,7 @@ from itertools import combinations
 
 from .dual import QuadraticDual, left_ideal_contains
 from .errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from .linalg import Subspace, kernel, solve_columns
+from .linalg import Subspace, kernel, rank, solve_columns
 
 __all__ = [
     "MonomialIdeal",
@@ -77,8 +79,8 @@ class CheckReport:
 
 def _variable_ideal_space(algebra, row_vectors, d):
     """Degree-d span of the ideal generated by degree-1 rows (as elements)."""
-    rows = [list(algebra.multiply(wel, algebra.monomial_element(mu)).coords)
-            for wel in (algebra.element(1, w) for w in row_vectors) for mu in algebra.basis(d - 1)]
+    rows = [col for w in row_vectors
+            for col in algebra.multiplication_columns(algebra.element(1, w), d - 1)]
     return Subspace.from_rows(algebra.field, rows, algebra.dim(d))
 
 
@@ -95,11 +97,7 @@ def _variable_ideal_dim(algebra, cache, row_vectors, d):
 
 def _colon_against_space(algebra, m_element, d, target_space):
     """{v in A_d : v * m lies in target_space}, target in degree d + deg m."""
-    cols = []
-    for mu in algebra.basis(d):
-        prod = algebra.multiply(algebra.monomial_element(mu), m_element)
-        residual, _ = target_space.reduce(list(prod.coords))
-        cols.append(residual)
+    cols = [target_space.reduce(prod)[0] for prod in algebra.multiplication_columns(m_element, d)]
     nrows = algebra.dim(d + m_element.degree)
     stacked = [[cols[c][r] for c in range(algebra.dim(d))] for r in range(nrows)]
     return kernel(algebra.field, [row for row in stacked if any(row)], algebra.dim(d))
@@ -176,11 +174,8 @@ class MonomialIdeal:
             space = self.membership_space(prefix - 1, d)
             gdeg = self.degs[prefix - 1]
             if gdeg <= d:
-                rows = list(space.rows)
                 gel = self.gen_elements[prefix - 1]
-                for mu in A.basis(d - gdeg):
-                    prod = A.multiply(A.monomial_element(mu), gel)
-                    rows.append(list(prod.coords))
+                rows = space.rows + A.multiplication_columns(gel, d - gdeg)
                 space = Subspace.from_rows(self.field, rows, A.dim(d))
         self._membership[key] = space
         return space
@@ -511,10 +506,7 @@ class DecompositionTable:
             d = v.degree
             cdeg = d - J.degs[j - 1]
             gel = J.gen_elements[j - 1]
-            multiples = [
-                list(A.multiply(A.monomial_element(mu), gel).coords)
-                for mu in A.basis(cdeg)
-            ]
+            multiples = A.multiplication_columns(gel, cdeg)
             prev = J.membership_space(j - 1, d)
             rows = multiples + list(prev.rows)
             # the unknowns are the coefficients of the rows: solve rows^T . c = v
@@ -556,10 +548,10 @@ def annihilator_vars(algebra, exp, check_to=0):
     deg1 = _colon_against_space(algebra, mel, 1, zero_target)
     report = {}
     for d in range(2, check_to + 1):
-        target = Subspace.zero(algebra.field, algebra.dim(d + mel.degree))
-        colon = _colon_against_space(algebra, mel, d, target)
-        span = _variable_ideal_space(algebra, deg1.rows, d)
-        report[d] = span.dim == colon.dim
+        # dim (0:m)_d = dim A_d - rank(m . A_d), and the span lies inside (0:m)_d
+        colon_dim = algebra.dim(d) - rank(algebra.field, algebra.multiplication_columns(mel, d),
+                                          algebra.dim(d + mel.degree))
+        report[d] = _variable_ideal_space(algebra, deg1.rows, d).dim == colon_dim
     return vars_, deg1, report
 
 
@@ -576,7 +568,6 @@ def check_strongly_koszul(algebra, check_to=4):
     is a per-pair diagnostic (the strict subset-of-variables reading).
     """
     n = algebra.n
-    fld = algebra.field
     report = CheckReport("strongly-koszul", True)
     max_size = n if n <= 10 else 2
     subsets = [frozenset(c) for size in range(max_size + 1)
@@ -593,7 +584,8 @@ def check_strongly_koszul(algebra, check_to=4):
                 continue
             z1 = _colon_against_space(algebra, algebra.var(x), 1, y2)
             zvars = sorted(j for j in range(n) if z1.contains(var_rows[j]))
-            vars_span = Subspace.from_rows(fld, [var_rows[j] for j in zvars], n).dim == z1.dim
+            # variable rows are distinct unit vectors of A_1, hence independent
+            vars_span = len(zvars) == z1.dim
             entry = {
                 "Y": sorted(Y), "x": x, "colon_degree1_dim": z1.dim,
                 "colon_vars": zvars, "variable_spanned": vars_span,

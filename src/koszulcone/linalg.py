@@ -507,27 +507,6 @@ def transpose(rows, ncols):
     return [[row[c] for row in rows] for c in range(ncols)]
 
 
-def matmul(field, a, b, bcols):
-    """Exact matrix product of row-lists a (m x k) and b (k x bcols)."""
-    if isinstance(field, PrimeField):
-        p = field.char
-        if not a or not b:
-            return [[0] * bcols for _ in a]
-        aa = np.array(a, dtype=np.int64) % p
-        bb = np.array(b, dtype=np.int64) % p
-        return ((aa @ bb) % p).tolist()
-    out = []
-    for row in a:
-        acc = [field.zero] * bcols
-        for x, brow in zip(row, b):
-            if x:
-                for j in range(bcols):
-                    if brow[j]:
-                        acc[j] = field.add(acc[j], field.mul(x, brow[j]))
-        out.append(acc)
-    return out
-
-
 def solve_columns(field, rows, ncols, targets):
     """Canonical solutions w of rows . w = t, one per target column t.
 

@@ -13,7 +13,7 @@ algebra by excluded-pair words: the rewriting rules of the basis-pair words,
 and the basis of component(2) dual to the excluded-pair word classes.
 """
 
-from koszulcone.linalg import kernel, matmul
+from koszulcone.linalg import kernel
 
 
 def annihilator_component(D, l):
@@ -81,7 +81,12 @@ def deg2_labeled_duals(D):
     positions = [u * n + v for (u, v) in labels]
     restricted = [[row[p] for p in positions] for row in comp.rows]
     inv = _invert(fld, restricted)
-    rows = matmul(fld, inv, comp.rows, n * n)
+    rows = []
+    for coeffs in inv:
+        row = [fld.zero] * (n * n)
+        for x, b in zip(coeffs, comp.rows):
+            row = [fld.add(acc, fld.mul(x, y)) for acc, y in zip(row, b)]
+        rows.append(row)
     return labels, rows
 
 

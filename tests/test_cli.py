@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import koszulcone
 from koszulcone import linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
 from koszulcone.errors import ParseError
@@ -58,6 +60,34 @@ def test_parse_errors_have_positions():
     assert e.value.line == 2
     with pytest.raises(ParseError):
         parse_ring_text("field p=10\nvars x\n")  # not prime
+
+
+@pytest.mark.parametrize("text, command, line, first", [
+    ("vars x y z\nrel z^2\nvars a\n", "dual", 3, 1),
+    ("vars x y z\nideal z\nvars a\n", "betti", 3, 1),
+    ("vars x y\nideal x\nvars y x\n", "resolve", 3, 1),
+    ("field p=101\nfield q\nvars x y\nrel 1/2*x*y\nideal x\n", "dual", 2, 1),
+], ids=["vars-after-rel", "vars-after-ideal", "vars-reordered", "field-twice"])
+def test_repeated_vars_or_field_line_is_a_parse_error(text, command, line, first,
+                                                      tmp_path, capsys):
+    with pytest.raises(ParseError) as e:
+        parse_ring_text(text)
+    assert e.value.line == line
+    ring = tmp_path / "twice.ring"
+    ring.write_text(text)
+    code, out, err = run_main([command, str(ring)], capsys)
+    assert (code, out) == (2, "")
+    keyword = text.splitlines()[line - 1].split()[0]
+    assert err == (f"input error: second {keyword!r} line (the first is line {first}) "
+                   f"(line {line}, col 1)\n")
+
+
+def test_field_override_ignores_the_one_field_line_but_not_a_second():
+    text = "field q\nvars x y\nrel x*y\nideal x\n"
+    assert parse_ring_text(text, field_override="7").field_char == 7
+    with pytest.raises(ParseError) as e:
+        parse_ring_text("field q\n" + text, field_override="7")
+    assert e.value.line == 2
 
 
 def test_round_trip_all_fixtures():
@@ -282,9 +312,13 @@ def test_sym_relation_fixture_resolves(capsys):
 
 
 def test_console_script_runs():
+    # the child imports the koszulcone this process imports, with or without
+    # a PYTHONPATH in the environment
+    src = str(Path(koszulcone.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "koszulcone.cli", "selftest"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "all checks passed" in proc.stdout

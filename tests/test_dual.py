@@ -1,17 +1,19 @@
 import random
 from itertools import combinations, combinations_with_replacement
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from koszulcone.algebra import GradedAlgebra, RingPresentation
+from koszulcone.cli import parse_ring_text
 from koszulcone.dual import QuadraticDual, left_ideal_contains, tensor_index
 from koszulcone.errors import (
     AmbientTooLarge,
     ClosureFailure,
     DimensionMismatch,
 )
-from koszulcone.linalg import GF, QQ
+from koszulcone.linalg import GF, QQ, Subspace
 
 from dual_oracle import (
     _invert,
@@ -94,6 +96,20 @@ def oracle_rings(field):
     return rings
 
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def oracle_algebras(field, cutoff=8):
+    """The n = 3 oracle rings (10 random quadratic ones among them) and every
+    fixture ring, over one field."""
+    out = {name: GradedAlgebra(pres, cutoff) for name, pres in oracle_rings(field).items()}
+    override = "q" if field == QQ else str(field.char)
+    for path in sorted(FIXTURES.glob("*.ring")):
+        js = parse_ring_text(path.read_text(), field_override=override)
+        out[path.stem] = GradedAlgebra(js.presentation(), cutoff)
+    return out
+
+
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
 def test_block_step_matches_naive_intersection(field):
     # component() builds comp(l) block by block from comp(l-1); the
@@ -107,6 +123,22 @@ def test_block_step_matches_naive_intersection(field):
         dims[name] = tuple(D.component(l).dim for l in range(6))
     assert dims["all-quadrics"] == tuple(3 ** l for l in range(6))
     assert len({dims[f"random-{k}"] for k in range(10)}) > 1
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_components_are_the_canonical_rref_of_their_rows(field):
+    # components are assembled without elimination; Subspace.from_rows of
+    # their own rows is the canonical form they must already be in
+    for name, A in oracle_algebras(field, cutoff=3).items():
+        D = QuadraticDual(A)
+        subsets = [frozenset(c) for k in range(A.n + 1) for c in combinations(range(A.n), k)]
+        for l in range(6):
+            comps = [D.component(l)] + [D.quotient(S).component(l) for S in subsets]
+            for S, comp in zip([None] + subsets, comps):
+                ref = Subspace.from_rows(field, comp.rows, comp.ambient)
+                assert (comp.rows, comp.pivots) == (ref.rows, ref.pivots), (name, l, S)
+                assert [list(map(type, r)) for r in comp.rows] == \
+                    [list(map(type, r)) for r in ref.rows], (name, l, S)
 
 
 def test_hhr_dual_dims_match_inverted_hilbert_series():

@@ -1,19 +1,16 @@
 import gc
 import random
-from pathlib import Path
 
 import pytest
 
 import koszulcone.ideals
-from koszulcone.algebra import GradedAlgebra
-from koszulcone.cli import parse_ring_text
 from koszulcone.errors import DecompositionFailure, NotInIdeal, NotMultigraded
 from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _variable_ideal_space,
                                annihilator_vars, check_strongly_koszul)
-from koszulcone.linalg import GF, QQ
+from koszulcone.linalg import GF, QQ, Subspace
 
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
-from test_dual import oracle_rings
+from test_dual import oracle_algebras
 
 F101 = GF(101)
 
@@ -296,20 +293,6 @@ def test_regular_ordering_mode_is_a_value_error():
 
 # -- colon dimensions against the kernel oracle -------------------------------
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-
-
-def oracle_algebras(field, cutoff=8):
-    """The dual tests' n = 3 oracle rings (10 random quadratic ones among them)
-    and every fixture ring, over one field."""
-    out = {name: GradedAlgebra(pres, cutoff) for name, pres in oracle_rings(field).items()}
-    override = "q" if field == QQ else str(field.char)
-    for path in sorted(FIXTURES.glob("*.ring")):
-        js = parse_ring_text(path.read_text(), field_override=override)
-        out[path.stem] = GradedAlgebra(js.presentation(), cutoff)
-    return out
-
-
 def random_ideal(A, rng):
     """Minimal generators of degree 2 and 3 in a random order within each degree."""
     cands = [m for d in (2, 3) for m in A.basis(d)]
@@ -426,3 +409,77 @@ def test_failing_ordering_witness_is_pinned(field, e):
         {"generator": 2, "colon_variables": [], "checked_to": 4, "linear": False,
          "fail_degree": e},
     ]
+
+
+# -- products against the plain multiply oracle ---------------------------------
+
+def product_rows(A, g, d):
+    """Rows of mu * g for the basis monomials mu of A_{d - deg g}, by multiply."""
+    return [list(A.multiply(A.monomial_element(mu), g).coords)
+            for mu in A.basis(d - g.degree)]
+
+
+def random_element(A, d, rng):
+    fld = A.field
+    return A.element(d, [fld.of(rng.randint(-3, 3)) for _ in range(A.dim(d))])
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_multiplication_columns_match_multiply(field):
+    rng = random.Random(7070 + getattr(field, "char", 0))
+    for name, A in oracle_algebras(field, cutoff=6).items():
+        for deg in (1, 2, 3):
+            for _ in range(2):
+                a = random_element(A, deg, rng)
+                for e in range(6 - deg + 1):
+                    cols = A.multiplication_columns(a, e)
+                    assert len(cols) == A.dim(e)
+                    for mu, col in zip(A.basis(e), cols):
+                        prod = A.multiply(A.monomial_element(mu), a).coords
+                        assert col == prod, (name, a, e, mu)
+                        assert list(map(type, col)) == list(map(type, prod))
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_membership_and_variable_ideal_spaces_match_product_oracle(field):
+    rng = random.Random(8080 + getattr(field, "char", 0))
+    cutoff = 6
+    for name, A in oracle_algebras(field, cutoff=cutoff).items():
+        for J in [random_ideal(A, rng) for _ in range(2)]:
+            for prefix in range(J.r + 1):
+                for d in range(cutoff + 1):
+                    rows = [row for g, gd in zip(J.gen_elements[:prefix], J.degs)
+                            if gd <= d for row in product_rows(A, g, d)]
+                    expected = Subspace.from_rows(field, rows, A.dim(d))
+                    got = J.membership_space(prefix, d)
+                    assert (got.rows, got.pivots) == (expected.rows, expected.pivots), \
+                        (name, J.gens, prefix, d)
+        n = A.n
+        subsets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(2)]
+        mixed = [[field.of(rng.randint(-3, 3)) for _ in range(n)] for _ in range(2)]
+        for rows1 in [var_rows(A, Y) for Y in subsets] + [mixed, mixed[:1]]:
+            for d in range(2, cutoff + 1):
+                rows = [row for w in rows1 for row in product_rows(A, A.element(1, w), d)]
+                assert _variable_ideal_space(A, rows1, d) == \
+                    Subspace.from_rows(field, rows, A.dim(d)), (name, rows1, d)
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_annihilator_reports_match_kernel_oracle(field):
+    # report[d] comes from dim A_d - rank(m . A_d); the oracle is the kernel of
+    # multiplication by m into the zero space
+    outcomes = set()
+    for name, A in oracle_algebras(field, cutoff=6).items():
+        for exp in list(A.basis(1)) + list(A.basis(2)):
+            mel = A.monomial_element(exp)
+            vars_, deg1, report = annihilator_vars(A, exp, check_to=4)
+            zero = [Subspace.zero(field, A.dim(d + mel.degree)) for d in range(5)]
+            assert deg1 == _colon_against_space(A, mel, 1, zero[1])
+            assert vars_ == {j for j in range(A.n) if deg1.contains(list(A.var(j).coords))}
+            assert sorted(report) == [2, 3, 4]
+            for d in (2, 3, 4):
+                kernel_dim = _colon_against_space(A, mel, d, zero[d]).dim
+                span_dim = _variable_ideal_space(A, deg1.rows, d).dim
+                assert report[d] == (span_dim == kernel_dim), (name, exp, d)
+                outcomes.add(report[d])
+    assert outcomes == {True, False}

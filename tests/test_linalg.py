@@ -4,13 +4,13 @@ from fractions import Fraction
 import pytest
 
 from koszulcone import linalg
+from koszulcone.dual import _assemble
 from koszulcone.linalg import (
     GF,
     QQ,
     Subspace,
     echelonize,
     kernel,
-    matmul,
     rank,
     solve_columns,
     transpose,
@@ -168,13 +168,6 @@ def test_rational_kernel_exact():
     assert ker.rows == [[Fraction(1), Fraction(-1, 2)]]
 
 
-def test_matmul_gf2_smoke():
-    f2 = GF(2)
-    a = [[1, 1], [0, 1]]
-    b = [[1, 0], [1, 1]]
-    assert matmul(f2, a, b, 2) == [[0, 1], [1, 1]]
-
-
 def test_subspace_coords_roundtrip():
     s = Subspace.from_rows(F101, [[1, 2, 3], [0, 1, 7]], 3)
     v = [(1 * a + 5 * b) % 101 for a, b in zip(s.rows[0], s.rows[1])]
@@ -222,9 +215,10 @@ def test_forward_rank_over_rationals():
 def test_prime_field_results_are_python_ints():
     rows = [[3, 5, 7], [2, 4, 100]]
     rref, _ = F101.rref(rows, 3)
+    basis = Subspace.from_rows(F101, rows, 3)
     residual, coeffs = Subspace.from_rows(F101, rows[:1], 3).reduce([1, 2, 3])
-    product = matmul(F101, rows, transpose(rows, 3), 2)
-    for vec in rref + [residual, coeffs] + product:
+    assembled = _assemble(F101, Subspace.full(F101, 4), basis, 6).rows
+    for vec in rref + [residual, coeffs] + assembled:
         assert all(type(x) is int for x in vec)
 
 
