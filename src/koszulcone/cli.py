@@ -80,19 +80,32 @@ def _parse_monomial(text, var_index, line_no, col):
     return tuple(exp)
 
 
+def _parse_monomial_list(keyword, text, var_index, line_no):
+    items = [m.strip() for m in text.split(",")]
+    if not all(items):
+        raise ParseError(f"empty item in {keyword} list", line_no, 1)
+    return [_parse_monomial(m, var_index, line_no, 1) for m in items]
+
+
 def _parse_relation(text, var_index, field, line_no):
-    # split into signed terms at top level
+    # split into signed terms at top level; the signs before a term multiply
     terms = []
     buf = ""
     sign = 1
-    for ch in text + "+":
+    for ch in text:
         if ch in "+-":
             if buf.strip():
                 terms.append((sign, buf.strip()))
-            sign = 1 if ch == "+" else -1
+                sign = 1
             buf = ""
+            if ch == "-":
+                sign = -sign
         else:
             buf += ch
+    if buf.strip():
+        terms.append((sign, buf.strip()))
+    elif terms:
+        raise ParseError("relation ends with a sign", line_no, 1)
     out = []
     for sgn, term in terms:
         parts = term.split("*")
@@ -174,13 +187,11 @@ def parse_ring_text(text, field_override=None):
         elif keyword == "prefer":
             if var_names is None:
                 raise ParseError("prefer before vars", line_no, 1)
-            preferred.extend(_parse_monomial(m.strip(), var_index, line_no, 1)
-                             for m in rest.split(",") if m.strip())
+            preferred.extend(_parse_monomial_list(keyword, rest, var_index, line_no))
         elif keyword == "ideal":
             if var_names is None:
                 raise ParseError("ideal before vars", line_no, 1)
-            ideal.extend(_parse_monomial(m.strip(), var_index, line_no, 1)
-                         for m in rest.split(",") if m.strip())
+            ideal.extend(_parse_monomial_list(keyword, rest, var_index, line_no))
         else:
             raise ParseError(f"unknown keyword {keyword!r}", line_no, 1)
     if var_names is None:

@@ -5,16 +5,18 @@ ranks) reduces to the operations here, so exactness is non-negotiable: prime
 field elements are Python ints kept in [0, p), rational entries are
 fractions.Fraction.  Matrices are plain lists of rows at the API boundary.
 
-Elimination over F_p has two kernels.  The matrices of monomial ideals
-(membership spaces, multiplication blocks, closed-form differentials, dual
-constraints) hold one or two nonzeros per row, so the first kernel runs
-Gauss-Jordan on dict rows {column: value} and touches nonzeros only.  Its
-work, the input's nonzero count plus one per entry updated, has a budget of
+Elimination has one sparse kernel for both fields and one dense fallback per
+field.  The matrices of monomial ideals (membership spaces, multiplication
+blocks, closed-form differentials, dual constraints) hold one or two nonzeros
+per row, so the sparse kernel runs Gauss-Jordan on dict rows {column: value}
+and touches nonzeros only: mod p over F_p, and over the rationals exactly, on
+ints while the entries are integral and on Fractions otherwise.  Its work,
+the input's nonzero count plus one per entry updated, has a budget of
 4 (nrows + ncols) + nrows ncols / 16.  A matrix that goes over it (a dense
 input by its nonzero count alone, before any elimination) is left to the
-second kernel, which eliminates column by column in numpy int64
-(products stay below 2**63 because p is capped) and returns Python ints
-through one tolist().  Elimination over the rationals stays on Python ints
+field's dense kernel.  Over F_p that kernel eliminates column by column in
+numpy int64 (products stay below 2**63 because p is capped) and returns
+Python ints through one tolist().  Over the rationals it stays on Python ints
 from input to answer: each row's denominators are cleared by their lcm,
 forward elimination is fraction-free (Bareiss), back-substitution is
 fraction-free on the integer echelon rows, and one Fraction is built per
@@ -28,16 +30,21 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, repeat
+from operator import is_not
 
 import numpy as np
 
 # int64 products p^2 * n_cols must stay below 2**63 during elimination
 MAX_PRIME = 1 << 20
 
-# scale of the sparse kernel's work budget (see PrimeField.rref); 0 sends
-# every nonzero matrix to the dense kernel
+# scale of the sparse kernel's work budget (see _work_budget), for both
+# fields; 0 sends every nonzero matrix to the field's dense kernel
 SPARSE_WORK_SCALE = 1
+
+# the zero of the rationals, shared so that the sparse kernel's row scan skips
+# it by identity, without a Python-level Fraction.__bool__ call per cell
+_ZERO = Fraction(0)
 
 
 def _is_prime(p):
@@ -113,38 +120,37 @@ class PrimeField:
     def rref(self, rows, ncols, reduced=True):
         """(rref_rows, pivot_columns); rref_rows is None when not reduced.
 
-        Runs the sparse Gauss-Jordan kernel while its work (the input's
-        nonzero count plus one per entry updated) stays within
-        SPARSE_WORK_SCALE * (4 (nrows + ncols) + nrows ncols // 16), and the
-        dense numpy kernel otherwise.  Both return the unique RREF, so the
-        answer does not depend on the kernel.
+        Runs the sparse Gauss-Jordan kernel while its work stays within
+        _work_budget, and the dense numpy kernel otherwise.  Both return the
+        unique RREF, so the answer does not depend on the kernel.
         """
         if not rows:
             return [], []
         p = self.char
-        nrows = len(rows)
-        budget = SPARSE_WORK_SCALE * (4 * (nrows + ncols) + nrows * ncols // 16)
-        found = _sparse_rref(rows, ncols, p, budget)
+        found = _sparse_rref(rows, ncols, p, _work_budget(len(rows), ncols))
         if found is None:
             return _dense_rref(rows, ncols, p, reduced)
-        pivots = sorted(found)
-        if not reduced:
-            return None, pivots
-        out = []
-        for c in pivots:
-            row = [0] * ncols
-            row[c] = 1
-            for j, v in found[c].items():
-                row[j] = v
-            out.append(row)
-        return out, pivots
+        return _rows_of(found, ncols, reduced, 0, 1, int)
+
+
+def _work_budget(nrows, ncols):
+    """Work the sparse kernel may do (the input's nonzero count plus one per
+    entry updated) before the matrix goes to the field's dense kernel."""
+    return SPARSE_WORK_SCALE * (4 * (nrows + ncols) + nrows * ncols // 16)
 
 
 def _sparse_rref(rows, ncols, p, budget):
-    """Gauss-Jordan over F_p on dict rows; None once the work exceeds budget.
+    """Gauss-Jordan on dict rows, over F_p when p is a prime and over the
+    rationals when p is 0; None once the work exceeds budget.
 
-    The nonzero count is checked first, so a dense input costs one count
-    per row and builds no dict rows.
+    Over F_p entries are reduced mod p, and the input's nonzeros are counted
+    first: int zeros compare in C, so a dense input costs one count per row
+    and builds no dict rows.  Over the rationals entries are exact: integral
+    ones are read as ints (so unit pivots keep the arithmetic on ints), the
+    others stay Fractions, and a pivot f is inverted as 1 / Fraction(f).
+    Counting Fraction zeros would call Python per cell, so the dict rows are
+    built one at a time instead, until their nonzeros exceed the budget, and
+    the shared zero _ZERO is skipped by identity.
 
     Returns {pivot column: {column: value}} holding each reduced row without
     its pivot entry (which is 1).  The pivot rows stay in RREF throughout:
@@ -155,16 +161,29 @@ def _sparse_rref(rows, ncols, p, budget):
     rows nonzero there).
     """
     work = 0
-    for row in rows:
-        work += len(row) - row.count(0)
-        if work > budget:
-            return None
     sparse = []
     cols = range(ncols)
-    for row in rows:
-        r = {j: v for j in compress(cols, row) if (v := row[j] % p)}
-        if r:
-            sparse.append(r)
+    if p:
+        for row in rows:
+            work += len(row) - row.count(0)
+            if work > budget:
+                return None
+        for row in rows:
+            r = {j: v for j in compress(cols, row) if (v := row[j] % p)}
+            if r:
+                sparse.append(r)
+    else:
+        for row in rows:
+            r = {}
+            for j in compress(cols, map(is_not, row, repeat(_ZERO))):
+                v = row[j]
+                if v:
+                    r[j] = v.numerator if v.denominator == 1 else v
+            work += len(r)
+            if work > budget:
+                return None
+            if r:
+                sparse.append(r)
     piv = {}
     holders = {}
     for r in sparse:
@@ -173,7 +192,9 @@ def _sparse_rref(rows, ncols, p, budget):
             tail = piv[c]
             work += len(tail)
             for j, v in tail.items():
-                x = (r.get(j, 0) - f * v) % p
+                x = r.get(j, 0) - f * v
+                if p:
+                    x %= p
                 if x:
                     r[j] = x
                 else:
@@ -185,8 +206,14 @@ def _sparse_rref(rows, ncols, p, budget):
         c0 = min(r)
         f = r.pop(c0)
         if f != 1:
-            inv = pow(f, p - 2, p)
-            r = {j: v * inv % p for j, v in r.items()}
+            if p:
+                inv = pow(f, p - 2, p)
+                r = {j: v * inv % p for j, v in r.items()}
+            else:
+                inv = 1 / Fraction(f)
+                if inv.denominator == 1:
+                    inv = inv.numerator
+                r = {j: v * inv for j, v in r.items()}
         earlier = holders.pop(c0, ())
         for j in r:
             holders.setdefault(j, set()).add(c0)
@@ -195,7 +222,9 @@ def _sparse_rref(rows, ncols, p, budget):
             f = tail.pop(c0)
             work += len(r)
             for j, v in r.items():
-                x = (tail.get(j, 0) - f * v) % p
+                x = tail.get(j, 0) - f * v
+                if p:
+                    x %= p
                 if x:
                     if j not in tail:
                         holders[j].add(c)
@@ -209,6 +238,22 @@ def _sparse_rref(rows, ncols, p, budget):
         if len(piv) == ncols:
             break
     return piv
+
+
+def _rows_of(found, ncols, reduced, zero, one, entry):
+    """(rref_rows, pivot_columns) of the sparse kernel's answer, each entry
+    written as entry(value)."""
+    pivots = sorted(found)
+    if not reduced:
+        return None, pivots
+    out = []
+    for c in pivots:
+        row = [zero] * ncols
+        row[c] = one
+        for j, v in found[c].items():
+            row[j] = entry(v)
+        out.append(row)
+    return out, pivots
 
 
 def _dense_rref(rows, ncols, p, reduced):
@@ -241,8 +286,10 @@ def _dense_rref(rows, ncols, p, reduced):
 class RationalField:
     """Exact rational arithmetic on fractions.Fraction.
 
-    rref eliminates on Python ints (Bareiss forward, fraction-free
-    back-substitution) and builds one Fraction per output entry.
+    rref runs the sparse kernel shared with F_p, exactly, and falls back to
+    fraction-free elimination on Python ints (Bareiss forward, fraction-free
+    back-substitution) for a matrix over its work budget.  Either way the
+    reduced rows hold Fractions only.
     """
 
     char = 0
@@ -258,7 +305,7 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return _ZERO
 
     @property
     def one(self):
@@ -292,41 +339,55 @@ class RationalField:
         return Fraction(s)
 
     def rref(self, rows, ncols, reduced=True):
+        """(rref_rows, pivot_columns) with Fraction entries; rref_rows is None
+        when not reduced.
+
+        Runs the sparse Gauss-Jordan kernel while its work stays within
+        _work_budget, and the Bareiss kernel otherwise.  Both return the
+        unique RREF, so the answer does not depend on the kernel.
+        """
         if not rows:
             return [], []
-        # clear denominators row by row (row spans are unchanged); ints and
-        # Fractions both carry numerator and denominator
-        work = []
-        for row in rows:
-            lcm = math.lcm(*[x.denominator for x in row])
-            if lcm == 1:
-                work.append([x.numerator for x in row])
-            else:
-                work.append([x.numerator * (lcm // x.denominator) for x in row])
-        echelon, pivots = _bareiss_forward(work, ncols)
-        if not reduced:
-            return None, pivots
-        # fraction-free back-substitution: clear every pivot column above its
-        # pivot, keeping each updated row primitive
-        for k in range(len(pivots) - 1, 0, -1):
-            c = pivots[k]
-            low = echelon[k]
-            lead = low[c]
-            for i in range(k):
-                row = echelon[i]
-                f = row[c]
-                if f:
-                    s = pivots[i]
-                    new = [lead * a - f * b for a, b in zip(row[s:], low[s:])]
-                    g = math.gcd(*new)
-                    if g != 1:
-                        new = [a // g for a in new]
-                    echelon[i] = row[:s] + new
-        zero = Fraction(0)
-        return [
-            [Fraction(a, row[c]) if a else zero for a in row]
-            for row, c in zip(echelon, pivots)
-        ], pivots
+        found = _sparse_rref(rows, ncols, 0, _work_budget(len(rows), ncols))
+        if found is None:
+            return _bareiss_rref(rows, ncols, reduced)
+        return _rows_of(found, ncols, reduced, _ZERO, Fraction(1), Fraction)
+
+
+def _bareiss_rref(rows, ncols, reduced):
+    """The dense rational kernel, on Python ints from input to answer."""
+    # clear denominators row by row (row spans are unchanged); ints and
+    # Fractions both carry numerator and denominator
+    work = []
+    for row in rows:
+        lcm = math.lcm(*[x.denominator for x in row])
+        if lcm == 1:
+            work.append([x.numerator for x in row])
+        else:
+            work.append([x.numerator * (lcm // x.denominator) for x in row])
+    echelon, pivots = _bareiss_forward(work, ncols)
+    if not reduced:
+        return None, pivots
+    # fraction-free back-substitution: clear every pivot column above its
+    # pivot, keeping each updated row primitive
+    for k in range(len(pivots) - 1, 0, -1):
+        c = pivots[k]
+        low = echelon[k]
+        lead = low[c]
+        for i in range(k):
+            row = echelon[i]
+            f = row[c]
+            if f:
+                s = pivots[i]
+                new = [lead * a - f * b for a, b in zip(row[s:], low[s:])]
+                g = math.gcd(*new)
+                if g != 1:
+                    new = [a // g for a in new]
+                echelon[i] = row[:s] + new
+    return [
+        [Fraction(a, row[c]) if a else _ZERO for a in row]
+        for row, c in zip(echelon, pivots)
+    ], pivots
 
 
 def _bareiss_forward(m, ncols):
@@ -381,7 +442,7 @@ class Subspace:
     subspaces is equality of basis rows.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_np")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_np", "_nonzeros")
 
     def __init__(self, field, ambient, rows, pivots):
         self.field = field
@@ -389,6 +450,7 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self._np = None
+        self._nonzeros = None
 
     @classmethod
     def from_rows(cls, field, rows, ambient):
@@ -425,6 +487,12 @@ class Subspace:
             self._np = np.array(self.rows, dtype=np.int64)
         return self._np
 
+    def _nonzero_rows(self):
+        """Each basis row as its list of (column, nonzero entry) pairs."""
+        if self._nonzeros is None:
+            self._nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in self.rows]
+        return self._nonzeros
+
     def reduce(self, vec):
         """Reduce vec modulo the basis rows.
 
@@ -441,13 +509,14 @@ class Subspace:
             if coeffs.any():
                 v = (v - coeffs @ self._np_rows()) % p
             return v.tolist(), coeffs.tolist()
-        v = list(vec)
-        coeffs = []
-        for row, c in zip(self.rows, self.pivots):
-            f = v[c]
-            coeffs.append(f)
+        # the coefficients are read off vec, because every other basis row is
+        # zero at a row's pivot; entries become Fractions like the basis rows
+        v = [a if type(a) is Fraction else Fraction(a) for a in vec]
+        coeffs = [v[c] for c in self.pivots]
+        for f, row in zip(coeffs, self._nonzero_rows()):
             if f:
-                v = [a - f * b for a, b in zip(v, row)]
+                for j, b in row:
+                    v[j] -= f * b
         return v, coeffs
 
     def contains(self, vec):

@@ -152,6 +152,46 @@ def test_bad_relation_coefficient_is_a_parse_error(text, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("input error: bad coefficient ") and "(line 3, col 1)" in err
 
+@pytest.mark.parametrize("text, same_as", [
+    ("rel x^2 - - y^2", "rel x^2 + y^2"),
+    ("rel x^2 + - y^2", "rel x^2 - y^2"),
+    ("rel - -x^2 - + - 1/2*y^2", "rel x^2 + 1/2*y^2"),
+], ids=["minus-minus", "plus-minus", "leading-and-triple"])
+def test_consecutive_signs_multiply(text, same_as, tmp_path, capsys):
+    head = "field q\nvars x y\n"
+    js = parse_ring_text(head + text + "\nideal x\n")
+    assert js == parse_ring_text(head + same_as + "\nideal x\n")
+    outs = []
+    for rel in (text, same_as):
+        ring = tmp_path / "signs.ring"
+        ring.write_text(head + rel + "\nideal x\n")
+        outs.append(run_main(["dual", str(ring), "--hmax", "2", "--out", "json"], capsys))
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
+@pytest.mark.parametrize("line, message", [
+    ("rel x^2 +", "relation ends with a sign"),
+    ("rel x^2 - y^2 -", "relation ends with a sign"),
+    ("ideal x,,y", "empty item in ideal list"),
+    ("ideal x,", "empty item in ideal list"),
+    ("ideal", "empty item in ideal list"),
+    ("prefer x*y,,y^2", "empty item in prefer list"),
+    ("prefer x*y,", "empty item in prefer list"),
+], ids=["trailing-plus", "trailing-minus", "ideal-inner", "ideal-trailing", "ideal-bare",
+        "prefer-inner", "prefer-trailing"])
+def test_dangling_sign_or_empty_list_item_is_a_parse_error(line, message, tmp_path, capsys):
+    text = f"field q\nvars x y\n{line}\n"
+    if not line.startswith("ideal"):
+        text += "ideal x\n"
+    with pytest.raises(ParseError) as e:
+        parse_ring_text(text)
+    assert e.value.line == 3
+    ring = tmp_path / "bad.ring"
+    ring.write_text(text)
+    code, out, err = run_main(["dual", str(ring)], capsys)
+    assert (code, out, err) == (2, "", f"input error: {message} (line 3, col 1)\n")
+
+
 def test_betti_command_spec_example(capsys):
     code, out, _ = run_main(
         ["betti", "--hmax", "3", str(FIXTURES / "md_squares_n3_d2.ring")], capsys
@@ -597,29 +637,35 @@ def generic_ring_text(seed, n, nrels):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("ring", ["sym_relation", "generic4"])
-def test_both_elimination_kernels_give_the_same_cli_bytes(ring, tmp_path, capsys, monkeypatch):
-    # SPARSE_WORK_SCALE 0 eliminates every nonzero GF(p) matrix in the dense
-    # kernel, 10**12 every one in the sparse kernel; 1 is the budget rule
+@pytest.mark.parametrize("ring, field", [
+    ("sym_relation", "101"), ("generic4", "101"), ("sym_relation", "q"), ("generic4", "q"),
+], ids=["sym_relation", "generic4", "sym_relation-q", "generic4-q"])
+def test_both_elimination_kernels_give_the_same_cli_bytes(ring, field, tmp_path, capsys,
+                                                          monkeypatch):
+    # SPARSE_WORK_SCALE 0 eliminates every nonzero matrix in the field's
+    # dense kernel (numpy over GF(101), Bareiss over QQ), 10**12 every one in
+    # the sparse kernel; 1 is the budget rule
     if ring == "sym_relation":
         path = FIXTURES / "sym_relation.ring"
     else:
         path = tmp_path / "generic4.ring"
         path.write_text(generic_ring_text(0, 4, 3))
     dense_calls = []
-    dense = linalg._dense_rref
+    name = "_dense_rref" if field == "101" else "_bareiss_rref"
+    dense = getattr(linalg, name)
 
     def counting(*args):
         dense_calls.append(1)
         return dense(*args)
 
-    monkeypatch.setattr(linalg, "_dense_rref", counting)
+    monkeypatch.setattr(linalg, name, counting)
     outputs, used = {}, {}
     for scale in (0, 1, 10 ** 12):
         monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
         dense_calls.clear()
         outputs[scale] = [
-            run_main([*command, str(path), "--hmax", "4", "--dmax", "4", "--out", fmt], capsys)
+            run_main([*command, str(path), "--field", field, "--hmax", "4", "--dmax", "4",
+                      "--out", fmt], capsys)
             for command in (["dual"], ["priddy"], ["betti"], ["resolve", "--method", "cone"])
             for fmt in ("json", "text")]
         used[scale] = len(dense_calls)

@@ -276,20 +276,127 @@ def _random_rational_matrix(rng, nrows, ncols, rank_cap):
     return rows
 
 
-def test_rational_rref_matches_fraction_gauss_jordan():
-    rng = random.Random(47)
+def _qq_monomial_rows(rng, nrows, ncols):
+    """Monomial matrices over QQ: one or two nonzeros per row, handed in as
+    ints, integral Fractions between copies of the shared zero QQ.zero, or
+    fractions with small denominators."""
+    rows = _monomial_rows(rng, 7, nrows, ncols)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return rows
+    if kind == 1:
+        return [[Fraction(x) if x else QQ.zero for x in row] for row in rows]
+    return [[Fraction(x, rng.randint(1, 5)) for x in row] for row in rows]
+
+
+def _mixed_rows(rng, nrows, ncols):
+    """Sparse rows in which ints and fractional entries sit side by side."""
+    rows = []
+    for _ in range(nrows):
+        row = [0] * ncols
+        for c in rng.sample(range(ncols), min(ncols, rng.randint(1, 4))):
+            row[c] = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(2, 6))))
+        rows.append(row)
+    return rows
+
+
+def _rational_inputs(rng):
+    """(rows, ncols): random low-rank, monomial and mixed int/fraction matrices."""
     shapes = [(1, 1), (1, 9), (9, 1), (3, 12), (12, 3), (6, 6), (16, 5), (5, 16)]
     for nrows, ncols in shapes:
         for cap in range(1, min(nrows, ncols) + 2):
-            rows = _random_rational_matrix(rng, nrows, ncols, cap)
-            before = [list(row) for row in rows]
-            got, pivots = QQ.rref(rows, ncols)
-            assert (got, pivots) == _fraction_gauss_jordan(rows, ncols)
-            assert all(type(x) is Fraction for row in got for x in row)
-            assert QQ.rref(rows, ncols, reduced=False) == (None, pivots)
-            assert rows == before
+            yield _random_rational_matrix(rng, nrows, ncols, cap), ncols
+    for nrows, ncols in [(1, 1), (5, 7), (30, 30), (40, 12), (12, 40)]:
+        yield _qq_monomial_rows(rng, nrows, ncols), ncols
+        yield _mixed_rows(rng, nrows, ncols), ncols
+
+
+@pytest.mark.parametrize("scale", [0, 1, 10 ** 12])
+def test_rational_rref_matches_fraction_gauss_jordan(scale, monkeypatch):
+    # scale 0 sends every nonzero matrix to the Bareiss kernel, 10**12 keeps
+    # every one on the sparse kernel, 1 is the budget rule itself
+    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+    rng = random.Random(47)
+    for rows, ncols in _rational_inputs(rng):
+        before = [list(row) for row in rows]
+        got, pivots = QQ.rref(rows, ncols)
+        assert (got, pivots) == _fraction_gauss_jordan(rows, ncols)
+        assert all(type(x) is Fraction for row in got for x in row)
+        assert QQ.rref(rows, ncols, reduced=False) == (None, pivots)
+        assert rows == before
+        assert all(type(x) is type(y) for row, old in zip(rows, before)
+                   for x, y in zip(row, old))
     assert QQ.rref([], 4) == ([], [])
     assert QQ.rref([[0, Fraction(0)]] * 3, 2) == ([], [])
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    kernel = getattr(linalg, name)
+
+    def counting(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+def test_rational_kernel_choice_follows_the_work_budget(monkeypatch):
+    calls = _count_calls(monkeypatch, "_bareiss_rref")
+    rng = random.Random(2999)
+    for nrows, ncols in [(1, 1), (30, 30), (200, 200), (300, 80), (80, 300)]:
+        for reduced in (True, False):
+            QQ.rref(_qq_monomial_rows(rng, nrows, ncols), ncols, reduced=reduced)
+    assert calls == []
+    dense = [[rng.randint(1, 9) for _ in range(60)] for _ in range(60)]
+    QQ.rref(dense, 60)
+    assert len(calls) == 1
+    # under budget by its nonzero count, over it by the fill-in: the
+    # elimination starts sparse and restarts in Bareiss
+    sparse = [[Fraction(rng.randint(1, 9), rng.randint(1, 3)) if rng.random() < 0.05 else 0
+               for _ in range(100)] for _ in range(100)]
+    nnz = sum(1 for row in sparse for x in row if x)
+    assert nnz <= 4 * 200 + 100 * 100 // 16
+    assert linalg._sparse_rref(sparse, 100, 0, 4 * 200 + 100 * 100 // 16) is None
+    assert QQ.rref(sparse, 100) == linalg._bareiss_rref(sparse, 100, True)
+    assert len(calls) == 3
+
+
+def _dense_reduce(sub, vec):
+    """Reference QQ reduction: the full-width loop over every basis row."""
+    v = list(vec)
+    coeffs = []
+    for row, c in zip(sub.rows, sub.pivots):
+        f = v[c]
+        coeffs.append(f)
+        if f:
+            v = [a - f * b for a, b in zip(v, row)]
+    return v, coeffs
+
+
+def test_rational_reduce_matches_the_dense_loop():
+    rng = random.Random(61)
+    for _ in range(40):
+        ambient = rng.randint(1, 12)
+        gens = _random_rational_matrix(rng, rng.randint(1, 6), ambient, rng.randint(1, 4))
+        sub = Subspace.from_rows(QQ, gens, ambient)
+        ks = [rng.randint(-3, 3) for _ in gens]
+        inside = [sum((Fraction(k) * g[j] for k, g in zip(ks, gens)), Fraction(0))
+                  for j in range(ambient)]
+        vecs = [inside, [rng.randint(-3, 3) for _ in range(ambient)],
+                [int(x) if x.denominator == 1 else x for x in map(Fraction, inside)],
+                [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ambient)]]
+        for vec in vecs:
+            before = list(vec)
+            for _ in range(2):  # the second call reads the cached nonzeros
+                residual, coeffs = sub.reduce(vec)
+                want_residual, want_coeffs = _dense_reduce(sub, vec)
+                assert (residual, coeffs) == (want_residual, want_coeffs)
+                for got, want in zip(residual + coeffs, want_residual + want_coeffs):
+                    assert type(got) is Fraction or type(want) is not Fraction
+            assert vec == before
+        assert sub.contains(inside) and sub.contains(vecs[2])
 
 
 KERNEL_PRIMES = [2, 3, 101, 1048573]
@@ -377,21 +484,9 @@ def _textbook_rref_mod_p(rows, ncols, p):
     return m[:r]
 
 
-def _count_dense_calls(monkeypatch):
-    calls = []
-    dense = linalg._dense_rref
-
-    def counting(*args):
-        calls.append(1)
-        return dense(*args)
-
-    monkeypatch.setattr(linalg, "_dense_rref", counting)
-    return calls
-
-
 @pytest.mark.parametrize("p", KERNEL_PRIMES)
 def test_kernel_choice_follows_the_work_budget(p, monkeypatch):
-    calls = _count_dense_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, "_dense_rref")
     F = GF(p)
     rng = random.Random(2000 + p)
     for nrows, ncols in [(1, 1), (30, 30), (200, 200), (300, 80), (80, 300)]:
