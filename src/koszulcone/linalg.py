@@ -5,25 +5,23 @@ ranks) reduces to the operations here, so exactness is non-negotiable: prime
 field elements are Python ints kept in [0, p), rational entries are
 fractions.Fraction.  Matrices are plain lists of rows at the API boundary.
 
-Elimination has one sparse kernel for both fields and one dense fallback per
-field.  The matrices of monomial ideals (membership spaces, multiplication
-blocks, closed-form differentials, dual constraints) hold one or two nonzeros
-per row, so the sparse kernel runs Gauss-Jordan on dict rows {column: value}
-and touches nonzeros only: mod p over F_p, and over the rationals exactly, on
-ints while the entries are integral and on Fractions otherwise.  Its work,
-the input's nonzero count plus one per entry updated, has a budget of
+Both fields share one elimination kernel.  The matrices of monomial ideals
+(membership spaces, multiplication blocks, closed-form differentials, dual
+constraints) hold one or two nonzeros per row, so the kernel runs
+Gauss-Jordan on dict rows {column: value} and touches nonzeros only: mod p
+over F_p, and over the rationals exactly, on ints while the entries are
+integral and on Fractions otherwise.  Over F_p its work, the input's nonzero
+count plus one per entry updated, has a budget of
 4 (nrows + ncols) + nrows ncols / 16.  A matrix that goes over it (a dense
-input by its nonzero count alone, before any elimination) is left to the
-field's dense kernel.  Over F_p that kernel eliminates column by column in
-numpy int64 (products stay below 2**63 because p is capped) and returns
-Python ints through one tolist().  Over the rationals it stays on Python ints
-from input to answer: each row's denominators are cleared by their lcm,
-forward elimination is fraction-free (Bareiss), back-substitution is
-fraction-free on the integer echelon rows, and one Fraction is built per
-entry of the reduced rows.  The reduced row echelon form of a matrix is
-unique, so every kernel returns the same rows and pivots, and every Subspace
-has a unique representation.  rank() reads pivots only: rref(reduced=False)
-builds no reduced rows.
+input by its nonzero count alone, before any elimination) is eliminated
+column by column in numpy int64 instead (products stay below 2**63 because p
+is capped), and returns Python ints through one tolist().  The rationals have
+no dense kernel: the sparse one drops dependent rows as soon as they reduce
+to zero, which on the tall, generic QQ matrices of dual components is much
+faster than fraction-free (Bareiss) elimination over every row.  The reduced
+row echelon form of a matrix is unique, so both F_p kernels return the same
+rows and pivots, and every Subspace has a unique representation.  rank()
+reads pivots only: rref(reduced=False) builds no reduced rows.
 """
 
 from __future__ import annotations
@@ -38,8 +36,8 @@ import numpy as np
 # int64 products p^2 * n_cols must stay below 2**63 during elimination
 MAX_PRIME = 1 << 20
 
-# scale of the sparse kernel's work budget (see _work_budget), for both
-# fields; 0 sends every nonzero matrix to the field's dense kernel
+# scale of the sparse kernel's work budget over F_p (see _work_budget); 0
+# sends every nonzero matrix to the numpy kernel
 SPARSE_WORK_SCALE = 1
 
 # the zero of the rationals, shared so that the sparse kernel's row scan skips
@@ -134,8 +132,8 @@ class PrimeField:
 
 
 def _work_budget(nrows, ncols):
-    """Work the sparse kernel may do (the input's nonzero count plus one per
-    entry updated) before the matrix goes to the field's dense kernel."""
+    """Work the sparse kernel may do over F_p (the input's nonzero count plus
+    one per entry updated) before the matrix goes to the numpy kernel."""
     return SPARSE_WORK_SCALE * (4 * (nrows + ncols) + nrows * ncols // 16)
 
 
@@ -145,12 +143,11 @@ def _sparse_rref(rows, ncols, p, budget):
 
     Over F_p entries are reduced mod p, and the input's nonzeros are counted
     first: int zeros compare in C, so a dense input costs one count per row
-    and builds no dict rows.  Over the rationals entries are exact: integral
-    ones are read as ints (so unit pivots keep the arithmetic on ints), the
-    others stay Fractions, and a pivot f is inverted as 1 / Fraction(f).
-    Counting Fraction zeros would call Python per cell, so the dict rows are
-    built one at a time instead, until their nonzeros exceed the budget, and
-    the shared zero _ZERO is skipped by identity.
+    and builds no dict rows.  Over the rationals (budget math.inf) entries
+    are exact: integral ones are read as ints (so unit pivots keep the
+    arithmetic on ints), the others stay Fractions, and a pivot f is inverted
+    as 1 / Fraction(f).  The row scan skips the shared zero _ZERO by
+    identity, without a Python-level Fraction.__bool__ call per cell.
 
     Returns {pivot column: {column: value}} holding each reduced row without
     its pivot entry (which is 1).  The pivot rows stay in RREF throughout:
@@ -179,9 +176,6 @@ def _sparse_rref(rows, ncols, p, budget):
                 v = row[j]
                 if v:
                     r[j] = v.numerator if v.denominator == 1 else v
-            work += len(r)
-            if work > budget:
-                return None
             if r:
                 sparse.append(r)
     piv = {}
@@ -286,10 +280,8 @@ def _dense_rref(rows, ncols, p, reduced):
 class RationalField:
     """Exact rational arithmetic on fractions.Fraction.
 
-    rref runs the sparse kernel shared with F_p, exactly, and falls back to
-    fraction-free elimination on Python ints (Bareiss forward, fraction-free
-    back-substitution) for a matrix over its work budget.  Either way the
-    reduced rows hold Fractions only.
+    rref runs the sparse kernel shared with F_p, exactly and without a work
+    budget; the reduced rows hold Fractions only.
     """
 
     char = 0
@@ -342,90 +334,12 @@ class RationalField:
         """(rref_rows, pivot_columns) with Fraction entries; rref_rows is None
         when not reduced.
 
-        Runs the sparse Gauss-Jordan kernel while its work stays within
-        _work_budget, and the Bareiss kernel otherwise.  Both return the
-        unique RREF, so the answer does not depend on the kernel.
+        Runs the sparse Gauss-Jordan kernel, whatever the matrix's density.
         """
         if not rows:
             return [], []
-        found = _sparse_rref(rows, ncols, 0, _work_budget(len(rows), ncols))
-        if found is None:
-            return _bareiss_rref(rows, ncols, reduced)
+        found = _sparse_rref(rows, ncols, 0, math.inf)
         return _rows_of(found, ncols, reduced, _ZERO, Fraction(1), Fraction)
-
-
-def _bareiss_rref(rows, ncols, reduced):
-    """The dense rational kernel, on Python ints from input to answer."""
-    # clear denominators row by row (row spans are unchanged); ints and
-    # Fractions both carry numerator and denominator
-    work = []
-    for row in rows:
-        lcm = math.lcm(*[x.denominator for x in row])
-        if lcm == 1:
-            work.append([x.numerator for x in row])
-        else:
-            work.append([x.numerator * (lcm // x.denominator) for x in row])
-    echelon, pivots = _bareiss_forward(work, ncols)
-    if not reduced:
-        return None, pivots
-    # fraction-free back-substitution: clear every pivot column above its
-    # pivot, keeping each updated row primitive
-    for k in range(len(pivots) - 1, 0, -1):
-        c = pivots[k]
-        low = echelon[k]
-        lead = low[c]
-        for i in range(k):
-            row = echelon[i]
-            f = row[c]
-            if f:
-                s = pivots[i]
-                new = [lead * a - f * b for a, b in zip(row[s:], low[s:])]
-                g = math.gcd(*new)
-                if g != 1:
-                    new = [a // g for a in new]
-                echelon[i] = row[:s] + new
-    return [
-        [Fraction(a, row[c]) if a else _ZERO for a in row]
-        for row, c in zip(echelon, pivots)
-    ], pivots
-
-
-def _bareiss_forward(m, ncols):
-    """Fraction-free forward elimination on integer rows, in place.
-
-    Returns (echelon_rows, pivot_columns); every division is exact, which
-    keeps intermediate entries bounded by minor determinants.
-    """
-    nrows = len(m)
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        if r == nrows:
-            break
-        piv = None
-        for i in range(r, nrows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-        # rows r.. vanish left of c, so every update starts at column c
-        tail = m[r][c:]
-        mrc = tail[0]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            mic = row[c]
-            if mic:
-                m[i] = row[:c] + [(mrc * a - mic * b) // prev for a, b in zip(row[c:], tail)]
-            elif mrc != prev and any(row):
-                m[i] = row[:c] + [mrc * a // prev for a in row[c:]]
-        prev = mrc
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
 
 
 QQ = RationalField()
@@ -510,13 +424,17 @@ class Subspace:
                 v = (v - coeffs @ self._np_rows()) % p
             return v.tolist(), coeffs.tolist()
         # the coefficients are read off vec, because every other basis row is
-        # zero at a row's pivot; entries become Fractions like the basis rows
-        v = [a if type(a) is Fraction else Fraction(a) for a in vec]
+        # zero at a row's pivot; entries become Fractions like the basis rows,
+        # and every zero of the residual is the shared _ZERO, which the
+        # sparse kernel's row scan skips by identity
+        v = [_ZERO if a is _ZERO or not a else a if type(a) is Fraction else Fraction(a)
+             for a in vec]
         coeffs = [v[c] for c in self.pivots]
         for f, row in zip(coeffs, self._nonzero_rows()):
-            if f:
+            if f is not _ZERO:
                 for j, b in row:
-                    v[j] -= f * b
+                    x = v[j] - f * b
+                    v[j] = x if x else _ZERO
         return v, coeffs
 
     def contains(self, vec):

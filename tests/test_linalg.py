@@ -301,7 +301,8 @@ def _mixed_rows(rng, nrows, ncols):
 
 
 def _rational_inputs(rng):
-    """(rows, ncols): random low-rank, monomial and mixed int/fraction matrices."""
+    """(rows, ncols): random low-rank, monomial, mixed int/fraction and fully
+    dense matrices."""
     shapes = [(1, 1), (1, 9), (9, 1), (3, 12), (12, 3), (6, 6), (16, 5), (5, 16)]
     for nrows, ncols in shapes:
         for cap in range(1, min(nrows, ncols) + 2):
@@ -309,13 +310,14 @@ def _rational_inputs(rng):
     for nrows, ncols in [(1, 1), (5, 7), (30, 30), (40, 12), (12, 40)]:
         yield _qq_monomial_rows(rng, nrows, ncols), ncols
         yield _mixed_rows(rng, nrows, ncols), ncols
+    for nrows, ncols in [(12, 12), (40, 8), (8, 40)]:
+        yield [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(ncols)]
+               for _ in range(nrows)], ncols
 
 
-@pytest.mark.parametrize("scale", [0, 1, 10 ** 12])
-def test_rational_rref_matches_fraction_gauss_jordan(scale, monkeypatch):
-    # scale 0 sends every nonzero matrix to the Bareiss kernel, 10**12 keeps
-    # every one on the sparse kernel, 1 is the budget rule itself
-    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+def test_rational_rref_matches_fraction_gauss_jordan(monkeypatch):
+    # the budget of the F_p kernels does not reach the rationals
+    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", 0)
     rng = random.Random(47)
     for rows, ncols in _rational_inputs(rng):
         before = [list(row) for row in rows]
@@ -340,27 +342,6 @@ def _count_calls(monkeypatch, name):
 
     monkeypatch.setattr(linalg, name, counting)
     return calls
-
-
-def test_rational_kernel_choice_follows_the_work_budget(monkeypatch):
-    calls = _count_calls(monkeypatch, "_bareiss_rref")
-    rng = random.Random(2999)
-    for nrows, ncols in [(1, 1), (30, 30), (200, 200), (300, 80), (80, 300)]:
-        for reduced in (True, False):
-            QQ.rref(_qq_monomial_rows(rng, nrows, ncols), ncols, reduced=reduced)
-    assert calls == []
-    dense = [[rng.randint(1, 9) for _ in range(60)] for _ in range(60)]
-    QQ.rref(dense, 60)
-    assert len(calls) == 1
-    # under budget by its nonzero count, over it by the fill-in: the
-    # elimination starts sparse and restarts in Bareiss
-    sparse = [[Fraction(rng.randint(1, 9), rng.randint(1, 3)) if rng.random() < 0.05 else 0
-               for _ in range(100)] for _ in range(100)]
-    nnz = sum(1 for row in sparse for x in row if x)
-    assert nnz <= 4 * 200 + 100 * 100 // 16
-    assert linalg._sparse_rref(sparse, 100, 0, 4 * 200 + 100 * 100 // 16) is None
-    assert QQ.rref(sparse, 100) == linalg._bareiss_rref(sparse, 100, True)
-    assert len(calls) == 3
 
 
 def _dense_reduce(sub, vec):
@@ -395,6 +376,8 @@ def test_rational_reduce_matches_the_dense_loop():
                 assert (residual, coeffs) == (want_residual, want_coeffs)
                 for got, want in zip(residual + coeffs, want_residual + want_coeffs):
                     assert type(got) is Fraction or type(want) is not Fraction
+                if sub.dim:  # the zero subspace hands vec back as it is
+                    assert all(x is QQ.zero for x in residual + coeffs if not x)
             assert vec == before
         assert sub.contains(inside) and sub.contains(vecs[2])
 
