@@ -5,14 +5,24 @@ degree: the defining quadrics span a subspace of each degree, a monomial
 k-basis for the quotient is chosen greedily (user-preferred monomials first,
 then lexicographic order) by one elimination of that subspace with columns in
 reverse candidate order, and its pivot rows give every monomial an exact
-normal-form coordinate vector over the chosen basis.  No Groebner machinery:
-everything is linear algebra over the exact field.
+normal form over the chosen basis.  No Groebner machinery: everything is
+linear algebra over the exact field.
+
+Normal forms are kept sparse, as the (basis position, value) pairs of their
+nonzero coordinates; in a monomial ring each is one pair or none.  Products
+walk only the nonzeros of both factors and of each normal form, and
+multiplication_columns hands out the product columns in the sparse row form
+of linalg, {position: value} with no zero values, which the ideal and
+complex layers feed to elimination as they are.  Dense coordinate tuples
+(AlgebraElement.coords) are built only for elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress, repeat
+from operator import add, is_not
 
 from .errors import DegreeOverflow, ElementMismatch
 from .linalg import Subspace
@@ -90,14 +100,23 @@ class AlgebraElement:
         return not any(self.coords)
 
 
-class _DegreeData:
-    __slots__ = ("index", "relation_space", "basis", "nf")
+def _support(coords, zero):
+    """(position, value) pairs of the nonzero coordinates.
 
-    def __init__(self, index, relation_space, basis, nf):
+    Zeros that are the field's shared zero object are skipped by identity in
+    C, so over QQ only the remaining coordinates cost a Fraction.__bool__.
+    """
+    return [(k, coords[k]) for k in compress(range(len(coords)), map(is_not, coords, repeat(zero)))
+            if coords[k]]
+
+
+class _DegreeData:
+    __slots__ = ("index", "basis", "nf")
+
+    def __init__(self, index, basis, nf):
         self.index = index
-        self.relation_space = relation_space
         self.basis = basis
-        self.nf = nf  # monomial position -> coords tuple over basis
+        self.nf = nf  # monomial position -> ((basis position, nonzero value), ...)
 
 
 class GradedAlgebra:
@@ -129,23 +148,28 @@ class GradedAlgebra:
             self._degrees[d] = data
         return data
 
+    def _relation_rows(self, d, index):
+        """The relations times each monomial of degree d - 2, as sparse rows
+        over the monomial positions of degree d."""
+        fld = self.field
+        rows = []
+        for mu in monomials_of_degree(self.n, d - 2):
+            for rel in self.presentation.relations:
+                row = {}
+                for coeff, (i, j) in rel:
+                    target = list(mu)
+                    target[i] += 1
+                    target[j] += 1
+                    c = index[tuple(target)]
+                    row[c] = fld.add(row.get(c, fld.zero), fld.of(coeff))
+                rows.append({c: v for c, v in row.items() if v})
+        return rows
+
     def _build_degree(self, d):
         fld = self.field
         mons = monomials_of_degree(self.n, d)
         index = {m: i for i, m in enumerate(mons)}
         nmons = len(mons)
-        rows = []
-        if d >= 2 and self.presentation.relations:
-            for mu in monomials_of_degree(self.n, d - 2):
-                for rel in self.presentation.relations:
-                    row = [fld.zero] * nmons
-                    for coeff, (i, j) in rel:
-                        target = list(mu)
-                        target[i] += 1
-                        target[j] += 1
-                        row[index[tuple(target)]] = fld.add(row[index[tuple(target)]], fld.of(coeff))
-                    rows.append(row)
-        relation_space = Subspace.from_rows(fld, rows, nmons)
 
         # Greedy basis: a candidate (preferred monomials first, then lex)
         # joins iff its class is independent of those chosen before it.  By
@@ -154,26 +178,53 @@ class GradedAlgebra:
         # leaves the basis free and expresses every other monomial over it.
         preferred = [m for m in self.presentation.preferred if sum(m) == d]
         candidates = list(dict.fromkeys(preferred + list(mons)))
-        order = [index[m] for m in reversed(candidates)]
-        permuted = [[row[c] for c in order] for row in relation_space.rows]
+        place = [0] * nmons  # monomial position -> permuted column
+        for pc, m in enumerate(reversed(candidates)):
+            place[index[m]] = pc
+        permuted = [{place[c]: v for c, v in row.items()}
+                    for row in self._relation_rows(d, index)]
         rref, pivots = fld.rref(permuted, nmons)
-        pivot_row = {order[pc]: r for r, pc in enumerate(pivots)}
-        free = [k for k, m in enumerate(candidates) if index[m] not in pivot_row]
+        pivot_set = set(pivots)
+        free = [k for k in range(nmons) if nmons - 1 - k not in pivot_set]
         basis = [candidates[k] for k in free]
         for k, m in enumerate(preferred):
-            if m in preferred[:k] or index[m] in pivot_row:
+            if m in preferred[:k] or place[index[m]] in pivot_set:
                 self.warnings.append(
                     f"InconsistentPreferred: monomial {self.format_monomial(m)} "
                     f"is dependent in degree {d}; skipped"
                 )
-        nf = []
-        for m in mons:
-            r = pivot_row.get(index[m])
-            if r is None:
-                nf.append(tuple(fld.one if b == m else fld.zero for b in basis))
-            else:
-                nf.append(tuple(fld.neg(rref[r][nmons - 1 - k]) for k in free))
-        return _DegreeData(index, relation_space, basis, nf)
+        # a basis monomial is its own normal form; a pivot monomial is minus
+        # its pivot row's entries, which are zero on every other pivot column,
+        # and the permuted column nmons - 1 - k holds basis candidate k
+        nf = [None] * nmons
+        for b, k in enumerate(free):
+            nf[index[candidates[k]]] = ((b, fld.one),)
+        basis_pos = {nmons - 1 - k: b for b, k in enumerate(free)}
+        zero = fld.zero
+        for row, pc in zip(rref, pivots):
+            cols = compress(range(pc + 1, nmons), map(is_not, row[pc + 1:], repeat(zero)))
+            nf[index[candidates[nmons - 1 - pc]]] = tuple(sorted(
+                (basis_pos[c], fld.neg(row[c])) for c in cols if row[c]))
+        return _DegreeData(index, basis, nf)
+
+    def _product_degree(self, d):
+        if d > self.cutoff:
+            raise DegreeOverflow(f"product degree {d} exceeds cutoff {self.cutoff}")
+        return self._degree(d)
+
+    def _dense(self, data, pairs):
+        """A coordinate tuple over data's basis from (position, value) pairs."""
+        coords = [self.field.zero] * len(data.basis)
+        for k, v in pairs:
+            coords[k] = v
+        return tuple(coords)
+
+    def _nonzeros(self, acc):
+        """A sparse accumulator's values as field elements, without zeros."""
+        p = self.field.char
+        if p:
+            return {k: x for k, v in acc.items() if (x := v % p)}
+        return {k: v for k, v in acc.items() if v}
 
     # -- queries -----------------------------------------------------------
 
@@ -189,7 +240,8 @@ class GradedAlgebra:
         return self._degree(d).index
 
     def relation_space(self, d):
-        return self._degree(d).relation_space
+        index = self._degree(d).index
+        return Subspace.from_rows(self.field, self._relation_rows(d, index), len(index))
 
     def hilbert(self, dmax):
         return [self.dim(d) for d in range(dmax + 1)]
@@ -211,7 +263,11 @@ class GradedAlgebra:
         """Class of a free monomial, as coordinates over the chosen basis."""
         d = sum(exp)
         data = self._degree(d)
-        return AlgebraElement(d, data.nf[data.index[tuple(exp)]])
+        return AlgebraElement(d, self._dense(data, data.nf[data.index[tuple(exp)]]))
+
+    def sparse(self, a):
+        """The nonzero coordinates of an element, as a dict {position: value}."""
+        return dict(_support(a.coords, self.field.zero))
 
     def var(self, i):
         exp = [0] * self.n
@@ -226,10 +282,8 @@ class GradedAlgebra:
         for coeff, exp in terms:
             if sum(exp) != degree:
                 raise ValueError("normal_form needs a homogeneous input")
-            nf = data.nf[data.index[tuple(exp)]]
-            for k, x in enumerate(nf):
-                if x:
-                    coords[k] = fld.add(coords[k], fld.mul(fld.of(coeff), x))
+            for k, x in data.nf[data.index[tuple(exp)]]:
+                coords[k] = fld.add(coords[k], fld.mul(fld.of(coeff), x))
         return AlgebraElement(degree, tuple(coords))
 
     def add(self, a, b):
@@ -246,40 +300,46 @@ class GradedAlgebra:
         fld = self.field
         return AlgebraElement(a.degree, tuple(fld.mul(c, x) for x in a.coords))
 
+    def _expand(self, dd, aterms, bterms):
+        """The product of two sums of (basis monomial, coefficient) terms, as a
+        sparse dict over the basis of dd, their product's degree."""
+        index, nf = dd.index, dd.nf
+        acc = {}
+        for ma, ca in aterms:
+            for mb, cb in bterms:
+                c = ca * cb
+                for k, x in nf[index[tuple(map(add, ma, mb))]]:
+                    acc[k] = acc.get(k, 0) + c * x
+        return self._nonzeros(acc)
+
+    def _terms(self, a):
+        """The nonzero terms of an element as (basis monomial, coefficient) pairs."""
+        basis = self._degree(a.degree).basis
+        return [(basis[k], c) for k, c in _support(a.coords, self.field.zero)]
+
     def multiply(self, a, b):
         """Product in A, by expanding basis monomial representatives."""
-        d = a.degree + b.degree
-        if d > self.cutoff:
-            raise DegreeOverflow(f"product degree {d} exceeds cutoff {self.cutoff}")
-        fld = self.field
-        da, db, dd = self._degree(a.degree), self._degree(b.degree), self._degree(d)
-        coords = [fld.zero] * len(dd.basis)
-        for ia, ca in enumerate(a.coords):
-            if not ca:
-                continue
-            ma = da.basis[ia]
-            for ib, cb in enumerate(b.coords):
-                if not cb:
-                    continue
-                prod = tuple(x + y for x, y in zip(ma, db.basis[ib]))
-                nf = dd.nf[dd.index[prod]]
-                c = fld.mul(ca, cb)
-                for k, x in enumerate(nf):
-                    if x:
-                        coords[k] = fld.add(coords[k], fld.mul(c, x))
-        return AlgebraElement(d, tuple(coords))
+        dd = self._product_degree(a.degree + b.degree)
+        product = self._expand(dd, self._terms(a), self._terms(b))
+        return AlgebraElement(a.degree + b.degree, self._dense(dd, product.items()))
 
     def multiplication_columns(self, a, e):
         """Columns of the multiplication operator A_e -> A_{e+deg a} by a.
 
-        Cached per (element, source degree); column j is the coordinate tuple
-        of a times the j-th basis monomial of A_e.
+        Cached per (element, source degree); column j is the product of a and
+        the j-th basis monomial of A_e as a sparse dict {position: value}
+        without zeros.  Callers read the columns and must not mutate them.
         """
         key = (a.degree, a.coords, e)
         got = self._mult_columns.get(key)
         if got is None:
-            got = [self.multiply(a, self.monomial_element(mu)).coords
-                   for mu in self.basis(e)]
+            mus = self.basis(e)
+            got = []
+            if mus:
+                dd = self._product_degree(a.degree + e)
+                terms = self._terms(a)
+                # the int 1 keeps each coefficient as a's own field element
+                got = [self._expand(dd, terms, ((mu, 1),)) for mu in mus]
             self._mult_columns[key] = got
         return got
 

@@ -126,25 +126,24 @@ class ChainComplex:
         return [A.dim(d - g.internal_degree) for g in self.modules[l]]
 
     def degreewise_matrix(self, l, d):
-        """The k-matrix of diff l in internal degree d (rows list, may be [])."""
+        """The k-matrix of diff l in internal degree d: (rows, nrows, ncols)
+        with sparse rows {column: value}, one per row (may be [])."""
         A = self.algebra
-        fld = A.field
         src_dims = self.block_dims(l, d)
         tgt_dims = self.block_dims(l - 1, d)
         src_off = _offsets(src_dims)
         tgt_off = _offsets(tgt_dims)
         nrows, ncols = sum(tgt_dims), sum(src_dims)
-        mat = [[fld.zero] * ncols for _ in range(nrows)]
+        mat = [{} for _ in range(nrows)]
         for (r, c), a in self.diffs[l].items():
             e = d - self.modules[l][c].internal_degree
             if e < 0 or src_dims[c] == 0 or tgt_dims[r] == 0:
                 continue
             cols = A.multiplication_columns(a, e)
             ro, co = tgt_off[r], src_off[c]
-            for j, colvec in enumerate(cols):
-                for i, x in enumerate(colvec):
-                    if x:
-                        mat[ro + i][co + j] = x
+            for j, col in enumerate(cols):
+                for i, x in col.items():
+                    mat[ro + i][co + j] = x
         return mat, nrows, ncols
 
     def homology_rank(self, i, d, diff_ranks=None):

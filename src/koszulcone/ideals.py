@@ -3,8 +3,17 @@
 A monomial ideal here is an ordered list of chosen-basis monomials of the
 ambient graded algebra.  All ideal-theoretic questions (membership, colon
 ideals, minimality of generators) are answered degreewise by exact linear
-algebra on the per-degree membership spaces span{monomial * generator}.
-Every product row is read from GradedAlgebra.multiplication_columns.
+algebra.  Every product row is read from GradedAlgebra.multiplication_columns
+in the sparse row form {position: value}.
+
+Membership is asked on the prefix filtration J_1 ⊂ J_2 ⊂ ... ⊂ J_r, which the
+iterated mapping cone is built over (Herzog-Takayama, HHA 4, 2002).  Each
+degree d keeps one linalg.Echelon, grown lazily: the multiples of m_1, m_2,
+... are fed in that order, and the row count after the block of m_i is
+dim (J_i)_d.  Membership in J_i is one head reduction against the first rows,
+and the minimal prefix holding an element is the block of the last row its
+reduction uses.  The canonical RREF of a prefix space (membership_space) is
+built from those rows only when a decomposition asks for it.
 
 One colon rule serves every bounded check, and no colon is built above degree
 1: m_i maps A_d onto (J_i / J_{i-1})_{d+e} (e = deg m_i) with kernel the colon,
@@ -22,12 +31,13 @@ algorithm peels off the minimal prefix containing v and solves the canonical
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .dual import QuadraticDual, left_ideal_contains
 from .errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from .linalg import Subspace, kernel, rank, solve_columns
+from .linalg import Echelon, Subspace, kernel, rank, solve_columns
 
 __all__ = [
     "MonomialIdeal",
@@ -97,10 +107,18 @@ def _variable_ideal_dim(algebra, cache, row_vectors, d):
 
 def _colon_against_space(algebra, m_element, d, target_space):
     """{v in A_d : v * m lies in target_space}, target in degree d + deg m."""
-    cols = [target_space.reduce(prod)[0] for prod in algebra.multiplication_columns(m_element, d)]
-    nrows = algebra.dim(d + m_element.degree)
-    stacked = [[cols[c][r] for c in range(algebra.dim(d))] for r in range(nrows)]
-    return kernel(algebra.field, [row for row in stacked if any(row)], algebra.dim(d))
+    zero = [algebra.field.zero] * target_space.ambient
+    stacked = {}  # the residuals modulo target_space, as sparse rows
+    for j, col in enumerate(algebra.multiplication_columns(m_element, d)):
+        if target_space.dim:
+            dense = zero.copy()
+            for r, x in col.items():
+                dense[r] = x
+            col = dict(enumerate(target_space.reduce(dense)[0]))
+        for r, x in col.items():
+            if x:
+                stacked.setdefault(r, {})[j] = x
+    return kernel(algebra.field, list(stacked.values()), algebra.dim(d))
 
 
 class MonomialIdeal:
@@ -125,7 +143,7 @@ class MonomialIdeal:
         if any(a > b for a, b in zip(self.degs, self.degs[1:])):
             raise ValueError("generator degrees must be nondecreasing")
         self.gen_elements = [algebra.monomial_element(g) for g in self.gens]
-        self._membership = {}
+        self._filtrations = {}
         self._colon_vars = {}
         self._var_ideal_dims = {}
         self._dual = None
@@ -161,24 +179,24 @@ class MonomialIdeal:
 
     # -- membership ---------------------------------------------------------
 
-    def membership_space(self, prefix, d):
-        """Degree-d part of the ideal of the first `prefix` generators."""
-        key = (prefix, d)
-        got = self._membership.get(key)
-        if got is not None:
-            return got
+    def _filtration(self, d, prefix):
+        """The Echelon of degree d, fed with the blocks of m_1..m_prefix."""
+        ech = self._filtrations.get(d)
+        if ech is None:
+            ech = self._filtrations[d] = Echelon(self.field, self.algebra.dim(d))
         A = self.algebra
-        if prefix == 0 or d < self.degs[0]:
-            space = Subspace.zero(self.field, A.dim(d))
-        else:
-            space = self.membership_space(prefix - 1, d)
-            gdeg = self.degs[prefix - 1]
-            if gdeg <= d:
-                gel = self.gen_elements[prefix - 1]
-                rows = space.rows + A.multiplication_columns(gel, d - gdeg)
-                space = Subspace.from_rows(self.field, rows, A.dim(d))
-        self._membership[key] = space
-        return space
+        for i in range(len(ech.counts) - 1, prefix):
+            e = d - self.degs[i]
+            ech.extend(A.multiplication_columns(self.gen_elements[i], e) if e >= 0 else ())
+        return ech
+
+    def _prefix_dim(self, prefix, d):
+        """dim (J_prefix)_d, the ideal of the first `prefix` generators in degree d."""
+        return self._filtration(d, prefix).counts[prefix]
+
+    def membership_space(self, prefix, d):
+        """(J_prefix)_d as a canonical Subspace, built from the filtration rows."""
+        return self._filtration(d, prefix).span(self._prefix_dim(prefix, d))
 
     def contains(self, element, prefix=None):
         if prefix is None:
@@ -187,7 +205,8 @@ class MonomialIdeal:
             return True
         if prefix == 0:
             return False
-        return self.membership_space(prefix, element.degree).contains(list(element.coords))
+        ech = self._filtration(element.degree, prefix)
+        return ech.locate(self.algebra.sparse(element), ech.counts[prefix]) is not None
 
     # -- colon ideals ----------------------------------------------------------
 
@@ -210,8 +229,7 @@ class MonomialIdeal:
         var_rows = [list(A.var(j).coords) for j in sorted(vars_)]
         fail_degree = None
         for d in range(2, check_to + 1):
-            colon_dim = (A.dim(d) - self.membership_space(i, d + e).dim
-                         + self.membership_space(i - 1, d + e).dim)
+            colon_dim = A.dim(d) - self._prefix_dim(i, d + e) + self._prefix_dim(i - 1, d + e)
             if _variable_ideal_dim(A, self._var_ideal_dims, var_rows, d) != colon_dim:
                 fail_degree = d
                 break
@@ -410,12 +428,16 @@ class MonomialIdeal:
         return report
 
     def _minimal_prefix(self, element, bound=None):
+        """The least j <= bound with element in J_j, or None; one reduction
+        finds the last filtration row the element's expression uses."""
         if bound is None:
             bound = self.r
-        for j in range(1, bound + 1):
-            if self.contains(element, prefix=j):
-                return j
-        return None
+        ech = self._filtration(element.degree, bound)
+        need = ech.locate(self.algebra.sparse(element), ech.counts[bound])
+        if need is None:
+            return None
+        j = bisect_left(ech.counts, need, 1)  # the zero element lies in J_1
+        return j if j <= bound else None
 
 
 class DecompositionTable:
@@ -507,11 +529,19 @@ class DecompositionTable:
             cdeg = d - J.degs[j - 1]
             gel = J.gen_elements[j - 1]
             multiples = A.multiplication_columns(gel, cdeg)
-            prev = J.membership_space(j - 1, d)
-            rows = multiples + list(prev.rows)
-            # the unknowns are the coefficients of the rows: solve rows^T . c = v
-            eqs = [[row[c] for row in rows] for c in range(len(v.coords))]
-            sols, _ = solve_columns(fld, eqs, len(rows), [v.coords])
+            prev = J.membership_space(j - 1, d).rows
+            # the unknowns are the coefficients of the multiples and then of
+            # the rows of J_{j-1}: solve rows^T . c = v, one equation per
+            # coordinate of A_d
+            eqs = [{} for _ in v.coords]
+            for k, col in enumerate(multiples):
+                for c, x in col.items():
+                    eqs[c][k] = x
+            for k, row in enumerate(prev, len(multiples)):
+                for c, x in enumerate(row):
+                    if x:
+                        eqs[c][k] = x
+            sols, _ = solve_columns(fld, eqs, len(multiples) + len(prev), [v.coords])
             if sols is None:
                 raise DecompositionFailure(
                     f"degree-{d} element in J_{j} has no expression over m_{j} and J_{j - 1}",

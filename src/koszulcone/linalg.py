@@ -3,25 +3,36 @@
 Everything downstream (graded bases, dual components, differentials, homology
 ranks) reduces to the operations here, so exactness is non-negotiable: prime
 field elements are Python ints kept in [0, p), rational entries are
-fractions.Fraction.  Matrices are plain lists of rows at the API boundary.
+fractions.Fraction.
+
+Matrices are lists of rows, and a row is either a dense list or a sparse
+dict {column: value} with no zero values.  The algebra's products, ideal
+membership rows and degreewise differentials are sparse; dual constraint
+rows, test oracles and the reduced rows handed back (Subspace.rows, rref)
+are dense.  Only the per-row normalisation at the entry of the elimination
+kernel tells the two forms apart, and it never mutates a caller's row.
 
 Both fields share one elimination kernel.  The matrices of monomial ideals
-(membership spaces, multiplication blocks, closed-form differentials, dual
-constraints) hold one or two nonzeros per row, so the kernel runs
-Gauss-Jordan on dict rows {column: value} and touches nonzeros only: mod p
-over F_p, and over the rationals exactly, on ints while the entries are
-integral and on Fractions otherwise.  Over F_p its work, the input's nonzero
-count plus one per entry updated, has a budget of
-4 (nrows + ncols) + nrows ncols / 16.  A matrix that goes over it (a dense
-input by its nonzero count alone, before any elimination) is eliminated
-column by column in numpy int64 instead (products stay below 2**63 because p
-is capped), and returns Python ints through one tolist().  The rationals have
-no dense kernel: the sparse one drops dependent rows as soon as they reduce
-to zero, which on the tall, generic QQ matrices of dual components is much
-faster than fraction-free (Bareiss) elimination over every row.  The reduced
-row echelon form of a matrix is unique, so both F_p kernels return the same
-rows and pivots, and every Subspace has a unique representation.  rank()
-reads pivots only: rref(reduced=False) builds no reduced rows.
+hold one or two nonzeros per row, so the kernel runs Gauss-Jordan on dict
+rows and touches nonzeros only: mod p over F_p, and over the rationals
+exactly, on ints while the entries are integral and on Fractions otherwise.
+Over F_p its work, the input's nonzero count plus one per entry updated, has
+a budget of 4 (nrows + ncols) + nrows ncols / 16.  A matrix that goes over
+it (a dense input by its nonzero count alone, before any elimination) is
+made dense and eliminated column by column in numpy int64 instead (products
+stay below 2**63 because p is capped), and returns Python ints through one
+tolist().  The rationals have no dense kernel: the sparse one drops
+dependent rows as soon as they reduce to zero, which on the tall, generic QQ
+matrices of dual components is much faster than fraction-free (Bareiss)
+elimination over every row.  The reduced row echelon form of a matrix is
+unique, so both F_p kernels return the same rows and pivots, and every
+Subspace has a unique representation.  rank() reads pivots only:
+rref(reduced=False) builds no reduced rows.
+
+Echelon holds a chain of subspaces V_1 ⊂ V_2 ⊂ ... as one forward-only
+echelon basis, fed block by block: dim V_i is a row count, and membership in
+V_i is a head reduction against the first rows, with no elimination per
+subspace.  It is the filtration of a monomial ideal by its prefixes.
 """
 
 from __future__ import annotations
@@ -127,7 +138,8 @@ class PrimeField:
         p = self.char
         found = _sparse_rref(rows, ncols, p, _work_budget(len(rows), ncols))
         if found is None:
-            return _dense_rref(rows, ncols, p, reduced)
+            return _dense_rref([_dense(row, ncols, 0) if isinstance(row, dict) else row
+                                for row in rows], ncols, p, reduced)
         return _rows_of(found, ncols, reduced, 0, 1, int)
 
 
@@ -141,13 +153,16 @@ def _sparse_rref(rows, ncols, p, budget):
     """Gauss-Jordan on dict rows, over F_p when p is a prime and over the
     rationals when p is 0; None once the work exceeds budget.
 
-    Over F_p entries are reduced mod p, and the input's nonzeros are counted
-    first: int zeros compare in C, so a dense input costs one count per row
-    and builds no dict rows.  Over the rationals (budget math.inf) entries
-    are exact: integral ones are read as ints (so unit pivots keep the
-    arithmetic on ints), the others stay Fractions, and a pivot f is inverted
-    as 1 / Fraction(f).  The row scan skips the shared zero _ZERO by
-    identity, without a Python-level Fraction.__bool__ call per cell.
+    rows may mix dense lists and sparse dicts; each is copied into a fresh
+    dict row, so the caller's rows (cached product columns among them) are
+    never mutated.  Over F_p entries are reduced mod p, and each row's
+    nonzeros are counted against the budget before the next row is read: int
+    zeros compare in C, so a dense list costs one count and builds no dict
+    row once the budget is spent.  Over the rationals (budget math.inf)
+    entries are exact: integral ones are read as ints (so unit pivots keep
+    the arithmetic on ints), the others stay Fractions, and a pivot f is
+    inverted as 1 / Fraction(f).  The dense row scan skips the shared zero
+    _ZERO by identity, without a Python-level Fraction.__bool__ call per cell.
 
     Returns {pivot column: {column: value}} holding each reduced row without
     its pivot entry (which is 1).  The pivot rows stay in RREF throughout:
@@ -160,39 +175,35 @@ def _sparse_rref(rows, ncols, p, budget):
     work = 0
     sparse = []
     cols = range(ncols)
-    if p:
-        for row in rows:
+    for row in rows:
+        if isinstance(row, dict):
+            if p:
+                r = {j: x for j, v in row.items() if (x := v % p)}
+                work += len(r)
+            else:
+                r = {j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
+        elif p:
             work += len(row) - row.count(0)
             if work > budget:
                 return None
-        for row in rows:
             r = {j: v for j in compress(cols, row) if (v := row[j] % p)}
-            if r:
-                sparse.append(r)
-    else:
-        for row in rows:
+        else:
             r = {}
             for j in compress(cols, map(is_not, row, repeat(_ZERO))):
                 v = row[j]
                 if v:
                     r[j] = v.numerator if v.denominator == 1 else v
-            if r:
-                sparse.append(r)
+        if work > budget:
+            return None
+        if r:
+            sparse.append(r)
     piv = {}
     holders = {}
     for r in sparse:
         for c in [c for c in r if c in piv]:
-            f = r.pop(c)
             tail = piv[c]
             work += len(tail)
-            for j, v in tail.items():
-                x = r.get(j, 0) - f * v
-                if p:
-                    x %= p
-                if x:
-                    r[j] = x
-                else:
-                    del r[j]
+            _sub_multiple(r, r.pop(c), tail, p)
         if work > budget:
             return None
         if not r:
@@ -232,6 +243,27 @@ def _sparse_rref(rows, ncols, p, budget):
         if len(piv) == ncols:
             break
     return piv
+
+
+def _sub_multiple(r, f, tail, p):
+    """r -= f * tail on dict rows in place, mod p when p is nonzero; an entry
+    that cancels is deleted."""
+    for j, v in tail.items():
+        x = r.get(j, 0) - f * v
+        if p:
+            x %= p
+        if x:
+            r[j] = x
+        else:
+            del r[j]
+
+
+def _dense(row, ncols, zero):
+    """A dict row as a dense list."""
+    out = [zero] * ncols
+    for j, v in row.items():
+        out[j] = v
+    return out
 
 
 def _rows_of(found, ncols, reduced, zero, one, entry):
@@ -449,6 +481,82 @@ class Subspace:
         return coeffs
 
 
+class Echelon:
+    """A chain of subspaces V_1 ⊂ V_2 ⊂ ... of k^ambient as forward-only echelon rows.
+
+    Each extend() call feeds the spanning rows of the next subspace, as
+    sparse dicts with reduced field values.  A row is head-reduced against
+    the rows kept before it, and its remainder, if any, is kept with its
+    leading (minimum) column scaled to 1.  Kept rows are zero left of their
+    distinct lead columns and never change, so the first counts[i] rows are
+    a basis of V_i (counts[0] = 0, the zero subspace).  A vector in their
+    span has a unique expression over them, and head reduction finds it:
+    subtract the row whose lead is the vector's minimum column until none
+    fits.
+    """
+
+    __slots__ = ("field", "ambient", "counts", "_rows", "_leads", "_spans")
+
+    def __init__(self, field, ambient):
+        self.field = field
+        self.ambient = ambient
+        self.counts = [0]
+        self._rows = []  # (lead column, the row without its lead entry)
+        self._leads = {}  # lead column -> row index
+        self._spans = {}
+
+    def extend(self, rows):
+        """Feed the rows spanning V_i over V_{i-1}, the last subspace fed."""
+        p = self.field.char
+        for row in rows:
+            r, _ = self._head_reduce(dict(row), len(self._rows))
+            if r:
+                c = min(r)
+                f = r.pop(c)
+                if f != 1:
+                    inv = pow(f, p - 2, p) if p else 1 / Fraction(f)
+                    r = {j: v * inv % p if p else v * inv for j, v in r.items()}
+                self._leads[c] = len(self._rows)
+                self._rows.append((c, r))
+        self.counts.append(len(self._rows))
+
+    def locate(self, vec, count):
+        """How many leading rows a sparse vector needs, or None outside their span.
+
+        None when vec is outside the span of the first count rows; else one
+        more than the index of the last row with a nonzero coefficient in its
+        expression (0 for the zero vector), so vec lies in V_i exactly when
+        counts[i] reaches that number.
+        """
+        r, used = self._head_reduce(dict(vec), count)
+        return None if r else used
+
+    def _head_reduce(self, r, count):
+        """(remainder, rows used) of head reduction of the dict row r, in place,
+        against the first count rows."""
+        p = self.field.char
+        leads, rows = self._leads, self._rows
+        used = 0
+        while r:
+            c = min(r)
+            k = leads.get(c, count)
+            if k >= count:
+                break
+            _sub_multiple(r, r.pop(c), rows[k][1], p)
+            used = max(used, k + 1)
+        return r, used
+
+    def span(self, count):
+        """The span of the first count rows as a canonical Subspace, built once."""
+        got = self._spans.get(count)
+        if got is None:
+            one = self.field.one
+            got = Subspace.from_rows(
+                self.field, [{c: one, **tail} for c, tail in self._rows[:count]], self.ambient)
+            self._spans[count] = got
+        return got
+
+
 def echelonize(field, rows, ncols):
     """Reduced row echelon form with rank, pivot columns and kernel.
 
@@ -497,13 +605,16 @@ def transpose(rows, ncols):
 def solve_columns(field, rows, ncols, targets):
     """Canonical solutions w of rows . w = t, one per target column t.
 
-    rows is a matrix with ncols columns and each target has one entry per
-    row.  One elimination of [rows | targets] serves every target.  Each
-    solution is the unique one whose free coordinates (non-pivot unknowns)
-    are zero: same input, same witness.  Returns (solutions, None), or
-    (None, k) when target k is the first without a solution.
+    rows is a matrix with ncols columns, in dense or sparse rows, and each
+    target is a dense list with one entry per row.  One elimination of
+    [rows | targets] serves every target.  Each solution is the unique one
+    whose free coordinates (non-pivot unknowns) are zero: same input, same
+    witness.  Returns (solutions, None), or (None, k) when target k is the
+    first without a solution.
     """
-    aug = [list(row) + [t[r] for t in targets] for r, row in enumerate(rows)]
+    aug = [{**row, **{ncols + k: t[r] for k, t in enumerate(targets) if t[r]}}
+           if isinstance(row, dict) else list(row) + [t[r] for t in targets]
+           for r, row in enumerate(rows)]
     rref, pivots = field.rref(aug, ncols + len(targets))
     sols = [[field.zero] * ncols for _ in targets]
     for r, c in enumerate(pivots):

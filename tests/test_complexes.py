@@ -29,6 +29,7 @@ from koszulcone.errors import (
     RegularOrderingViolation,
 )
 from koszulcone.ideals import MonomialIdeal
+from koszulcone.linalg import QQ
 
 from syzygy_oracle import brute_force_betti
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
@@ -313,8 +314,13 @@ def test_oracle_infinite_resolution():
 
 
 def test_oracle_matches_betti_table():
-    for mk in (hhr_ideal, lambda: poly_m2(2), poly_mixed_ideal, lambda: md_squares(3, 2)):
-        J = mk()
+    # the random ideals with linear quotients check the colon dimensions the
+    # membership filtration supplies against independent syzygy kernels
+    fixed = [mk() for mk in (hhr_ideal, lambda: poly_m2(2), poly_mixed_ideal,
+                             lambda: md_squares(3, 2))]
+    randoms = [J for J in random_ideals(seed=11, count=80) if J.check_linear_quotients(4).passed]
+    assert len(randoms) >= 30
+    for J in fixed + randoms:
         dmax = J.max_degree + 4
         oracle = brute_force_betti(J.algebra, J.gens, 3, dmax)
         bt = betti_table(J, 3)
@@ -614,6 +620,21 @@ def test_random_regular_ideals_cone_equals_closed_form():
             K, F, psi = comparison_maps(J, r, hmax)
             assert verify_chain_map(F, K, psi, hmax) == (True, None), (J.gens, r)
     assert regular >= 10
+
+
+def test_a_second_resolve_leaves_the_product_cache_unchanged():
+    # product columns are cached and shared as dict rows; elimination and
+    # membership copy them, so a second resolve finds them as they were
+    ideals = [hhr_ideal(), md_squares(3, 2), poly_mixed_ideal(),
+              MonomialIdeal(poly_ring(3, cutoff=8, field=QQ), [(2, 0, 0), (1, 1, 0), (0, 1, 1)])]
+    for J in ideals:
+        F = iterated_mapping_cone(J, 4)
+        assert verify_complex(F, J.max_degree + 4).passed
+        before = repr(J.algebra._mult_columns)
+        assert J.algebra._mult_columns
+        F = iterated_mapping_cone(J, 4)
+        assert verify_complex(F, J.max_degree + 4).passed
+        assert repr(J.algebra._mult_columns) == before, J.gens
 
 
 def test_one_verification_ranks_each_differential_once(monkeypatch):

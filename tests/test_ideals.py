@@ -436,8 +436,11 @@ def test_multiplication_columns_match_multiply(field):
                     assert len(cols) == A.dim(e)
                     for mu, col in zip(A.basis(e), cols):
                         prod = A.multiply(A.monomial_element(mu), a).coords
-                        assert col == prod, (name, a, e, mu)
-                        assert list(map(type, col)) == list(map(type, prod))
+                        nonzeros = {k: x for k, x in enumerate(prod) if x}
+                        assert type(col) is dict
+                        assert col == nonzeros, (name, a, e, mu)
+                        assert {k: type(x) for k, x in col.items()} == \
+                            {k: type(x) for k, x in nonzeros.items()}
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
@@ -462,6 +465,41 @@ def test_membership_and_variable_ideal_spaces_match_product_oracle(field):
                 rows = [row for w in rows1 for row in product_rows(A, A.element(1, w), d)]
                 assert _variable_ideal_space(A, rows1, d) == \
                     Subspace.from_rows(field, rows, A.dim(d)), (name, rows1, d)
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_filtration_matches_per_prefix_oracle(field):
+    # one forward-only echelon per degree gives the prefix dimensions,
+    # membership and the minimal prefix; the oracle eliminates the product
+    # rows of every prefix afresh.  The random rings make pivots non-units.
+    rng = random.Random(9090 + getattr(field, "char", 0))
+    cutoff = 6
+    seen = {"inside": 0, "outside": 0, "later prefix": 0}
+    for name, A in oracle_algebras(field, cutoff=cutoff).items():
+        for J in [random_ideal(A, rng) for _ in range(2)]:
+            for d in range(cutoff + 1):
+                spaces = [Subspace.from_rows(field, [
+                    row for g, gd in zip(J.gen_elements[:prefix], J.degs) if gd <= d
+                    for row in product_rows(A, g, d)], A.dim(d)) for prefix in range(J.r + 1)]
+                assert J._filtration(d, J.r).counts == [s.dim for s in spaces], (name, J.gens, d)
+                for prefix, space in enumerate(spaces):
+                    samples = [random_element(A, d, rng)]
+                    if space.dim:
+                        coeffs = [field.of(rng.randint(-3, 3)) for _ in space.rows]
+                        samples.append(A.element(d, [
+                            sum((field.mul(c, row[k]) for c, row in zip(coeffs, space.rows)),
+                                field.zero) for k in range(A.dim(d))]))
+                    for v in samples:
+                        coords = list(v.coords)
+                        member = space.contains(coords)
+                        assert J.contains(v, prefix) == member, (name, J.gens, prefix, d)
+                        first = next((j for j in range(1, prefix + 1)
+                                      if spaces[j].contains(coords)), None)
+                        assert J._minimal_prefix(v, prefix) == first, (name, J.gens, prefix, d)
+                        if not v.is_zero:
+                            seen["inside" if member else "outside"] += 1
+                            seen["later prefix"] += first is not None and first > 1
+    assert min(seen.values()) > 20, seen
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)

@@ -488,3 +488,55 @@ def test_kernel_choice_follows_the_work_budget(p, monkeypatch):
     assert linalg._sparse_rref(sparse, 200, p, 4 * 400 + 200 * 200 // 16) is None
     assert F.rref(sparse, 200) == linalg._dense_rref(sparse, 200, p, True)
     assert len(calls) == 3
+
+
+def _as_dicts(rows):
+    """Each row's nonzero entries as a dict {column: value}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def _typed(value):
+    """A nested answer with every entry paired with its type."""
+    if isinstance(value, (list, tuple)):
+        return [_typed(x) for x in value]
+    if isinstance(value, Subspace):
+        return _typed([value.rows, value.pivots])
+    return (value, type(value))
+
+
+def _check_dict_rows_give_the_dense_answers(field, rows, ncols, rng):
+    dicts = _as_dicts(rows)
+    before = [dict(row) for row in dicts]
+    types = [{j: type(x) for j, x in row.items()} for row in dicts]
+    targets = [[field.of(rng.randint(-3, 3)) for _ in rows] for _ in range(3)]
+    calls = (
+        lambda m: field.rref(m, ncols),
+        lambda m: field.rref(m, ncols, reduced=False),
+        lambda m: rank(field, m, ncols),
+        lambda m: kernel(field, m, ncols),
+        lambda m: solve_columns(field, m, ncols, targets),
+        lambda m: solve_columns(field, m, ncols, [[field.zero] * len(rows)]),
+    )
+    for call in calls:
+        assert _typed(call(dicts)) == _typed(call(rows))
+    # the kernel copies every row: cached product columns are passed in as rows
+    assert dicts == before
+    assert [{j: type(x) for j, x in row.items()} for row in dicts] == types
+
+
+@pytest.mark.parametrize("scale", [0, 1, 10 ** 12])
+def test_dict_rows_give_the_dense_answers_over_a_prime_field(scale, monkeypatch):
+    # scale 0 sends every nonzero matrix to the dense kernel, which the dict
+    # rows then reach as dense lists
+    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+    calls = _count_calls(monkeypatch, "_dense_rref")
+    rng = random.Random(3000)
+    for _, rows, ncols in _kernel_inputs(rng, 101):
+        _check_dict_rows_give_the_dense_answers(F101, rows, ncols, rng)
+    assert (len(calls) > 0) == (scale != 10 ** 12)
+
+
+def test_dict_rows_give_the_dense_answers_over_the_rationals():
+    rng = random.Random(3001)
+    for rows, ncols in _rational_inputs(rng):
+        _check_dict_rows_give_the_dense_answers(QQ, rows, ncols, rng)

@@ -1,6 +1,9 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
+import os
 import re
 import subprocess
 import sys
@@ -91,3 +94,22 @@ def test_cli_digest_prints_one_line_per_run(tmp_path):
         line.split(" ", 2)[:2] for line in lines]
     assert [line.split(" ", 2)[2] for line in ring_lines] == [
         line.split(" ", 2)[2].replace("fixtures/hhr_example.ring", str(copy)) for line in lines]
+
+
+def test_rungs_prints_one_json_line_per_run():
+    # tools/rungs.py: each rung is its own CLI process, timed from outside
+    root = SRC.parent.parent
+    done = subprocess.run(
+        [sys.executable, str(root / "tools" / "rungs.py"), str(root), "--rung", "hhr-resolve"],
+        capture_output=True, text=True, check=True, timeout=120)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    run = json.loads(lines[0])
+    argv = ["resolve", "--method", "cone", "hhr_example.ring", "--hmax", "3", "--dmax", "4"]
+    assert (run["rung"], run["argv"], run["rc"]) == ("hhr-resolve", argv, 0)
+    assert run["wall_s"] > 0 and run["maxrss_mb"] > 0
+    # the digest is of the same bytes the CLI prints on the fixture itself
+    direct = subprocess.run(
+        [sys.executable, "-m", "koszulcone.cli", *argv], cwd=root / "fixtures",
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)), capture_output=True, check=True, timeout=120)
+    assert run["stdout_sha256"] == hashlib.sha256(direct.stdout).hexdigest()

@@ -1,0 +1,128 @@
+"""Whole-process timings of the koszulcone CLI on rings too large for bench jobs.
+
+    python tools/rungs.py CHECKOUT [--rung NAME ...]
+
+Writes the ring files of the ladder below into a temporary directory and runs
+each rung there as its own `python -m koszulcone.cli ...` process, importing
+koszulcone from CHECKOUT/src.  Each run prints one JSON line
+
+    {"rung": ..., "argv": [...], "rc": ..., "wall_s": ..., "maxrss_mb": ...,
+     "stdout_sha256": ...}
+
+where wall_s includes interpreter start-up and import, maxrss_mb is the
+child's own peak resident memory (from wait4), and stdout_sha256 lets two
+checkouts be compared for byte identity.  The ring files do not depend on
+CHECKOUT: the n=7 rings are the perfbench squares and polynomial rings
+(perfbench/workloads.py, seed 0) and the generic rings are complete
+intersections of seeded dense quadrics.  Runs are sequential, one child at a
+time; repeat the command for more samples.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import itertools
+import json
+import os
+import random
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "perfbench"))
+
+import workloads  # noqa: E402
+
+# name -> CLI arguments; the ring file named in them is written by ring_texts()
+RUNGS = {
+    "poly7-resolve": ("resolve", "--method", "cone", "poly7-gf101.ring", "--hmax", "4",
+                      "--dmax", "5"),
+    "squares7-verify": ("verify", "--method", "cone", "squares7-gf101.ring", "--hmax", "4",
+                        "--dmax", "6"),
+    "poly7-quotients": ("check", "quotients", "poly7-gf101.ring", "--dmax", "5"),
+    "generic-0-4-3": ("priddy", "generic_0_4_3.ring", "--hmax", "4", "--dmax", "4",
+                      "--field", "q"),
+    "generic-1-3-2": ("resolve", "--method", "cone", "generic_1_3_2.ring", "--hmax", "4",
+                      "--dmax", "5"),
+    "generic-2-4-2": ("resolve", "--method", "cone", "generic_2_4_2.ring", "--hmax", "4",
+                      "--dmax", "4"),
+    "generic-5-5-4": ("dual", "generic_5_5_4.ring", "--hmax", "4", "--field", "q"),
+    # a small rung for the tool's own test
+    "hhr-resolve": ("resolve", "--method", "cone", "hhr_example.ring", "--hmax", "3",
+                    "--dmax", "4"),
+}
+GENERIC = ((0, 4, 3), (1, 3, 2), (2, 4, 2), (5, 5, 4))
+
+
+def generic_ring_text(seed, n, nrels):
+    """Ring file over GF(101) whose nrels relations each use every quadratic
+    monomial of x1..xn with a seeded random nonzero coefficient; ideal (x1)."""
+    rng = random.Random(seed)
+    names = [f"x{i}" for i in range(1, n + 1)]
+    quadrics = [f"{a}*{b}" if a != b else f"{a}^2" for a, b in
+                itertools.combinations_with_replacement(names, 2)]
+    lines = ["field p=101", "vars " + " ".join(names)]
+    lines += ["rel " + " + ".join(f"{rng.randrange(1, 101)}*{m}" for m in quadrics)
+              for _ in range(nrels)]
+    lines.append("ideal x1")
+    return "\n".join(lines) + "\n"
+
+
+def write_rings(workdir):
+    for kind in ("poly", "squares"):
+        ring = workloads.Ring(kind, 7)
+        (workdir / ring.filename).write_text(workloads.ring_text(ring, random.Random(0)))
+    for seed, n, nrels in GENERIC:
+        (workdir / f"generic_{seed}_{n}_{nrels}.ring").write_text(
+            generic_ring_text(seed, n, nrels))
+    shutil.copyfile(REPO / "fixtures" / "hhr_example.ring", workdir / "hhr_example.ring")
+
+
+def run_rung(checkout, name, workdir):
+    """One child process; returns the JSON-ready record of the run."""
+    argv = list(RUNGS[name])
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    with tempfile.TemporaryFile() as out:
+        t0 = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "koszulcone.cli", *argv],
+                                 cwd=workdir, env=env, stdout=out,
+                                 stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)
+        wall = time.perf_counter() - t0
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        digest = hashlib.sha256(out.read()).hexdigest()
+    return {
+        "rung": name,
+        "argv": argv,
+        "rc": child.returncode,
+        "wall_s": round(wall, 3),
+        # ru_maxrss is in KiB on Linux
+        "maxrss_mb": round(usage.ru_maxrss / 1024, 1),
+        "stdout_sha256": digest,
+    }
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("checkout", help="directory holding src/koszulcone")
+    p.add_argument("--rung", action="append", choices=sorted(RUNGS),
+                   help="rung to run (repeatable; default every rung)")
+    args = p.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        write_rings(workdir)
+        for name in args.rung or RUNGS:
+            print(json.dumps(run_rung(args.checkout, name, workdir)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
