@@ -529,7 +529,7 @@ class DecompositionTable:
             cdeg = d - J.degs[j - 1]
             gel = J.gen_elements[j - 1]
             multiples = A.multiplication_columns(gel, cdeg)
-            prev = J.membership_space(j - 1, d).rows
+            prev = J.membership_space(j - 1, d).nonzero_rows()
             # the unknowns are the coefficients of the multiples and then of
             # the rows of J_{j-1}: solve rows^T . c = v, one equation per
             # coordinate of A_d
@@ -538,9 +538,8 @@ class DecompositionTable:
                 for c, x in col.items():
                     eqs[c][k] = x
             for k, row in enumerate(prev, len(multiples)):
-                for c, x in enumerate(row):
-                    if x:
-                        eqs[c][k] = x
+                for c, x in row:
+                    eqs[c][k] = x
             sols, _ = solve_columns(fld, eqs, len(multiples) + len(prev), [v.coords])
             if sols is None:
                 raise DecompositionFailure(

@@ -433,7 +433,7 @@ class Subspace:
             self._np = np.array(self.rows, dtype=np.int64)
         return self._np
 
-    def _nonzero_rows(self):
+    def nonzero_rows(self):
         """Each basis row as its list of (column, nonzero entry) pairs."""
         if self._nonzeros is None:
             self._nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in self.rows]
@@ -462,7 +462,7 @@ class Subspace:
         v = [_ZERO if a is _ZERO or not a else a if type(a) is Fraction else Fraction(a)
              for a in vec]
         coeffs = [v[c] for c in self.pivots]
-        for f, row in zip(coeffs, self._nonzero_rows()):
+        for f, row in zip(coeffs, self.nonzero_rows()):
             if f is not _ZERO:
                 for j, b in row:
                     x = v[j] - f * b
