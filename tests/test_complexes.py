@@ -315,7 +315,8 @@ def test_oracle_infinite_resolution():
 
 def test_oracle_matches_betti_table():
     # the random ideals with linear quotients check the colon dimensions the
-    # membership filtration supplies against independent syzygy kernels
+    # membership filtration supplies against independent syzygy kernels, and
+    # the mapping cone's graded ranks against both
     fixed = [mk() for mk in (hhr_ideal, lambda: poly_m2(2), poly_mixed_ideal,
                              lambda: md_squares(3, 2))]
     randoms = [J for J in random_ideals(seed=11, count=80) if J.check_linear_quotients(4).passed]
@@ -329,6 +330,8 @@ def test_oracle_matches_betti_table():
             if l <= 2 and d <= dmax:
                 expected[(l + 1, d)] = v
         assert oracle == expected, (oracle, expected)
+        cone = betti_from_complex(iterated_mapping_cone(J, 3))
+        assert cone == {k: v for k, v in bt.ideal.items() if k[0] <= 2}, J.gens
 
 
 def test_linear_strand_of_linear_complex_is_identity():
