@@ -25,7 +25,7 @@ from itertools import compress, repeat
 from operator import add, is_not
 
 from .errors import DegreeOverflow, ElementMismatch
-from .linalg import Subspace
+from .linalg import _ZERO, Subspace
 
 __all__ = [
     "RingPresentation",
@@ -97,7 +97,8 @@ class AlgebraElement:
 
     @property
     def is_zero(self):
-        return not any(self.coords)
+        # the shared zero of the rationals is skipped by identity, in C
+        return not any(compress(self.coords, map(is_not, self.coords, repeat(_ZERO))))
 
 
 def _support(coords, zero):
@@ -136,6 +137,7 @@ class GradedAlgebra:
         self.warnings = []
         self._degrees = {}
         self._mult_columns = {}
+        self._zeros = {}
 
     # -- degree construction ----------------------------------------------
 
@@ -247,7 +249,11 @@ class GradedAlgebra:
         return [self.dim(d) for d in range(dmax + 1)]
 
     def zero(self, d):
-        return AlgebraElement(d, tuple([self.field.zero] * self.dim(d)))
+        """The zero of degree d: one shared (frozen) element per degree."""
+        got = self._zeros.get(d)
+        if got is None:
+            got = self._zeros[d] = AlgebraElement(d, tuple([self.field.zero] * self.dim(d)))
+        return got
 
     def one(self):
         return AlgebraElement(0, (self.field.one,))

@@ -4,7 +4,12 @@ A ChainComplex holds labeled free modules per homological degree and
 differential matrices with homogeneous algebra-element entries.  Everything
 is verified exactly: d.d = 0 as symbolic matrix identities, minimality as a
 constant-term scan, and homology by rank computations on the degreewise
-k-matrices.
+k-matrices.  One sparse composition kernel (_compose_columns) serves d.d,
+verify_chain_map and the lifts' right-hand sides: it expands the nonzero
+terms of entry pairs (GradedAlgebra._expand) into {position: value} sums,
+reduced once per column.  The trace differential of a dual or quotient dual
+depends on it and hmax only, so it is built and its d.d certified once and
+kept on the dual, like the action matrices it is read from.
 
 Two resolution paths exist for an ideal with linear quotients: the generic
 iterated mapping cone, whose comparison maps are lifted degreewise through
@@ -107,7 +112,7 @@ class ChainComplex:
         for l in range(2, len(self.modules)):
             for c, sums in _compose_columns(self.algebra, self.diffs[l - 1], self.diffs[l]):
                 for (r, _), val in sums.items():
-                    if not val.is_zero:
+                    if val:
                         return (l, r, c)
         return None
 
@@ -182,26 +187,35 @@ def _compose_columns(algebra, first, second):
     """The columns of first o second, for entry dicts with exact algebra entries.
 
     Yields (col, sums) for each column of second in order of first
-    appearance; sums maps (row, degree) to the summed nonzero products, which
-    may cancel to zero.  Keying by degree too diagnoses inhomogeneous
+    appearance; sums maps (row, degree) to the sum of the nonzero products as
+    a sparse dict {basis position: value}, empty when they cancel.  A key
+    enters sums with its first nonzero product.  Each entry's nonzero terms
+    are read once per call, each product is expanded on the nonzeros of its
+    factors and normal forms (GradedAlgebra._expand), and a column's sums are
+    reduced once, at its end.  Keying by degree too diagnoses inhomogeneous
     (corrupted) input instead of crashing on a mixed-degree sum.
     """
     by_inner = {}
     for (r, g), a in first.items():
-        by_inner.setdefault(g, []).append((r, a))
+        by_inner.setdefault(g, []).append((r, a.degree, algebra._terms(a)))
     by_col = {}
     for (g, c), b in second.items():
-        by_col.setdefault(c, []).append((g, b))
+        by_col.setdefault(c, []).append((g, b.degree, algebra._terms(b)))
+    degrees = {}
     for c, col_entries in by_col.items():
         sums = {}
-        for g, b in col_entries:
-            for r, a in by_inner.get(g, ()):
-                prod = algebra.multiply(a, b)
-                if prod.is_zero:
+        for g, db, tb in col_entries:
+            for r, da, ta in by_inner.get(g, ()):
+                d = da + db
+                dd = degrees.get(d) or degrees.setdefault(d, algebra._product_degree(d))
+                prod = algebra._expand(dd, ta, tb)
+                if not prod:
                     continue
-                key = (r, prod.degree)
-                sums[key] = algebra.add(sums[key], prod) if key in sums else prod
-        yield c, sums
+                acc = sums.setdefault((r, d), prod)
+                if acc is not prod:
+                    for k, v in prod.items():
+                        acc[k] = acc.get(k, 0) + v
+        yield c, {key: algebra._nonzeros(acc) for key, acc in sums.items()}
 
 
 # -- Priddy and sub-Priddy complexes -----------------------------------------
@@ -230,21 +244,26 @@ def _trace_complex(algebra, space, hmax, kind, failure, shift=0, gen=None):
     """A (x) space-component complex with the trace differential.
 
     space is a dual or a quotient dual; failure is the exception raised when
-    d.d = 0 fails.
+    d.d = 0 fails.  The entries depend on space and hmax only (shift and gen
+    relabel generators), so they are built and certified once and kept on
+    space, next to its action matrices; a space that fails is not kept.
+    Each call gets its own Generator labels and copies of the entry dicts.
     """
-    modules = []
-    for l in range(hmax + 1):
-        comp = space.component(l)
-        modules.append([Generator(gen, i, l + shift, tuple(row))
-                        for i, row in enumerate(comp.rows)])
-    diffs = [None]
-    for l in range(1, hmax + 1):
-        acts = [space.act_matrix(l, j, slot="first") for j in range(algebra.n)]
-        diffs.append(_trace_differential(algebra, modules[l], modules[l - 1], acts))
-    c = ChainComplex(algebra, modules, diffs, kind=kind)
-    if c.d_squared_witness() is not None:
-        raise failure
-    return c
+    got = space._trace.get(hmax)
+    if got is None:
+        vectors = [[tuple(row) for row in space.component(l).rows] for l in range(hmax + 1)]
+        diffs = [None]
+        for l in range(1, hmax + 1):
+            acts = [space.act_matrix(l, j, slot="first") for j in range(algebra.n)]
+            diffs.append(_trace_differential(algebra, vectors[l], vectors[l - 1], acts))
+        # d.d reads only the entries, so the unlabeled vectors serve as modules
+        if ChainComplex(algebra, vectors, diffs).d_squared_witness() is not None:
+            raise failure
+        got = space._trace[hmax] = (vectors, diffs)
+    vectors, diffs = got
+    modules = [[Generator(gen, i, l + shift, v) for i, v in enumerate(vs)]
+               for l, vs in enumerate(vectors)]
+    return ChainComplex(algebra, modules, [None] + [dict(d) for d in diffs[1:]], kind=kind)
 
 
 def priddy_complex(dual, hmax):
@@ -331,7 +350,8 @@ def _lift_comparison(F, K, m_element):
         targets = [[fld.zero] * sum(tgt_dims) for _ in src]
         for c, sums in _compose_columns(A, psi[l - 1], K.diffs[l]):
             for (r, _), elem in sums.items():
-                targets[c][tgt_off[r] : tgt_off[r] + tgt_dims[r]] = elem.coords
+                for k, x in elem.items():
+                    targets[c][tgt_off[r] + k] = x
         mat, _, ncols = F.degreewise_matrix(l, D)
         if ncols == 0:
             if any(any(t) for t in targets):
@@ -545,9 +565,9 @@ def verify_chain_map(F, K, psi, hmax):
 
 
 def _compose(algebra, first, second):
-    """Nonzero entries of first o second, keyed (row, degree, col)."""
+    """Nonzero entries of first o second as sparse dicts, keyed (row, degree, col)."""
     return {(r, d, c): v for c, sums in _compose_columns(algebra, first, second)
-            for (r, d), v in sums.items() if not v.is_zero}
+            for (r, d), v in sums.items() if v}
 
 
 # -- verification, strands, Betti tables -----------------------------------------

@@ -54,6 +54,7 @@ class QuadraticDual:
         self.ambient_limit = ambient_limit
         self._components = {}
         self._act = {}
+        self._trace = {}  # hmax -> certified trace differential (complexes)
         self._quotients = {}
         self._relation_space = None
         self._nf2 = None
@@ -264,6 +265,7 @@ class QuotientDual:
         self.field = parent.field
         self._components = {}
         self._act = {}
+        self._trace = {}
 
     def component(self, l):
         got = self._components.get(l)

@@ -575,17 +575,17 @@ def echelonize(field, rows, ncols):
 
 
 def _kernel_from_rref(field, rref, pivots, ncols):
+    """The kernel spanned by one sparse row per free column f: 1 at f and
+    minus column f of the RREF at the pivot columns."""
     pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    rows = []
-    one, z = field.one, field.zero
-    for f in free:
-        v = [z] * ncols
-        v[f] = one
-        for r, c in enumerate(pivots):
-            v[c] = field.neg(rref[r][f])
-        rows.append(v)
-    return Subspace.from_rows(field, rows, ncols)
+    vecs = {f: {f: field.one} for f in range(ncols) if f not in pivot_set}
+    zero = field.zero
+    for row, c in zip(rref, pivots):
+        # the row is zero left of c and at every other pivot column
+        for f in compress(range(c + 1, ncols), map(is_not, row[c + 1:], repeat(zero))):
+            if row[f]:
+                vecs[f][c] = field.neg(row[f])
+    return Subspace.from_rows(field, list(vecs.values()), ncols)
 
 
 def kernel(field, rows, ncols):

@@ -29,7 +29,7 @@ from koszulcone.errors import (
     RegularOrderingViolation,
 )
 from koszulcone.ideals import MonomialIdeal
-from koszulcone.linalg import QQ
+from koszulcone.linalg import GF, QQ
 
 from syzygy_oracle import brute_force_betti
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
@@ -665,3 +665,213 @@ def test_one_verification_ranks_each_differential_once(monkeypatch):
             built.clear()
             assert call()
             assert built and len(built) == len(set(built)), built
+
+
+# -- the sparse composition kernel against the dense one it replaced ---------------
+
+
+def dense_compose_columns(A, first, second):
+    """The composition kernel before it went sparse: one multiply, is_zero
+    and add per pair of entries, on dense coordinate tuples."""
+    by_inner = {}
+    for (r, g), a in first.items():
+        by_inner.setdefault(g, []).append((r, a))
+    by_col = {}
+    for (g, c), b in second.items():
+        by_col.setdefault(c, []).append((g, b))
+    for c, col_entries in by_col.items():
+        sums = {}
+        for g, b in col_entries:
+            for r, a in by_inner.get(g, ()):
+                prod = A.multiply(a, b)
+                if prod.is_zero:
+                    continue
+                key = (r, prod.degree)
+                sums[key] = A.add(sums[key], prod) if key in sums else prod
+        yield c, sums
+
+
+def assert_same_columns(A, first, second):
+    """Column by column, key order included, the sparse sums equal the dense ones."""
+    sparse = [(c, list(sums.items()))
+              for c, sums in koszulcone.complexes._compose_columns(A, first, second)]
+    dense = [(c, [(key, A.sparse(v)) for key, v in sums.items()])
+             for c, sums in dense_compose_columns(A, first, second)]
+    assert sparse == dense
+    return sparse
+
+
+def dense_verify_chain_map(F, K, psi, hmax):
+    A = F.algebra
+
+    def compose(first, second):
+        return {(r, d, c): A.sparse(v) for c, sums in dense_compose_columns(A, first, second)
+                for (r, d), v in sums.items() if not v.is_zero}
+
+    for l in range(1, hmax + 1):
+        if compose(F.diffs[l], psi[l]) != compose(psi[l - 1], K.diffs[l]):
+            return False, l
+    return True, None
+
+
+def quadric_ring(field, cutoff=8):
+    # k[x,y,z]/(xy + xz - yz, x^2 - 2yz): normal forms with several terms
+    from koszulcone.algebra import GradedAlgebra, RingPresentation
+    one, neg = field.of(1), field.of(-1)
+    rels = (((one, (0, 1)), (one, (0, 2)), (neg, (1, 2))),
+            ((one, (0, 0)), (field.of(-2), (1, 2))))
+    return GradedAlgebra(RingPresentation(("x", "y", "z"), field, rels), cutoff)
+
+
+FIELDS = {"gf101": GF(101), "gf2": GF(2), "qq": QQ}
+RINGS = {"poly": lambda f: poly_ring(3, cutoff=8, field=f),
+         "squares": lambda f: squares_ring(3, cutoff=8, field=f),
+         "quadric": quadric_ring}
+
+
+@pytest.mark.parametrize("case", CORRUPTION_CASES,
+                         ids=["-".join(map(str, case)) for case in CORRUPTION_CASES])
+def test_sparse_composition_matches_dense_on_corrupted_complexes(case):
+    c = corrupted_case(*case)
+    for l in range(2, len(c.modules)):
+        assert_same_columns(c.algebra, c.diffs[l - 1], c.diffs[l])
+
+
+def random_entries(A, rng, nrows, ninner, ncols):
+    """Entry dicts first: inner -> rows and second: cols -> inner over A.
+
+    Generators get internal degrees so that most entries are homogeneous of
+    degree 0..2; some entries are zero elements, some coordinates are zero,
+    and one entry in ten has a degree one too high (inhomogeneous input).
+    """
+    deg = {"r": [rng.randrange(2) for _ in range(nrows)]}
+    deg["g"] = [2 + rng.randrange(2) for _ in range(ninner)]
+    deg["c"] = [4 + rng.randrange(2) for _ in range(ncols)]
+
+    def element(d):
+        if rng.random() < 0.1:
+            d += 1
+        if rng.random() < 0.1:
+            return A.zero(d)
+        return A.element(d, [A.field.of(rng.choice((0, 0, 1, -1, 2, 5))) for _ in A.basis(d)])
+
+    def entries(src, tgt):
+        keys = [(t, s) for t in range(len(deg[tgt])) for s in range(len(deg[src]))
+                if rng.random() < 0.6]
+        rng.shuffle(keys)
+        return {(t, s): element(deg[src][s] - deg[tgt][t]) for t, s in keys}
+
+    return entries("g", "r"), entries("c", "g")
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("ring", sorted(RINGS))
+def test_sparse_composition_matches_dense_on_random_entries(ring, field):
+    A = RINGS[ring](FIELDS[field])
+    rng = random.Random(f"{ring}-{field}")
+    nonzero = 0
+    for _ in range(25):
+        first, second = random_entries(A, rng, 3, 4, 4)
+        for c, sums in assert_same_columns(A, first, second):
+            nonzero += sum(1 for _, v in sums if v)
+    assert nonzero > 0
+
+
+def test_sparse_composition_keeps_cancelled_sums_as_empty_dicts():
+    A = poly_ring(2, cutoff=6)
+    x, y = A.var(0), A.var(1)
+    minus_x = A.scale(A.field.of(-1), x)
+    # column 0: x*y - y*x cancels; column 1: x*x
+    first = {(0, 0): x, (0, 1): y}
+    second = {(0, 0): y, (1, 0): minus_x, (0, 1): x}
+    cols = assert_same_columns(A, first, second)
+    assert cols == [(0, [((0, 2), {})]), (1, [((0, 2), {0: 1})])]
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_chain_map_with_a_corrupted_entry_fails_at_the_dense_level(field):
+    fld = FIELDS[field]
+    A = poly_ring(3, cutoff=9, field=fld)
+    J = MonomialIdeal(A, list(A.basis(2)))
+    hmax = 3
+    rng = random.Random(field)
+    checked = 0
+    for r in range(2, J.r + 1):
+        K, F, psi = comparison_maps(J, r, hmax)
+        assert verify_chain_map(F, K, psi, hmax) == dense_verify_chain_map(F, K, psi, hmax) \
+            == (True, None)
+        for l in range(1, hmax + 1):
+            if not psi[l]:
+                continue
+            bad = [dict(entries) for entries in psi]
+            key = rng.choice(sorted(bad[l]))
+            a = bad[l][key]
+            bump = [fld.zero] * A.dim(a.degree)
+            bump[rng.randrange(len(bump))] = fld.one
+            bad[l][key] = A.add(a, A.element(a.degree, bump))
+            got = verify_chain_map(F, K, bad, hmax)
+            assert got == dense_verify_chain_map(F, K, bad, hmax)
+            assert got == (False, l), (r, l, key)
+            checked += 1
+    assert checked >= 4
+
+
+# -- one certified trace differential per quotient dual ---------------------------
+
+
+def test_sub_priddy_calls_share_entries_but_not_dicts():
+    D = QuadraticDual(squares_ring(3, cutoff=8))
+    a = sub_priddy_complex(D, {0, 2}, 4, shift=2, gen=3)
+    b = sub_priddy_complex(D, [2, 0], 4)
+    assert a.ranks() == b.ranks()
+    for l in range(1, 5):
+        assert a.diffs[l] == b.diffs[l] and a.diffs[l]
+        assert a.diffs[l] is not b.diffs[l]
+    for l, (ma, mb) in enumerate(zip(a.modules, b.modules)):
+        assert all((g.gen, g.internal_degree) == (3, l + 2) for g in ma)
+        assert all((g.gen, g.internal_degree) == (None, l) for g in mb)
+        assert [g.dual_vector for g in ma] == [g.dual_vector for g in mb]
+
+
+def test_corrupting_one_trace_complex_leaves_the_next_clean():
+    D = QuadraticDual(poly_ring(3, cutoff=8))
+    for build in (lambda: priddy_complex(D, 3), lambda: sub_priddy_complex(D, {0, 1}, 3)):
+        c = build()
+        l = 2
+        (r, cc), a = next(iter(c.diffs[l].items()))
+        A = c.algebra
+        c.diffs[l][(r, cc)] = A.add(a, A.var(0))
+        assert c.d_squared_witness() is not None
+        fresh = build()
+        assert fresh.d_squared_witness() is None
+        assert fresh.diffs[l][(r, cc)] == a
+        assert c.d_squared_witness() is not None
+
+
+def test_a_failing_space_raises_on_every_call(monkeypatch):
+    from koszulcone.errors import CalibrationFailure, ClosureFailure
+    # a corrupted first differential fails d.d = 0
+    build = koszulcone.complexes._trace_differential
+
+    def corrupted(A, source, target, acts):
+        entries = build(A, source, target, acts)
+        if len(target) == 1 and entries:
+            entries[(0, 0)] = A.add(entries[(0, 0)], A.var(0))
+        return entries
+
+    D = QuadraticDual(poly_ring(3, cutoff=8))
+    monkeypatch.setattr(koszulcone.complexes, "_trace_differential", corrupted)
+    for _ in range(2):
+        with pytest.raises(ClosureFailure):
+            sub_priddy_complex(D, {0, 1}, 3)
+        with pytest.raises(CalibrationFailure):
+            priddy_complex(D, 3)
+    monkeypatch.undo()
+    assert sub_priddy_complex(D, {0, 1}, 3).d_squared_witness() is None
+    assert priddy_complex(D, 3).d_squared_witness() is None
+    # an action leaving the quotient dual is not closed
+    Q = QuadraticDual(poly_ring(3, cutoff=8))
+    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j, slot: [0, 0, 1])
+    for _ in range(2):
+        with pytest.raises(ClosureFailure):
+            sub_priddy_complex(Q, {0, 1}, 2)

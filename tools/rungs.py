@@ -12,8 +12,8 @@ koszulcone from CHECKOUT/src.  Each run prints one JSON line
 where wall_s includes interpreter start-up and import, maxrss_mb is the
 child's own peak resident memory (from wait4), and stdout_sha256 lets two
 checkouts be compared for byte identity.  The ring files do not depend on
-CHECKOUT: the n=7 rings are the perfbench squares and polynomial rings
-(perfbench/workloads.py, seed 0) and the generic rings are complete
+CHECKOUT: the squares and polynomial rings are perfbench rings
+(perfbench/workloads.py, seed 0), and the generic rings are complete
 intersections of seeded dense quadrics.  Runs are sequential, one child at a
 time; repeat the command for more samples.
 """
@@ -45,6 +45,11 @@ RUNGS = {
     "squares7-verify": ("verify", "--method", "cone", "squares7-gf101.ring", "--hmax", "4",
                         "--dmax", "6"),
     "poly7-quotients": ("check", "quotients", "poly7-gf101.ring", "--dmax", "5"),
+    "squares6-verify": ("verify", "--method", "cone", "squares6-gf101.ring", "--hmax", "4",
+                        "--dmax", "6"),
+    # a whole resolve over the rationals: elimination and compositions over QQ
+    "squares5-qq-resolve": ("resolve", "--method", "cone", "squares5-qq.ring", "--hmax", "4",
+                            "--dmax", "6", "--field", "q"),
     "generic-0-4-3": ("priddy", "generic_0_4_3.ring", "--hmax", "4", "--dmax", "4",
                       "--field", "q"),
     "generic-1-3-2": ("resolve", "--method", "cone", "generic_1_3_2.ring", "--hmax", "4",
@@ -74,8 +79,9 @@ def generic_ring_text(seed, n, nrels):
 
 
 def write_rings(workdir):
-    for kind in ("poly", "squares"):
-        ring = workloads.Ring(kind, 7)
+    rings = (workloads.Ring("poly", 7), workloads.Ring("squares", 7),
+             workloads.Ring("squares", 6), workloads.Ring("squares", 5, workloads.QQ))
+    for ring in rings:
         (workdir / ring.filename).write_text(workloads.ring_text(ring, random.Random(0)))
     for seed, n, nrels in GENERIC:
         (workdir / f"generic_{seed}_{n}_{nrels}.ring").write_text(
