@@ -667,12 +667,12 @@ def test_one_verification_ranks_each_differential_once(monkeypatch):
             assert built and len(built) == len(set(built)), built
 
 
-# -- the sparse composition kernel against the dense one it replaced ---------------
+# -- the sparse composition kernel against a dense oracle --------------------------
 
 
 def dense_compose_columns(A, first, second):
-    """The composition kernel before it went sparse: one multiply, is_zero
-    and add per pair of entries, on dense coordinate tuples."""
+    """Dense oracle for _compose_columns: one multiply, is_zero and add per
+    pair of entries, on dense coordinate tuples."""
     by_inner = {}
     for (r, g), a in first.items():
         by_inner.setdefault(g, []).append((r, a))
