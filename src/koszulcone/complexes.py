@@ -11,13 +11,12 @@ reduced once per column.  The trace differential of a dual or quotient dual
 depends on it and hmax only, so it is built and its d.d certified once and
 kept on the dual, like the action matrices it is read from.
 
-Two resolution paths exist for an ideal with linear quotients: the generic
-iterated mapping cone, whose comparison maps are lifted degreewise through
-canonical echelon solves, and the closed-form differential available under a
-regular ordering.  The generic path is the in-house oracle for the closed
-form: ranks must agree and both must verify.  The closed form is the cone
-with its comparison maps written out, so comparison_maps reads each map off
-it as a block of the differential (a regular ordering is required).
+Both resolutions of an ideal with linear quotients are one iterated mapping
+cone over the generators against their certified sub-Priddy complexes, and
+differ only in the comparison maps: the generic cone lifts them degreewise
+through canonical echelon solves, and under a regular ordering the closed
+form writes them out, so comparison_maps returns one step of it.  The
+generic path is the in-house oracle for the closed form: both must verify.
 
 Cone sign conventions: cone(psi: K -> F)_l = F_l (+) K_{l-1} with
 differential (f, k) |-> (dF f + psi k, -dK k); the shifted copy carries the
@@ -221,23 +220,24 @@ def _compose_columns(algebra, first, second):
 # -- Priddy and sub-Priddy complexes -----------------------------------------
 
 
-def _trace_differential(algebra, source, target, act_matrices):
-    """Entries of the trace-element differential from act matrices per variable."""
-    fld = algebra.field
-    entries = {}
-    for j, act in enumerate(act_matrices):
-        xj = algebra.var(j)
+def _trace_differential(algebra, source, target, acts):
+    """Entries sum_j acts[j][r][c] x_j of the trace-element differential.
+
+    acts[j] is the action matrix of x_j, or None to leave x_j out.  x_j is a
+    unit vector of A_1, so acts[j][r][c] is the entry's coordinate at x_j's
+    basis position.
+    """
+    zero = algebra.field.zero
+    coords = {}
+    for j, act in enumerate(acts):
+        if act is None:
+            continue
+        (pos,) = algebra.sparse(algebra.var(j))
         for r in range(len(target)):
             for c in range(len(source)):
-                coeff = act[r][c]
-                if not coeff:
-                    continue
-                term = algebra.scale(coeff, xj)
-                if (r, c) in entries:
-                    entries[(r, c)] = algebra.add(entries[(r, c)], term)
-                else:
-                    entries[(r, c)] = term
-    return {k: v for k, v in entries.items() if not v.is_zero}
+                if act[r][c]:
+                    coords.setdefault((r, c), [zero] * algebra.dim(1))[pos] = act[r][c]
+    return {key: algebra.element(1, v) for key, v in coords.items()}
 
 
 def _trace_complex(algebra, space, hmax, kind, failure, shift=0, gen=None):
@@ -335,9 +335,8 @@ def _lift_comparison(F, K, m_element):
     """
     A = F.algebra
     fld = A.field
-    hmax = len(K.modules) - 1
     psi = [{(0, 0): m_element}]
-    for l in range(1, hmax):
+    for l in range(1, len(K.modules)):
         src = K.modules[l]
         if not src:
             psi.append({})
@@ -379,10 +378,8 @@ def _lift_comparison(F, K, m_element):
 def _cone(F, K, psi, hmax):
     """cone(psi: K -> F): modules F_l (+) K_{l-1}, K-part differential negated."""
     A = F.algebra
-    modules = []
+    modules = [list(F.modules[0])] + [F.modules[l] + K.modules[l - 1] for l in range(1, hmax + 1)]
     diffs = [None]
-    for l in range(hmax + 1):
-        modules.append(list(F.modules[l]) + (list(K.modules[l - 1]) if l >= 1 else []))
     for l in range(1, hmax + 1):
         entries = dict(F.diffs[l])
         col_off = len(F.modules[l])
@@ -396,22 +393,35 @@ def _cone(F, K, psi, hmax):
     return ChainComplex(A, modules, diffs, kind="resolution")
 
 
+def _iterated_cone(ideal, hmax, step, keep):
+    """The iterated mapping cone over m_1, ..., m_r, and step keep's (K, F, psi).
+
+    Step i cones the resolution F of A/J_{i-1} against the i-th sub-Priddy
+    complex K, built to hmax - 1 as the cone uses; step(F, K, i) returns the complex whose negated differential
+    is the diagonal block (K, but for the printed closed form) and psi: K ->
+    F.  The basis is gen-major: homological degree l holds m_i (x)
+    (quotient-dual basis of degree l-1) for each generator i in order.
+    """
+    F = _base_complex(ideal.algebra, hmax)
+    kept = None
+    for i in range(1, ideal.r + 1):
+        K = sub_priddy_complex(ideal.dual, ideal.colon_vars(i).variables, hmax - 1,
+                               shift=ideal.degs[i - 1], gen=i)
+        diagonal, psi = step(F, K, i)
+        if i == keep:
+            kept = (K, F, psi)
+        F = _cone(F, diagonal, psi, hmax)
+    return F, kept
+
+
 def iterated_mapping_cone(ideal, hmax):
     """Resolution of A/J by successive cones over canonical chain-map lifts.
 
     Requires linear quotients (the caller is expected to have checked; the
-    colon variable sets come from the ideal's cache).  The resulting labeled
-    basis is gen-major: homological degree l holds m_i (x) (quotient-dual
-    basis of degree l-1) for each generator i in order.
+    colon variable sets come from the ideal's cache).
     """
-    A = ideal.algebra
-    dual = ideal.dual
-    F = _base_complex(A, hmax)
-    for i in range(1, ideal.r + 1):
-        allowed = ideal.colon_vars(i).variables
-        K = sub_priddy_complex(dual, allowed, hmax, shift=ideal.degs[i - 1], gen=i)
-        psi = _lift_comparison(F, K, ideal.gen_elements[i - 1])
-        F = _cone(F, K, psi, hmax)
+    F, _ = _iterated_cone(ideal, hmax, lambda F, K, i: (
+        K, _lift_comparison(F, K, ideal.gen_elements[i - 1])), None)
     w = F.d_squared_witness()
     if w is not None:
         raise ConeNotComplex(f"cone differential broke d.d = 0 at {w}", witness=w)
@@ -424,29 +434,93 @@ def iterated_mapping_cone(ideal, hmax):
 # -- closed-form resolution -------------------------------------------------------
 
 
+def _explicit_comparison(ideal, F, K, k):
+    """The comparison map K -> F written out under a regular ordering.
+
+    psi_0 = m_k and psi_l(m_k (x) f) = sum_{s; j < k} c_j(x_s m_k) (m_j (x)
+    f.x_s^*), with c_j the decomposition coefficients.  A symbol m_j (x)
+    f.x_s^* is valid only when the contraction lies in the j-th quotient
+    dual; invalid symbols are zero by definition (as in the classical closed
+    form, where a symbol with out-of-range support is zero).
+    """
+    A = ideal.algebra
+    dual = ideal.dual
+    quots = [dual.quotient(ideal.colon_vars(j).variables) for j in range(1, k)]
+    lower = {s: terms for s in range(A.n)
+             if (terms := [(j, cf) for j, cf in ideal.decomposition.times_var(s, k) if j < k])}
+    psi = [{(0, 0): ideal.gen_elements[k - 1]}]
+    for l in range(1, len(K.modules)):
+        # F_l is gen-major: m_j (x) (basis vector t) is row start[j] + t
+        start = {}
+        for r, g in enumerate(F.modules[l]):
+            start.setdefault(g.gen, r)
+        entries = {}
+        for c, g in enumerate(K.modules[l]):
+            for s, terms in lower.items():
+                contracted = dual.contract(g.dual_vector, l, s, slot="first")
+                if not any(contracted):
+                    continue
+                for j, coeff in terms:
+                    coords = quots[j - 1].component(l - 1).coords_of(contracted)
+                    if coords is None:
+                        continue  # invalid symbol
+                    for t, x in enumerate(coords):
+                        if x:
+                            key = (start[j] + t, c)
+                            term = A.scale(x, coeff)
+                            entries[key] = A.add(entries[key], term) if key in entries else term
+        psi.append({key: v for key, v in entries.items() if not v.is_zero})
+    return psi
+
+
+def _printed_diagonal(ideal, K, k):
+    """K without the self-terms of the x_s with x_s m_k outside J_{k-1}.
+
+    The printed convention's j = k terms +x_s (m_k (x) f.x_s^*) cancel
+    exactly those self-terms, so the trace differential leaves them out.
+    """
+    A = ideal.algebra
+    space = ideal.dual.quotient(ideal.colon_vars(k).variables)
+    kept = [all(j != k for j, _ in ideal.decomposition.times_var(s, k)) for s in range(A.n)]
+    diffs = [None] + [_trace_differential(A, K.modules[l], K.modules[l - 1], [
+        space.act_matrix(l, s, slot="first") if kept[s] else None for s in range(A.n)])
+        for l in range(1, len(K.modules))]
+    return ChainComplex(A, K.modules, diffs, kind=K.kind)
+
+
+def _closed_form(ideal, hmax, printed, keep):
+    """The iterated cone over the explicit comparison maps, d.d = 0 checked."""
+    def step(F, K, k):
+        psi = _explicit_comparison(ideal, F, K, k)
+        return (_printed_diagonal(ideal, K, k) if printed else K), psi
+
+    F, kept = _iterated_cone(ideal, hmax, step, keep)
+    w = F.d_squared_witness()
+    if w is not None:
+        raise RegularOrderingViolation(f"closed-form differential broke d.d = 0 at {w}",
+                                       witness=w)
+    return F, kept
+
+
 def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4,
                            self_term_mode="strict"):
     """The explicit differential for ideals admitting a regular ordering.
 
     d(m_k (x) f) = -sum_s x_s (m_k (x) f.x_s^*)
                    + sum_{s; j < k} c_j(x_s m_k) (m_j (x) f.x_s^*)
-    for positive dual degree, and d(m_k (x) 1) = m_k: the mapping cone with
-    its comparison map written out.  Terms landing outside a quotient-dual
-    basis are accumulated in ambient tensor coordinates per target generator;
-    a nonzero residual is a regular-ordering violation.
-
-    A cross term m_j (x) f.x_s^* is a valid symbol only when the contraction
-    lies in the target quotient dual; invalid symbols are zero by definition
-    (as in the classical closed form, where a symbol with out-of-range support
-    is zero).  The well-definedness lemma is what makes dropping them
-    consistent, and it is enforced here as the exact d.d = 0 check, which
-    raises RegularOrderingViolation on failure.
+    for positive dual degree, and d(m_k (x) 1) = m_k: the iterated mapping
+    cone over the explicit comparison maps (_explicit_comparison), the first
+    sum being the sub-Priddy block.  Dropping invalid symbols is consistent
+    by the well-definedness lemma, enforced as the exact d.d = 0 check on the
+    whole complex, which raises RegularOrderingViolation.  Each sub-Priddy
+    block is certified first, and raises ClosureFailure.
 
     self_term_mode="printed" adds the j = k convention terms +x_s (m_k (x)
     f.x_s^*) for x_s m_k outside the earlier prefix, cancelling those
-    self-terms.  Over a polynomial ring the two modes agree identically
-    (those contractions vanish on the quotient dual); in general only the
-    strict mode yields an exact complex, so "printed" exists as a diagnostic.
+    self-terms in the diagonal block.  Over a polynomial ring the two modes
+    agree identically (those contractions vanish on the quotient dual); in
+    general only the strict mode yields an exact complex, so "printed"
+    exists as a diagnostic.
     """
     if self_term_mode not in ("strict", "printed"):
         raise ValueError(
@@ -455,70 +529,7 @@ def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4,
         rep = ideal.check_regular_ordering(check_to=check_to)
         if not rep.passed:
             raise NotRegular(f"regular-ordering check failed: {rep.details[:1]}")
-    A = ideal.algebra
-    fld = A.field
-    dual = ideal.dual
-    n = A.n
-    quots = [dual.quotient(ideal.colon_vars(i).variables) for i in range(1, ideal.r + 1)]
-    modules = [[Generator(None, 0, 0, (fld.one,))]]
-    for l in range(1, hmax + 1):
-        mod = []
-        for i in range(1, ideal.r + 1):
-            comp = quots[i - 1].component(l - 1)
-            mod.extend(Generator(i, t, ideal.degs[i - 1] + l - 1, tuple(row))
-                       for t, row in enumerate(comp.rows))
-        modules.append(mod)
-    row_index = [None] * (hmax + 1)
-    for l in range(hmax + 1):
-        row_index[l] = {(g.gen, g.dual_index): r for r, g in enumerate(modules[l])}
-
-    diffs = [None]
-    for l in range(1, hmax + 1):
-        entries = {}
-        for c, gen in enumerate(modules[l]):
-            k = gen.gen
-            if l == 1:
-                entries[(0, c)] = ideal.gen_elements[k - 1]
-                continue
-            f = list(gen.dual_vector)
-            for s in range(n):
-                contracted = dual.contract(f, l - 1, s, slot="first")
-                if not any(contracted):
-                    continue
-                terms = [(k, A.scale(fld.neg(fld.one), A.var(s)))]
-                lower = ideal.decomposition.times_var(s, k)
-                if self_term_mode == "strict":
-                    lower = [(j, cf) for (j, cf) in lower if j < k]
-                terms += lower
-                for j, coeff in terms:
-                    comp = quots[j - 1].component(l - 2)
-                    coords = comp.coords_of(contracted)
-                    if coords is None:
-                        if j == k:
-                            raise ClosureFailure(
-                                f"self-term contraction left the quotient dual at "
-                                f"generator {k}, variable {s}"
-                            )
-                        # invalid symbol: zero by definition; the
-                        # well-definedness lemma keeps d.d = 0 without it
-                        continue
-                    for t, x in enumerate(coords):
-                        if not x:
-                            continue
-                        key = (row_index[l - 1][(j, t)], c)
-                        term = A.scale(x, coeff)
-                        if key in entries:
-                            entries[key] = A.add(entries[key], term)
-                        else:
-                            entries[key] = term
-        diffs.append({k2: v for k2, v in entries.items() if not v.is_zero})
-    c = ChainComplex(A, modules, diffs, kind="resolution")
-    w = c.d_squared_witness()
-    if w is not None:
-        raise RegularOrderingViolation(
-            f"closed-form differential broke d.d = 0 at {w}", witness=w
-        )
-    return c
+    return _closed_form(ideal, hmax, self_term_mode == "printed", None)[0]
 
 
 def comparison_maps(ideal, r, hmax):
@@ -526,33 +537,19 @@ def comparison_maps(ideal, r, hmax):
     closed-form resolution of the previous prefix.
 
     psi_l(m_r (x) f) = sum over s and j < r of c_j(x_s m_r) (m_j (x) f.x_s^*).
-    The closed form is triangular in generator index, so F is its restriction
-    to the generators before r and psi[l] is the (gens < r) x (gen r) block
-    of its differential l + 1.  The closed form is built to hmax + 1, and its
-    d.d = 0 there is exactly the chain-map identity up to hmax; on an
-    ordering that is not regular it raises RegularOrderingViolation.
-    Returns (K, F, psi) with psi[l] an entry dict K_l -> F_l.
+    (K, F, psi) is step r of the closed form built to hmax + 1, F cut to hmax;
+    the d.d = 0 check of that whole closed form covers the chain-map
+    identity, and raises RegularOrderingViolation for every r on an ordering
+    that is not regular.  psi[l] is an entry dict K_l -> F_l.
 
     Raises:
         ValueError: if r is not a generator index 1..ideal.r.
     """
     if not 1 <= r <= ideal.r:
         raise ValueError(f"r must be a generator index in 1..{ideal.r}, not {r!r}")
-    full = closed_form_resolution(ideal, hmax + 1, check_regular=False)
-    # gen-major bases: the generators before r are a prefix of every module
-    lo = [sum(1 for g in mod if g.gen is None or g.gen < r) for mod in full.modules]
-    modules = [full.modules[l][: lo[l]] for l in range(hmax + 1)]
-    diffs = [None] + [{(i, c): a for (i, c), a in full.diffs[l].items() if c < lo[l]}
-                      for l in range(1, hmax + 1)]
-    F = ChainComplex(ideal.algebra, modules, diffs, kind="resolution")
-    K = sub_priddy_complex(ideal.dual, ideal.colon_vars(r).variables, hmax,
-                           shift=ideal.degs[r - 1], gen=r)
-    psi = []
-    for l in range(hmax + 1):
-        hi = lo[l + 1] + K.rank(l)
-        psi.append({(i, c - lo[l + 1]): a for (i, c), a in full.diffs[l + 1].items()
-                    if lo[l + 1] <= c < hi and i < lo[l]})
-    return K, F, psi
+    K, F, psi = _closed_form(ideal, hmax + 1, False, r)[1]
+    return K, ChainComplex(F.algebra, F.modules[: hmax + 1], F.diffs[: hmax + 1],
+                           kind=F.kind), psi
 
 
 def verify_chain_map(F, K, psi, hmax):

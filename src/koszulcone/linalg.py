@@ -445,28 +445,25 @@ class Subspace:
         Returns (residual, coeffs) with vec = coeffs . rows + residual and
         residual zero on every pivot column.
         """
-        fld = self.field
         if not self.rows:
             return list(vec), []
-        if isinstance(fld, PrimeField):
-            p = fld.char
-            v = np.array(vec, dtype=np.int64) % p
-            coeffs = v[self.pivots].copy()
-            if coeffs.any():
-                v = (v - coeffs @ self._np_rows()) % p
-            return v.tolist(), coeffs.tolist()
         # the coefficients are read off vec, because every other basis row is
-        # zero at a row's pivot; entries become Fractions like the basis rows,
-        # and every zero of the residual is the shared _ZERO, which the
-        # sparse kernel's row scan skips by identity
-        v = [_ZERO if a is _ZERO or not a else a if type(a) is Fraction else Fraction(a)
-             for a in vec]
+        # zero at a row's pivot.  Over F_p entries are ints in [0, p); over
+        # QQ they become Fractions like the basis rows, and every zero of the
+        # residual is the shared _ZERO, which the sparse kernel's row scan
+        # skips by identity
+        p, zero = self.field.char, self.field.zero
+        if p:
+            v = [a % p for a in vec]
+        else:
+            v = [_ZERO if a is _ZERO or not a else a if type(a) is Fraction else Fraction(a)
+                 for a in vec]
         coeffs = [v[c] for c in self.pivots]
         for f, row in zip(coeffs, self.nonzero_rows()):
-            if f is not _ZERO:
+            if f is not zero and f:
                 for j, b in row:
                     x = v[j] - f * b
-                    v[j] = x if x else _ZERO
+                    v[j] = (x % p if p else x) or zero
         return v, coeffs
 
     def contains(self, vec):

@@ -12,9 +12,11 @@ import pytest
 import koszulcone
 from koszulcone import linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
+from koszulcone.complexes import closed_form_resolution, complex_to_json
 from koszulcone.errors import ParseError
 
 from test_complexes import corrupt_lifts
+from test_ideals import hhr_ideal
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -567,6 +569,41 @@ def test_exported_json_bytes_are_pinned(kind, field, command, tmp_path, capsys):
         [*command.split(), str(ring), "--hmax", "5", "--out", "json"], capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_JSON_SHA256[kind, field, command]
+
+
+# sha256 of `resolve --method closed --hmax 4 --out json` stdout on the hhr
+# fixture and the polynomial rings with all quadrics, and of the printed-mode
+# closed form's complex_to_json on hhr, recorded before the closed form was
+# built as the iterated cone over its explicit comparison maps
+PINNED_CLOSED_SHA256 = {
+    ("hhr_example", "p=101"): "3276d8df16069f9dbdef81bec82fc6312215039d17f71a9152b449e7fcb530c2",
+    ("poly3", "p=101"): "0c989dd5c1d0f0837bb261ebe1674f3d9ffa7286ea3617a820cab1e5df7b3584",
+    ("poly3", "q"): "e7add8acf99a61f651915fe330e79fcfb39ebaf6e01628426abb83b0b99a086c",
+    ("poly4", "p=101"): "c9313e724e3b578ee1a0c052182e16376d65896cada1ea81c5e2c393174aa766",
+    ("poly4", "q"): "468e610eadbfdac00c90c3e2b605e466710020adb2963b5474cc547fffda67e1",
+    ("hhr_example", "printed"): "7aea79239067c7830ce29a799173654a79af552175f83c398a4beac6c447ff5d",
+}
+
+
+@pytest.mark.parametrize("ring,field",
+                         sorted(k for k in PINNED_CLOSED_SHA256 if k[1] != "printed"))
+def test_closed_form_json_bytes_are_pinned(ring, field, tmp_path, capsys):
+    if ring == "hhr_example":
+        path = FIXTURES / "hhr_example.ring"  # over p=101
+    else:
+        path = tmp_path / f"{ring}.ring"
+        path.write_text(all_quadrics_ring_text("poly", int(ring[-1]), field))
+    code, out, err = run_main(
+        ["resolve", "--method", "closed", str(path), "--hmax", "4", "--out", "json"], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CLOSED_SHA256[ring, field]
+
+
+def test_printed_closed_form_bytes_are_pinned():
+    F = closed_form_resolution(hhr_ideal(), 4, check_regular=False, self_term_mode="printed")
+    text = json.dumps(complex_to_json(F), sort_keys=True, indent=1)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PINNED_CLOSED_SHA256["hhr_example", "printed"]
 
 
 # sha256 of `check quotients|regular --out json` stdout, recorded before the

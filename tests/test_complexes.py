@@ -1,10 +1,13 @@
+import dataclasses
 import random
 from math import comb
 
 import pytest
 
 import koszulcone.complexes
+from koszulcone.algebra import GradedAlgebra
 from koszulcone.complexes import (
+    ChainComplex,
     ideal_resolution,
     betti_from_complex,
     betti_table,
@@ -567,7 +570,7 @@ def test_d_squared_witness_is_pinned_on_corrupted_complexes(case):
     assert c.d_squared_witness() == PINNED_WITNESSES[case]
 
 
-# -- comparison maps read off the closed form --------------------------------------
+# -- comparison maps: one step of the closed form -----------------------------------
 
 
 def test_comparison_maps_require_a_regular_ordering():
@@ -623,6 +626,83 @@ def test_random_regular_ideals_cone_equals_closed_form():
             K, F, psi = comparison_maps(J, r, hmax)
             assert verify_chain_map(F, K, psi, hmax) == (True, None), (J.gens, r)
     assert regular >= 10
+
+
+def test_resolutions_need_dual_components_below_hmax_only():
+    # degree l of a resolution holds the degree l - 1 quotient duals, so
+    # neither path may build component(hmax): here it is over the limit
+    from koszulcone.errors import AmbientTooLarge
+    hmax = 5
+    for build in (iterated_mapping_cone,
+                  lambda J, h: closed_form_resolution(J, h, check_regular=False)):
+        J = hhr_ideal()
+        J.dual.ambient_limit = J.algebra.n ** (hmax - 1)
+        F = build(J, hmax)
+        assert F.ranks() == [1, 2, 3, 5, 8, 13]
+        assert verify_complex(F, J.max_degree + hmax).passed
+        with pytest.raises(AmbientTooLarge):
+            J.dual.component(hmax)
+    K, F, psi = comparison_maps(J, 2, hmax - 1)
+    assert verify_chain_map(F, K, psi, hmax - 1) == (True, None)
+
+
+def sliced_comparison_maps(ideal, r, hmax):
+    """(K, F, psi) cut out of the closed form built to hmax + 1: the blocks
+    comparison_maps used to read, kept as an oracle for it.
+
+    The closed form is triangular in generator index, so F is its
+    restriction to the generators before r, and psi[l] is the (gens < r) x
+    (gen r) block of its differential l + 1.
+    """
+    full = closed_form_resolution(ideal, hmax + 1, check_regular=False)
+    # gen-major bases: the generators before r are a prefix of every module
+    lo = [sum(1 for g in mod if g.gen is None or g.gen < r) for mod in full.modules]
+    modules = [full.modules[l][: lo[l]] for l in range(hmax + 1)]
+    diffs = [None] + [{(i, c): a for (i, c), a in full.diffs[l].items() if c < lo[l]}
+                      for l in range(1, hmax + 1)]
+    F = ChainComplex(ideal.algebra, modules, diffs, kind="resolution")
+    K = sub_priddy_complex(ideal.dual, ideal.colon_vars(r).variables, hmax,
+                           shift=ideal.degs[r - 1], gen=r)
+    psi = []
+    for l in range(hmax + 1):
+        hi = lo[l + 1] + K.rank(l)
+        psi.append({(i, c - lo[l + 1]): a for (i, c), a in full.diffs[l + 1].items()
+                    if lo[l + 1] <= c < hi and i < lo[l]})
+    return K, F, psi
+
+
+def over_field(J, field):
+    """The ideal J with the same generators over the same ring, over field."""
+    A = J.algebra
+    return MonomialIdeal(GradedAlgebra(dataclasses.replace(A.presentation, field=field),
+                                       A.cutoff), J.gens)
+
+
+@pytest.mark.parametrize("field", ["gf101", "qq"])
+def test_comparison_maps_equal_the_sliced_closed_form(field):
+    hmax = 3
+    ideals = [mk() for mk in REGULAR_FIXTURES]
+    ideals += [J for J in random_ideals(seed=4, count=60) if J.check_regular_ordering(4).passed]
+    assert len(ideals) >= 15
+    for J in ideals:
+        J = over_field(J, FIELDS[field])
+        for r in range(1, J.r + 1):
+            got = comparison_maps(J, r, hmax)
+            want = sliced_comparison_maps(J, r, hmax)
+            for a, b in zip(got[:2], want[:2]):
+                assert (a.kind, a.modules, a.diffs) == (b.kind, b.modules, b.diffs), (J.gens, r)
+            assert got[2] == want[2], (J.gens, r)
+
+
+def test_comparison_maps_keep_the_sliced_closed_form_witness():
+    J = md_squares(3, 2)  # linear quotients but condition (1) fails
+    for r in range(1, J.r + 1):
+        with pytest.raises(RegularOrderingViolation) as got:
+            comparison_maps(J, r, 3)
+        with pytest.raises(RegularOrderingViolation) as want:
+            sliced_comparison_maps(J, r, 3)
+        # recorded when comparison_maps still sliced the closed form
+        assert got.value.witness == want.value.witness == (3, 0, 6)
 
 
 def test_a_second_resolve_leaves_the_product_cache_unchanged():

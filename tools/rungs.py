@@ -45,6 +45,9 @@ RUNGS = {
     "squares7-verify": ("verify", "--method", "cone", "squares7-gf101.ring", "--hmax", "4",
                         "--dmax", "6"),
     "poly7-quotients": ("check", "quotients", "poly7-gf101.ring", "--dmax", "5"),
+    # the closed form: explicit comparison maps and the regular-ordering check
+    "poly7-closed": ("resolve", "--method", "closed", "poly7-gf101.ring", "--hmax", "3",
+                     "--dmax", "4"),
     "squares6-verify": ("verify", "--method", "cone", "squares6-gf101.ring", "--hmax", "4",
                         "--dmax", "6"),
     # a whole resolve over the rationals: elimination and compositions over QQ
