@@ -32,6 +32,7 @@ __all__ = [
     "GradedAlgebra",
     "AlgebraElement",
     "monomials_of_degree",
+    "format_monomial",
 ]
 
 
@@ -51,6 +52,17 @@ def monomials_of_degree(n, d):
         for rest in monomials_of_degree(n - 1, d - e):
             out.append((e,) + rest)
     return tuple(out)
+
+
+def format_monomial(var_names, exp):
+    """Ring-file text of a monomial, x1*x2^3; the empty product is ""."""
+    parts = []
+    for name, e in zip(var_names, exp):
+        if e == 1:
+            parts.append(name)
+        elif e > 1:
+            parts.append(f"{name}^{e}")
+    return "*".join(parts)
 
 
 @dataclass(frozen=True)
@@ -202,11 +214,9 @@ class GradedAlgebra:
         for b, k in enumerate(free):
             nf[index[candidates[k]]] = ((b, fld.one),)
         basis_pos = {nmons - 1 - k: b for b, k in enumerate(free)}
-        zero = fld.zero
         for row, pc in zip(rref, pivots):
-            cols = compress(range(pc + 1, nmons), map(is_not, row[pc + 1:], repeat(zero)))
             nf[index[candidates[nmons - 1 - pc]]] = tuple(sorted(
-                (basis_pos[c], fld.neg(row[c])) for c in cols if row[c]))
+                (basis_pos[c], fld.neg(x)) for c, x in row.items() if c != pc))
         return _DegreeData(index, basis, nf)
 
     def _product_degree(self, d):
@@ -274,6 +284,10 @@ class GradedAlgebra:
     def sparse(self, a):
         """The nonzero coordinates of an element, as a dict {position: value}."""
         return dict(_support(a.coords, self.field.zero))
+
+    def from_sparse(self, d, vec):
+        """The degree-d element with the nonzero coordinates vec {position: value}."""
+        return AlgebraElement(d, self._dense(self._degree(d), vec.items()))
 
     def var(self, i):
         exp = [0] * self.n
@@ -387,13 +401,7 @@ class GradedAlgebra:
     # -- formatting ----------------------------------------------------------
 
     def format_monomial(self, exp):
-        parts = []
-        for i, e in enumerate(exp):
-            if e == 1:
-                parts.append(self.presentation.var_names[i])
-            elif e > 1:
-                parts.append(f"{self.presentation.var_names[i]}^{e}")
-        return "*".join(parts) if parts else "1"
+        return format_monomial(self.presentation.var_names, exp) or "1"
 
     def format_element(self, a):
         fld = self.field

@@ -22,7 +22,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .algebra import GradedAlgebra, RingPresentation
+from .algebra import GradedAlgebra, RingPresentation, format_monomial
 from .complexes import (
     betti_table,
     closed_form_resolution,
@@ -208,28 +208,18 @@ def format_jobspec(js):
     field = js.field()
     lines = ["field q" if js.field_char == 0 else f"field p={js.field_char}"]
     lines.append("vars " + " ".join(js.var_names))
-
-    def mono(exp):
-        parts = []
-        for i, e in enumerate(exp):
-            if e == 1:
-                parts.append(js.var_names[i])
-            elif e > 1:
-                parts.append(f"{js.var_names[i]}^{e}")
-        return "*".join(parts)
-
     for rel in js.relations:
         terms = []
         for coeff, (i, j) in rel:
             exp = [0] * len(js.var_names)
             exp[i] += 1
             exp[j] += 1
-            terms.append(f"{field.format(coeff)}*{mono(exp)}")
+            terms.append(f"{field.format(coeff)}*{format_monomial(js.var_names, exp)}")
         lines.append("rel " + " + ".join(terms))
     if js.preferred:
-        lines.append("prefer " + ", ".join(mono(m) for m in js.preferred))
+        lines.append("prefer " + ", ".join(format_monomial(js.var_names, m) for m in js.preferred))
     if js.ideal:
-        lines.append("ideal " + ", ".join(mono(m) for m in js.ideal))
+        lines.append("ideal " + ", ".join(format_monomial(js.var_names, m) for m in js.ideal))
     return "\n".join(lines) + "\n"
 
 
@@ -270,13 +260,13 @@ def cmd_dual(args):
     js = _load_jobspec(args)
     A = _algebra_for(js, max(2, args.dmax))
     D = QuadraticDual(A)
+    fmt = A.field.format
     dims = {}
     bases = {}
     for l in range(args.hmax + 1):
         comp = D.component(l)
         dims[l] = comp.dim
-        bases[l] = [[[i, A.field.format(x)] for i, x in enumerate(row) if x]
-                    for row in comp.rows]
+        bases[l] = [[[i, fmt(row[i])] for i in sorted(row)] for row in comp.rows]
     payload = {
         "command": "dual",
         "dims": {str(l): v for l, v in dims.items()},
@@ -466,7 +456,7 @@ def cmd_selftest(args):
     ok = True
     for _ in range(10):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randrange(101) for _ in range(n)] for _ in range(m)]
+        rows = [{j: x for j in range(n) if (x := rng.randrange(101))} for _ in range(m)]
         ok &= mat_rank(f101, rows, n) == mat_rank(f101, transpose(rows, n), m)
         rref, rk, piv, ker = echelonize(f101, rows, n)
         ok &= rk + ker.dim == n

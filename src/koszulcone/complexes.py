@@ -67,13 +67,16 @@ class Generator:
 
     gen is the 1-based ideal-generator index (None for complexes not indexed
     by generators), dual_index the position in the attached dual-space basis,
-    and dual_vector the ambient tensor realization of that basis vector.
+    and dual_word the ambient tensor realization of that basis vector in
+    V^(x l), dual_ambient = n^l wide: its sorted (position, nonzero value)
+    pairs.
     """
 
     gen: int | None
     dual_index: int
     internal_degree: int
-    dual_vector: tuple
+    dual_ambient: int
+    dual_word: tuple
 
 
 class ChainComplex:
@@ -220,12 +223,12 @@ def _compose_columns(algebra, first, second):
 # -- Priddy and sub-Priddy complexes -----------------------------------------
 
 
-def _trace_differential(algebra, source, target, acts):
+def _trace_differential(algebra, acts):
     """Entries sum_j acts[j][r][c] x_j of the trace-element differential.
 
-    acts[j] is the action matrix of x_j, or None to leave x_j out.  x_j is a
-    unit vector of A_1, so acts[j][r][c] is the entry's coordinate at x_j's
-    basis position.
+    acts[j] is the action matrix of x_j in dict rows, or None to leave x_j
+    out.  x_j is a unit vector of A_1, so acts[j][r][c] is the entry's
+    coordinate at x_j's basis position.
     """
     zero = algebra.field.zero
     coords = {}
@@ -233,10 +236,9 @@ def _trace_differential(algebra, source, target, acts):
         if act is None:
             continue
         (pos,) = algebra.sparse(algebra.var(j))
-        for r in range(len(target)):
-            for c in range(len(source)):
-                if act[r][c]:
-                    coords.setdefault((r, c), [zero] * algebra.dim(1))[pos] = act[r][c]
+        for r, row in enumerate(act):
+            for c, x in row.items():
+                coords.setdefault((r, c), [zero] * algebra.dim(1))[pos] = x
     return {key: algebra.element(1, v) for key, v in coords.items()}
 
 
@@ -251,18 +253,20 @@ def _trace_complex(algebra, space, hmax, kind, failure, shift=0, gen=None):
     """
     got = space._trace.get(hmax)
     if got is None:
-        vectors = [[tuple(row) for row in space.component(l).rows] for l in range(hmax + 1)]
+        words = [[tuple(sorted(row.items())) for row in space.component(l).rows]
+                 for l in range(hmax + 1)]
         diffs = [None]
         for l in range(1, hmax + 1):
             acts = [space.act_matrix(l, j, slot="first") for j in range(algebra.n)]
-            diffs.append(_trace_differential(algebra, vectors[l], vectors[l - 1], acts))
-        # d.d reads only the entries, so the unlabeled vectors serve as modules
-        if ChainComplex(algebra, vectors, diffs).d_squared_witness() is not None:
+            diffs.append(_trace_differential(algebra, acts))
+        # d.d reads only the entries, so the unlabeled words serve as modules
+        if ChainComplex(algebra, words, diffs).d_squared_witness() is not None:
             raise failure
-        got = space._trace[hmax] = (vectors, diffs)
-    vectors, diffs = got
-    modules = [[Generator(gen, i, l + shift, v) for i, v in enumerate(vs)]
-               for l, vs in enumerate(vectors)]
+        got = space._trace[hmax] = (words, diffs)
+    words, diffs = got
+    # component(l) lives in V^(x l), n^l wide
+    modules = [[Generator(gen, i, l + shift, algebra.n ** l, w) for i, w in enumerate(ws)]
+               for l, ws in enumerate(words)]
     return ChainComplex(algebra, modules, [None] + [dict(d) for d in diffs[1:]], kind=kind)
 
 
@@ -320,7 +324,7 @@ def koszulness_certificate(dual, hmax, dmax):
 
 
 def _base_complex(algebra, hmax):
-    modules = [[Generator(None, 0, 0, (algebra.field.one,))]]
+    modules = [[Generator(None, 0, 0, 1, ((0, algebra.field.one),))]]
     modules += [[] for _ in range(hmax)]
     diffs = [None] + [{} for _ in range(hmax)]
     return ChainComplex(algebra, modules, diffs, kind="resolution")
@@ -456,19 +460,19 @@ def _explicit_comparison(ideal, F, K, k):
             start.setdefault(g.gen, r)
         entries = {}
         for c, g in enumerate(K.modules[l]):
+            word = dict(g.dual_word)
             for s, terms in lower.items():
-                contracted = dual.contract(g.dual_vector, l, s, slot="first")
-                if not any(contracted):
+                contracted = dual.contract(word, l, s, slot="first")
+                if not contracted:
                     continue
                 for j, coeff in terms:
                     coords = quots[j - 1].component(l - 1).coords_of(contracted)
                     if coords is None:
                         continue  # invalid symbol
-                    for t, x in enumerate(coords):
-                        if x:
-                            key = (start[j] + t, c)
-                            term = A.scale(x, coeff)
-                            entries[key] = A.add(entries[key], term) if key in entries else term
+                    for t, x in coords.items():
+                        key = (start[j] + t, c)
+                        term = A.scale(x, coeff)
+                        entries[key] = A.add(entries[key], term) if key in entries else term
         psi.append({key: v for key, v in entries.items() if not v.is_zero})
     return psi
 
@@ -482,7 +486,7 @@ def _printed_diagonal(ideal, K, k):
     A = ideal.algebra
     space = ideal.dual.quotient(ideal.colon_vars(k).variables)
     kept = [all(j != k for j, _ in ideal.decomposition.times_var(s, k)) for s in range(A.n)]
-    diffs = [None] + [_trace_differential(A, K.modules[l], K.modules[l - 1], [
+    diffs = [None] + [_trace_differential(A, [
         space.act_matrix(l, s, slot="first") if kept[s] else None for s in range(A.n)])
         for l in range(1, len(K.modules))]
     return ChainComplex(A, K.modules, diffs, kind=K.kind)
@@ -761,8 +765,8 @@ def complex_to_json(c):
             "basis": [
                 {
                     "generator_index": g.gen,
-                    "dual_word": [[i, fld.format(x)] for i, x in enumerate(g.dual_vector) if x],
-                    "dual_ambient": len(g.dual_vector),
+                    "dual_word": [[i, fld.format(x)] for i, x in g.dual_word],
+                    "dual_ambient": g.dual_ambient,
                     "internal_degree": g.internal_degree,
                 }
                 for g in mod
@@ -818,16 +822,17 @@ def complex_from_json(algebra, doc):
             ambient = _json_int(b, "dual_ambient", at, 1)
             _json_need(ambient in ambients,
                        f"{at}: dual_ambient {ambient} is not n^k for n = {algebra.n}, k <= {l}")
-            vec = [fld.zero] * ambient
+            word = {}
             for pair in _json_list(b, "dual_word", at):
                 _json_need(isinstance(pair, list) and len(pair) == 2,
                            f"{at}: dual_word items must be [index, scalar] pairs")
                 i, x = pair
                 _json_need(type(i) is int and 0 <= i < ambient,
                            f"{at}: dual_word index {i!r} outside 0..{ambient - 1}")
-                vec[i] = _json_scalar(fld, x, at)
+                word[i] = _json_scalar(fld, x, at)
             degree = _json_int(b, "internal_degree", at, 0)
-            gens.append(Generator(gen, len(gens), degree, tuple(vec)))
+            gens.append(Generator(gen, len(gens), degree, ambient,
+                                  tuple(sorted((i, x) for i, x in word.items() if x))))
         modules.append(gens)
     _json_need(modules, "the complex has no modules")
     differentials = _json_list(doc, "differentials", "the complex")

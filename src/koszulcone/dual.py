@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch
-from .linalg import PrimeField, Subspace, kernel
+from .linalg import PrimeField, Subspace, _array, _dict_rows, kernel
 
 CALIBRATED_SLOT = "first"
 
@@ -66,17 +66,12 @@ class QuadraticDual:
         """Kernel of V (x) V -> A_2: commutators plus lifted quadrics."""
         if self._relation_space is None:
             fld, n = self.field, self.n
-            rows = []
-            for u in range(n):
-                for v in range(u + 1, n):
-                    row = [fld.zero] * (n * n)
-                    row[u * n + v] = fld.one
-                    row[v * n + u] = fld.neg(fld.one)
-                    rows.append(row)
+            rows = [{u * n + v: fld.one, v * n + u: fld.neg(fld.one)}
+                    for u in range(n) for v in range(u + 1, n)]
             for rel in self.algebra.presentation.relations:
-                row = [fld.zero] * (n * n)
+                row = {}
                 for coeff, (i, j) in rel:
-                    row[i * n + j] = fld.add(row[i * n + j], fld.of(coeff))
+                    row[i * n + j] = fld.add(row.get(i * n + j, fld.zero), fld.of(coeff))
                 rows.append(row)
             space = Subspace.from_rows(fld, rows, n * n)
             expected = n * n - self.algebra.dim(2)
@@ -110,15 +105,13 @@ class QuadraticDual:
         self._components[l] = comp
         return comp
 
-    def _nf2_matrix(self):
-        # columns indexed by ordered pairs (a, b); rows by the degree-2 basis
+    def _nf2_columns(self):
+        # the degree-2 normal form of each ordered pair (a, b), at a * n + b,
+        # as a dict {degree-2 basis position: value}
         if self._nf2 is None:
             n, A = self.n, self.algebra
-            cols = []
-            for a in range(n):
-                for b in range(n):
-                    cols.append(A.monomial_element(A.pair_monomial(a, b)).coords)
-            self._nf2 = [[col[r] for col in cols] for r in range(A.dim(2))]
+            self._nf2 = [A.sparse(A.monomial_element(A.pair_monomial(a, b)))
+                         for a in range(n) for b in range(n)]
         return self._nf2
 
     def _component_step(self, l):
@@ -127,7 +120,7 @@ class QuadraticDual:
         Candidate (i, kk) is e_i (x) prev[kk]: it is zero outside column
         block i of V^(x l), where it equals prev[kk].  Its image under the
         degree-2 normal form on the two leading slots is therefore, at key
-        (t, r), sum_a nf2[t][i*n+a] * prev[kk][a*rest+r], with rest =
+        (t, r), sum_a nf2[i*n+a][t] * prev[kk][a*rest+r], with rest =
         n^(l-2).  The kernel C of these constraints (rows in ascending
         (t, r), all-zero rows dropped) spans comp(l), and block i of its row
         d is sum_kk C[d][i*k+kk] * prev[kk], with k = dim comp(l-1) (_assemble).
@@ -136,23 +129,24 @@ class QuadraticDual:
         prev = self.component(l - 1)
         if prev.dim == 0:
             return Subspace.zero(fld, n ** l)
-        rows = _leading_pair_constraints(fld, self._nf2_matrix(), prev, n)
+        rows = _leading_pair_constraints(fld, self._nf2_columns(), self.algebra.dim(2), prev, n)
         return _assemble(fld, kernel(fld, rows, n * prev.dim), prev, n ** l)
 
     # -- contractions and actions ---------------------------------------------
 
     def contract(self, vec, l, j, slot=CALIBRATED_SLOT):
-        """Slot contraction of a degree-l tensor against the j-th dual variable.
+        """Slot contraction of a degree-l dict tensor against the j-th dual variable.
 
         first: pairing f(x_j^* w), i.e. drop the leading slot at index j.
         last:  pairing f(w x_j^*), i.e. drop the trailing slot at index j.
         """
         n = self.n
-        tail = n ** (l - 1)
         if slot == "first":
-            return list(vec[j * tail : (j + 1) * tail])
+            tail = n ** (l - 1)
+            lo = j * tail
+            return {pos - lo: x for pos, x in vec.items() if lo <= pos < lo + tail}
         if slot == "last":
-            return [vec[r * n + j] for r in range(tail)]
+            return {pos // n: x for pos, x in vec.items() if pos % n == j}
         raise ValueError(f"unknown slot {slot!r}")
 
     def act_matrix(self, l, j, slot=CALIBRATED_SLOT):
@@ -184,36 +178,36 @@ class QuadraticDual:
         the word, i.e. the (a,b) coordinate of the component is identically 0.
         """
         pos = a * self.n + b
-        return all(row[pos] == self.field.zero for row in self.component(2).rows)
+        return all(pos not in row for row in self.component(2).rows)
 
 
-def _leading_pair_constraints(fld, nf2, prev, n):
-    """Rows keyed by ascending (t, r), columns by candidate (i, kk); zero rows dropped."""
+def _leading_pair_constraints(fld, nf2, dim2, prev, n):
+    """Dict rows keyed by ascending (t, r), columns by candidate (i, kk); zero
+    rows dropped.  nf2 holds the dict normal form of each pair a * n + b over
+    the dim2 basis monomials of degree 2."""
     k = prev.dim
     rest = prev.ambient // n
     if isinstance(fld, PrimeField):
-        nf = np.array(nf2, dtype=np.int64).reshape(len(nf2) * n, n)
+        nf = _array(nf2, dim2).T.reshape(dim2 * n, n)
         blocks = prev._np_rows().reshape(k, n, rest).transpose(1, 0, 2).reshape(n, k * rest)
         # each entry sums n products of residues below p, so it stays below
         # n * p^2 < 2**63 (p <= MAX_PRIME)
         img = (nf @ blocks) % fld.char
-        img = img.reshape(len(nf2), n, k, rest).transpose(0, 3, 1, 2).reshape(-1, n * k)
-        return img[img.any(axis=1)].tolist()
+        img = img.reshape(dim2, n, k, rest).transpose(0, 3, 1, 2).reshape(-1, n * k)
+        return _dict_rows(img[img.any(axis=1)])
     zero = fld.zero
-    # nonzeros (t, coefficient) of each column (i, a) of nf2
-    cols = [[(t, row[q]) for t, row in enumerate(nf2) if row[q]] for q in range(n * n)]
     constraints = {}
     for kk, b in enumerate(prev.rows):
-        entries = [(*divmod(pos, rest), x) for pos, x in enumerate(b) if x]
+        entries = [(*divmod(pos, rest), x) for pos, x in b.items()]
         for i in range(n):
             img = {}
             for a, r, x in entries:
-                for t, f in cols[i * n + a]:
+                for t, f in nf2[i * n + a].items():
                     img[(t, r)] = img.get((t, r), zero) + f * x
             c = i * k + kk
             for key, val in img.items():
                 if val:
-                    constraints.setdefault(key, [zero] * (n * k))[c] = val
+                    constraints.setdefault(key, {})[c] = val
     return [constraints[key] for key in sorted(constraints)]
 
 
@@ -235,20 +229,19 @@ def _assemble(fld, coeffs, basis, ambient):
         # each entry sums k products of residues below p, so it stays below
         # k * p^2 < 2**63 while k < 2**23 (p <= MAX_PRIME)
         c = coeffs._np_rows().reshape(coeffs.dim, ambient // width, k)
-        rows = ((c @ basis._np_rows()) % fld.char).reshape(coeffs.dim, ambient).tolist()
-        return Subspace(fld, ambient, rows, pivots)
-    zero = fld.zero
-    nonzeros = [[(pos, x) for pos, x in enumerate(b) if x] for b in basis.rows]
+        rows = ((c @ basis._np_rows()) % fld.char).reshape(coeffs.dim, ambient)
+        comp = Subspace(fld, ambient, _dict_rows(rows), pivots)
+        comp._np = rows  # the array of its rows, which the next degree reads
+        return comp
     rows = []
     for crow in coeffs.rows:
-        row = [zero] * ambient
-        for c, y in enumerate(crow):
-            if y:
-                i, kk = divmod(c, k)
-                off = i * width
-                for pos, x in nonzeros[kk]:
-                    row[off + pos] += y * x
-        rows.append(row)
+        row = {}
+        for c, y in crow.items():
+            i, kk = divmod(c, k)
+            off = i * width
+            for pos, x in basis.rows[kk].items():
+                row[off + pos] = row.get(off + pos, 0) + y * x
+        rows.append({pos: x for pos, x in row.items() if x})
     return Subspace(fld, ambient, rows, pivots)
 
 
@@ -281,10 +274,8 @@ class QuotientDual:
             constraints = {}
             for c, b in enumerate(full.rows):
                 for j in excluded:
-                    img = parent.contract(b, l, j, slot="last")
-                    for r, val in enumerate(img):
-                        if val:
-                            constraints.setdefault((j, r), [fld.zero] * full.dim)[c] = val
+                    for r, val in parent.contract(b, l, j, slot="last").items():
+                        constraints.setdefault((j, r), {})[c] = val
             rows = [constraints[k] for k in sorted(constraints)]
             comp = _assemble(fld, kernel(fld, rows, full.dim), full, n ** l)
         self._components[l] = comp
@@ -299,11 +290,13 @@ class QuotientDual:
 
 
 def _act_matrix(space, dual, l, j, slot, allowed=None):
-    """Cached matrix of f -> f.x_j^* on the components of space.
+    """Cached matrix of f -> f.x_j^* on the components of space, as dict rows.
 
-    space is dual itself or a quotient of it (allowed its retained
-    variables), and dual contracts the tensors.  A contraction outside
-    component(l-1) of space raises ClosureFailure.
+    Row r is {c: coefficient of basis vector r of component(l-1) in the
+    image of basis vector c of component(l)}, with c ascending.  space is
+    dual itself or a quotient of it (allowed its retained variables), and
+    dual contracts the tensors.  A contraction outside component(l-1) of
+    space raises ClosureFailure.
     """
     key = (l, j, slot)
     got = space._act.get(key)
@@ -311,18 +304,17 @@ def _act_matrix(space, dual, l, j, slot, allowed=None):
         return got
     src = space.component(l)
     dst = space.component(l - 1)
-    cols = []
+    mat = [{} for _ in range(dst.dim)]
     for i, b in enumerate(src.rows):
-        img = dual.contract(b, l, j, slot)
-        coords = dst.coords_of(img)
+        coords = dst.coords_of(dual.contract(b, l, j, slot))
         if coords is None:
             where = "the dual component (" if allowed is None else \
                 f"the quotient dual (allowed={sorted(allowed)}, "
             raise ClosureFailure(
                 f"action x_{j} left {where}degree {l}, basis vector {i}, slot {slot})",
                 witness=(l, j, i))
-        cols.append(coords)
-    mat = [[cols[c][r] for c in range(src.dim)] for r in range(dst.dim)]
+        for r, x in coords.items():
+            mat[r][i] = x
     space._act[key] = mat
     return mat
 

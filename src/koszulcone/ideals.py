@@ -87,37 +87,32 @@ class CheckReport:
         }
 
 
-def _variable_ideal_space(algebra, row_vectors, d):
-    """Degree-d span of the ideal generated by degree-1 rows (as elements)."""
-    rows = [col for w in row_vectors
-            for col in algebra.multiplication_columns(algebra.element(1, w), d - 1)]
+def _variable_ideal_space(algebra, rows, d):
+    """Degree-d span of the ideal generated by the dict rows of degree-1 elements."""
+    rows = [col for w in rows
+            for col in algebra.multiplication_columns(algebra.from_sparse(1, w), d - 1)]
     return Subspace.from_rows(algebra.field, rows, algebra.dim(d))
 
 
-def _variable_ideal_dim(algebra, cache, row_vectors, d):
+def _variable_ideal_dim(algebra, cache, rows, d):
     """dim of _variable_ideal_space, cached in the caller's dict under (rows, d).
 
     A canonical degree-1 part spanned by variables has those variables' rows.
     """
-    key = (tuple(map(tuple, row_vectors)), d)
+    key = (tuple(tuple(sorted(w.items())) for w in rows), d)
     if key not in cache:
-        cache[key] = _variable_ideal_space(algebra, row_vectors, d).dim
+        cache[key] = _variable_ideal_space(algebra, rows, d).dim
     return cache[key]
 
 
 def _colon_against_space(algebra, m_element, d, target_space):
     """{v in A_d : v * m lies in target_space}, target in degree d + deg m."""
-    zero = [algebra.field.zero] * target_space.ambient
     stacked = {}  # the residuals modulo target_space, as sparse rows
     for j, col in enumerate(algebra.multiplication_columns(m_element, d)):
         if target_space.dim:
-            dense = zero.copy()
-            for r, x in col.items():
-                dense[r] = x
-            col = dict(enumerate(target_space.reduce(dense)[0]))
+            col = target_space.reduce(col)[0]
         for r, x in col.items():
-            if x:
-                stacked.setdefault(r, {})[j] = x
+            stacked.setdefault(r, {})[j] = x
     return kernel(algebra.field, list(stacked.values()), algebra.dim(d))
 
 
@@ -226,7 +221,7 @@ class MonomialIdeal:
                 j for j in range(A.n) if self.contains(A.multiply(A.var(j), mel), prefix=i - 1))
         vars_ = self._colon_vars[i]
         e = self.degs[i - 1]
-        var_rows = [list(A.var(j).coords) for j in sorted(vars_)]
+        var_rows = [A.sparse(A.var(j)) for j in sorted(vars_)]
         fail_degree = None
         for d in range(2, check_to + 1):
             colon_dim = A.dim(d) - self._prefix_dim(i, d + e) + self._prefix_dim(i - 1, d + e)
@@ -283,19 +278,19 @@ class MonomialIdeal:
             for k in range(1, self.r + 1):
                 for j in range(1, k + 1):
                     lhs = A.add(
-                        A.multiply(A.var(u), dec.coeff_times_var(j, v, k)),
-                        A.multiply(A.var(v), dec.coeff_times_var(j, u, k)),
+                        A.multiply(A.var(u), dec._coeff(j, k, v)),
+                        A.multiply(A.var(v), dec._coeff(j, k, u)),
                     )
                     rhs_sym = A.zero(lhs.degree)
                     rhs_lit = A.zero(lhs.degree)
                     lit_ok = True
                     for (s, t), f in expansion.items():
-                        first = A.multiply(A.var(s), dec.coeff_times_var(j, t, k))
-                        sym = A.multiply(A.var(t), dec.coeff_times_var(j, s, k))
+                        first = A.multiply(A.var(s), dec._coeff(j, k, t))
+                        sym = A.multiply(A.var(t), dec._coeff(j, k, s))
                         rhs_sym = A.add(rhs_sym, A.scale(f, A.add(first, sym)))
                         # the printed reading m_j^*(x_s m_j) is inhomogeneous
                         # unless deg m_j = deg m_k; treat that as ill-typed
-                        lit_term = A.multiply(A.var(t), dec.coeff_times_var(j, s, j))
+                        lit_term = A.multiply(A.var(t), dec._coeff(j, j, s))
                         if lit_term.degree == first.degree:
                             rhs_lit = A.add(rhs_lit, A.scale(f, A.add(first, lit_term)))
                         elif lit_term.is_zero:
@@ -330,7 +325,7 @@ class MonomialIdeal:
             Ek = colon_sets[k - 1]
             for t in sorted(Ek):
                 for j in range(1, k):
-                    if dec.coeff_times_var(j, t, k).is_zero:
+                    if dec._coeff(j, k, t).is_zero:
                         continue
                     Ej = colon_sets[j - 1]
                     if not Ej <= Ek:
@@ -364,19 +359,27 @@ class MonomialIdeal:
     def _check_condition_three(self, report, colon_sets):
         A = self.algebra
         dec = self.decomposition
+        # the decomposition of x_s m_j as {i: coefficient}, read once per (s, j)
+        times_var = {}
+
+        def coeffs(s, j):
+            got = times_var.get((s, j))
+            if got is None:
+                got = times_var[(s, j)] = dict(dec.times_var(s, j))
+            return got
+
         for k in range(2, self.r + 1):
             Ek = sorted(colon_sets[k - 1])
             for s in Ek:
                 for t in Ek:
+                    b = coeffs(t, k)
                     for i in range(1, k):
-                        lhs = dec.coeff_times_var_var(i, s, t, k)
+                        lhs = dec._coeff(i, k, s, t)
                         rhs = A.zero(lhs.degree)
                         for j in range(i, k):
-                            a = dec.coeff_times_var(i, s, j)
-                            b = dec.coeff_times_var(j, t, k)
-                            if a.is_zero or b.is_zero:
-                                continue
-                            rhs = A.add(rhs, A.multiply(a, b))
+                            a = coeffs(s, j).get(i)
+                            if a is not None and j in b:
+                                rhs = A.add(rhs, A.multiply(a, b[j]))
                         if lhs != rhs:
                             report.passed = False
                             report.details.append({
@@ -484,21 +487,16 @@ class DecompositionTable:
         self._var_var_gen[key] = entries
         return entries
 
-    def coeff_times_var(self, i, s, k):
-        """Coefficient on m_i in the decomposition of x_s m_k (degree-typed zero if absent)."""
-        deg = self.ideal.degs[k - 1] + 1 - self.ideal.degs[i - 1]
-        for j, c in self.times_var(s, k):
+    def _coeff(self, i, k, *variables):
+        """Coefficient on m_i in the decomposition of x_s m_k (variables (s,))
+        or x_s x_t m_k (variables (s, t)); a degree-typed zero if absent."""
+        entries = (self.times_var(*variables, k) if len(variables) == 1
+                   else self.times_var_var(*variables, k))
+        for j, c in entries:
             if j == i:
                 return c
-        return self.ideal.algebra.zero(deg)
-
-    def coeff_times_var_var(self, i, s, t, k):
-        """Coefficient on m_i in the decomposition of x_s x_t m_k."""
-        deg = self.ideal.degs[k - 1] + 2 - self.ideal.degs[i - 1]
-        for j, c in self.times_var_var(s, t, k):
-            if j == i:
-                return c
-        return self.ideal.algebra.zero(deg)
+        J = self.ideal
+        return J.algebra.zero(J.degs[k - 1] + len(variables) - J.degs[i - 1])
 
     def of_element(self, element, bound=None):
         """Greedy top-down decomposition with canonical echelon witnesses.
@@ -529,7 +527,7 @@ class DecompositionTable:
             cdeg = d - J.degs[j - 1]
             gel = J.gen_elements[j - 1]
             multiples = A.multiplication_columns(gel, cdeg)
-            prev = J.membership_space(j - 1, d).nonzero_rows()
+            prev = J.membership_space(j - 1, d).rows
             # the unknowns are the coefficients of the multiples and then of
             # the rows of J_{j-1}: solve rows^T . c = v, one equation per
             # coordinate of A_d
@@ -538,7 +536,7 @@ class DecompositionTable:
                 for c, x in col.items():
                     eqs[c][k] = x
             for k, row in enumerate(prev, len(multiples)):
-                for c, x in row:
+                for c, x in row.items():
                     eqs[c][k] = x
             sols, _ = solve_columns(fld, eqs, len(multiples) + len(prev), [v.coords])
             if sols is None:
@@ -603,7 +601,7 @@ def check_strongly_koszul(algebra, check_to=4):
                for c in combinations(range(n), size)]
 
     first_witness = None
-    var_rows = {j: list(algebra.var(j).coords) for j in range(n)}
+    var_rows = {j: algebra.sparse(algebra.var(j)) for j in range(n)}
     dims = {}  # variable-ideal dimensions, shared by every (Y, x) pair
     for Y in subsets:
         y_rows = [var_rows[j] for j in sorted(Y)]

@@ -5,12 +5,12 @@ ranks) reduces to the operations here, so exactness is non-negotiable: prime
 field elements are Python ints kept in [0, p), rational entries are
 fractions.Fraction.
 
-Matrices are lists of rows, and a row is either a dense list or a sparse
-dict {column: value} with no zero values.  The algebra's products, ideal
-membership rows and degreewise differentials are sparse; dual constraint
-rows, test oracles and the reduced rows handed back (Subspace.rows, rref)
-are dense.  Only the per-row normalisation at the entry of the elimination
-kernel tells the two forms apart, and it never mutates a caller's row.
+Matrices are lists of rows, and a row is a sparse dict {column: value} with
+no zero values: that is the one row form taken and handed back here, by
+rref, the kernels, solve_columns and every Subspace.  Dense arrays exist only
+inside the numpy kernels, built from the dict rows and read back into them
+once, at that boundary.  The kernel copies each row it reads, so a caller's
+row (a cached product column among them) is never mutated.
 
 Both fields share one elimination kernel.  The matrices of monomial ideals
 hold one or two nonzeros per row, so the kernel runs Gauss-Jordan on dict
@@ -20,8 +20,8 @@ Over F_p its work, the input's nonzero count plus one per entry updated, has
 a budget of 4 (nrows + ncols) + nrows ncols / 16.  A matrix that goes over
 it (a dense input by its nonzero count alone, before any elimination) is
 made dense and eliminated column by column in numpy int64 instead (products
-stay below 2**63 because p is capped), and returns Python ints through one
-tolist().  The rationals have no dense kernel: the sparse one drops
+stay below 2**63 because p is capped), and its rows are read back as dict
+rows of Python ints.  The rationals have no dense kernel: the sparse one drops
 dependent rows as soon as they reduce to zero, which on the tall, generic QQ
 matrices of dual components is much faster than fraction-free (Bareiss)
 elimination over every row.  The reduced row echelon form of a matrix is
@@ -39,8 +39,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import is_not
+from itertools import chain
 
 import numpy as np
 
@@ -51,8 +50,8 @@ MAX_PRIME = 1 << 20
 # sends every nonzero matrix to the numpy kernel
 SPARSE_WORK_SCALE = 1
 
-# the zero of the rationals, shared so that the sparse kernel's row scan skips
-# it by identity, without a Python-level Fraction.__bool__ call per cell
+# the zero of the rationals, shared so that scans of element coordinates
+# (algebra) skip it by identity, without a Python-level Fraction.__bool__ call
 _ZERO = Fraction(0)
 
 
@@ -138,9 +137,8 @@ class PrimeField:
         p = self.char
         found = _sparse_rref(rows, ncols, p, _work_budget(len(rows), ncols))
         if found is None:
-            return _dense_rref([_dense(row, ncols, 0) if isinstance(row, dict) else row
-                                for row in rows], ncols, p, reduced)
-        return _rows_of(found, ncols, reduced, 0, 1, int)
+            return _dense_rref(rows, ncols, p, reduced)
+        return _rows_of(found, reduced, 1, None)
 
 
 def _work_budget(nrows, ncols):
@@ -153,16 +151,13 @@ def _sparse_rref(rows, ncols, p, budget):
     """Gauss-Jordan on dict rows, over F_p when p is a prime and over the
     rationals when p is 0; None once the work exceeds budget.
 
-    rows may mix dense lists and sparse dicts; each is copied into a fresh
-    dict row, so the caller's rows (cached product columns among them) are
-    never mutated.  Over F_p entries are reduced mod p, and each row's
-    nonzeros are counted against the budget before the next row is read: int
-    zeros compare in C, so a dense list costs one count and builds no dict
-    row once the budget is spent.  Over the rationals (budget math.inf)
-    entries are exact: integral ones are read as ints (so unit pivots keep
-    the arithmetic on ints), the others stay Fractions, and a pivot f is
-    inverted as 1 / Fraction(f).  The dense row scan skips the shared zero
-    _ZERO by identity, without a Python-level Fraction.__bool__ call per cell.
+    Each row is copied into a fresh dict row, so the caller's rows (cached
+    product columns among them) are never mutated.  Over F_p entries are
+    reduced mod p, and the input's entries count against the budget before
+    any row is copied, so a dense input costs one sum of row lengths.  Over
+    the rationals (budget math.inf) entries are exact: integral ones are read
+    as ints (so unit pivots keep the arithmetic on ints), the others stay
+    Fractions, and a pivot f is inverted as 1 / Fraction(f).
 
     Returns {pivot column: {column: value}} holding each reduced row without
     its pivot entry (which is 1).  The pivot rows stay in RREF throughout:
@@ -172,29 +167,15 @@ def _sparse_rref(rows, ncols, p, budget):
     it, found through `holders` (non-pivot column -> pivot columns of the
     rows nonzero there).
     """
-    work = 0
+    work = sum(map(len, rows))
+    if work > budget:
+        return None
     sparse = []
-    cols = range(ncols)
     for row in rows:
-        if isinstance(row, dict):
-            if p:
-                r = {j: x for j, v in row.items() if (x := v % p)}
-                work += len(r)
-            else:
-                r = {j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
-        elif p:
-            work += len(row) - row.count(0)
-            if work > budget:
-                return None
-            r = {j: v for j in compress(cols, row) if (v := row[j] % p)}
+        if p:
+            r = {j: x for j, v in row.items() if (x := v % p)}
         else:
-            r = {}
-            for j in compress(cols, map(is_not, row, repeat(_ZERO))):
-                v = row[j]
-                if v:
-                    r[j] = v.numerator if v.denominator == 1 else v
-        if work > budget:
-            return None
+            r = {j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
         if r:
             sparse.append(r)
     piv = {}
@@ -258,33 +239,45 @@ def _sub_multiple(r, f, tail, p):
             del r[j]
 
 
-def _dense(row, ncols, zero):
-    """A dict row as a dense list."""
-    out = [zero] * ncols
-    for j, v in row.items():
-        out[j] = v
-    return out
-
-
-def _rows_of(found, ncols, reduced, zero, one, entry):
-    """(rref_rows, pivot_columns) of the sparse kernel's answer, each entry
-    written as entry(value)."""
+def _rows_of(found, reduced, one, entry):
+    """(rref_rows, pivot_columns) of the sparse kernel's answer: each row is
+    {pivot: one, **tail}, with every tail value written as entry(value) when
+    entry is given."""
     pivots = sorted(found)
     if not reduced:
         return None, pivots
+    if entry is None:
+        return [{c: one, **found[c]} for c in pivots], pivots
+    return [{c: one, **{j: entry(v) for j, v in found[c].items()}} for c in pivots], pivots
+
+
+def _array(rows, ncols):
+    """The dict rows as a dense int64 array, the entry of the numpy kernels."""
+    m = np.zeros((len(rows), ncols), dtype=np.int64)
+    lens = [len(row) for row in rows]
+    m[np.repeat(np.arange(len(rows)), lens),
+      np.fromiter(chain.from_iterable(rows), np.int64, sum(lens))] = \
+        np.fromiter(chain.from_iterable(map(dict.values, rows)), np.int64, sum(lens))
+    return m
+
+
+def _dict_rows(m):
+    """The rows of a 2-d int64 array as dict rows of Python ints, the exit of
+    the numpy kernels."""
+    ri, ci = np.nonzero(m)
+    cols, vals = ci.tolist(), m[ri, ci].tolist()
+    ends = np.cumsum(np.bincount(ri, minlength=m.shape[0])).tolist()
     out = []
-    for c in pivots:
-        row = [zero] * ncols
-        row[c] = one
-        for j, v in found[c].items():
-            row[j] = entry(v)
-        out.append(row)
-    return out, pivots
+    start = 0
+    for end in ends:
+        out.append(dict(zip(cols[start:end], vals[start:end])))
+        start = end
+    return out
 
 
 def _dense_rref(rows, ncols, p, reduced):
     """The numpy int64 kernel: column by column over the whole matrix."""
-    m = np.array(rows, dtype=np.int64) % p
+    m = _array(rows, ncols) % p
     nrows = m.shape[0]
     pivots = []
     r = 0
@@ -306,7 +299,7 @@ def _dense_rref(rows, ncols, p, reduced):
             m[others, c:] = (m[others, c:] - np.outer(m[others, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
-    return (m[:r].tolist() if reduced else None), pivots
+    return (_dict_rows(m[:r]) if reduced else None), pivots
 
 
 class RationalField:
@@ -371,7 +364,7 @@ class RationalField:
         if not rows:
             return [], []
         found = _sparse_rref(rows, ncols, 0, math.inf)
-        return _rows_of(found, ncols, reduced, _ZERO, Fraction(1), Fraction)
+        return _rows_of(found, reduced, Fraction(1), Fraction)
 
 
 QQ = RationalField()
@@ -384,19 +377,19 @@ def GF(p):
 class Subspace:
     """A subspace of k^ambient held as a canonical reduced-row-echelon basis.
 
-    The representation is unique for a given subspace, so equality of
-    subspaces is equality of basis rows.
+    The rows are dict rows.  The representation is unique for a given
+    subspace, so equality of subspaces is equality of basis rows.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_np", "_nonzeros")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_row_at", "_np")
 
     def __init__(self, field, ambient, rows, pivots):
         self.field = field
         self.ambient = ambient
         self.rows = rows
         self.pivots = pivots
+        self._row_at = {c: k for k, c in enumerate(pivots)}
         self._np = None
-        self._nonzeros = None
 
     @classmethod
     def from_rows(cls, field, rows, ambient):
@@ -409,9 +402,8 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient):
-        one, z = field.one, field.zero
-        rows = [[one if j == i else z for j in range(ambient)] for i in range(ambient)]
-        return cls(field, ambient, rows, list(range(ambient)))
+        one = field.one
+        return cls(field, ambient, [{i: one} for i in range(ambient)], list(range(ambient)))
 
     @property
     def dim(self):
@@ -429,53 +421,43 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
     def _np_rows(self):
+        """The rows as a dense int64 array, for the numpy kernels over F_p."""
         if self._np is None:
-            self._np = np.array(self.rows, dtype=np.int64)
+            self._np = _array(self.rows, self.ambient)
         return self._np
 
-    def nonzero_rows(self):
-        """Each basis row as its list of (column, nonzero entry) pairs."""
-        if self._nonzeros is None:
-            self._nonzeros = [[(j, b) for j, b in enumerate(row) if b] for row in self.rows]
-        return self._nonzeros
-
     def reduce(self, vec):
-        """Reduce vec modulo the basis rows.
+        """Reduce the dict vector vec modulo the basis rows; vec is not mutated.
 
-        Returns (residual, coeffs) with vec = coeffs . rows + residual and
-        residual zero on every pivot column.
+        Returns (residual, coeffs), dicts without zero values: residual
+        {column: value} is zero on every pivot column, coeffs {basis row:
+        value} is in ascending row order, and vec = sum_k coeffs[k] rows[k] +
+        residual.  Over F_p the values are ints in [0, p); over QQ they are
+        Fractions, like the basis rows.
         """
-        if not self.rows:
-            return list(vec), []
-        # the coefficients are read off vec, because every other basis row is
-        # zero at a row's pivot.  Over F_p entries are ints in [0, p); over
-        # QQ they become Fractions like the basis rows, and every zero of the
-        # residual is the shared _ZERO, which the sparse kernel's row scan
-        # skips by identity
-        p, zero = self.field.char, self.field.zero
+        p = self.field.char
         if p:
-            v = [a % p for a in vec]
+            v = {j: x for j, a in vec.items() if (x := a % p)}
         else:
-            v = [_ZERO if a is _ZERO or not a else a if type(a) is Fraction else Fraction(a)
-                 for a in vec]
-        coeffs = [v[c] for c in self.pivots]
-        for f, row in zip(coeffs, self.nonzero_rows()):
-            if f is not zero and f:
-                for j, b in row:
-                    x = v[j] - f * b
-                    v[j] = (x % p if p else x) or zero
+            v = {j: a if type(a) is Fraction else Fraction(a) for j, a in vec.items() if a}
+        # a row's coefficient is vec's entry at its pivot, because every
+        # other basis row is zero there
+        row_at = self._row_at
+        coeffs = {}
+        for k in sorted(row_at[c] for c in v if c in row_at):
+            f = coeffs[k] = v[self.pivots[k]]
+            _sub_multiple(v, f, self.rows[k], p)
         return v, coeffs
 
     def contains(self, vec):
         residual, _ = self.reduce(vec)
-        return not any(residual)
+        return not residual
 
     def coords_of(self, vec):
-        """Coordinates of vec over the echelon basis, or None if outside."""
+        """Coordinates {basis row: value} of vec over the echelon basis, or
+        None if vec is outside the subspace."""
         residual, coeffs = self.reduce(vec)
-        if any(residual):
-            return None
-        return coeffs
+        return None if residual else coeffs
 
 
 class Echelon:
@@ -576,12 +558,11 @@ def _kernel_from_rref(field, rref, pivots, ncols):
     minus column f of the RREF at the pivot columns."""
     pivot_set = set(pivots)
     vecs = {f: {f: field.one} for f in range(ncols) if f not in pivot_set}
-    zero = field.zero
     for row, c in zip(rref, pivots):
-        # the row is zero left of c and at every other pivot column
-        for f in compress(range(c + 1, ncols), map(is_not, row[c + 1:], repeat(zero))):
-            if row[f]:
-                vecs[f][c] = field.neg(row[f])
+        # the row is zero at every other pivot column
+        for f, x in row.items():
+            if f != c:
+                vecs[f][c] = field.neg(x)
     return Subspace.from_rows(field, list(vecs.values()), ncols)
 
 
@@ -596,28 +577,33 @@ def rank(field, rows, ncols):
 
 
 def transpose(rows, ncols):
-    return [[row[c] for row in rows] for c in range(ncols)]
+    """The transpose of a matrix of dict rows with ncols columns."""
+    out = [{} for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            out[c][r] = v
+    return out
 
 
 def solve_columns(field, rows, ncols, targets):
     """Canonical solutions w of rows . w = t, one per target column t.
 
-    rows is a matrix with ncols columns, in dense or sparse rows, and each
-    target is a dense list with one entry per row.  One elimination of
-    [rows | targets] serves every target.  Each solution is the unique one
-    whose free coordinates (non-pivot unknowns) are zero: same input, same
+    rows is a matrix of dict rows with ncols columns, and each target is a
+    dense list with one entry per row.  One elimination of [rows | targets]
+    serves every target.  Each solution is a dense list, the unique one whose
+    free coordinates (non-pivot unknowns) are zero: same input, same
     witness.  Returns (solutions, None), or (None, k) when target k is the
     first without a solution.
     """
     aug = [{**row, **{ncols + k: t[r] for k, t in enumerate(targets) if t[r]}}
-           if isinstance(row, dict) else list(row) + [t[r] for t in targets]
            for r, row in enumerate(rows)]
     rref, pivots = field.rref(aug, ncols + len(targets))
-    sols = [[field.zero] * ncols for _ in targets]
-    for r, c in enumerate(pivots):
+    zero = field.zero
+    sols = [[zero] * ncols for _ in targets]
+    for row, c in zip(rref, pivots):
         if c >= ncols:
             # a pivot inside the target block: that target is inconsistent
             return None, c - ncols
         for k, sol in enumerate(sols):
-            sol[c] = rref[r][ncols + k]
+            sol[c] = row.get(ncols + k, zero)
     return sols, None

@@ -15,6 +15,8 @@ and the basis of component(2) dual to the excluded-pair word classes.
 
 from koszulcone.linalg import kernel
 
+from rowform import dense, sparse
+
 
 def annihilator_component(D, l):
     """comp(l) of the QuadraticDual D as the kernel of the stacked annihilators.
@@ -24,7 +26,7 @@ def annihilator_component(D, l):
     the row pairing w with a tensor at those two slots.
     """
     fld, n = D.field, D.n
-    perp = kernel(fld, D.relation_space.rows, n * n).rows
+    perp = dense(kernel(fld, D.relation_space.rows, n * n).rows, n * n)
     rows = []
     for j in range(l - 1):
         right = n ** (l - 2 - j)
@@ -39,7 +41,7 @@ def annihilator_component(D, l):
                     for ab, x in entries:
                         row[(a_pre * n * n + ab) * right + b_post] = x
                     rows.append(row)
-    return kernel(fld, rows, n ** l)
+    return kernel(fld, sparse(rows), n ** l)
 
 
 def pair_expansion(A, a, b):
@@ -79,12 +81,13 @@ def deg2_labeled_duals(D):
     comp = D.component(2)
     labels = D.ordered_excluded_pairs()
     positions = [u * n + v for (u, v) in labels]
-    restricted = [[row[p] for p in positions] for row in comp.rows]
+    basis = dense(comp.rows, n * n, fld.zero)
+    restricted = [[row[p] for p in positions] for row in basis]
     inv = _invert(fld, restricted)
     rows = []
     for coeffs in inv:
         row = [fld.zero] * (n * n)
-        for x, b in zip(coeffs, comp.rows):
+        for x, b in zip(coeffs, basis):
             row = [fld.add(acc, fld.mul(x, y)) for acc, y in zip(row, b)]
         rows.append(row)
     return labels, rows
@@ -97,7 +100,7 @@ def deg2_consistency(D):
     if comp.dim != len(D.ordered_excluded_pairs()):
         return False
     rels = deg2_relations(D)
-    for q in comp.rows:
+    for q in dense(comp.rows, n * n, fld.zero):
         for (s, t), rewr in rels.items():
             acc = q[s * n + t]
             for (u, v), c in rewr.items():
@@ -111,8 +114,8 @@ def _invert(fld, rows):
     m = len(rows)
     aug = [list(r) + [fld.one if j == i else fld.zero for j in range(m)]
            for i, r in enumerate(rows)]
-    rref, pivots = fld.rref(aug, 2 * m)
+    rref, pivots = fld.rref(sparse(aug), 2 * m)
     if pivots[:m] != list(range(m)):
         rk = sum(1 for c in pivots if c < m)
         raise ValueError(f"{m} x {m} matrix to invert has rank {rk}")
-    return [row[m:] for row in rref]
+    return [row[m:] for row in dense(rref, 2 * m, fld.zero)]

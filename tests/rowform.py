@@ -1,0 +1,22 @@
+"""The dense side of the tests, converted to and from linalg's row form.
+
+koszulcone.linalg takes and returns dict rows {column: nonzero value}.  The
+tests write literal matrices, and the oracles compute, on dense lists; these
+two helpers are the one place where the forms meet.
+"""
+
+
+def sparse(rows):
+    """Dense rows as dict rows {column: nonzero value}."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense(rows, ncols, zero=0):
+    """Dict rows as dense lists of ncols entries, zero where a row has none."""
+    out = []
+    for row in rows:
+        v = [zero] * ncols
+        for j, x in row.items():
+            v[j] = x
+        out.append(v)
+    return out

@@ -11,6 +11,8 @@ against closed-form Hilbert functions elsewhere.
 
 from koszulcone.linalg import Subspace, kernel as linear_kernel
 
+from rowform import dense, sparse
+
 
 class _FreeModule:
     """A graded free module given by generator degrees, with degreewise bases."""
@@ -59,7 +61,7 @@ def _module_span(G, images, d):
                 continue
             for mu in A.basis(e):
                 rows.append(G.scale_block(mu, img, gdeg))
-    return Subspace.from_rows(A.field, rows, max(total, 0))
+    return Subspace.from_rows(A.field, sparse(rows), max(total, 0))
 
 
 def _variable_grow(G, space, d):
@@ -67,12 +69,12 @@ def _variable_grow(G, space, d):
     A = G.algebra
     rows = []
     _, total = G.offsets(d + 1)
-    for v in space.rows:
+    for v in dense(space.rows, space.ambient, A.field.zero):
         for j in range(A.n):
             exp = [0] * A.n
             exp[j] = 1
-            rows.append(G.scale_block(tuple(exp), list(v), d))
-    return Subspace.from_rows(A.field, rows, total)
+            rows.append(G.scale_block(tuple(exp), v, d))
+    return Subspace.from_rows(A.field, sparse(rows), total)
 
 
 def brute_force_betti(algebra, generators, lmax, dmax):
@@ -112,7 +114,7 @@ def brute_force_betti(algebra, generators, lmax, dmax):
                     cols.append(G.scale_block(mu, img, gdeg))
             _, tgt_total = G.offsets(d)
             rows = [[col[r] for col in cols] for r in range(tgt_total)]
-            kernel_spaces[d] = linear_kernel(fld, [r for r in rows if any(r)], len(cols))
+            kernel_spaces[d] = linear_kernel(fld, sparse(rows), len(cols))
         next_images = []
         for d in range(0, dmax + 1):
             ker = kernel_spaces[d]
@@ -121,16 +123,16 @@ def brute_force_betti(algebra, generators, lmax, dmax):
             below = kernel_spaces.get(d - 1)
             grown_rows = []
             if below is not None and below.dim:
-                for v in below.rows:
+                for v in dense(below.rows, below.ambient, fld.zero):
                     for j in range(A.n):
                         exp = [0] * A.n
                         exp[j] = 1
-                        grown_rows.append(F.scale_block(tuple(exp), list(v), d - 1))
+                        grown_rows.append(F.scale_block(tuple(exp), v, d - 1))
             _, total = F.offsets(d)
-            grown = Subspace.from_rows(fld, grown_rows, total)
-            pivot_rows = {c: list(r) for r, c in zip(grown.rows, grown.pivots)}
-            for v in ker.rows:
-                red = _reduce(fld, list(v), pivot_rows)
+            grown = Subspace.from_rows(fld, sparse(grown_rows), total)
+            pivot_rows = dict(zip(grown.pivots, dense(grown.rows, total, fld.zero)))
+            for v in dense(ker.rows, ker.ambient, fld.zero):
+                red = _reduce(fld, v, pivot_rows)
                 if any(red):
                     lead = next(i for i, x in enumerate(red) if x)
                     inv = fld.inv(red[lead])

@@ -7,6 +7,8 @@ from koszulcone.algebra import GradedAlgebra, RingPresentation, monomials_of_deg
 from koszulcone.errors import DegreeOverflow, ElementMismatch
 from koszulcone.linalg import GF, QQ, rank, solve_columns, transpose
 
+from rowform import sparse
+
 F101 = GF(101)
 
 
@@ -251,7 +253,7 @@ def greedy_reference(presentation, d):
     basis, warnings = [], []
     for m in candidates:
         before = relations + [unit(b) for b in basis]
-        if rank(fld, before + [unit(m)], len(mons)) > rank(fld, before, len(mons)):
+        if rank(fld, sparse(before + [unit(m)]), len(mons)) > rank(fld, sparse(before), len(mons)):
             basis.append(m)
         elif m in preferred:
             name = "*".join(presentation.var_names[i] + (f"^{e}" if e > 1 else "")
@@ -261,7 +263,7 @@ def greedy_reference(presentation, d):
     nf = {}
     for m in mons:
         gens = [unit(b) for b in basis] + relations
-        sols, _ = solve_columns(fld, transpose(gens, len(mons)), len(gens), [unit(m)])
+        sols, _ = solve_columns(fld, transpose(sparse(gens), len(mons)), len(gens), [unit(m)])
         nf[m] = tuple(sols[0][:len(basis)])
     return basis, nf, warnings
 
@@ -309,6 +311,6 @@ def test_basis_choice_matches_incremental_greedy(p, trials, cutoff):
                 v[A.monomial_index(d)[m]] = field.one
                 for b, c in zip(basis, coords):
                     v[A.monomial_index(d)[b]] = field.sub(v[A.monomial_index(d)[b]], c)
-                assert A.relation_space(d).contains(v)
+                assert A.relation_space(d).contains(sparse([v])[0])
         assert A.warnings == expected_warnings
         assert any("InconsistentPreferred" in w for w in expected_warnings)

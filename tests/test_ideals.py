@@ -9,6 +9,7 @@ from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _variable_id
                                annihilator_vars, check_strongly_koszul)
 from koszulcone.linalg import GF, QQ, Subspace
 
+from rowform import dense, sparse
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
 from test_dual import oracle_algebras
 
@@ -307,7 +308,7 @@ def random_ideal(A, rng):
 
 
 def var_rows(A, vars_):
-    return [list(A.var(j).coords) for j in sorted(vars_)]
+    return sparse([A.var(j).coords for j in sorted(vars_)])
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
@@ -324,7 +325,7 @@ def test_colon_dimension_identity_matches_kernel_oracle(field):
                 data = J.colon_vars(i, check_to=4)
                 deg1 = _colon_against_space(A, mel, 1, J.membership_space(i - 1, 1 + e))
                 assert data.variables == {j for j in range(A.n)
-                                          if deg1.contains(list(A.var(j).coords))}
+                                          if deg1.contains(A.sparse(A.var(j)))}
                 expected = None
                 for d in range(2, 5):
                     kernel_dim = _colon_against_space(
@@ -453,18 +454,19 @@ def test_membership_and_variable_ideal_spaces_match_product_oracle(field):
                 for d in range(cutoff + 1):
                     rows = [row for g, gd in zip(J.gen_elements[:prefix], J.degs)
                             if gd <= d for row in product_rows(A, g, d)]
-                    expected = Subspace.from_rows(field, rows, A.dim(d))
+                    expected = Subspace.from_rows(field, sparse(rows), A.dim(d))
                     got = J.membership_space(prefix, d)
                     assert (got.rows, got.pivots) == (expected.rows, expected.pivots), \
                         (name, J.gens, prefix, d)
         n = A.n
         subsets = [rng.sample(range(n), rng.randint(1, n)) for _ in range(2)]
-        mixed = [[field.of(rng.randint(-3, 3)) for _ in range(n)] for _ in range(2)]
+        mixed = sparse([[field.of(rng.randint(-3, 3)) for _ in range(n)] for _ in range(2)])
         for rows1 in [var_rows(A, Y) for Y in subsets] + [mixed, mixed[:1]]:
             for d in range(2, cutoff + 1):
-                rows = [row for w in rows1 for row in product_rows(A, A.element(1, w), d)]
+                rows = [row for w in dense(rows1, n, field.zero)
+                        for row in product_rows(A, A.element(1, w), d)]
                 assert _variable_ideal_space(A, rows1, d) == \
-                    Subspace.from_rows(field, rows, A.dim(d)), (name, rows1, d)
+                    Subspace.from_rows(field, sparse(rows), A.dim(d)), (name, rows1, d)
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
@@ -478,19 +480,20 @@ def test_filtration_matches_per_prefix_oracle(field):
     for name, A in oracle_algebras(field, cutoff=cutoff).items():
         for J in [random_ideal(A, rng) for _ in range(2)]:
             for d in range(cutoff + 1):
-                spaces = [Subspace.from_rows(field, [
+                spaces = [Subspace.from_rows(field, sparse([
                     row for g, gd in zip(J.gen_elements[:prefix], J.degs) if gd <= d
-                    for row in product_rows(A, g, d)], A.dim(d)) for prefix in range(J.r + 1)]
+                    for row in product_rows(A, g, d)]), A.dim(d)) for prefix in range(J.r + 1)]
                 assert J._filtration(d, J.r).counts == [s.dim for s in spaces], (name, J.gens, d)
                 for prefix, space in enumerate(spaces):
                     samples = [random_element(A, d, rng)]
                     if space.dim:
-                        coeffs = [field.of(rng.randint(-3, 3)) for _ in space.rows]
+                        basis = dense(space.rows, A.dim(d), field.zero)
+                        coeffs = [field.of(rng.randint(-3, 3)) for _ in basis]
                         samples.append(A.element(d, [
-                            sum((field.mul(c, row[k]) for c, row in zip(coeffs, space.rows)),
+                            sum((field.mul(c, row[k]) for c, row in zip(coeffs, basis)),
                                 field.zero) for k in range(A.dim(d))]))
                     for v in samples:
-                        coords = list(v.coords)
+                        coords = A.sparse(v)
                         member = space.contains(coords)
                         assert J.contains(v, prefix) == member, (name, J.gens, prefix, d)
                         first = next((j for j in range(1, prefix + 1)
@@ -513,7 +516,7 @@ def test_annihilator_reports_match_kernel_oracle(field):
             vars_, deg1, report = annihilator_vars(A, exp, check_to=4)
             zero = [Subspace.zero(field, A.dim(d + mel.degree)) for d in range(5)]
             assert deg1 == _colon_against_space(A, mel, 1, zero[1])
-            assert vars_ == {j for j in range(A.n) if deg1.contains(list(A.var(j).coords))}
+            assert vars_ == {j for j in range(A.n) if deg1.contains(A.sparse(A.var(j)))}
             assert sorted(report) == [2, 3, 4]
             for d in (2, 3, 4):
                 kernel_dim = _colon_against_space(A, mel, d, zero[d]).dim

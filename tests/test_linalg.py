@@ -16,6 +16,8 @@ from koszulcone.linalg import (
     transpose,
 )
 
+from rowform import dense, sparse
+
 F101 = GF(101)
 
 
@@ -26,31 +28,31 @@ def unit(field, n, i):
 
 
 def test_echelonize_identity():
-    rows = [unit(F101, 3, i) for i in range(3)]
+    rows = sparse([unit(F101, 3, i) for i in range(3)])
     rref, rk, pivots, ker = echelonize(F101, rows, 3)
     assert rk == 3 and pivots == [0, 1, 2] and ker.dim == 0
     assert rref == rows
 
 
 def test_echelonize_zero_matrix():
-    rows = [[0, 0, 0, 0], [0, 0, 0, 0]]
+    rows = sparse([[0, 0, 0, 0], [0, 0, 0, 0]])
     _, rk, _, ker = echelonize(F101, rows, 4)
     assert rk == 0 and ker.dim == 4
 
 
 def test_echelonize_rank_one():
-    rows = [[1, 1], [2, 2]]
+    rows = sparse([[1, 1], [2, 2]])
     rref, rk, pivots, ker = echelonize(F101, rows, 2)
     assert rk == 1 and pivots == [0]
     assert ker.dim == 1
-    assert ker.rows == [[1, 100]]  # (1, -1) mod 101
+    assert ker.rows == sparse([[1, 100]])  # (1, -1) mod 101
 
 
 def test_echelonize_idempotent():
     rng = random.Random(7)
     for _ in range(20):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[rng.randrange(101) for _ in range(n)] for _ in range(m)]
+        rows = sparse([[rng.randrange(101) for _ in range(n)] for _ in range(m)])
         rref, rk, pivots, _ = echelonize(F101, rows, n)
         again, rk2, pivots2, _ = echelonize(F101, rref, n)
         assert again == rref and rk2 == rk and pivots2 == pivots
@@ -60,7 +62,7 @@ def test_rank_equals_transpose_rank():
     rng = random.Random(11)
     for _ in range(25):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [[rng.randrange(101) for _ in range(n)] for _ in range(m)]
+        rows = sparse([[rng.randrange(101) for _ in range(n)] for _ in range(m)])
         assert rank(F101, rows, n) == rank(F101, transpose(rows, n), m)
 
 
@@ -69,15 +71,15 @@ def test_rank_nullity():
     for _ in range(20):
         m, n = rng.randint(1, 6), rng.randint(2, 8)
         rows = [[rng.randrange(101) for _ in range(n)] for _ in range(m)]
-        _, rk, _, ker = echelonize(F101, rows, n)
+        _, rk, _, ker = echelonize(F101, sparse(rows), n)
         assert rk + ker.dim == n
-        for v in ker.rows:
+        for v in dense(ker.rows, n):
             assert all(sum(r * x for r, x in zip(row, v)) % 101 == 0 for row in rows)
 
 
 def solve_membership(field, target, gens):
     """target over the span of the rows gens: solve_columns on the transpose."""
-    sols, _ = solve_columns(field, transpose(gens, len(target)), len(gens), [target])
+    sols, _ = solve_columns(field, transpose(sparse(gens), len(target)), len(gens), [target])
     return None if sols is None else sols[0]
 
 
@@ -94,13 +96,13 @@ def test_solve_columns_batches_targets_and_names_the_first_unsolvable():
                 w = [field.of(rng.randrange(-3, 4)) for _ in range(ncols)]
                 targets.append([sum((a * b for a, b in zip(row, w)), field.zero) for row in rows])
             targets = [[field.of(x) for x in t] for t in targets]
-            sols, bad = solve_columns(field, rows, ncols, targets)
+            sols, bad = solve_columns(field, sparse(rows), ncols, targets)
             assert bad is None
-            assert sols == [solve_columns(field, rows, ncols, [t])[0][0] for t in targets]
+            assert sols == [solve_columns(field, sparse(rows), ncols, [t])[0][0] for t in targets]
             for w, t in zip(sols, targets):
                 assert [field.of(sum((a * b for a, b in zip(row, w)), field.zero))
                         for row in rows] == t
-    rows = [[1, 0], [0, 0], [0, 0]]
+    rows = sparse([[1, 0], [0, 0], [0, 0]])
     assert solve_columns(F101, rows, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (None, 1)
     assert solve_columns(F101, rows, 2, [[3, 0, 0]]) == ([[3, 0]], None)
 
@@ -138,10 +140,10 @@ def test_solve_membership_reproduces_target_random():
 
 
 def test_rational_rref_matches_prime_free_case():
-    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1)]]
+    rows = sparse([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1), Fraction(1)]])
     rref, rk, pivots, ker = echelonize(QQ, rows, 2)
     assert rk == 2 and ker.dim == 0
-    assert rref == [[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert rref == sparse([[Fraction(1), Fraction(0)], [Fraction(0), Fraction(1)]])
 
 
 def test_rational_rref_random_consistency():
@@ -149,7 +151,8 @@ def test_rational_rref_random_consistency():
     rng = random.Random(31)
     for _ in range(15):
         m, n = rng.randint(1, 5), rng.randint(1, 5)
-        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)] for _ in range(m)]
+        rows = sparse([[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)]
+                       for _ in range(m)])
         rref, rk, pivots, ker = echelonize(QQ, rows, n)
         assert rk + ker.dim == n
         # every original row reduces to zero against the echelon basis
@@ -158,22 +161,23 @@ def test_rational_rref_random_consistency():
             assert sub.contains(row)
         for r, c in enumerate(pivots):
             assert rref[r][c] == 1
-            assert all(rref[rr][c] == 0 for rr in range(len(rref)) if rr != r)
+            assert all(c not in rref[rr] for rr in range(len(rref)) if rr != r)
 
 
 def test_rational_kernel_exact():
-    rows = [[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]]
+    rows = sparse([[Fraction(2), Fraction(4)], [Fraction(1), Fraction(2)]])
     ker = kernel(QQ, rows, 2)
     assert ker.dim == 1
-    assert ker.rows == [[Fraction(1), Fraction(-1, 2)]]
+    assert ker.rows == sparse([[Fraction(1), Fraction(-1, 2)]])
 
 
 def test_subspace_coords_roundtrip():
-    s = Subspace.from_rows(F101, [[1, 2, 3], [0, 1, 7]], 3)
-    v = [(1 * a + 5 * b) % 101 for a, b in zip(s.rows[0], s.rows[1])]
+    s = Subspace.from_rows(F101, sparse([[1, 2, 3], [0, 1, 7]]), 3)
+    a, b = dense(s.rows, 3)
+    v = sparse([[(1 * x + 5 * y) % 101 for x, y in zip(a, b)]])[0]
     coords = s.coords_of(v)
-    assert coords == [1, 5]
-    assert s.coords_of([1, 0, 0]) is None
+    assert coords == {0: 1, 1: 5}
+    assert s.coords_of({0: 1}) is None
 
 
 def _random_matrix(rng, p, nrows, ncols, rank_cap):
@@ -183,7 +187,7 @@ def _random_matrix(rng, p, nrows, ncols, rank_cap):
     right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank_cap)]
     m = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
     dead = {c for c in range(ncols) if rng.random() < 0.25}
-    return [[0 if c in dead else x for c, x in enumerate(row)] for row in m]
+    return sparse([[0 if c in dead else x for c, x in enumerate(row)] for row in m])
 
 
 @pytest.mark.parametrize("p", [2, 3, 101])
@@ -198,28 +202,29 @@ def test_forward_rank_equals_rref_pivot_count(p):
             assert F.rref(rows, ncols, reduced=False) == (None, pivots)
             assert rank(F, rows, ncols) == len(pivots) == len(full)
     assert rank(F, [], 5) == 0
-    assert rank(F, [[0] * 7] * 3, 7) == 0
+    assert rank(F, sparse([[0] * 7] * 3), 7) == 0
 
 
 def test_forward_rank_over_rationals():
     rng = random.Random(23)
     for _ in range(30):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
-                for _ in range(nrows)]
+        rows = sparse([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(ncols)]
+                       for _ in range(nrows)])
         _, pivots = QQ.rref(rows, ncols)
         assert QQ.rref(rows, ncols, reduced=False) == (None, pivots)
         assert rank(QQ, rows, ncols) == len(pivots)
 
 
 def test_prime_field_results_are_python_ints():
-    rows = [[3, 5, 7], [2, 4, 100]]
+    rows = sparse([[3, 5, 7], [2, 4, 100]])
     rref, _ = F101.rref(rows, 3)
     basis = Subspace.from_rows(F101, rows, 3)
-    residual, coeffs = Subspace.from_rows(F101, rows[:1], 3).reduce([1, 2, 3])
+    residual, coeffs = Subspace.from_rows(F101, rows[:1], 3).reduce({0: 1, 1: 2, 2: 3})
     assembled = _assemble(F101, Subspace.full(F101, 4), basis, 6).rows
-    for vec in rref + [residual, coeffs] + assembled:
-        assert all(type(x) is int for x in vec)
+    dense_kernel = linalg._dense_rref(rows, 3, 101, True)[0]
+    for vec in rref + [residual, coeffs] + assembled + dense_kernel:
+        assert all(type(j) is int and type(x) is int for j, x in vec.items())
 
 
 def _fraction_gauss_jordan(rows, ncols):
@@ -320,16 +325,63 @@ def test_rational_rref_matches_fraction_gauss_jordan(monkeypatch):
     monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", 0)
     rng = random.Random(47)
     for rows, ncols in _rational_inputs(rng):
-        before = [list(row) for row in rows]
-        got, pivots = QQ.rref(rows, ncols)
-        assert (got, pivots) == _fraction_gauss_jordan(rows, ncols)
-        assert all(type(x) is Fraction for row in got for x in row)
-        assert QQ.rref(rows, ncols, reduced=False) == (None, pivots)
-        assert rows == before
-        assert all(type(x) is type(y) for row, old in zip(rows, before)
-                   for x, y in zip(row, old))
+        m = sparse(rows)
+        before = [dict(row) for row in m]
+        types = [{j: type(x) for j, x in row.items()} for row in m]
+        got, pivots = QQ.rref(m, ncols)
+        want, want_pivots = _fraction_gauss_jordan(rows, ncols)
+        assert (got, pivots) == (sparse(want), want_pivots)
+        assert QQ.rref(m, ncols, reduced=False) == (None, pivots)
+        _check_row_form(QQ, m, ncols, rng)
+        assert m == before
+        assert [{j: type(x) for j, x in row.items()} for row in m] == types
     assert QQ.rref([], 4) == ([], [])
-    assert QQ.rref([[0, Fraction(0)]] * 3, 2) == ([], [])
+    assert QQ.rref(sparse([[0, Fraction(0)]] * 3), 2) == ([], [])
+
+
+def _check_row_form(field, rows, ncols, rng):
+    """The row form of every answer on the dict rows of a matrix: RREF,
+    kernel and Subspace rows hold nonzero field values at columns below
+    ncols (Fractions over QQ, ints in [0, p) over F_p); reduce leaves the
+    residual zero at every pivot, and coords_of rebuilds the members of the
+    row space and returns None off it."""
+    p = field.char
+    rref, pivots = field.rref(rows, ncols)
+    sub = Subspace.from_rows(field, rows, ncols)
+    assert (sub.rows, sub.pivots) == (rref, pivots)
+    ker = kernel(field, rows, ncols)
+    for row in rref + sub.rows + ker.rows:
+        assert all(type(j) is int and 0 <= j < ncols for j in row)
+        if p:
+            assert all(type(x) is int and 0 < x < p for x in row.values())
+        else:
+            assert all(type(x) is Fraction and x for x in row.values())
+
+    def combine(pairs):
+        """sum k * row over (field element k, dict row) pairs, as a dict row."""
+        out = {}
+        for k, row in pairs:
+            for j, x in row.items():
+                out[j] = field.add(out.get(j, field.zero), field.mul(k, x))
+        return {j: x for j, x in out.items() if x}
+
+    one = field.one
+    free = [c for c in range(ncols) if c not in set(pivots)]
+    for _ in range(3):
+        member = combine((field.of(rng.randint(-3, 3)), row) for row in rows)
+        coords = sub.coords_of(member)
+        assert coords is not None and sub.contains(member)
+        assert combine((c, sub.rows[k]) for k, c in coords.items()) == member
+        assert list(coords) == sorted(coords) and all(coords.values())
+        vec = {j: field.of(rng.randint(-3, 3)) for j in range(ncols) if rng.random() < 0.5}
+        residual, coeffs = sub.reduce(vec)
+        assert not set(residual) & set(pivots)
+        assert all(residual.values()) and all(coeffs.values())
+        assert combine([(one, residual), *((c, sub.rows[k]) for k, c in coeffs.items())]) == \
+            combine([(one, vec)])
+        if free:
+            off = combine([(one, member), (one, {rng.choice(free): one})])
+            assert sub.coords_of(off) is None and not sub.contains(off)
 
 
 def _count_calls(monkeypatch, name):
@@ -348,7 +400,7 @@ def _dense_reduce(sub, vec):
     """Reference QQ reduction: the full-width loop over every basis row."""
     v = list(vec)
     coeffs = []
-    for row, c in zip(sub.rows, sub.pivots):
+    for row, c in zip(dense(sub.rows, sub.ambient), sub.pivots):
         f = v[c]
         coeffs.append(f)
         if f:
@@ -361,25 +413,22 @@ def test_rational_reduce_matches_the_dense_loop():
     for _ in range(40):
         ambient = rng.randint(1, 12)
         gens = _random_rational_matrix(rng, rng.randint(1, 6), ambient, rng.randint(1, 4))
-        sub = Subspace.from_rows(QQ, gens, ambient)
+        sub = Subspace.from_rows(QQ, sparse(gens), ambient)
         ks = [rng.randint(-3, 3) for _ in gens]
         inside = [sum((Fraction(k) * g[j] for k, g in zip(ks, gens)), Fraction(0))
                   for j in range(ambient)]
         vecs = [inside, [rng.randint(-3, 3) for _ in range(ambient)],
                 [int(x) if x.denominator == 1 else x for x in map(Fraction, inside)],
                 [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ambient)]]
-        for vec in vecs:
-            before = list(vec)
-            for _ in range(2):  # the second call reads the cached nonzeros
-                residual, coeffs = sub.reduce(vec)
-                want_residual, want_coeffs = _dense_reduce(sub, vec)
-                assert (residual, coeffs) == (want_residual, want_coeffs)
-                for got, want in zip(residual + coeffs, want_residual + want_coeffs):
-                    assert type(got) is Fraction or type(want) is not Fraction
-                if sub.dim:  # the zero subspace hands vec back as it is
-                    assert all(x is QQ.zero for x in residual + coeffs if not x)
+        for vec in sparse(vecs):
+            before = dict(vec)
+            residual, coeffs = sub.reduce(vec)
+            want_residual, want_coeffs = _dense_reduce(sub, dense([vec], ambient)[0])
+            assert dense([residual], ambient)[0] == want_residual
+            assert dense([coeffs], sub.dim)[0] == want_coeffs
+            assert all(type(x) is Fraction and x for x in [*residual.values(), *coeffs.values()])
             assert vec == before
-        assert sub.contains(inside) and sub.contains(vecs[2])
+        assert sub.contains(sparse([inside])[0]) and sub.contains(sparse(vecs[2:3])[0])
 
 
 KERNEL_PRIMES = [2, 3, 101, 1048573]
@@ -406,11 +455,14 @@ def _monomial_rows(rng, p, nrows, ncols):
 
 
 def _kernel_inputs(rng, p):
-    """(label, rows, ncols): monomial-like, 1-5% dense, fully dense, edge cases."""
+    """(label, rows, ncols): monomial-like, 1-5% and 10-30% dense, fully
+    dense, edge cases."""
     for nrows, ncols in [(1, 1), (5, 7), (30, 30), (120, 90), (40, 160), (160, 40)]:
         yield "monomial", _monomial_rows(rng, p, nrows, ncols), ncols
-    for nrows, ncols in [(60, 60), (100, 120), (150, 100)]:
-        density = rng.uniform(0.01, 0.05)
+    for nrows, ncols, lo, hi in [(60, 60, 0.01, 0.05), (100, 120, 0.01, 0.05),
+                                 (150, 100, 0.01, 0.05), (8, 12, 0.1, 0.3),
+                                 (25, 40, 0.1, 0.3), (40, 25, 0.1, 0.3)]:
+        density = rng.uniform(lo, hi)
         rows = [[_entry(rng, p) if rng.random() < density else 0 for _ in range(ncols)]
                 for _ in range(nrows)]
         yield "sparse", rows, ncols
@@ -436,16 +488,17 @@ def test_sparse_kernel_matches_dense_kernel(p, scale, monkeypatch):
     F = GF(p)
     rng = random.Random(1000 + p)
     for label, rows, ncols in _kernel_inputs(rng, p):
-        before = [list(row) for row in rows]
+        m = sparse(rows)
+        before = [dict(row) for row in m]
         for reduced in (True, False):
-            want = linalg._dense_rref([list(row) for row in rows], ncols, p, reduced)
-            got = F.rref(rows, ncols, reduced=reduced)
+            want = linalg._dense_rref(m, ncols, p, reduced)
+            got = F.rref(m, ncols, reduced=reduced)
             assert got == want, (label, reduced)
-            assert rows == before, label
-        got_rows, pivots = F.rref(rows, ncols)
-        assert all(type(x) is int and 0 <= x < p for row in got_rows for x in row), label
+            assert m == before, label
+        got_rows, pivots = F.rref(m, ncols)
         assert all(type(c) is int for c in pivots), label
-        assert got_rows == _textbook_rref_mod_p(rows, ncols, p)
+        assert got_rows == sparse(_textbook_rref_mod_p(rows, ncols, p)), label
+        _check_row_form(F, m, ncols, rng)
 
 
 def _textbook_rref_mod_p(rows, ncols, p):
@@ -474,60 +527,68 @@ def test_kernel_choice_follows_the_work_budget(p, monkeypatch):
     rng = random.Random(2000 + p)
     for nrows, ncols in [(1, 1), (30, 30), (200, 200), (300, 80), (80, 300)]:
         for reduced in (True, False):
-            F.rref(_monomial_rows(rng, p, nrows, ncols), ncols, reduced=reduced)
+            F.rref(sparse(_monomial_rows(rng, p, nrows, ncols)), ncols, reduced=reduced)
     assert calls == []
-    dense = [[rng.randrange(1, p) for _ in range(60)] for _ in range(60)]
-    F.rref(dense, 60)
+    full = sparse([[rng.randrange(1, p) for _ in range(60)] for _ in range(60)])
+    F.rref(full, 60)
     assert len(calls) == 1
     # under budget by its nonzero count, over it by the fill-in: the
     # elimination starts sparse and restarts dense
-    sparse = [[rng.randrange(1, p) if rng.random() < 0.03 else 0 for _ in range(200)]
-              for _ in range(200)]
-    nnz = sum(1 for row in sparse for x in row if x)
+    thin = sparse([[rng.randrange(1, p) if rng.random() < 0.03 else 0 for _ in range(200)]
+                   for _ in range(200)])
+    nnz = sum(map(len, thin))
     assert nnz <= 4 * 400 + 200 * 200 // 16
-    assert linalg._sparse_rref(sparse, 200, p, 4 * 400 + 200 * 200 // 16) is None
-    assert F.rref(sparse, 200) == linalg._dense_rref(sparse, 200, p, True)
+    assert linalg._sparse_rref(thin, 200, p, 4 * 400 + 200 * 200 // 16) is None
+    assert F.rref(thin, 200) == linalg._dense_rref(thin, 200, p, True)
     assert len(calls) == 3
 
 
-def _as_dicts(rows):
-    """Each row's nonzero entries as a dict {column: value}."""
-    return [{j: x for j, x in enumerate(row) if x} for row in rows]
-
-
-def _typed(value):
-    """A nested answer with every entry paired with its type."""
-    if isinstance(value, (list, tuple)):
-        return [_typed(x) for x in value]
-    if isinstance(value, Subspace):
-        return _typed([value.rows, value.pivots])
-    return (value, type(value))
-
-
 def _check_dict_rows_give_the_dense_answers(field, rows, ncols, rng):
-    dicts = _as_dicts(rows)
-    before = [dict(row) for row in dicts]
-    types = [{j: type(x) for j, x in row.items()} for row in dicts]
+    """rref, rank, kernel and solve_columns on the dict rows of a dense
+    matrix give the answers of textbook elimination on the dense matrix, and
+    leave the dict rows as they were: cached product columns are passed in
+    as rows."""
+    p = field.char
+    m = sparse(rows)
+    before = [dict(row) for row in m]
+    types = [{j: type(x) for j, x in row.items()} for row in m]
+
+    def textbook(rows, ncols):
+        if not p:
+            return _fraction_gauss_jordan(rows, ncols)
+        reduced = _textbook_rref_mod_p(rows, ncols, p)
+        return reduced, [next(j for j, x in enumerate(row) if x) for row in reduced]
+
+    want, pivots = textbook(rows, ncols)
+    assert field.rref(m, ncols) == (sparse(want), pivots)
+    assert field.rref(m, ncols, reduced=False) == (None, pivots)
+    assert rank(field, m, ncols) == len(pivots)
+    ker = dense(kernel(field, m, ncols).rows, ncols)
+    assert len(ker) == ncols - len(pivots)
+    assert all(not field.of(sum(a * b for a, b in zip(row, v))) for row in rows for v in ker)
+    entry = int if p else Fraction
     targets = [[field.of(rng.randint(-3, 3)) for _ in rows] for _ in range(3)]
-    calls = (
-        lambda m: field.rref(m, ncols),
-        lambda m: field.rref(m, ncols, reduced=False),
-        lambda m: rank(field, m, ncols),
-        lambda m: kernel(field, m, ncols),
-        lambda m: solve_columns(field, m, ncols, targets),
-        lambda m: solve_columns(field, m, ncols, [[field.zero] * len(rows)]),
-    )
-    for call in calls:
-        assert _typed(call(dicts)) == _typed(call(rows))
-    # the kernel copies every row: cached product columns are passed in as rows
-    assert dicts == before
-    assert [{j: type(x) for j, x in row.items()} for row in dicts] == types
+    sols, bad = solve_columns(field, m, ncols, targets)
+    solvable = [len(textbook([row + [t[r]] for r, row in enumerate(rows)], ncols + 1)[1]) ==
+                len(pivots) for t in targets]
+    if bad is None:
+        assert all(solvable)
+        for w, t in zip(sols, targets):
+            assert all(type(x) is entry for x in w)
+            assert all(not w[c] for c in range(ncols) if c not in pivots)
+            assert [field.of(sum(a * x for a, x in zip(row, w))) for row in rows] == t
+    else:
+        assert solvable.index(False) == bad
+    zero = [field.zero] * ncols
+    assert solve_columns(field, m, ncols, [[field.zero] * len(rows)]) == ([zero], None)
+    assert m == before
+    assert [{j: type(x) for j, x in row.items()} for row in m] == types
 
 
 @pytest.mark.parametrize("scale", [0, 1, 10 ** 12])
 def test_dict_rows_give_the_dense_answers_over_a_prime_field(scale, monkeypatch):
-    # scale 0 sends every nonzero matrix to the dense kernel, which the dict
-    # rows then reach as dense lists
+    # scale 0 sends every nonzero matrix to the dense kernel, which builds its
+    # array from the dict rows
     monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
     calls = _count_calls(monkeypatch, "_dense_rref")
     rng = random.Random(3000)

@@ -60,6 +60,10 @@ RUNGS = {
     "generic-2-4-2": ("resolve", "--method", "cone", "generic_2_4_2.ring", "--hmax", "4",
                       "--dmax", "4"),
     "generic-5-5-4": ("dual", "generic_5_5_4.ring", "--hmax", "4", "--field", "q"),
+    # dual components over GF(101) on dense rings: the numpy branches of
+    # dual._leading_pair_constraints and dual._assemble
+    "generic-5-5-4-dual-gf": ("dual", "generic_5_5_4.ring", "--hmax", "5"),
+    "generic-2-4-2-dual-gf": ("dual", "generic_2_4_2.ring", "--hmax", "7"),
     # a small rung for the tool's own test
     "hhr-resolve": ("resolve", "--method", "cone", "hhr_example.ring", "--hmax", "3",
                     "--dmax", "4"),
