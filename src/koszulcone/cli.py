@@ -246,8 +246,10 @@ def _ideal_for(js, algebra):
 
 
 def _emit(args, payload, text_lines):
+    """Print the text lines, or under --out json the document that the
+    function payload builds: text runs never build it."""
     if args.out == "json":
-        print(json.dumps(payload, sort_keys=True, indent=1))
+        print(json.dumps(payload(), sort_keys=True, indent=1))
     else:
         for line in text_lines:
             print(line)
@@ -261,22 +263,20 @@ def cmd_dual(args):
     A = _algebra_for(js, max(2, args.dmax))
     D = QuadraticDual(A)
     fmt = A.field.format
-    dims = {}
-    bases = {}
-    for l in range(args.hmax + 1):
-        comp = D.component(l)
-        dims[l] = comp.dim
-        bases[l] = [[[i, fmt(row[i])] for i in sorted(row)] for row in comp.rows]
-    payload = {
-        "command": "dual",
-        "dims": {str(l): v for l, v in dims.items()},
-        "bases": {str(l): bases[l] for l in bases},
-        "excluded_pairs": [list(p) for p in D.ordered_excluded_pairs()],
-    }
+    comps = [D.component(l) for l in range(args.hmax + 1)]
+    pairs = D.ordered_excluded_pairs()
+
+    def payload():
+        return {
+            "command": "dual",
+            "dims": {str(l): comp.dim for l, comp in enumerate(comps)},
+            "bases": {str(l): [[[i, fmt(row[i])] for i in sorted(row)] for row in comp.rows]
+                      for l, comp in enumerate(comps)},
+            "excluded_pairs": [list(p) for p in pairs],
+        }
     lines = [f"dual component dims up to degree {args.hmax}:"]
-    lines += [f"  degree {l}: dim {dims[l]}" for l in sorted(dims)]
-    lines.append(f"degree-2 dual basis labels (excluded pairs): "
-                 f"{D.ordered_excluded_pairs()}")
+    lines += [f"  degree {l}: dim {comp.dim}" for l, comp in enumerate(comps)]
+    lines.append(f"degree-2 dual basis labels (excluded pairs): {pairs}")
     _emit(args, payload, lines)
     return 0
 
@@ -286,13 +286,15 @@ def cmd_priddy(args):
     A = _algebra_for(js, max(2, args.dmax))
     D = QuadraticDual(A)
     cert = koszulness_certificate(D, args.hmax, args.dmax)
-    payload = {
-        "command": "priddy",
-        "passed": cert["passed"],
-        "ranks": cert["ranks"],
-        "witness": cert["witness"],
-        "homology": {f"{i},{d}": h for (i, d), h in sorted(cert["homology"].items())},
-    }
+
+    def payload():
+        return {
+            "command": "priddy",
+            "passed": cert["passed"],
+            "ranks": cert["ranks"],
+            "witness": cert["witness"],
+            "homology": {f"{i},{d}": h for (i, d), h in sorted(cert["homology"].items())},
+        }
     lines = [f"Priddy complex ranks to homological degree {args.hmax}: {cert['ranks']}"]
     if cert["passed"]:
         lines.append(f"bounded Koszulness certificate PASSED "
@@ -324,7 +326,6 @@ def cmd_check(args):
             report = J.check_regular_ordering(args.dmax, mode=mode)
         else:
             report = J.check_star_condition()
-    payload = {"command": f"check {args.what}", **report.as_dict()}
     lines = [f"check {args.what}: {'PASS' if report.passed else 'FAIL'}"]
     for w in report.warnings:
         lines.append(f"  note: {w}")
@@ -332,7 +333,7 @@ def cmd_check(args):
         shown = [d for d in report.details if _detail_is_failure(d)][:10]
         for d in shown:
             lines.append(f"  witness: {d}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"command": f"check {args.what}", **report.as_dict()}, lines)
     return 0 if report.passed else 1
 
 
@@ -373,8 +374,9 @@ def _build_resolution(js, args):
 def cmd_resolve(args):
     js = _load_jobspec(args)
     A, J, F = _build_resolution(js, args)
-    doc = complex_to_json(F)
-    doc["job"] = {"ring": format_jobspec(js), "method": args.method, "hmax": args.hmax}
+    if args.export or args.out == "json":
+        doc = complex_to_json(F)
+        doc["job"] = {"ring": format_jobspec(js), "method": args.method, "hmax": args.hmax}
     if args.export:
         try:
             with open(args.export, "w") as fh:
@@ -382,14 +384,14 @@ def cmd_resolve(args):
         except OSError as e:
             raise InputError(f"cannot write {args.export}: {e}") from None
     rep = verify_complex(F, args.dmax)
-    payload = {"command": "resolve", "complex": doc, "verified": rep.as_dict()}
     lines = [f"resolution of A/J by the {args.method} method, ranks {F.ranks()}"]
     lines.append(f"graded ranks: {sorted((l, d, v) for (l, d), v in F.graded_ranks().items())}")
     lines.append(f"d.d = 0: {rep.d2_zero}; minimal: {rep.minimal}; "
                  f"exact in 0 < i < {F.length} up to degree {args.dmax}: {rep.exact_positive}")
     if args.export:
         lines.append(f"complex JSON written to {args.export}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"command": "resolve", "complex": doc, "verified": rep.as_dict()},
+          lines)
     return 0 if rep.passed else 1
 
 
@@ -399,12 +401,11 @@ def cmd_betti(args):
     J = _ideal_for(js, A)
     _require_linear_quotients(J, args.dmax)
     bt = betti_table(J, args.hmax)
-    payload = {"command": "betti", **bt.as_dict()}
     lines = ["ideal-level graded Betti numbers (rows q, columns homological degree):",
              bt.text("ideal"),
              f"regularity: {bt.regularity}",
              f"linear resolution: {bt.linear_resolution}"]
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"command": "betti", **bt.as_dict()}, lines)
     return 0
 
 
@@ -429,7 +430,6 @@ def cmd_verify(args):
     else:
         A, J, F = _build_resolution(js, args)
     rep = verify_complex(F, args.dmax)
-    payload = {"command": "verify", **rep.as_dict()}
     lines = [f"d.d = 0: {rep.d2_zero}",
              f"minimal: {rep.minimal}",
              f"exact in positive degrees to degree {args.dmax}: {rep.exact_positive}"]
@@ -438,7 +438,7 @@ def cmd_verify(args):
         nz = {k: v for k, v in rep.homology.items() if v}
         if nz:
             lines.append(f"nonzero homology ranks: {nz}")
-    _emit(args, payload, lines)
+    _emit(args, lambda: {"command": "verify", **rep.as_dict()}, lines)
     return 0 if rep.passed else 1
 
 

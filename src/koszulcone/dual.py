@@ -9,12 +9,18 @@ Components are computed by the equivalent recursion
 
 built block by block: the candidate e_i (x) b, for b in comp(l-1), is b in
 column block i of V^(x l) and zero elsewhere.  So the constraints from the
-degree-2 normal form on the two leading slots, and their kernel, are
-n * dim comp(l-1) columns wide, and the rows of comp(l) are blockwise
-products with comp(l-1); no n^l wide candidate row is written out.  Quotient
-duals cut comp(l) down by annihilation conditions coming from left ideals
-generated by excluded dual variables.  _assemble writes out both kinds of
-component, and no elimination runs on rows of V^(x l): its rows are RREF.
+degree-2 normal form on the two leading slots (read at the pivot columns of
+comp(l-2)) and their kernel are n * dim comp(l-1) columns wide, and the rows
+of comp(l) are blockwise products with comp(l-1); no n^l wide candidate row
+is written out.  Quotient duals cut comp(l) down by annihilation conditions
+coming from left ideals generated by excluded dual variables.  _assemble
+writes out both kinds of component, and no elimination runs on rows of
+V^(x l): its rows are RREF.
+
+Components exist only as dict rows {position in V^(x l): value}, over every
+field; over F_p each emitted entry is reduced mod p once.  The bound is on
+what a step stores, not on n^l: its n * (sum of the row lengths of
+comp(l-1)) candidate entries, at most CANDIDATE_ENTRY_LIMIT.
 
 Slot conventions (fixed by the d.d = 0 calibration on polynomial rings and
 documented in the README): the module action f |-> f.x_j^* used by all
@@ -28,30 +34,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch
-from .linalg import PrimeField, Subspace, _array, _dict_rows, kernel
+from .linalg import Subspace, kernel
 
 CALIBRATED_SLOT = "first"
 
-
-def tensor_index(indices, n):
-    """Row-major index of a pure tensor word (first slot most significant)."""
-    idx = 0
-    for i in indices:
-        idx = idx * n + i
-    return idx
+# bound on the candidate entries of one component step: degree l builds on
+# n * (sum of the row lengths of comp(l-1)) of them
+CANDIDATE_ENTRY_LIMIT = 10 ** 6
 
 
 class QuadraticDual:
     """Graded dual components of the quadratic dual of a commutative quadratic algebra."""
 
-    def __init__(self, algebra, ambient_limit=20000):
+    def __init__(self, algebra):
         self.algebra = algebra
         self.field = algebra.field
         self.n = algebra.n
-        self.ambient_limit = ambient_limit
         self._components = {}
         self._act = {}
         self._trace = {}  # hmax -> certified trace differential (complexes)
@@ -92,16 +91,21 @@ class QuadraticDual:
         if got is not None:
             return got
         n = self.n
-        if n ** max(l, 1) > self.ambient_limit:
-            raise AmbientTooLarge(f"tensor ambient {n}^{l} exceeds {self.ambient_limit}")
         if l == 0:
             comp = Subspace.full(self.field, 1)
-        elif l == 1:
-            comp = Subspace.full(self.field, n)
-        elif l == 2:
-            comp = self.relation_space
         else:
-            comp = self._component_step(l)
+            prev = self.component(l - 1)
+            entries = n * sum(map(len, prev.rows))
+            if entries > CANDIDATE_ENTRY_LIMIT:
+                raise AmbientTooLarge(
+                    f"degree {l} dual component: {entries} candidate entries exceed "
+                    f"the limit {CANDIDATE_ENTRY_LIMIT}")
+            if l == 1:
+                comp = Subspace.full(self.field, n)
+            elif l == 2:
+                comp = self.relation_space
+            else:
+                comp = self._component_step(l, prev)
         self._components[l] = comp
         return comp
 
@@ -114,7 +118,7 @@ class QuadraticDual:
                          for a in range(n) for b in range(n)]
         return self._nf2
 
-    def _component_step(self, l):
+    def _component_step(self, l, prev):
         """comp(l) = (V (x) comp(l-1)) intersect (R (x) V^(l-2)), block by block.
 
         Candidate (i, kk) is e_i (x) prev[kk]: it is zero outside column
@@ -124,12 +128,15 @@ class QuadraticDual:
         n^(l-2).  The kernel C of these constraints (rows in ascending
         (t, r), all-zero rows dropped) spans comp(l), and block i of its row
         d is sum_kk C[d][i*k+kk] * prev[kk], with k = dim comp(l-1) (_assemble).
+        Only keys with r a pivot column of comp(l-2) are needed: comp(l-1)
+        lies in V (x) comp(l-2), so the image at each t lies in comp(l-2),
+        where a vector that is zero at the pivot columns is zero.
         """
         fld, n = self.field, self.n
-        prev = self.component(l - 1)
         if prev.dim == 0:
             return Subspace.zero(fld, n ** l)
-        rows = _leading_pair_constraints(fld, self._nf2_columns(), self.algebra.dim(2), prev, n)
+        rows = _leading_pair_constraints(fld, self._nf2_columns(), prev, n,
+                                         set(self.component(l - 2).pivots))
         return _assemble(fld, kernel(fld, rows, n * prev.dim), prev, n ** l)
 
     # -- contractions and actions ---------------------------------------------
@@ -181,32 +188,29 @@ class QuadraticDual:
         return all(pos not in row for row in self.component(2).rows)
 
 
-def _leading_pair_constraints(fld, nf2, dim2, prev, n):
-    """Dict rows keyed by ascending (t, r), columns by candidate (i, kk); zero
-    rows dropped.  nf2 holds the dict normal form of each pair a * n + b over
-    the dim2 basis monomials of degree 2."""
+def _leading_pair_constraints(fld, nf2, prev, n, keep):
+    """Dict rows keyed by ascending (t, r) with r in keep, columns by
+    candidate (i, kk); zero rows dropped.  nf2 holds the dict normal form of
+    each pair a * n + b over the basis monomials of degree 2."""
+    p = fld.char
     k = prev.dim
     rest = prev.ambient // n
-    if isinstance(fld, PrimeField):
-        nf = _array(nf2, dim2).T.reshape(dim2 * n, n)
-        blocks = prev._np_rows().reshape(k, n, rest).transpose(1, 0, 2).reshape(n, k * rest)
-        # each entry sums n products of residues below p, so it stays below
-        # n * p^2 < 2**63 (p <= MAX_PRIME)
-        img = (nf @ blocks) % fld.char
-        img = img.reshape(dim2, n, k, rest).transpose(0, 3, 1, 2).reshape(-1, n * k)
-        return _dict_rows(img[img.any(axis=1)])
-    zero = fld.zero
     constraints = {}
     for kk, b in enumerate(prev.rows):
-        entries = [(*divmod(pos, rest), x) for pos, x in b.items()]
+        slices = {}  # a -> [(r, x)] with r in keep
+        for pos, x in b.items():
+            a, r = divmod(pos, rest)
+            if r in keep:
+                slices.setdefault(a, []).append((r, x))
         for i in range(n):
-            img = {}
-            for a, r, x in entries:
+            img = {}  # key t * rest + r orders the constraints as (t, r) does
+            for a, pairs in slices.items():
                 for t, f in nf2[i * n + a].items():
-                    img[(t, r)] = img.get((t, r), zero) + f * x
+                    for r, x in pairs:
+                        img[t * rest + r] = img.get(t * rest + r, 0) + f * x
             c = i * k + kk
             for key, val in img.items():
-                if val:
+                if val := (val % p if p else val):
                     constraints.setdefault(key, {})[c] = val
     return [constraints[key] for key in sorted(constraints)]
 
@@ -223,25 +227,20 @@ def _assemble(fld, coeffs, basis, ambient):
     its pivot, zero at P of every other coeffs pivot, and zero left of its
     own P: the rows are the canonical RREF, with those pivots.
     """
+    p = fld.char
     k, width = basis.dim, basis.ambient
     pivots = [i * width + basis.pivots[kk] for i, kk in (divmod(c, k) for c in coeffs.pivots)]
-    if isinstance(fld, PrimeField):
-        # each entry sums k products of residues below p, so it stays below
-        # k * p^2 < 2**63 while k < 2**23 (p <= MAX_PRIME)
-        c = coeffs._np_rows().reshape(coeffs.dim, ambient // width, k)
-        rows = ((c @ basis._np_rows()) % fld.char).reshape(coeffs.dim, ambient)
-        comp = Subspace(fld, ambient, _dict_rows(rows), pivots)
-        comp._np = rows  # the array of its rows, which the next degree reads
-        return comp
     rows = []
     for crow in coeffs.rows:
         row = {}
+        get = row.get
         for c, y in crow.items():
             i, kk = divmod(c, k)
             off = i * width
             for pos, x in basis.rows[kk].items():
-                row[off + pos] = row.get(off + pos, 0) + y * x
-        rows.append({pos: x for pos, x in row.items() if x})
+                key = off + pos
+                row[key] = get(key, 0) + y * x
+        rows.append({pos: v for pos, x in row.items() if (v := x % p if p else x)})
     return Subspace(fld, ambient, rows, pivots)
 
 
@@ -267,15 +266,18 @@ class QuotientDual:
         parent = self.parent
         fld, n = self.field, parent.n
         full = parent.component(l)
-        excluded = sorted(set(range(n)) - self.allowed)
+        excluded = set(range(n)) - self.allowed
         if l == 0 or not excluded or full.dim == 0:
             comp = full
         else:
+            # a last-slot contraction of comp(l) lies in comp(l-1): read it at its pivots
+            keep = set(parent.component(l - 1).pivots)
             constraints = {}
             for c, b in enumerate(full.rows):
-                for j in excluded:
-                    for r, val in parent.contract(b, l, j, slot="last").items():
-                        constraints.setdefault((j, r), {})[c] = val
+                for pos, x in b.items():
+                    r, j = divmod(pos, n)
+                    if j in excluded and r in keep:
+                        constraints.setdefault((j, r), {})[c] = x
             rows = [constraints[k] for k in sorted(constraints)]
             comp = _assemble(fld, kernel(fld, rows, full.dim), full, n ** l)
         self._components[l] = comp

@@ -13,7 +13,8 @@ class KoszulConeError(Exception):
 
 
 class AmbientTooLarge(KoszulConeError):
-    """A tensor-power ambient dimension exceeds the configured resource bound."""
+    """A dual component step would hold more stored dict-row entries (n times
+    those of the component below) than its bound; n^l itself is not bounded."""
 
 
 class DegreeOverflow(KoszulConeError):

@@ -8,7 +8,7 @@ fractions.Fraction.
 Matrices are lists of rows, and a row is a sparse dict {column: value} with
 no zero values: that is the one row form taken and handed back here, by
 rref, the kernels, solve_columns and every Subspace.  Dense arrays exist only
-inside the numpy kernels, built from the dict rows and read back into them
+inside the numpy kernel, built from the dict rows and read back into them
 once, at that boundary.  The kernel copies each row it reads, so a caller's
 row (a cached product column among them) is never mutated.
 
@@ -252,7 +252,7 @@ def _rows_of(found, reduced, one, entry):
 
 
 def _array(rows, ncols):
-    """The dict rows as a dense int64 array, the entry of the numpy kernels."""
+    """The dict rows as a dense int64 array, the entry of the numpy kernel."""
     m = np.zeros((len(rows), ncols), dtype=np.int64)
     lens = [len(row) for row in rows]
     m[np.repeat(np.arange(len(rows)), lens),
@@ -263,7 +263,7 @@ def _array(rows, ncols):
 
 def _dict_rows(m):
     """The rows of a 2-d int64 array as dict rows of Python ints, the exit of
-    the numpy kernels."""
+    the numpy kernel."""
     ri, ci = np.nonzero(m)
     cols, vals = ci.tolist(), m[ri, ci].tolist()
     ends = np.cumsum(np.bincount(ri, minlength=m.shape[0])).tolist()
@@ -381,7 +381,7 @@ class Subspace:
     subspace, so equality of subspaces is equality of basis rows.
     """
 
-    __slots__ = ("field", "ambient", "rows", "pivots", "_row_at", "_np")
+    __slots__ = ("field", "ambient", "rows", "pivots", "_row_at")
 
     def __init__(self, field, ambient, rows, pivots):
         self.field = field
@@ -389,7 +389,6 @@ class Subspace:
         self.rows = rows
         self.pivots = pivots
         self._row_at = {c: k for k, c in enumerate(pivots)}
-        self._np = None
 
     @classmethod
     def from_rows(cls, field, rows, ambient):
@@ -419,12 +418,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-    def _np_rows(self):
-        """The rows as a dense int64 array, for the numpy kernels over F_p."""
-        if self._np is None:
-            self._np = _array(self.rows, self.ambient)
-        return self._np
 
     def reduce(self, vec):
         """Reduce the dict vector vec modulo the basis rows; vec is not mutated.

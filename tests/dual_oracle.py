@@ -7,13 +7,16 @@ so the intersection is the kernel of all those annihilator rows at once:
 annihilator_component() builds them and takes one kernel per degree.  It
 shares no code with the block-by-block recursion of QuadraticDual.component
 (no comp(l-1), no normal-form constraints on the leading pair).
+annihilated_component() does the same for quotient duals: it imposes the
+last-slot annihilation at every position, where QuotientDual.component reads
+the pivot columns of comp(l-1) only.
 
 The degree-2 helpers check component(2) against the presentation of the dual
 algebra by excluded-pair words: the rewriting rules of the basis-pair words,
 and the basis of component(2) dual to the excluded-pair word classes.
 """
 
-from koszulcone.linalg import kernel
+from koszulcone.linalg import Subspace, kernel
 
 from rowform import dense, sparse
 
@@ -42,6 +45,28 @@ def annihilator_component(D, l):
                         row[(a_pre * n * n + ab) * right + b_post] = x
                     rows.append(row)
     return kernel(fld, sparse(rows), n ** l)
+
+
+def annihilated_component(D, allowed, l):
+    """comp(l) of the quotient dual D.quotient(allowed), taken densely.
+
+    The elements of comp(l) whose last-slot contraction by every excluded
+    variable vanishes at every position of V^(x l-1): one kernel over the
+    basis of comp(l), with no pivot columns of comp(l-1) consulted.
+    """
+    fld, n = D.field, D.n
+    full = dense(D.component(l).rows, n ** l, fld.zero)
+    excluded = [j for j in range(n) if j not in allowed]
+    rows = [[b[r * n + j] for b in full] for j in excluded for r in range(n ** (l - 1))]
+    coeffs = dense(kernel(fld, sparse(rows), len(full)).rows, len(full), fld.zero)
+    span = []
+    for cs in coeffs:
+        v = [fld.zero] * (n ** l)
+        for x, b in zip(cs, full):
+            if x:
+                v = [fld.add(acc, fld.mul(x, y)) for acc, y in zip(v, b)]
+        span.append(v)
+    return Subspace.from_rows(fld, sparse(span), n ** l)
 
 
 def pair_expansion(A, a, b):

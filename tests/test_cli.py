@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import koszulcone
-from koszulcone import linalg
+from koszulcone import dual, linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
 from koszulcone.complexes import closed_form_resolution, complex_to_json
 from koszulcone.errors import ParseError
@@ -397,6 +397,18 @@ def test_cone_d_squared_failure_exits_1_with_witness(monkeypatch, capsys):
         capsys)
     assert code == 1 and out == ""
     assert "d.d = 0" in err and "witness: (" in err
+
+
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_dual_past_the_candidate_limit_exits_1_with_one_line(out, monkeypatch, capsys):
+    # comp(2) of the fixture holds 7 entries, so its degree-3 step has
+    # 3 * 7 = 21 candidate entries
+    monkeypatch.setattr(dual, "CANDIDATE_ENTRY_LIMIT", 20)
+    code, stdout, err = run_main(
+        ["dual", str(FIXTURES / "hhr_example.ring"), "--hmax", "4", "--out", out], capsys)
+    assert code == 1 and stdout == ""
+    assert err == ("check failed: degree 3 dual component: 21 candidate entries "
+                   "exceed the limit 20\n")
 
 
 def _export_hhr(tmp_path, capsys):

@@ -655,15 +655,18 @@ def test_random_regular_ideals_cone_equals_closed_form():
     assert regular >= 10
 
 
-def test_resolutions_need_dual_components_below_hmax_only():
+def test_resolutions_need_dual_components_below_hmax_only(monkeypatch):
     # degree l of a resolution holds the degree l - 1 quotient duals, so
-    # neither path may build component(hmax): here it is over the limit
+    # neither path may build component(hmax): here it is over the limit,
+    # which admits exactly the candidate entries of component(hmax - 1)
     from koszulcone.errors import AmbientTooLarge
     hmax = 5
+    probe = hhr_ideal().dual
+    limit = probe.n * sum(map(len, probe.component(hmax - 2).rows))
+    monkeypatch.setattr(koszulcone.dual, "CANDIDATE_ENTRY_LIMIT", limit)
     for build in (iterated_mapping_cone,
                   lambda J, h: closed_form_resolution(J, h, check_regular=False)):
         J = hhr_ideal()
-        J.dual.ambient_limit = J.algebra.n ** (hmax - 1)
         F = build(J, hmax)
         assert F.ranks() == [1, 2, 3, 5, 8, 13]
         assert verify_complex(F, J.max_degree + hmax).passed

@@ -7,7 +7,8 @@ import pytest
 
 from koszulcone.algebra import GradedAlgebra, RingPresentation
 from koszulcone.cli import parse_ring_text
-from koszulcone.dual import QuadraticDual, left_ideal_contains, tensor_index
+from koszulcone import dual
+from koszulcone.dual import QuadraticDual, left_ideal_contains
 from koszulcone.errors import (
     AmbientTooLarge,
     ClosureFailure,
@@ -17,6 +18,7 @@ from koszulcone.linalg import GF, QQ, Subspace
 
 from dual_oracle import (
     _invert,
+    annihilated_component,
     annihilator_component,
     deg2_consistency,
     deg2_labeled_duals,
@@ -127,6 +129,19 @@ def test_block_step_matches_naive_intersection(field):
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_quotient_components_match_the_dense_annihilation(field):
+    # QuotientDual.component imposes the last-slot annihilation at the pivot
+    # columns of comp(l-1) only; the oracle imposes it at every position
+    for name, pres in oracle_rings(field).items():
+        D = QuadraticDual(GradedAlgebra(pres, 6))
+        for k in (1, 2):
+            for S in combinations(range(3), k):
+                for l in range(1, 5):
+                    assert D.quotient(S).component(l) == \
+                        annihilated_component(D, S, l), (name, S, l)
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
 def test_components_are_the_canonical_rref_of_their_rows(field):
     # components are assembled without elimination; Subspace.from_rows of
     # their own rows is the canonical form they must already be in
@@ -166,9 +181,13 @@ def test_dual_dims_invert_hilbert_series_on_koszul_rings():
             assert acc == 0, (A.presentation.var_names, m)
 
 
-def test_ambient_limit():
-    D = QuadraticDual(poly_ring(3, cutoff=4), ambient_limit=20)
-    with pytest.raises(AmbientTooLarge):
+def test_ambient_limit(monkeypatch):
+    # comp(2) of the polynomial ring in 3 variables is 3 commutators of 2
+    # entries each, so the degree-3 step has 3 * 6 = 18 candidate entries
+    monkeypatch.setattr(dual, "CANDIDATE_ENTRY_LIMIT", 17)
+    D = QuadraticDual(poly_ring(3, cutoff=4))
+    assert D.component(2).dim == 3
+    with pytest.raises(AmbientTooLarge, match="18 candidate entries exceed the limit 17"):
         D.component(3)
 
 
@@ -349,10 +368,6 @@ def test_left_ideal_naive_literal_reading_has_degenerate_gap():
     c2 = left_ideal_contains(D, frozenset(), (0, 1), {0, 1}, 3)
     assert c2.holds
     assert 1 in {0, 1}  # s lies in Ek; the sound conclusion is s not in Ej
-
-
-def test_tensor_index_row_major():
-    assert tensor_index((1, 0, 2), 3) == 1 * 9 + 0 * 3 + 2
 
 
 def test_calibration_first_slot_action_last_slot_membership():

@@ -60,10 +60,15 @@ RUNGS = {
     "generic-2-4-2": ("resolve", "--method", "cone", "generic_2_4_2.ring", "--hmax", "4",
                       "--dmax", "4"),
     "generic-5-5-4": ("dual", "generic_5_5_4.ring", "--hmax", "4", "--field", "q"),
-    # dual components over GF(101) on dense rings: the numpy branches of
-    # dual._leading_pair_constraints and dual._assemble
+    # dual components over GF(101) on dense rings: every normal form on the
+    # two leading slots is dense
     "generic-5-5-4-dual-gf": ("dual", "generic_5_5_4.ring", "--hmax", "5"),
     "generic-2-4-2-dual-gf": ("dual", "generic_2_4_2.ring", "--hmax", "7"),
+    # sparse components in wide tensor powers: 7^6 positions, and 8^6 through
+    # the closed form's ordering check, which reads degree min(h, d) + 2
+    "squares7-dual6": ("dual", "squares7-gf101.ring", "--hmax", "6"),
+    "poly8-closed": ("resolve", "--method", "closed", "poly8-gf101.ring", "--hmax", "4",
+                     "--dmax", "4"),
     # a small rung for the tool's own test
     "hhr-resolve": ("resolve", "--method", "cone", "hhr_example.ring", "--hmax", "3",
                     "--dmax", "4"),
@@ -86,8 +91,9 @@ def generic_ring_text(seed, n, nrels):
 
 
 def write_rings(workdir):
-    rings = (workloads.Ring("poly", 7), workloads.Ring("squares", 7),
-             workloads.Ring("squares", 6), workloads.Ring("squares", 5, workloads.QQ))
+    rings = (workloads.Ring("poly", 7), workloads.Ring("poly", 8),
+             workloads.Ring("squares", 7), workloads.Ring("squares", 6),
+             workloads.Ring("squares", 5, workloads.QQ))
     for ring in rings:
         (workdir / ring.filename).write_text(workloads.ring_text(ring, random.Random(0)))
     for seed, n, nrels in GENERIC:
