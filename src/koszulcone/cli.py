@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .algebra import GradedAlgebra, RingPresentation, format_monomial
 from .complexes import (
@@ -245,11 +247,62 @@ def _ideal_for(js, algebra):
         raise InputError(str(e)) from None
 
 
+# the layout of every JSON document the CLI writes: sorted keys, one space
+# per level; _json_text gives the same bytes faster
+_ENCODER = json.JSONEncoder(sort_keys=True, indent=1)
+_SCALAR_JSON = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, indent="\n"):
+    """_ENCODER.encode(value), byte for byte, for a value that sits on a line
+    starting with indent (a newline and the line's leading spaces).
+
+    Dicts with str keys, lists, tuples, str, int, bool and None are written
+    here, str through the C string encoder; other values go to _ENCODER.
+    """
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + " "
+        try:
+            items = [_SCALAR_JSON[type(x)](x) for x in value]
+        except KeyError:
+            items = [_json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        try:
+            keys = sorted(value)
+            names = list(map(encode_basestring_ascii, keys))
+        except TypeError:  # a key that is not a str
+            return _ENCODER.encode(value).replace("\n", indent)
+        inner = indent + " "
+        items = []
+        for name, key in zip(names, keys):
+            v = value[key]
+            scalar = _SCALAR_JSON.get(type(v))
+            items.append(name + ": " + (scalar(v) if scalar else _json_text(v, inner)))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    scalar = _SCALAR_JSON.get(kind)
+    if scalar:
+        return scalar(value)
+    # floats and subclasses: JSON text holds no raw newline, so shifting the
+    # encoder's lines by the indent is exact
+    return _ENCODER.encode(value).replace("\n", indent)
+
+
 def _emit(args, payload, text_lines):
     """Print the text lines, or under --out json the document that the
     function payload builds: text runs never build it."""
     if args.out == "json":
-        print(json.dumps(payload(), sort_keys=True, indent=1))
+        print(_json_text(payload()))
     else:
         for line in text_lines:
             print(line)
@@ -380,7 +433,7 @@ def cmd_resolve(args):
     if args.export:
         try:
             with open(args.export, "w") as fh:
-                json.dump(doc, fh, sort_keys=True, indent=1)
+                fh.write(_json_text(doc))
         except OSError as e:
             raise InputError(f"cannot write {args.export}: {e}") from None
     rep = verify_complex(F, args.dmax)
@@ -508,67 +561,89 @@ def cmd_selftest(args):
     return 0 if passed else 1
 
 
+_COMMON = (
+    (("ringfile",), {"help": "input ring/ideal description file"}),
+    (("--hmax",), {"type": int, "default": 4, "help": "homological cutoff"}),
+    (("--dmax",), {"type": int, "default": 4, "help": "internal-degree cutoff"}),
+    (("--field",), {"default": None, "help": "override the input field: a prime, or 'q'"}),
+    (("--out",), {"choices": ("text", "json"), "default": "text"}),
+)
+_METHOD = (("--method",), {"choices": ("cone", "closed"), "default": "cone"})
+
+# subcommand -> (function, help line, arguments in the order of their usage text)
+SUBCOMMANDS = {
+    "dual": (cmd_dual, "dims and bases of the dual components", _COMMON),
+    "priddy": (cmd_priddy, "bounded Koszulness certificate", _COMMON),
+    "check": (cmd_check, "ordering / Koszulness checks", (
+        (("what",), {"choices": ("quotients", "regular", "strongly-koszul", "star")}),
+        *_COMMON,
+        (("--literal",), {"action": "store_true",
+                          "help": "use the printed reading of regular-ordering condition (1)"}),
+    )),
+    "resolve": (cmd_resolve, "build and export a resolution", (
+        *_COMMON, _METHOD,
+        (("--export",), {"default": None, "help": "write complex JSON to this file"}),
+    )),
+    "betti": (cmd_betti, "graded Betti table", _COMMON),
+    "verify": (cmd_verify, "verify a built or exported complex", (
+        *_COMMON, _METHOD,
+        (("--complex",), {"default": None, "help": "exported complex JSON to verify"}),
+    )),
+    "selftest": (cmd_selftest, "run the built-in fixture suite",
+                 ((("--seed",), {"type": int, "default": 0}),)),
+}
+
+
+def _add_arguments(parser, name):
+    func, _, arguments = SUBCOMMANDS[name]
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(func=func)
+
+
 def build_parser():
+    """The whole command tree: for --help, and for a command line that does
+    not start with a subcommand or that one subcommand's parser leaves
+    arguments of."""
     p = argparse.ArgumentParser(
         prog="koszulcone",
         description="Exact quadratic duals, Priddy complexes and iterated "
                     "mapping-cone resolutions of monomial ideals.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("ringfile", help="input ring/ideal description file")
-        sp.add_argument("--hmax", type=int, default=4, help="homological cutoff")
-        sp.add_argument("--dmax", type=int, default=4, help="internal-degree cutoff")
-        sp.add_argument("--field", default=None,
-                        help="override the input field: a prime, or 'q'")
-        sp.add_argument("--out", choices=("text", "json"), default="text")
-
-    sp = sub.add_parser("dual", help="dims and bases of the dual components")
-    common(sp)
-    sp.set_defaults(func=cmd_dual)
-
-    sp = sub.add_parser("priddy", help="bounded Koszulness certificate")
-    common(sp)
-    sp.set_defaults(func=cmd_priddy)
-
-    sp = sub.add_parser("check", help="ordering / Koszulness checks")
-    sp.add_argument("what", choices=("quotients", "regular", "strongly-koszul", "star"))
-    common(sp)
-    sp.add_argument("--literal", action="store_true",
-                    help="use the printed reading of regular-ordering condition (1)")
-    sp.set_defaults(func=cmd_check)
-
-    sp = sub.add_parser("resolve", help="build and export a resolution")
-    common(sp)
-    sp.add_argument("--method", choices=("cone", "closed"), default="cone")
-    sp.add_argument("--export", default=None, help="write complex JSON to this file")
-    sp.set_defaults(func=cmd_resolve)
-
-    sp = sub.add_parser("betti", help="graded Betti table")
-    common(sp)
-    sp.set_defaults(func=cmd_betti)
-
-    sp = sub.add_parser("verify", help="verify a built or exported complex")
-    common(sp)
-    sp.add_argument("--method", choices=("cone", "closed"), default="cone")
-    sp.add_argument("--complex", default=None, help="exported complex JSON to verify")
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("selftest", help="run the built-in fixture suite")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.set_defaults(func=cmd_selftest)
+    for name, (_, help_line, _) in SUBCOMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return p
 
 
+def _parse_args(argv):
+    """build_parser().parse_args(argv), building only the parser of the
+    subcommand argv[0] names when that parser takes every argument."""
+    if argv and argv[0] in SUBCOMMANDS:
+        # the subparser's prog, so usage and error text are the same
+        parser = argparse.ArgumentParser(prog=f"koszulcone {argv[0]}")
+        _add_arguments(parser, argv[0])
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    # the whole tree words the error: "koszulcone: error: unrecognized arguments"
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         for name in ("hmax", "dmax"):
             if getattr(args, name, 1) < 1:
                 raise InputError(f"--{name} must be positive")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout is gone: the recipe of the signal module docs
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, InputError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return 2

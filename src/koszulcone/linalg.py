@@ -72,10 +72,11 @@ class PrimeField:
     """Arithmetic in F_p with int representatives in [0, p)."""
 
     def __init__(self, p):
+        # the bound first: trial division of a large p runs for minutes
+        if p > MAX_PRIME:
+            raise ValueError(f"{p} exceeds the supported prime bound {MAX_PRIME}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if p > MAX_PRIME:
-            raise ValueError(f"prime {p} exceeds supported bound {MAX_PRIME}")
         self.char = p
 
     def __repr__(self):

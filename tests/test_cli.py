@@ -1,16 +1,19 @@
 import hashlib
+import importlib.util
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import koszulcone
-from koszulcone import dual, linalg
+from koszulcone import cli, dual, linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
 from koszulcone.complexes import closed_form_resolution, complex_to_json
 from koszulcone.errors import ParseError
@@ -21,10 +24,36 @@ from test_ideals import hhr_ideal
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+def parsed(parse, argv):
+    try:
+        return parse(argv)
+    except SystemExit as e:
+        return f"exit {e.code}"
+
+
 def run_main(argv, capsys):
+    # every command line of these tests is also read by the whole parser
+    # tree, which must give the namespace main's one-subcommand parser gives
+    assert parsed(cli._parse_args, argv) == parsed(cli.build_parser().parse_args, argv)
+    capsys.readouterr()
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@pytest.fixture(autouse=True)
+def json_text_is_json_dumps(monkeypatch):
+    """Every JSON document a CLI test writes is also checked against the
+    standard encoder's text."""
+    write = cli._json_text
+
+    def checked(value, indent="\n"):
+        text = write(value, indent)
+        if indent == "\n":
+            assert text == json.dumps(value, sort_keys=True, indent=1)
+        return text
+
+    monkeypatch.setattr(cli, "_json_text", checked)
 
 
 def test_parse_basic():
@@ -715,3 +744,174 @@ def test_both_elimination_kernels_give_the_same_cli_bytes(ring, tmp_path, capsys
     assert all(code == 0 and err == "" for code, _, err in outputs[1])
     assert outputs[0] == outputs[1] == outputs[10 ** 12]
     assert used[0] > used[1] > 0 and used[10 ** 12] == 0
+
+
+# exit code, sha256 of stdout and sha256 of stderr of the parser's own paths
+# at 80 columns, recorded while main built the whole parser tree for every
+# command line; no ring file is read on these paths
+EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PINNED_PARSER = {
+    ("--help",):
+        (0, "68b5aa82efacf84bf662ea67131ebd4181fe2b3e04cb9c308ec0ed3b1ac70234", EMPTY_SHA256),
+    ("dual", "--help"):
+        (0, "1ddccdaf639f387c8d73d0843ffb46ce67ee1cafe9808e583d8cf308dcbd60ae", EMPTY_SHA256),
+    ("priddy", "--help"):
+        (0, "9c84bb3e01f66bb48ade6403c1a06c1e351e889a37e926fc375cfe7c6edb3e14", EMPTY_SHA256),
+    ("check", "--help"):
+        (0, "3a672fd771e6b0c745864c42441caef872d7168e8eec11ebfe0386bdcad8b80f", EMPTY_SHA256),
+    ("resolve", "--help"):
+        (0, "acb268cfa6d3ae97e1f38a94cf842dcc6ecc888d32f3567650ab09ab6a09ae4b", EMPTY_SHA256),
+    ("betti", "--help"):
+        (0, "2fb40dc5fd1209b62565e13133eb965511c7d77f83ac11fe513b31efe2d3feb0", EMPTY_SHA256),
+    ("verify", "--help"):
+        (0, "2f75219161972da15119b43da0f9a3b1c7198728fec624e7458d41ae12c1591c", EMPTY_SHA256),
+    ("selftest", "--help"):
+        (0, "08bbfc45e7ed6fd9b40ebace3fdda806f16521f9c2806b10117db44eea33d5f0", EMPTY_SHA256),
+    ():
+        (2, EMPTY_SHA256, "cbab767c1010ea96df220b6d0ea4861ab01e51403a1e73b002ae109a00ecb40a"),
+    ("bogus", "hhr_example.ring"):
+        (2, EMPTY_SHA256, "ed6d2fdeba3671a4f10bd6db31e2292d8e73ca78addb89e8ac686a7f553f8681"),
+    ("dual", "hhr_example.ring", "--bogus"):
+        (2, EMPTY_SHA256, "41ae7c0a1f8ed2ba1cc75779e1974054f90c6e9d8b9020cdb347f69e31062a1a"),
+    ("dual", "hhr_example.ring", "--out", "xml"):
+        (2, EMPTY_SHA256, "6cbfe2caccc55da39449689b0490df14a98bf506f875c58c855f841034b3641e"),
+    ("dual", "hhr_example.ring", "--hmax", "x"):
+        (2, EMPTY_SHA256, "3167b3e72a9209e9f5cbd495921826fb1c07a9c3fcf73ebb31205b1da1637f05"),
+    ("dual",):
+        (2, EMPTY_SHA256, "d445cffa0d672dab6e1062b840e2e704682cc413b868666b6d5f1f97dda8770d"),
+    ("check", "bogus", "hhr_example.ring"):
+        (2, EMPTY_SHA256, "88cd05273d6206c2b3598ba59336b1149c29786f69053433d0e50e60398f7e16"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_PARSER))
+def test_parser_help_and_error_bytes_are_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps at the terminal width
+    with pytest.raises(SystemExit) as exit_:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert (exit_.value.code, hashlib.sha256(out.out.encode()).hexdigest(),
+            hashlib.sha256(out.err.encode()).hexdigest()) == PINNED_PARSER[argv]
+    assert parsed(cli._parse_args, list(argv)) == \
+        parsed(cli.build_parser().parse_args, list(argv))
+
+
+def bench_argvs():
+    """The command line of every perfbench job, over a ring directory."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    spec.loader.exec_module(workloads)
+    return [job.argv("rings") for jobs in workloads.WORKLOADS.values() for job in jobs]
+
+
+def test_one_subcommand_parser_reads_bench_jobs_as_the_whole_tree(capsys):
+    argvs = bench_argvs()
+    assert {argv[0] for argv in argvs} >= {"resolve", "priddy", "betti", "dual", "check"}
+    for argv in argvs:
+        args = cli._parse_args(argv)
+        assert args == cli.build_parser().parse_args(argv)
+        assert args.func is cli.SUBCOMMANDS[argv[0]][0]
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_successful_resolve_never_builds_the_whole_parser(tmp_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    exported = tmp_path / "complex.json"
+    code = main(["resolve", str(FIXTURES / "hhr_example.ring"), "--hmax", "3",
+                 "--export", str(exported), "--out", "json"])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["complex"] == json.loads(exported.read_text())
+
+
+@pytest.mark.parametrize("spelling", ["flag", "ring file"])
+def test_a_prime_past_the_bound_is_an_input_error_at_once(spelling, tmp_path, capsys):
+    # trial division up to the square root of this prime takes minutes
+    prime = "99999999999999999989"
+    if spelling == "flag":
+        argv = ["dual", str(FIXTURES / "hhr_example.ring"), "--field", prime]
+    else:
+        ring = tmp_path / "big.ring"
+        ring.write_text(f"field p={prime}\nvars x y\nrel x*y\n")
+        argv = ["dual", str(ring)]
+    start = time.perf_counter()
+    code, out, err = run_main(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("input error: ") and f"{prime} exceeds the supported prime bound" in err
+
+
+def test_a_closed_stdout_exits_1_without_a_traceback():
+    # the read end is closed before the child starts, so its first write fails
+    src = str(Path(koszulcone.__file__).resolve().parent.parent)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "koszulcone.cli", "dual", str(FIXTURES / "hhr_example.ring"),
+             "--hmax", "2", "--out", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def random_json_value(rng, depth=0):
+    """A seeded nested value of the types _json_text writes itself."""
+    alphabet = 'ab"\\/\n\t\x00\x1f\x7f é€😀\u2028'
+    kinds = ["str", "int", "bool", "none"] + (["list", "tuple", "dict"] * 2 if depth < 4 else [])
+    kind = rng.choice(kinds)
+    if kind == "str":
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(6)))
+    if kind == "int":
+        return rng.choice([0, -1, rng.randrange(-10 ** 6, 10 ** 6), rng.randrange(-2 ** 80, 2 ** 80)])
+    if kind == "bool":
+        return rng.random() < 0.5
+    if kind == "none":
+        return None
+    items = [random_json_value(rng, depth + 1) for _ in range(rng.randrange(5))]
+    if kind == "list":
+        return items
+    if kind == "tuple":
+        return tuple(items)
+    return {"".join(rng.choice(alphabet) for _ in range(rng.randrange(4))): v for v in items}
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_json_text_equals_json_dumps_on_random_values(seed):
+    rng = random.Random(seed)
+    for _ in range(50):
+        value = random_json_value(rng)
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=1)
+    for value in ({}, [], (), {"a": {}}, [[]], [{}, [[]], {"b": []}], {"": [()]}):
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=1)
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    1.5, -0.0, 1e300, math.nan, math.inf, -math.inf,
+    [1, 2.5, "x"], {"a": [math.nan, {"b": math.inf}]},
+    {1: "one", 2: [3, {"c": 4.0}]}, {True: 1, False: [2]}, {1.5: "a", -2.0: [None]},
+    [Count(3), {"k": Count(-4)}], {"k": [[1, Count(2)], ["x", 0.5]]},
+])
+def test_json_text_falls_back_to_json_dumps_exactly(value):
+    assert cli._json_text(value) == json.dumps(value, sort_keys=True, indent=1)
+    nested = {"outer": [value, {"inner": value}]}
+    assert cli._json_text(nested) == json.dumps(nested, sort_keys=True, indent=1)
+
+
+@pytest.mark.parametrize("value", [object(), {"a": {1, 2}}, {1: 2, "b": 3}])
+def test_json_text_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=1)
+    with pytest.raises(TypeError):
+        cli._json_text(value)

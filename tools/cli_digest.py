@@ -11,7 +11,11 @@ quotients, regular, strongly-koszul and star) x {GF(101), QQ} x {json, text}:
 
     <sha256 of stdout, a NUL byte and stderr> <exit code> <label>
 
-so two checkouts are compared with `diff` of their outputs.  Fixtures are
+so two checkouts are compared with `diff` of their outputs.  With no --fixture
+and no --ring, the fixture lines are followed by one line per run of
+PARSER_RUNS (--help texts and malformed command lines, at 80 columns), whose
+label starts with "parser:", so the diff also covers the argument parser's
+text.  Fixtures are
 passed relative to CHECKOUT, so no path of the checkout enters the output.
 A --ring file (a perfbench ring, a generated ring) is passed by its absolute
 path, which is the same for both checkouts.
@@ -40,6 +44,19 @@ COMMANDS = (
 )
 FIELDS = ("101", "q")
 FORMATS = ("json", "text")
+HHR = "fixtures/hhr_example.ring"
+PARSER_RUNS = (
+    ("--help",),
+    *((name, "--help") for name in
+      ("dual", "priddy", "check", "resolve", "betti", "verify", "selftest")),
+    (),
+    ("bogus", HHR),
+    ("dual", HHR, "--bogus"),
+    ("dual", HHR, "--out", "xml"),
+    ("dual", HHR, "--hmax", "x"),
+    ("dual",),
+    ("check", "bogus", HHR),
+)
 
 
 def run_cli(main, argv):
@@ -56,6 +73,13 @@ def run_cli(main, argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def digest(main, argv):
+    """"<sha256 of stdout, a NUL byte and stderr> <exit code>" of one CLI call."""
+    code, out, err = run_cli(main, argv)
+    sha = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()
+    return f"{sha} {code}"
+
+
 def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
     checkout = Path(checkout).resolve()
     rings = [str(Path(ring).resolve()) for ring in rings or ()]
@@ -63,6 +87,7 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
     from koszulcone.cli import main
 
     os.chdir(checkout)
+    parser_runs = () if fixtures or rings else PARSER_RUNS
     if not fixtures and not rings:
         fixtures = sorted(p.name for p in Path("fixtures").glob("*.ring"))
     for ring in [f"fixtures/{name}" for name in fixtures or ()] + rings:
@@ -71,9 +96,10 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
                 for fmt in FORMATS:
                     argv = [*command, ring, "--hmax", str(hmax), "--dmax", str(dmax),
                             "--field", field, "--out", fmt]
-                    code, out, err = run_cli(main, argv)
-                    sha = hashlib.sha256(f"{out}\0{err}".encode()).hexdigest()
-                    yield f"{sha} {code} {' '.join(argv)}"
+                    yield f"{digest(main, argv)} {' '.join(argv)}"
+    os.environ["COLUMNS"] = "80"  # argparse wraps its text at the terminal width
+    for argv in parser_runs:
+        yield f"{digest(main, list(argv))} parser: {' '.join(argv)}".rstrip()
 
 
 def main(argv=None):
