@@ -8,24 +8,23 @@ reverse candidate order, and its pivot rows give every monomial an exact
 normal form over the chosen basis.  No Groebner machinery: everything is
 linear algebra over the exact field.
 
-Normal forms are kept sparse, as the (basis position, value) pairs of their
-nonzero coordinates; in a monomial ring each is one pair or none.  Products
-walk only the nonzeros of both factors and of each normal form, and
-multiplication_columns hands out the product columns in the sparse row form
-of linalg, {position: value} with no zero values, which the ideal and
-complex layers feed to elimination as they are.  Dense coordinate tuples
-(AlgebraElement.coords) are built only for elements.
+Elements and normal forms share one form: the sorted (basis position,
+value) pairs of their nonzero coordinates, AlgebraElement.terms; in a monomial
+ring a normal form is one pair or none.  It is linalg's row form as pairs, so
+dict(a.terms) is a row {position: value} with no zero values, and products,
+sums and the product columns of multiplication_columns walk nonzeros only.
+Dense coordinate lists exist only at the JSON boundary: element() reads them
+and coords() writes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, is_not
+from operator import add
 
 from .errors import DegreeOverflow, ElementMismatch
-from .linalg import _ZERO, Subspace
+from .linalg import Subspace
 
 __all__ = [
     "RingPresentation",
@@ -102,25 +101,18 @@ def _same_degree(a, b):
 
 @dataclass(frozen=True)
 class AlgebraElement:
-    """A homogeneous element: degree plus coordinates over the chosen basis."""
+    """A homogeneous element: its degree and terms, the sorted (basis
+    position, nonzero value) pairs of its coordinates over the chosen basis.
+
+    The form is canonical, so equal elements have equal fields and hashes.
+    """
 
     degree: int
-    coords: tuple
+    terms: tuple
 
     @property
     def is_zero(self):
-        # the shared zero of the rationals is skipped by identity, in C
-        return not any(compress(self.coords, map(is_not, self.coords, repeat(_ZERO))))
-
-
-def _support(coords, zero):
-    """(position, value) pairs of the nonzero coordinates.
-
-    Zeros that are the field's shared zero object are skipped by identity in
-    C, so over QQ only the remaining coordinates cost a Fraction.__bool__.
-    """
-    return [(k, coords[k]) for k in compress(range(len(coords)), map(is_not, coords, repeat(zero)))
-            if coords[k]]
+        return not self.terms
 
 
 class _DegreeData:
@@ -149,7 +141,6 @@ class GradedAlgebra:
         self.warnings = []
         self._degrees = {}
         self._mult_columns = {}
-        self._zeros = {}
 
     # -- degree construction ----------------------------------------------
 
@@ -224,19 +215,16 @@ class GradedAlgebra:
             raise DegreeOverflow(f"product degree {d} exceeds cutoff {self.cutoff}")
         return self._degree(d)
 
-    def _dense(self, data, pairs):
-        """A coordinate tuple over data's basis from (position, value) pairs."""
-        coords = [self.field.zero] * len(data.basis)
-        for k, v in pairs:
-            coords[k] = v
-        return tuple(coords)
-
     def _nonzeros(self, acc):
         """A sparse accumulator's values as field elements, without zeros."""
         p = self.field.char
         if p:
             return {k: x for k, v in acc.items() if (x := v % p)}
         return {k: v for k, v in acc.items() if v}
+
+    def _element(self, d, acc):
+        """The degree-d element of a sparse accumulator {position: value}."""
+        return AlgebraElement(d, tuple(sorted(self._nonzeros(acc).items())))
 
     # -- queries -----------------------------------------------------------
 
@@ -259,35 +247,39 @@ class GradedAlgebra:
         return [self.dim(d) for d in range(dmax + 1)]
 
     def zero(self, d):
-        """The zero of degree d: one shared (frozen) element per degree."""
-        got = self._zeros.get(d)
-        if got is None:
-            got = self._zeros[d] = AlgebraElement(d, tuple([self.field.zero] * self.dim(d)))
-        return got
+        """The zero of degree d; DegreeOverflow past the cutoff."""
+        self.dim(d)
+        return AlgebraElement(d, ())
 
     def one(self):
-        return AlgebraElement(0, (self.field.one,))
+        return AlgebraElement(0, ((0, self.field.one),))
 
     def element(self, d, coords):
+        """The degree-d element with the dense coordinate list coords."""
         coords = tuple(coords)
         if len(coords) != self.dim(d):
             raise ElementMismatch(
                 f"{len(coords)} coordinates for degree {d}, which has dimension {self.dim(d)}")
-        return AlgebraElement(d, coords)
+        return self._element(d, dict(enumerate(coords)))
+
+    def coords(self, a):
+        """The dense coordinate list of an element, zero where it has no term."""
+        out = [self.field.zero] * self.dim(a.degree)
+        for k, v in a.terms:
+            out[k] = v
+        return out
 
     def monomial_element(self, exp):
-        """Class of a free monomial, as coordinates over the chosen basis."""
+        """Class of a free monomial: its normal form over the chosen basis."""
         d = sum(exp)
         data = self._degree(d)
-        return AlgebraElement(d, self._dense(data, data.nf[data.index[tuple(exp)]]))
-
-    def sparse(self, a):
-        """The nonzero coordinates of an element, as a dict {position: value}."""
-        return dict(_support(a.coords, self.field.zero))
+        return AlgebraElement(d, data.nf[data.index[tuple(exp)]])
 
     def from_sparse(self, d, vec):
-        """The degree-d element with the nonzero coordinates vec {position: value}."""
-        return AlgebraElement(d, self._dense(self._degree(d), vec.items()))
+        """The degree-d element with the coordinates vec {position: value};
+        DegreeOverflow outside 0..cutoff."""
+        self._degree(d)
+        return self._element(d, vec)
 
     def var(self, i):
         exp = [0] * self.n
@@ -298,27 +290,31 @@ class GradedAlgebra:
         """Class of a homogeneous free polynomial given as (coeff, exp) terms."""
         fld = self.field
         data = self._degree(degree)
-        coords = [fld.zero] * len(data.basis)
+        acc = {}
         for coeff, exp in terms:
             if sum(exp) != degree:
                 raise ValueError("normal_form needs a homogeneous input")
+            c = fld.of(coeff)
             for k, x in data.nf[data.index[tuple(exp)]]:
-                coords[k] = fld.add(coords[k], fld.mul(fld.of(coeff), x))
-        return AlgebraElement(degree, tuple(coords))
+                acc[k] = acc.get(k, 0) + c * x
+        return self._element(degree, acc)
 
     def add(self, a, b):
         _same_degree(a, b)
-        fld = self.field
-        return AlgebraElement(a.degree, tuple(fld.add(x, y) for x, y in zip(a.coords, b.coords)))
+        acc = dict(a.terms)
+        for k, v in b.terms:
+            acc[k] = acc.get(k, 0) + v
+        return self._element(a.degree, acc)
 
     def sub(self, a, b):
         _same_degree(a, b)
-        fld = self.field
-        return AlgebraElement(a.degree, tuple(fld.sub(x, y) for x, y in zip(a.coords, b.coords)))
+        acc = dict(a.terms)
+        for k, v in b.terms:
+            acc[k] = acc.get(k, 0) - v
+        return self._element(a.degree, acc)
 
     def scale(self, c, a):
-        fld = self.field
-        return AlgebraElement(a.degree, tuple(fld.mul(c, x) for x in a.coords))
+        return self._element(a.degree, {k: c * v for k, v in a.terms})
 
     def _expand(self, dd, aterms, bterms):
         """The product of two sums of (basis monomial, coefficient) terms, as a
@@ -335,13 +331,13 @@ class GradedAlgebra:
     def _terms(self, a):
         """The nonzero terms of an element as (basis monomial, coefficient) pairs."""
         basis = self._degree(a.degree).basis
-        return [(basis[k], c) for k, c in _support(a.coords, self.field.zero)]
+        return [(basis[k], c) for k, c in a.terms]
 
     def multiply(self, a, b):
         """Product in A, by expanding basis monomial representatives."""
         dd = self._product_degree(a.degree + b.degree)
         product = self._expand(dd, self._terms(a), self._terms(b))
-        return AlgebraElement(a.degree + b.degree, self._dense(dd, product.items()))
+        return AlgebraElement(a.degree + b.degree, tuple(sorted(product.items())))
 
     def multiplication_columns(self, a, e):
         """Columns of the multiplication operator A_e -> A_{e+deg a} by a.
@@ -350,7 +346,7 @@ class GradedAlgebra:
         the j-th basis monomial of A_e as a sparse dict {position: value}
         without zeros.  Callers read the columns and must not mutate them.
         """
-        key = (a.degree, a.coords, e)
+        key = (a.degree, a.terms, e)
         got = self._mult_columns.get(key)
         if got is None:
             mus = self.basis(e)
@@ -394,8 +390,8 @@ class GradedAlgebra:
         spairs = self.basis_pairs()
         out = {}
         for (u, v) in self.non_basis_pairs():
-            nf = self.monomial_element(self.pair_monomial(u, v)).coords
-            out[(u, v)] = {spairs[k]: c for k, c in enumerate(nf) if c}
+            nf = self.monomial_element(self.pair_monomial(u, v)).terms
+            out[(u, v)] = {spairs[k]: c for k, c in nf}
         return out
 
     # -- formatting ----------------------------------------------------------
@@ -407,9 +403,8 @@ class GradedAlgebra:
         fld = self.field
         data = self._degree(a.degree)
         parts = []
-        for k, c in enumerate(a.coords):
-            if c:
-                mono = self.format_monomial(data.basis[k])
-                cs = fld.format(c)
-                parts.append(mono if cs == "1" else f"{cs}*{mono}")
+        for k, c in a.terms:
+            mono = self.format_monomial(data.basis[k])
+            cs = fld.format(c)
+            parts.append(mono if cs == "1" else f"{cs}*{mono}")
         return " + ".join(parts) if parts else "0"

@@ -229,7 +229,7 @@ def _load_jobspec(args):
     try:
         with open(args.ringfile) as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {args.ringfile}: {e}") from None
     return parse_ring_text(text, field_override=getattr(args, "field", None))
 
@@ -473,6 +473,8 @@ def cmd_verify(args):
             raise InputError(f"cannot read {args.complex}: {e}") from None
         except ValueError as e:
             raise InputError(f"{args.complex} is not JSON: {e}") from None
+        except RecursionError:
+            raise InputError(f"{args.complex}: JSON nested too deeply to read") from None
         F = complex_from_json(A, doc)
         r = len(js.ideal)
         for l, mod in enumerate(F.modules):

@@ -25,6 +25,7 @@ negated differential, which matches the closed form's leading minus sign.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (
@@ -230,16 +231,15 @@ def _trace_differential(algebra, acts):
     out.  x_j is a unit vector of A_1, so acts[j][r][c] is the entry's
     coordinate at x_j's basis position.
     """
-    zero = algebra.field.zero
     coords = {}
     for j, act in enumerate(acts):
         if act is None:
             continue
-        (pos,) = algebra.sparse(algebra.var(j))
+        ((pos, _),) = algebra.var(j).terms
         for r, row in enumerate(act):
             for c, x in row.items():
-                coords.setdefault((r, c), [zero] * algebra.dim(1))[pos] = x
-    return {key: algebra.element(1, v) for key, v in coords.items()}
+                coords.setdefault((r, c), {})[pos] = x
+    return {key: algebra.from_sparse(1, v) for key, v in coords.items()}
 
 
 def _trace_complex(algebra, space, hmax, kind, failure, shift=0, gen=None):
@@ -350,31 +350,31 @@ def _lift_comparison(F, K, m_element):
         # right-hand sides: psi_{l-1} o dK, flattened in internal degree D
         tgt_dims = F.block_dims(l - 1, D)
         tgt_off = _offsets(tgt_dims)
-        targets = [[fld.zero] * sum(tgt_dims) for _ in src]
+        targets = [{} for _ in src]
         for c, sums in _compose_columns(A, psi[l - 1], K.diffs[l]):
             for (r, _), elem in sums.items():
                 for k, x in elem.items():
                     targets[c][tgt_off[r] + k] = x
         mat, _, ncols = F.degreewise_matrix(l, D)
         if ncols == 0:
-            if any(any(t) for t in targets):
+            if any(targets):
                 raise LiftingFailure(f"nonzero lift target into a zero module at degree {l}")
             psi.append({})
             continue
         sols, bad = solve_columns(fld, mat, ncols, targets)
         if bad is not None:
             raise LiftingFailure(f"no lift exists for target column {bad}")
-        src_dims = F.block_dims(l, D)
-        src_off = _offsets(src_dims)
+        # split each solution at the block offsets; an empty block shares its
+        # offset with the next, so bisect_right finds the block that holds w's key
+        src_off = _offsets(F.block_dims(l, D))
         entries = {}
         for c, w in enumerate(sols):
-            for r, gen in enumerate(F.modules[l]):
-                e = D - gen.internal_degree
-                if e < 0 or src_dims[r] == 0:
-                    continue
-                coords = w[src_off[r] : src_off[r] + src_dims[r]]
-                if any(coords):
-                    entries[(r, c)] = A.element(e, coords)
+            blocks = {}
+            for k, x in w.items():
+                r = bisect_right(src_off, k) - 1
+                blocks.setdefault(r, {})[k - src_off[r]] = x
+            for r, vec in blocks.items():
+                entries[(r, c)] = A.from_sparse(D - F.modules[l][r].internal_degree, vec)
         psi.append(entries)
     return psi
 
@@ -779,7 +779,7 @@ def complex_to_json(c):
                 "col": cc,
                 "coefficient": {
                     "degree": a.degree,
-                    "coords": [fld.format(x) for x in a.coords],
+                    "coords": [fld.format(x) for x in c.algebra.coords(a)],
                 },
             }
             for (r, cc), a in sorted(c.diffs[l].items())

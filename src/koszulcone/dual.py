@@ -114,7 +114,7 @@ class QuadraticDual:
         # as a dict {degree-2 basis position: value}
         if self._nf2 is None:
             n, A = self.n, self.algebra
-            self._nf2 = [A.sparse(A.monomial_element(A.pair_monomial(a, b)))
+            self._nf2 = [dict(A.monomial_element(A.pair_monomial(a, b)).terms)
                          for a in range(n) for b in range(n)]
         return self._nf2
 

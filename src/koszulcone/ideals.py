@@ -201,7 +201,7 @@ class MonomialIdeal:
         if prefix == 0:
             return False
         ech = self._filtration(element.degree, prefix)
-        return ech.locate(self.algebra.sparse(element), ech.counts[prefix]) is not None
+        return ech.locate(element.terms, ech.counts[prefix]) is not None
 
     # -- colon ideals ----------------------------------------------------------
 
@@ -221,7 +221,7 @@ class MonomialIdeal:
                 j for j in range(A.n) if self.contains(A.multiply(A.var(j), mel), prefix=i - 1))
         vars_ = self._colon_vars[i]
         e = self.degs[i - 1]
-        var_rows = [A.sparse(A.var(j)) for j in sorted(vars_)]
+        var_rows = [dict(A.var(j).terms) for j in sorted(vars_)]
         fail_degree = None
         for d in range(2, check_to + 1):
             colon_dim = A.dim(d) - self._prefix_dim(i, d + e) + self._prefix_dim(i - 1, d + e)
@@ -436,7 +436,7 @@ class MonomialIdeal:
         if bound is None:
             bound = self.r
         ech = self._filtration(element.degree, bound)
-        need = ech.locate(self.algebra.sparse(element), ech.counts[bound])
+        need = ech.locate(element.terms, ech.counts[bound])
         if need is None:
             return None
         j = bisect_left(ech.counts, need, 1)  # the zero element lies in J_1
@@ -531,19 +531,19 @@ class DecompositionTable:
             # the unknowns are the coefficients of the multiples and then of
             # the rows of J_{j-1}: solve rows^T . c = v, one equation per
             # coordinate of A_d
-            eqs = [{} for _ in v.coords]
+            eqs = [{} for _ in range(A.dim(d))]
             for k, col in enumerate(multiples):
                 for c, x in col.items():
                     eqs[c][k] = x
             for k, row in enumerate(prev, len(multiples)):
                 for c, x in row.items():
                     eqs[c][k] = x
-            sols, _ = solve_columns(fld, eqs, len(multiples) + len(prev), [v.coords])
+            sols, _ = solve_columns(fld, eqs, len(multiples) + len(prev), [dict(v.terms)])
             if sols is None:
                 raise DecompositionFailure(
                     f"degree-{d} element in J_{j} has no expression over m_{j} and J_{j - 1}",
                     witness=(j, d))
-            coeff = A.element(cdeg, sols[0][: len(multiples)])
+            coeff = A.from_sparse(cdeg, {k: x for k, x in sols[0].items() if k < len(multiples)})
             if coeff.is_zero:
                 raise DecompositionFailure(
                     f"support guarantee: coefficient on m_{j} vanished in degree {d}",
@@ -601,7 +601,7 @@ def check_strongly_koszul(algebra, check_to=4):
                for c in combinations(range(n), size)]
 
     first_witness = None
-    var_rows = {j: algebra.sparse(algebra.var(j)) for j in range(n)}
+    var_rows = {j: dict(algebra.var(j).terms) for j in range(n)}
     dims = {}  # variable-ideal dimensions, shared by every (Y, x) pair
     for Y in subsets:
         y_rows = [var_rows[j] for j in sorted(Y)]

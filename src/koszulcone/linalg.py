@@ -7,10 +7,13 @@ fractions.Fraction.
 
 Matrices are lists of rows, and a row is a sparse dict {column: value} with
 no zero values: that is the one row form taken and handed back here, by
-rref, the kernels, solve_columns and every Subspace.  Dense arrays exist only
-inside the numpy kernel, built from the dict rows and read back into them
-once, at that boundary.  The kernel copies each row it reads, so a caller's
-row (a cached product column among them) is never mutated.
+rref, the kernels, every Subspace, and solve_columns, whose right-hand sides
+and solutions are dict rows too.  It is also the form of an algebra element:
+algebra.AlgebraElement.terms holds the same pairs, sorted, so elements reach
+elimination without conversion.  Dense arrays exist only inside the numpy
+kernel, built from the dict rows and read back into them once, at that
+boundary.  The kernel copies each row it reads, so a caller's row (a cached
+product column among them) is never mutated.
 
 Both fields share one elimination kernel.  The matrices of monomial ideals
 hold one or two nonzeros per row, so the kernel runs Gauss-Jordan on dict
@@ -49,10 +52,6 @@ MAX_PRIME = 1 << 20
 # scale of the sparse kernel's work budget over F_p (see _work_budget); 0
 # sends every nonzero matrix to the numpy kernel
 SPARSE_WORK_SCALE = 1
-
-# the zero of the rationals, shared so that scans of element coordinates
-# (algebra) skip it by identity, without a Python-level Fraction.__bool__ call
-_ZERO = Fraction(0)
 
 
 def _is_prime(p):
@@ -323,7 +322,7 @@ class RationalField:
 
     @property
     def zero(self):
-        return _ZERO
+        return Fraction(0)
 
     @property
     def one(self):
@@ -496,10 +495,11 @@ class Echelon:
     def locate(self, vec, count):
         """How many leading rows a sparse vector needs, or None outside their span.
 
-        None when vec is outside the span of the first count rows; else one
-        more than the index of the last row with a nonzero coefficient in its
-        expression (0 for the zero vector), so vec lies in V_i exactly when
-        counts[i] reaches that number.
+        vec is a dict row or its (column, value) pairs, such as an algebra
+        element's terms; it is copied, not mutated.  None when vec is outside
+        the span of the first count rows; else one more than the index of the
+        last row with a nonzero coefficient in its expression (0 for the zero
+        vector), so vec lies in V_i exactly when counts[i] reaches that number.
         """
         r, used = self._head_reduce(dict(vec), count)
         return None if r else used
@@ -583,21 +583,23 @@ def solve_columns(field, rows, ncols, targets):
     """Canonical solutions w of rows . w = t, one per target column t.
 
     rows is a matrix of dict rows with ncols columns, and each target is a
-    dense list with one entry per row.  One elimination of [rows | targets]
-    serves every target.  Each solution is a dense list, the unique one whose
-    free coordinates (non-pivot unknowns) are zero: same input, same
-    witness.  Returns (solutions, None), or (None, k) when target k is the
-    first without a solution.
+    dict {row: value}.  One elimination of [rows | targets] serves every
+    target.  Each solution is a dict row {unknown: nonzero value}, the unique
+    solution whose free coordinates (non-pivot unknowns) are zero: same
+    input, same witness.  Returns (solutions, None), or (None, k) when target
+    k is the first without a solution.
     """
-    aug = [{**row, **{ncols + k: t[r] for k, t in enumerate(targets) if t[r]}}
-           for r, row in enumerate(rows)]
+    aug = [dict(row) for row in rows]
+    for k, t in enumerate(targets):
+        for r, x in t.items():
+            aug[r][ncols + k] = x
     rref, pivots = field.rref(aug, ncols + len(targets))
-    zero = field.zero
-    sols = [[zero] * ncols for _ in targets]
+    sols = [{} for _ in targets]
     for row, c in zip(rref, pivots):
         if c >= ncols:
             # a pivot inside the target block: that target is inconsistent
             return None, c - ncols
-        for k, sol in enumerate(sols):
-            sol[c] = row.get(ncols + k, zero)
+        for j, x in row.items():
+            if j >= ncols:
+                sols[j - ncols][c] = x
     return sols, None

@@ -72,8 +72,8 @@ def annihilated_component(D, allowed, l):
 def pair_expansion(A, a, b):
     """Normal-form coordinates of x_a x_b indexed by chosen pairs (any order)."""
     spairs = A.basis_pairs()
-    nf = A.monomial_element(A.pair_monomial(a, b)).coords
-    return {spairs[k]: c for k, c in enumerate(nf) if c}
+    nf = A.monomial_element(A.pair_monomial(a, b)).terms
+    return {spairs[k]: c for k, c in nf}
 
 
 def deg2_relations(D):

@@ -1,8 +1,9 @@
 """The dense side of the tests, converted to and from linalg's row form.
 
-koszulcone.linalg takes and returns dict rows {column: nonzero value}.  The
-tests write literal matrices, and the oracles compute, on dense lists; these
-two helpers are the one place where the forms meet.
+koszulcone.linalg takes and returns dict rows {column: nonzero value}, the
+targets and solutions of solve_columns among them.  The tests write literal
+matrices, and the oracles compute, on dense lists; these two helpers are the
+one place where the forms meet.
 """
 
 

@@ -43,9 +43,8 @@ class _FreeModule:
             if not any(coords):
                 continue
             prod = A.multiply(mu, A.element(d - g, coords))
-            for i, x in enumerate(prod.coords):
-                if x:
-                    out[offs_out[b] + i] = x
+            for i, x in prod.terms:
+                out[offs_out[b] + i] = x
         return out
 
 
@@ -91,7 +90,7 @@ def brute_force_betti(algebra, generators, lmax, dmax):
     images = []
     for g in generators:
         el = A.monomial_element(tuple(g))
-        images.append((el.degree, list(el.coords)))
+        images.append((el.degree, A.coords(el)))
 
     for l in range(1, lmax + 1):
         for d in range(0, dmax + 1):

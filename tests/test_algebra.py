@@ -7,7 +7,7 @@ from koszulcone.algebra import GradedAlgebra, RingPresentation, monomials_of_deg
 from koszulcone.errors import DegreeOverflow, ElementMismatch
 from koszulcone.linalg import GF, QQ, rank, solve_columns, transpose
 
-from rowform import sparse
+from rowform import dense, sparse
 
 F101 = GF(101)
 
@@ -76,10 +76,10 @@ def test_preferred_basis_selection():
 def test_normal_form_spec_examples():
     A = sym_relation_ring()
     xy = A.monomial_element((1, 1, 0))
-    assert xy.coords == (1, 0, 0, 0, 0)
+    assert A.coords(xy) == [1, 0, 0, 0, 0]
     xz = A.monomial_element((1, 0, 1))
     # xz = -xy - yz
-    assert xz.coords == (100, 100, 0, 0, 0)
+    assert A.coords(xz) == [100, 100, 0, 0, 0]
     mul = A.multiply(A.var(0), A.var(2))
     assert mul == xz
 
@@ -210,7 +210,7 @@ def test_rational_field_ring():
     B = GradedAlgebra(RingPresentation(names, QQ, (rel,), ((1, 1, 0), (0, 1, 1))), 4)
     assert B.hilbert(3) == A.hilbert(3)
     xz = B.monomial_element((1, 0, 1))
-    assert [str(c) for c in xz.coords] == ["-1", "-1", "0", "0", "0"]
+    assert [str(c) for c in B.coords(xz)] == ["-1", "-1", "0", "0", "0"]
 
 
 def test_element_checks_are_typed_errors():
@@ -263,8 +263,9 @@ def greedy_reference(presentation, d):
     nf = {}
     for m in mons:
         gens = [unit(b) for b in basis] + relations
-        sols, _ = solve_columns(fld, transpose(sparse(gens), len(mons)), len(gens), [unit(m)])
-        nf[m] = tuple(sols[0][:len(basis)])
+        sols, _ = solve_columns(fld, transpose(sparse(gens), len(mons)), len(gens),
+                                sparse([unit(m)]))
+        nf[m] = tuple(dense(sols, len(gens), fld.zero)[0][:len(basis)])
     return basis, nf, warnings
 
 
@@ -305,7 +306,7 @@ def test_basis_choice_matches_incremental_greedy(p, trials, cutoff):
             expected_warnings += warnings
             assert list(A.basis(d)) == basis
             for m, coords in nf.items():
-                assert A.monomial_element(m).coords == coords
+                assert tuple(A.coords(A.monomial_element(m))) == coords
                 # m - nf(m) lies in the relation span
                 v = [field.zero] * len(nf)
                 v[A.monomial_index(d)[m]] = field.one
@@ -314,3 +315,97 @@ def test_basis_choice_matches_incremental_greedy(p, trials, cutoff):
                 assert A.relation_space(d).contains(sparse([v])[0])
         assert A.warnings == expected_warnings
         assert any("InconsistentPreferred" in w for w in expected_warnings)
+
+
+# -- the canonical element form against a dense oracle ---------------------------
+
+def assert_canonical(A, x):
+    """x.terms: sorted distinct basis positions, nonzero values, in [0, p) over GF(p)."""
+    positions = [k for k, _ in x.terms]
+    assert positions == sorted(set(positions))
+    assert all(0 <= k < A.dim(x.degree) for k in positions)
+    assert all(v for _, v in x.terms)
+    p = A.field.char
+    if p:
+        assert all(type(v) is int and 0 <= v < p for _, v in x.terms)
+
+
+def dense_product(A, a, b):
+    """Coordinates of a * b, summed over pairs of dense coordinates."""
+    fld = A.field
+    out = [fld.zero] * A.dim(a.degree + b.degree)
+    for x, ma in zip(A.coords(a), A.basis(a.degree)):
+        for y, mb in zip(A.coords(b), A.basis(b.degree)):
+            nf = A.coords(A.monomial_element(tuple(i + j for i, j in zip(ma, mb))))
+            out = [fld.add(o, fld.mul(fld.mul(x, y), z)) for o, z in zip(out, nf)]
+    return out
+
+
+@pytest.mark.parametrize("p", [101, 2, 0])
+def test_element_form_is_canonical_and_agrees_with_dense_coordinates(p):
+    field = QQ if p == 0 else GF(p)
+    rng = random.Random(1800 + p)
+    cutoff = 4
+    for _ in range(6):
+        A = GradedAlgebra(random_presentation(rng, field, p or 7), cutoff)
+        fld = A.field
+
+        def random_coords(d):
+            # sparse and dense vectors, often with zeros
+            density = rng.choice([0.0, 0.3, 1.0])
+            return [fld.of(rng.randint(-3, 3)) if rng.random() < density else fld.zero
+                    for _ in range(A.dim(d))]
+
+        for d in range(cutoff + 1):
+            if not A.dim(d):
+                continue
+            ca, cb = random_coords(d), random_coords(d)
+            a, b = A.element(d, ca), A.element(d, cb)
+            c = fld.of(rng.randint(-3, 3))
+            results = {
+                "add": (A.add(a, b), [fld.add(x, y) for x, y in zip(ca, cb)]),
+                "sub": (A.sub(a, b), [fld.sub(x, y) for x, y in zip(ca, cb)]),
+                "scale": (A.scale(c, a), [fld.mul(c, x) for x in ca]),
+                "scale by 0": (A.scale(fld.zero, a), [fld.zero] * len(ca)),
+            }
+            for e in range(cutoff - d + 1):
+                if A.dim(e):
+                    f = A.element(e, random_coords(e))
+                    results[f"multiply {e}"] = (A.multiply(a, f), dense_product(A, a, f))
+            for name, (got, want) in results.items():
+                assert_canonical(A, got)
+                assert A.coords(got) == want, name
+                assert got.is_zero == (not any(want)), name
+            for x, cx in ((a, ca), (b, cb)):
+                assert_canonical(A, x)
+                assert A.coords(x) == cx
+                assert x.is_zero == (not any(cx))
+            # equal exactly when the dense coordinates are
+            assert (a == b) == (ca == cb)
+            if a == b:
+                assert hash(a) == hash(b)
+            # every constructor gives the one form of an element
+            pairs = [(k, v) for k, v in enumerate(ca) if v]
+            rng.shuffle(pairs)
+            from_sparse = A.from_sparse(d, dict(pairs))
+            assert from_sparse == a and hash(from_sparse) == hash(a)
+            assert from_sparse.terms == a.terms
+            cancelled = A.add(a, A.scale(fld.of(-1), a))
+            assert cancelled == A.zero(d) and hash(cancelled) == hash(A.zero(d))
+            assert cancelled.is_zero and A.zero(d).is_zero
+            assert A.scale(fld.zero, a) == A.zero(d)
+            for m in list(A.basis(d)) + list(monomials_of_degree(A.n, d)[:4]):
+                mono = A.monomial_element(m)
+                assert_canonical(A, mono)
+                assert mono == A.element(d, A.coords(mono))
+                assert hash(mono) == hash(A.element(d, A.coords(mono)))
+                if d == 0:
+                    continue
+                lead = next(i for i, e in enumerate(m) if e)
+                smaller = tuple(e - (i == lead) for i, e in enumerate(m))
+                product = A.multiply(A.var(lead), A.monomial_element(smaller))
+                assert product == mono and hash(product) == hash(mono)
+        with pytest.raises(DegreeOverflow):
+            A.zero(cutoff + 1)
+        with pytest.raises(ElementMismatch):
+            A.element(1, [fld.one] * (A.dim(1) + 1))

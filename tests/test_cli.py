@@ -509,6 +509,23 @@ def test_verify_missing_complex_file_is_input_error(tmp_path, capsys):
     assert err.startswith("input error: cannot read")
 
 
+def test_non_utf8_ring_file_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "r.ring"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run_main(["dual", str(bad)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read {bad}: ") and err.count("\n") == 1, err
+
+
+def test_deeply_nested_complex_json_is_input_error(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_main(
+        ["verify", str(FIXTURES / "hhr_example.ring"), "--complex", str(deep)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"input error: {deep}: JSON nested too deeply to read\n"
+
+
 def test_verify_non_json_complex_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("resolution of A/J\n")

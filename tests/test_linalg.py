@@ -79,8 +79,9 @@ def test_rank_nullity():
 
 def solve_membership(field, target, gens):
     """target over the span of the rows gens: solve_columns on the transpose."""
-    sols, _ = solve_columns(field, transpose(sparse(gens), len(target)), len(gens), [target])
-    return None if sols is None else sols[0]
+    sols, _ = solve_columns(field, transpose(sparse(gens), len(target)), len(gens),
+                            sparse([target]))
+    return None if sols is None else dense(sols, len(gens), field.zero)[0]
 
 
 def test_solve_columns_batches_targets_and_names_the_first_unsolvable():
@@ -96,15 +97,16 @@ def test_solve_columns_batches_targets_and_names_the_first_unsolvable():
                 w = [field.of(rng.randrange(-3, 4)) for _ in range(ncols)]
                 targets.append([sum((a * b for a, b in zip(row, w)), field.zero) for row in rows])
             targets = [[field.of(x) for x in t] for t in targets]
-            sols, bad = solve_columns(field, sparse(rows), ncols, targets)
+            sols, bad = solve_columns(field, sparse(rows), ncols, sparse(targets))
             assert bad is None
-            assert sols == [solve_columns(field, sparse(rows), ncols, [t])[0][0] for t in targets]
-            for w, t in zip(sols, targets):
+            assert sols == [solve_columns(field, sparse(rows), ncols, sparse([t]))[0][0]
+                            for t in targets]
+            for w, t in zip(dense(sols, ncols, field.zero), targets):
                 assert [field.of(sum((a * b for a, b in zip(row, w)), field.zero))
                         for row in rows] == t
     rows = sparse([[1, 0], [0, 0], [0, 0]])
-    assert solve_columns(F101, rows, 2, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (None, 1)
-    assert solve_columns(F101, rows, 2, [[3, 0, 0]]) == ([[3, 0]], None)
+    assert solve_columns(F101, rows, 2, sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == (None, 1)
+    assert solve_columns(F101, rows, 2, sparse([[3, 0, 0]])) == (sparse([[3, 0]]), None)
 
 def test_solve_membership_zero_target():
     gens = [[1, 0], [0, 1]]
@@ -568,19 +570,20 @@ def _check_dict_rows_give_the_dense_answers(field, rows, ncols, rng):
     assert all(not field.of(sum(a * b for a, b in zip(row, v))) for row in rows for v in ker)
     entry = int if p else Fraction
     targets = [[field.of(rng.randint(-3, 3)) for _ in rows] for _ in range(3)]
-    sols, bad = solve_columns(field, m, ncols, targets)
+    sols, bad = solve_columns(field, m, ncols, sparse(targets))
     solvable = [len(textbook([row + [t[r]] for r, row in enumerate(rows)], ncols + 1)[1]) ==
                 len(pivots) for t in targets]
     if bad is None:
         assert all(solvable)
-        for w, t in zip(sols, targets):
+        for w, t in zip(dense(sols, ncols, field.zero), targets):
             assert all(type(x) is entry for x in w)
             assert all(not w[c] for c in range(ncols) if c not in pivots)
             assert [field.of(sum(a * x for a, x in zip(row, w))) for row in rows] == t
     else:
         assert solvable.index(False) == bad
     zero = [field.zero] * ncols
-    assert solve_columns(field, m, ncols, [[field.zero] * len(rows)]) == ([zero], None)
+    assert solve_columns(field, m, ncols, sparse([[field.zero] * len(rows)])) == \
+        (sparse([zero]), None)
     assert m == before
     assert [{j: type(x) for j, x in row.items()} for row in m] == types
 

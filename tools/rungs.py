@@ -48,6 +48,10 @@ RUNGS = {
     # the closed form: explicit comparison maps and the regular-ordering check
     "poly7-closed": ("resolve", "--method", "closed", "poly7-gf101.ring", "--hmax", "3",
                      "--dmax", "4"),
+    # the closed form over the rationals; --out json makes the digest cover
+    # the whole exported complex, not only the verdicts of the checks
+    "poly7-closed-qq": ("resolve", "--method", "closed", "poly7-gf101.ring", "--field", "q",
+                        "--hmax", "3", "--dmax", "4", "--out", "json"),
     "squares6-verify": ("verify", "--method", "cone", "squares6-gf101.ring", "--hmax", "4",
                         "--dmax", "6"),
     # a whole resolve over the rationals: elimination and compositions over QQ
