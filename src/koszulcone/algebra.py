@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 from operator import add
 
-from .errors import DegreeOverflow, ElementMismatch
+from .errors import DegreeOverflow, ElementMismatch, TooManyMonomials
 from .linalg import Subspace
 
 __all__ = [
@@ -33,6 +34,10 @@ __all__ = [
     "monomials_of_degree",
     "format_monomial",
 ]
+
+# bound on the monomials of one degree that GradedAlgebra enumerates: a
+# degree of about 10^5 monomials in 8 variables takes about 200 MB to build
+MONOMIAL_LIMIT = 10 ** 5
 
 
 @lru_cache(maxsize=None)
@@ -128,7 +133,13 @@ class GradedAlgebra:
     """A with per-degree bases and normal forms, built up to a fixed cutoff.
 
     Construction is lazy per degree but single-threaded; once a degree is
-    built it is never mutated, so concurrent reads are safe.
+    built it is never mutated, so concurrent reads are safe.  A degree d >= 2
+    whose degree d - 1 is already built and zero is zero too, because A is
+    generated in degree 1: it gets an empty basis and zero normal forms with
+    no relation rows or elimination.  Callers ask for degrees in ascending
+    order, so every degree above A's top degree takes that path, and a degree
+    asked for out of order is eliminated in full, which gives the same
+    answer and keeps the order of the warnings.
     """
 
     def __init__(self, presentation, cutoff):
@@ -171,17 +182,29 @@ class GradedAlgebra:
         return rows
 
     def _build_degree(self, d):
+        count = comb(self.n + d - 1, d)
+        if count > MONOMIAL_LIMIT:
+            raise TooManyMonomials(f"degree {d}: {count} monomials in {self.n} variables "
+                                   f"exceed the limit {MONOMIAL_LIMIT}")
         fld = self.field
         mons = monomials_of_degree(self.n, d)
         index = {m: i for i, m in enumerate(mons)}
         nmons = len(mons)
+        preferred = [m for m in self.presentation.preferred if sum(m) == d]
+
+        below = self._degrees.get(d - 1)
+        if d >= 2 and below is not None and not below.basis:
+            # A is generated in degree 1, so A_{d-1} = 0 forces A_d = 0: every
+            # monomial is a pivot, and every preferred one is dependent
+            for m in preferred:
+                self._warn_dependent(m, d)
+            return _DegreeData(index, [], [()] * nmons)
 
         # Greedy basis: a candidate (preferred monomials first, then lex)
         # joins iff its class is independent of those chosen before it.  By
         # matroid duality its complement is the pivot set of the relation rows
         # with columns in reverse candidate order, so that one elimination
         # leaves the basis free and expresses every other monomial over it.
-        preferred = [m for m in self.presentation.preferred if sum(m) == d]
         candidates = list(dict.fromkeys(preferred + list(mons)))
         place = [0] * nmons  # monomial position -> permuted column
         for pc, m in enumerate(reversed(candidates)):
@@ -194,10 +217,7 @@ class GradedAlgebra:
         basis = [candidates[k] for k in free]
         for k, m in enumerate(preferred):
             if m in preferred[:k] or place[index[m]] in pivot_set:
-                self.warnings.append(
-                    f"InconsistentPreferred: monomial {self.format_monomial(m)} "
-                    f"is dependent in degree {d}; skipped"
-                )
+                self._warn_dependent(m, d)
         # a basis monomial is its own normal form; a pivot monomial is minus
         # its pivot row's entries, which are zero on every other pivot column,
         # and the permuted column nmons - 1 - k holds basis candidate k
@@ -209,6 +229,10 @@ class GradedAlgebra:
             nf[index[candidates[nmons - 1 - pc]]] = tuple(sorted(
                 (basis_pos[c], fld.neg(x)) for c, x in row.items() if c != pc))
         return _DegreeData(index, basis, nf)
+
+    def _warn_dependent(self, m, d):
+        self.warnings.append(f"InconsistentPreferred: monomial {self.format_monomial(m)} "
+                             f"is dependent in degree {d}; skipped")
 
     def _product_degree(self, d):
         if d > self.cutoff:

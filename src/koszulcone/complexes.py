@@ -598,9 +598,16 @@ class VerifyReport:
         }
 
 
-def verify_complex(c, dmax):
-    """d.d = 0, minimality, and homology ranks for 0 < i < length, d <= dmax."""
-    d2w = c.d_squared_witness()
+def verify_complex(c, dmax, d2_certified=False):
+    """d.d = 0, minimality, and homology ranks for 0 < i < length, d <= dmax.
+
+    d2_certified says that c is a resolution just returned, unchanged, by
+    iterated_mapping_cone or closed_form_resolution: each checks d.d = 0
+    exactly on the whole complex and raises unless it holds, so the report
+    reuses that certificate (d.d = 0, no witness) instead of composing the
+    differentials again.  A complex from anywhere else is checked in full.
+    """
+    d2w = None if d2_certified else c.d_squared_witness()
     mw = c.minimality_witness()
     homology = {}
     diff_ranks = {}

@@ -17,6 +17,11 @@ class AmbientTooLarge(KoszulConeError):
     those of the component below) than its bound; n^l itself is not bounded."""
 
 
+class TooManyMonomials(KoszulConeError):
+    """A degree of the algebra has more monomials than algebra.MONOMIAL_LIMIT,
+    so it is not enumerated."""
+
+
 class DegreeOverflow(KoszulConeError):
     """A graded computation asked for a degree beyond the built cutoff."""
 

@@ -29,8 +29,14 @@ dependent rows as soon as they reduce to zero, which on the tall, generic QQ
 matrices of dual components is much faster than fraction-free (Bareiss)
 elimination over every row.  The reduced row echelon form of a matrix is
 unique, so both F_p kernels return the same rows and pivots, and every
-Subspace has a unique representation.  rank() reads pivots only:
-rref(reduced=False) builds no reduced rows.
+Subspace has a unique representation.
+
+rank() reads pivots only, so rref(reduced=False) skips back-substitution:
+it head-reduces each row against the rows kept before it and keeps the
+remainder, the loop that Echelon runs (_head_reduce).  The lead columns of
+any echelon basis are the RREF pivots, so every rank is the same.  Over F_p
+that loop keeps the work budget, and the numpy kernel it falls back to
+eliminates below each pivot only.
 
 Echelon holds a chain of subspaces V_1 ⊂ V_2 ⊂ ... as one forward-only
 echelon basis, fed block by block: dim V_i is a row count, and membership in
@@ -128,17 +134,25 @@ class PrimeField:
     def rref(self, rows, ncols, reduced=True):
         """(rref_rows, pivot_columns); rref_rows is None when not reduced.
 
-        Runs the sparse Gauss-Jordan kernel while its work stays within
-        _work_budget, and the dense numpy kernel otherwise.  Both return the
-        unique RREF, so the answer does not depend on the kernel.
+        Runs the sparse Gauss-Jordan kernel, or the head reduction of
+        _echelon_leads when not reduced, while its work stays within
+        _work_budget, and the dense numpy kernel otherwise.  Every kernel
+        finds the pivots of the unique RREF, and both reduced kernels return
+        its rows, so the answer does not depend on the kernel.
         """
         if not rows:
             return [], []
         p = self.char
-        found = _sparse_rref(rows, ncols, p, _work_budget(len(rows), ncols))
-        if found is None:
-            return _dense_rref(rows, ncols, p, reduced)
-        return _rows_of(found, reduced, 1, None)
+        budget = _work_budget(len(rows), ncols)
+        if reduced:
+            found = _sparse_rref(rows, ncols, p, budget)
+            if found is not None:
+                return _rows_of(found, 1, None)
+        else:
+            leads = _echelon_leads(rows, ncols, p, budget)
+            if leads is not None:
+                return None, leads
+        return _dense_rref(rows, ncols, p, reduced)
 
 
 def _work_budget(nrows, ncols):
@@ -170,17 +184,9 @@ def _sparse_rref(rows, ncols, p, budget):
     work = sum(map(len, rows))
     if work > budget:
         return None
-    sparse = []
-    for row in rows:
-        if p:
-            r = {j: x for j, v in row.items() if (x := v % p)}
-        else:
-            r = {j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
-        if r:
-            sparse.append(r)
     piv = {}
     holders = {}
-    for r in sparse:
+    for r in _entries(rows, p):
         for c in [c for c in r if c in piv]:
             tail = piv[c]
             work += len(tail)
@@ -226,6 +232,96 @@ def _sparse_rref(rows, ncols, p, budget):
     return piv
 
 
+def _echelon_leads(rows, ncols, p, budget):
+    """The pivot columns of the dict rows, over F_p when p is a prime and over
+    the rationals when p is 0, from a forward-only echelon basis with no
+    back-substitution; None once the work exceeds budget.
+
+    Each row's entries are reduced first (_entries), then the row is
+    head-reduced against the rows kept before it (_head_reduce, the loop of
+    Echelon), and its remainder, if any, is kept with its lead scaled to 1
+    (_keep).  The kept rows have distinct lead columns, and the lead set of
+    an echelon basis is the RREF pivot set.  Work counts as in _sparse_rref:
+    the input's nonzero count plus one per entry updated.
+    """
+    work = sum(map(len, rows))
+    if work > budget:
+        return None
+    leads = {}
+    kept = []
+    for r in _entries(rows, p):
+        r, _, spent = _head_reduce(r, leads, kept, len(kept), p)
+        work += spent
+        if work > budget:
+            return None
+        if r:
+            _keep(r, leads, kept, p)
+            if len(kept) == ncols:
+                break
+    return sorted(leads)
+
+
+def _entries(rows, p):
+    """Fresh copies of the dict rows with their values reduced mod p, or over
+    the rationals (p = 0) read as ints where integral, without zeros."""
+    if p:
+        return [{j: x for j, v in row.items() if (x := v % p)} for row in rows]
+    return [{j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
+            for row in rows]
+
+
+def _keep(r, leads, rows, p):
+    """Append the nonzero dict row r to the echelon rows as (lead, tail): its
+    minimum column, and the other entries scaled so that the lead entry would
+    be 1, as _sparse_rref scales its pivot rows."""
+    c = min(r)
+    f = r.pop(c)
+    if f != 1:
+        if p:
+            inv = pow(f, p - 2, p)
+            r = {j: v * inv % p for j, v in r.items()}
+        else:
+            inv = 1 / Fraction(f)
+            if inv.denominator == 1:
+                inv = inv.numerator
+            r = {j: v * inv for j, v in r.items()}
+    leads[c] = len(rows)
+    rows.append((c, r))
+
+
+def _head_reduce(r, leads, rows, count, p):
+    """(remainder, rows used, work) of head reduction of the dict row r, in
+    place, against the first count echelon rows.
+
+    rows holds (lead column, the row without its lead entry, which is 1) and
+    leads maps each lead column to its row index.  While the minimum column
+    of r is the lead of a row below count, that row's multiple is subtracted.
+    rows used is one more than the largest index subtracted (0 if none), and
+    work counts the entries updated.
+    """
+    used = work = 0
+    while r:
+        c = min(r)
+        k = leads.get(c, count)
+        if k >= count:
+            break
+        tail = rows[k][1]
+        work += len(tail)
+        # r -= f * tail, inline: this loop runs once per row of every rank
+        f = r.pop(c)
+        for j, v in tail.items():
+            x = r.get(j, 0) - f * v
+            if p:
+                x %= p
+            if x:
+                r[j] = x
+            else:
+                del r[j]
+        if k >= used:
+            used = k + 1
+    return r, used, work
+
+
 def _sub_multiple(r, f, tail, p):
     """r -= f * tail on dict rows in place, mod p when p is nonzero; an entry
     that cancels is deleted."""
@@ -239,13 +335,11 @@ def _sub_multiple(r, f, tail, p):
             del r[j]
 
 
-def _rows_of(found, reduced, one, entry):
+def _rows_of(found, one, entry):
     """(rref_rows, pivot_columns) of the sparse kernel's answer: each row is
     {pivot: one, **tail}, with every tail value written as entry(value) when
     entry is given."""
     pivots = sorted(found)
-    if not reduced:
-        return None, pivots
     if entry is None:
         return [{c: one, **found[c]} for c in pivots], pivots
     return [{c: one, **{j: entry(v) for j, v in found[c].items()}} for c in pivots], pivots
@@ -359,12 +453,14 @@ class RationalField:
         """(rref_rows, pivot_columns) with Fraction entries; rref_rows is None
         when not reduced.
 
-        Runs the sparse Gauss-Jordan kernel, whatever the matrix's density.
+        Runs the sparse Gauss-Jordan kernel, or the head reduction of
+        _echelon_leads when not reduced, whatever the matrix's density.
         """
         if not rows:
             return [], []
-        found = _sparse_rref(rows, ncols, 0, math.inf)
-        return _rows_of(found, reduced, Fraction(1), Fraction)
+        if not reduced:
+            return None, _echelon_leads(rows, ncols, 0, math.inf)
+        return _rows_of(_sparse_rref(rows, ncols, 0, math.inf), Fraction(1), Fraction)
 
 
 QQ = RationalField()
@@ -480,17 +576,12 @@ class Echelon:
     def extend(self, rows):
         """Feed the rows spanning V_i over V_{i-1}, the last subspace fed."""
         p = self.field.char
+        leads, kept = self._leads, self._rows
         for row in rows:
-            r, _ = self._head_reduce(dict(row), len(self._rows))
+            r, _, _ = _head_reduce(dict(row), leads, kept, len(kept), p)
             if r:
-                c = min(r)
-                f = r.pop(c)
-                if f != 1:
-                    inv = pow(f, p - 2, p) if p else 1 / Fraction(f)
-                    r = {j: v * inv % p if p else v * inv for j, v in r.items()}
-                self._leads[c] = len(self._rows)
-                self._rows.append((c, r))
-        self.counts.append(len(self._rows))
+                _keep(r, leads, kept, p)
+        self.counts.append(len(kept))
 
     def locate(self, vec, count):
         """How many leading rows a sparse vector needs, or None outside their span.
@@ -501,23 +592,8 @@ class Echelon:
         last row with a nonzero coefficient in its expression (0 for the zero
         vector), so vec lies in V_i exactly when counts[i] reaches that number.
         """
-        r, used = self._head_reduce(dict(vec), count)
+        r, used, _ = _head_reduce(dict(vec), self._leads, self._rows, count, self.field.char)
         return None if r else used
-
-    def _head_reduce(self, r, count):
-        """(remainder, rows used) of head reduction of the dict row r, in place,
-        against the first count rows."""
-        p = self.field.char
-        leads, rows = self._leads, self._rows
-        used = 0
-        while r:
-            c = min(r)
-            k = leads.get(c, count)
-            if k >= count:
-                break
-            _sub_multiple(r, r.pop(c), rows[k][1], p)
-            used = max(used, k + 1)
-        return r, used
 
     def span(self, count):
         """The span of the first count rows as a canonical Subspace, built once."""

@@ -4,8 +4,9 @@ from math import comb
 import pytest
 
 from koszulcone.algebra import GradedAlgebra, RingPresentation, monomials_of_degree
+from koszulcone.cli import parse_ring_text
 from koszulcone.errors import DegreeOverflow, ElementMismatch
-from koszulcone.linalg import GF, QQ, rank, solve_columns, transpose
+from koszulcone.linalg import GF, QQ, Echelon, Subspace, rank, solve_columns, transpose
 
 from rowform import dense, sparse
 
@@ -315,6 +316,83 @@ def test_basis_choice_matches_incremental_greedy(p, trials, cutoff):
                 assert A.relation_space(d).contains(sparse([v])[0])
         assert A.warnings == expected_warnings
         assert any("InconsistentPreferred" in w for w in expected_warnings)
+
+
+# -- degrees above a zero degree ---------------------------------------------------
+
+def full_elimination_reference(presentation, d):
+    """Basis and normal forms of degree d from all of its relation rows: the
+    greedy basis read off one Echelon fed the relation rows and then each
+    candidate that is new, and each monomial's normal form as the unique
+    combination of basis monomials that differs from it by a relation."""
+    fld = presentation.field
+    mons = monomials_of_degree(presentation.nvars, d)
+    index = {m: i for i, m in enumerate(mons)}
+    relations = []
+    for mu in monomials_of_degree(presentation.nvars, d - 2):
+        for rel in presentation.relations:
+            row = {}
+            for coeff, (i, j) in rel:
+                t = list(mu)
+                t[i] += 1
+                t[j] += 1
+                row[index[tuple(t)]] = fld.add(row.get(index[tuple(t)], fld.zero), fld.of(coeff))
+            relations.append({c: v for c, v in row.items() if v})
+    ech = Echelon(fld, len(mons))
+    ech.extend(relations)
+    basis = []
+    preferred = [m for m in presentation.preferred if sum(m) == d]
+    for m in dict.fromkeys(preferred + list(mons)):
+        if ech.locate({index[m]: fld.one}, ech.counts[-1]) is None:
+            basis.append(m)
+            ech.extend([{index[m]: fld.one}])
+    span = Subspace.from_rows(fld, relations, len(mons))
+    return index, basis, span
+
+
+@pytest.mark.parametrize("field", [F101, GF(2), QQ], ids=["gf101", "gf2", "qq"])
+def test_degrees_above_a_zero_degree_match_full_elimination(field, monkeypatch):
+    # squares n is zero from degree n + 1 on; degrees n + 2 .. n + 4 are built
+    # with no elimination at all
+    rref = type(field).rref
+    calls = []
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return rref(self, *args, **kwargs)
+
+    monkeypatch.setattr(type(field), "rref", counted)
+    for n in range(2, 6):
+        A = squares_ring(n, cutoff=n + 4, field=field)
+        for d in range(n + 5):
+            before = len(calls)
+            dim = A.dim(d)
+            assert (len(calls) == before) == (d >= n + 2), (n, d)
+            index, basis, span = full_elimination_reference(A.presentation, d)
+            assert A.monomial_index(d) == index
+            assert list(A.basis(d)) == basis and dim == len(basis) == (comb(n, d) if d <= n else 0)
+            for m, i in index.items():
+                nf = A.monomial_element(m)
+                assert nf.degree == d
+                v = {i: field.one}
+                for k, c in nf.terms:
+                    j = index[basis[k]]
+                    v[j] = field.sub(v.get(j, field.zero), c)
+                assert span.contains(v), (n, d, m)
+        assert A.warnings == []
+
+
+def test_a_preferred_monomial_of_a_zero_degree_still_warns():
+    js = parse_ring_text("field p=101\nvars x y\nrel x^2\nrel y^2\n"
+                         "prefer x*y, x^2*y^2, x*y^3, x^2*y^2\nideal x\n")
+    A = GradedAlgebra(js.presentation(), 6)
+    assert A.hilbert(6) == [1, 2, 1, 0, 0, 0, 0]
+    assert A.warnings == [
+        f"InconsistentPreferred: monomial {m} is dependent in degree 4; skipped"
+        for m in ("x^2*y^2", "x*y^3", "x^2*y^2")]
+    # degree 4 asked for before degree 3 is eliminated in full, and warns alike
+    B = GradedAlgebra(js.presentation(), 6)
+    assert (B.dim(4), B.dim(3)) == (0, 0) and B.warnings == A.warnings
 
 
 # -- the canonical element form against a dense oracle ---------------------------

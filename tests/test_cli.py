@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import koszulcone
-from koszulcone import cli, dual, linalg
+from koszulcone import algebra, cli, dual, linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
 from koszulcone.complexes import closed_form_resolution, complex_to_json
 from koszulcone.errors import ParseError
@@ -440,6 +440,30 @@ def test_dual_past_the_candidate_limit_exits_1_with_one_line(out, monkeypatch, c
                    "exceed the limit 20\n")
 
 
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_a_degree_past_the_monomial_limit_exits_1_with_one_line(out, monkeypatch, capsys):
+    # degree 5 of the fixture's 3 variables has comb(7, 2) = 21 monomials
+    monkeypatch.setattr(algebra, "MONOMIAL_LIMIT", 20)
+    code, stdout, err = run_main(
+        ["resolve", str(FIXTURES / "hhr_example.ring"), "--hmax", "3", "--dmax", "4",
+         "--out", out], capsys)
+    assert code == 1 and stdout == ""
+    assert err == "check failed: degree 5: 21 monomials in 3 variables exceed the limit 20\n"
+
+
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_a_high_exponent_stops_at_the_monomial_limit(out, tmp_path, capsys):
+    # the ideal generator's degree alone has comb(67, 7) monomials; they were
+    # enumerated until memory ran out
+    ring = tmp_path / "r.ring"
+    ring.write_text("field p=101\nvars x1 x2 x3 x4 x5 x6 x7 x8\nideal x1^60\n")
+    code, stdout, err = run_main(
+        ["betti", str(ring), "--hmax", "2", "--dmax", "2", "--out", out], capsys)
+    assert code == 1 and stdout == ""
+    assert err == (f"check failed: degree 60: {math.comb(67, 7)} monomials in 8 variables "
+                   f"exceed the limit {algebra.MONOMIAL_LIMIT}\n")
+
+
 def _export_hhr(tmp_path, capsys):
     exported = tmp_path / "complex.json"
     code, _, _ = run_main(
@@ -499,6 +523,49 @@ def test_verify_rejects_malformed_complex(case, tmp_path, capsys):
         capsys)
     assert (code, out) == (2, "")
     assert err.startswith("input error: ") and message in err, err
+
+
+@pytest.mark.parametrize("out", ["text", "json"])
+def test_verify_complex_checks_d_squared_of_an_edited_file(out, tmp_path, capsys):
+    # entry 1 of the top differential is x3; x2 in its place breaks d.d = 0
+    # at (3, 0, 1), and only a full composition of the read file sees it
+    doc = _export_hhr(tmp_path, capsys)
+    entry = doc["differentials"][2]["entries"][1]
+    assert entry["coefficient"]["coords"] == ["0", "0", "100"]
+    entry["coefficient"]["coords"] = ["0", "100", "0"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, stdout, err = run_main(
+        ["verify", str(FIXTURES / "hhr_example.ring"), "--complex", str(bad), "--hmax", "3",
+         "--out", out], capsys)
+    assert (code, err) == (1, "")
+    if out == "json":
+        got = json.loads(stdout)
+        assert (got["d2_zero"], got["d2_witness"], got["minimal"]) == (False, [3, 0, 1], True)
+    else:
+        assert stdout.splitlines()[0] == "d.d = 0: False"
+        assert "witnesses: d2=(3, 0, 1) minimality=None" in stdout
+
+
+@pytest.mark.parametrize("command, method", [
+    ("resolve", "cone"), ("resolve", "closed"), ("verify", "cone"), ("verify", "closed")])
+def test_a_built_resolution_composes_d_squared_once(command, method, monkeypatch, capsys):
+    # the constructor certifies d.d = 0 on the whole resolution, and the
+    # report reuses that certificate
+    checked = []
+    witness = koszulcone.complexes.ChainComplex.d_squared_witness
+
+    def counted(c):
+        if c.kind == "resolution":
+            checked.append(c.ranks())
+        return witness(c)
+
+    monkeypatch.setattr(koszulcone.complexes.ChainComplex, "d_squared_witness", counted)
+    code, stdout, _ = run_main(
+        [command, str(FIXTURES / "hhr_example.ring"), "--method", method, "--hmax", "3",
+         "--dmax", "4"], capsys)
+    assert code == 0 and "d.d = 0: True" in stdout
+    assert checked == [[1, 2, 3, 5]]
 
 
 def test_verify_missing_complex_file_is_input_error(tmp_path, capsys):

@@ -604,3 +604,63 @@ def test_dict_rows_give_the_dense_answers_over_the_rationals():
     rng = random.Random(3001)
     for rows, ncols in _rational_inputs(rng):
         _check_dict_rows_give_the_dense_answers(QQ, rows, ncols, rng)
+
+
+# -- rank without back-substitution ----------------------------------------------
+
+def _rank_matrices(rng, entry, p):
+    """Dense-list matrices for rank: low-rank products of entry() draws (left
+    unreduced, so negatives, values >= p and multiples of p occur over F_p),
+    each with an empty row and a duplicate row added, a row of multiples of
+    p, and dense matrices, past the work budget over F_p."""
+    for nrows, ncols in [(1, 1), (4, 9), (9, 4), (12, 12), (30, 8), (8, 30)]:
+        cap = rng.randint(1, min(nrows, ncols))
+        left = [[entry() for _ in range(cap)] for _ in range(nrows)]
+        right = [[entry() if rng.random() < 0.5 else 0 for _ in range(ncols)]
+                 for _ in range(cap)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        m += [[0] * ncols, list(m[rng.randrange(nrows)])]
+        rng.shuffle(m)
+        yield m, ncols
+    if p:
+        yield [[p * rng.randint(-3, 3) for _ in range(6)], [rng.randrange(-2 * p, 2 * p)
+                                                           for _ in range(6)]], 6
+    # the rationals have no budget, and their entries grow: keep them small
+    for nrows, ncols in [(40, 40), (50, 20), (20, 50)] if p else [(10, 10), (12, 5)]:
+        m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+        m.append(list(m[0]))
+        yield m, ncols
+
+
+@pytest.mark.parametrize("p", [2, 101, 0])
+def test_rank_is_the_pivot_count_and_the_dense_rank(p):
+    field = GF(p) if p else QQ
+    rng = random.Random(4000 + p)
+    entry = (lambda: rng.randrange(-2 * p, 2 * p)) if p else (
+        lambda: _random_rational_entry(rng))
+    over_budget = 0
+    for rows, ncols in _rank_matrices(rng, entry, p):
+        m = sparse(rows)
+        before = [dict(row) for row in m]
+        if p:
+            want = len(_textbook_rref_mod_p(rows, ncols, p))
+            over_budget += sum(map(len, m)) > linalg._work_budget(len(m), ncols)
+        else:
+            want = len(_fraction_gauss_jordan(rows, ncols)[1])
+        assert rank(field, m, ncols) == len(field.rref(m, ncols)[1]) == want
+        assert m == before
+    assert over_budget >= (2 if p else 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 101])
+def test_rank_mod_p_is_at_most_the_rational_rank(p):
+    # clear denominators: a minor that vanishes over QQ vanishes mod p
+    rng = random.Random(4100 + p)
+    for _ in range(40):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        rows = sparse([[rng.randint(-2 * p, 2 * p) for _ in range(ncols)]
+                       for _ in range(nrows)])
+        over_q, over_p = rank(QQ, rows, ncols), rank(GF(p), rows, ncols)
+        assert over_p <= over_q
+    scaled = sparse([[p * (i == j) for j in range(4)] for i in range(4)])
+    assert (rank(GF(p), scaled, 4), rank(QQ, scaled, 4)) == (0, 4)

@@ -73,6 +73,9 @@ RUNGS = {
     "squares7-dual6": ("dual", "squares7-gf101.ring", "--hmax", "6"),
     "poly8-closed": ("resolve", "--method", "closed", "poly8-gf101.ring", "--hmax", "4",
                      "--dmax", "4"),
+    # degrees 6-13 of the algebra are zero: built with no elimination
+    "squares5-resolve-d9": ("resolve", "--method", "cone", "squares5-gf101.ring", "--hmax", "4",
+                            "--dmax", "9"),
     # a small rung for the tool's own test
     "hhr-resolve": ("resolve", "--method", "cone", "hhr_example.ring", "--hmax", "3",
                     "--dmax", "4"),
@@ -97,7 +100,7 @@ def generic_ring_text(seed, n, nrels):
 def write_rings(workdir):
     rings = (workloads.Ring("poly", 7), workloads.Ring("poly", 8),
              workloads.Ring("squares", 7), workloads.Ring("squares", 6),
-             workloads.Ring("squares", 5, workloads.QQ))
+             workloads.Ring("squares", 5), workloads.Ring("squares", 5, workloads.QQ))
     for ring in rings:
         (workdir / ring.filename).write_text(workloads.ring_text(ring, random.Random(0)))
     for seed, n, nrels in GENERIC:
