@@ -23,6 +23,17 @@ for variable ideals, and J_{i-1} = 0 gives dim (0:m)_d = dim A_d - rank(m . A_d)
 for annihilators.  The ideal generated by the degree-1 part of a colon lies
 inside it, so equal dimensions mean equal spaces.
 
+The variable ideals (Y)_d those identities read are counted on one
+forward-only linalg.Echelon per degree d too (_VariableIdealWalk).  A set Y
+of variables is keyed by its variable indices (a bitmask), never by basis
+positions of A_1, which a degree-1 prefer line permutes.  The sets are
+visited in lexicographic order of their sorted indices, a preorder of their
+trie: moving to the next set cuts the echelon back to the prefix the two
+share and feeds the blocks x_j . A_{d-1} of the rest, and the row count
+after each block is dim (Y)_d for that prefix.  Only ranks are read, with no
+back-substitution; check_strongly_koszul collects every set it reads and
+walks each degree once, and an ideal keeps one walk for its colon checks.
+
 The decomposition table realizes the coefficient functions v = sum_i c_i(v) m_i
 with the support guarantee c_i(v) m_i outside the earlier prefix ideal: the
 algorithm peels off the minimal prefix containing v and solves the canonical
@@ -87,22 +98,63 @@ class CheckReport:
         }
 
 
-def _variable_ideal_space(algebra, rows, d):
-    """Degree-d span of the ideal generated by the dict rows of degree-1 elements."""
-    rows = [col for w in rows
+def _indices(mask):
+    """The variable indices of a bitmask, in increasing order."""
+    return tuple(j for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+class _VariableIdealWalk:
+    """dim (Y)_d of variable ideals, from one forward-only Echelon per degree d
+    (the walk of the module docstring); a set Y is the bitmask of its
+    variables, and every prefix set fed has its dimension recorded."""
+
+    def __init__(self, algebra):
+        self.algebra = algebra
+        self._walks = {}  # d -> (Echelon, the variables fed, in order)
+        self._dims = {}  # (mask, d) -> dim (Y)_d
+
+    def at(self, mask, d):
+        """The degree-d Echelon holding exactly the blocks of the variables of mask."""
+        A = self.algebra
+        walk = self._walks.get(d)
+        if walk is None:
+            walk = self._walks[d] = (Echelon(A.field, A.dim(d)), [])
+            self._dims[0, d] = 0
+        ech, path = walk
+        ys = _indices(mask)
+        k = 0
+        for a, b in zip(path, ys):
+            if a != b:
+                break
+            k += 1
+        if k < len(path):
+            ech.truncate(k)
+            del path[k:]
+        for j in ys[k:]:
+            ech.extend(A.multiplication_columns(A.var(j), d - 1))
+            path.append(j)
+            self._dims[mask & ((2 << j) - 1), d] = ech.counts[-1]
+        return ech
+
+    def dim(self, mask, d):
+        """dim (Y)_d for the variables of mask, walked to unless recorded."""
+        got = self._dims.get((mask, d))
+        if got is None:
+            got = self.at(mask, d).counts[-1]
+        return got
+
+    def fill(self, masks, d):
+        """Record dim (Y)_d for every mask, walking them in trie preorder."""
+        for mask in sorted(masks, key=_indices):
+            self.dim(mask, d)
+
+
+def _span_rank(algebra, rows, d):
+    """dim of the degree-d part of the ideal generated by the degree-1
+    elements with the dict rows, as the rank of their product rows."""
+    cols = [col for w in rows
             for col in algebra.multiplication_columns(algebra.from_sparse(1, w), d - 1)]
-    return Subspace.from_rows(algebra.field, rows, algebra.dim(d))
-
-
-def _variable_ideal_dim(algebra, cache, rows, d):
-    """dim of _variable_ideal_space, cached in the caller's dict under (rows, d).
-
-    A canonical degree-1 part spanned by variables has those variables' rows.
-    """
-    key = (tuple(tuple(sorted(w.items())) for w in rows), d)
-    if key not in cache:
-        cache[key] = _variable_ideal_space(algebra, rows, d).dim
-    return cache[key]
+    return rank(algebra.field, cols, algebra.dim(d))
 
 
 def _colon_against_space(algebra, m_element, d, target_space):
@@ -140,7 +192,7 @@ class MonomialIdeal:
         self.gen_elements = [algebra.monomial_element(g) for g in self.gens]
         self._filtrations = {}
         self._colon_vars = {}
-        self._var_ideal_dims = {}
+        self._var_ideal_walk = _VariableIdealWalk(algebra)
         self._dual = None
         self.decomposition = DecompositionTable(self)
         for i in range(len(self.gens)):
@@ -211,8 +263,9 @@ class MonomialIdeal:
         The set {j : x_j m_i in J_{i-1}} is exact and computed once per i; for
         2 <= d <= check_to the check compares dim (J_{i-1} : m_i)_d = dim A_d -
         dim (J_i)_{d+e} + dim (J_{i-1})_{d+e} (e = deg m_i) with the dimension of
-        the ideal those variables generate in degree d, both from cached spaces
-        (tri-state: linear up to the bound, or first failing degree).
+        the ideal those variables generate in degree d, read from the prefix
+        filtration and from the ideal's variable-ideal walk (tri-state: linear
+        up to the bound, or first failing degree).
         """
         A = self.algebra
         if i not in self._colon_vars:
@@ -220,12 +273,12 @@ class MonomialIdeal:
             self._colon_vars[i] = frozenset(
                 j for j in range(A.n) if self.contains(A.multiply(A.var(j), mel), prefix=i - 1))
         vars_ = self._colon_vars[i]
+        mask = sum(1 << j for j in vars_)
         e = self.degs[i - 1]
-        var_rows = [dict(A.var(j).terms) for j in sorted(vars_)]
         fail_degree = None
         for d in range(2, check_to + 1):
             colon_dim = A.dim(d) - self._prefix_dim(i, d + e) + self._prefix_dim(i - 1, d + e)
-            if _variable_ideal_dim(A, self._var_ideal_dims, var_rows, d) != colon_dim:
+            if self._var_ideal_walk.dim(mask, d) != colon_dim:
                 fail_degree = d
                 break
         return ColonData(i, vars_, check_to, fail_degree is None, fail_degree)
@@ -578,7 +631,7 @@ def annihilator_vars(algebra, exp, check_to=0):
         # dim (0:m)_d = dim A_d - rank(m . A_d), and the span lies inside (0:m)_d
         colon_dim = algebra.dim(d) - rank(algebra.field, algebra.multiplication_columns(mel, d),
                                           algebra.dim(d + mel.degree))
-        report[d] = _variable_ideal_space(algebra, deg1.rows, d).dim == colon_dim
+        report[d] = _span_rank(algebra, deg1.rows, d) == colon_dim
     return vars_, deg1, report
 
 
@@ -593,48 +646,75 @@ def check_strongly_koszul(algebra, check_to=4):
     dim (Y)_{d+1}, and (Z . A_{d-1}) lies inside the colon.  The first
     failing witness (Y, x, d) is reported; whether Z is spanned by variables
     is a per-pair diagnostic (the strict subset-of-variables reading).
+
+    Every variable-ideal dimension is read from one walk per degree over the
+    sets it needs.  The degree-2 walk also gives Z: x_j lies in Z exactly
+    when x_j x lies in (Y)_2, and dim Z = n - dim (Y u {x})_2 + dim (Y)_2, so
+    Z is spanned by variables when they count up to dim Z.  Only a Z that
+    variables do not span is built as a subspace, and its ideal is ranked
+    from its product rows.
     """
     n = algebra.n
     report = CheckReport("strongly-koszul", True)
     max_size = n if n <= 10 else 2
-    subsets = [frozenset(c) for size in range(max_size + 1)
-               for c in combinations(range(n), size)]
+    pairs = []  # (Y, x, mask of Y, mask of Y u {x})
+    for size in range(max_size + 1):
+        for Y in combinations(range(n), size):
+            ym = sum(1 << j for j in Y)
+            pairs += [(Y, x, ym, ym | 1 << x) for x in range(n) if not ym >> x & 1]
+    walk = _VariableIdealWalk(algebra)
+    sets = {m for _, _, ym, yxm in pairs for m in (ym, yxm)}
+    ymasks = {ym for _, _, ym, _ in pairs}
+    # x . x_j is column (position of x_j in A_1) of multiplication by x
+    pos = [algebra.var(j).terms[0][0] for j in range(n)]
+    times = [algebra.multiplication_columns(algebra.var(x), 1) for x in range(n)]
+    zvars = {}  # (mask of Y, x) -> the variables of Z, read at Y on the degree-2 walk
+    for m in sorted(sets, key=_indices):
+        ech = walk.at(m, 2)
+        if m in ymasks:
+            count = ech.counts[-1]
+            for x in range(n):
+                if not m >> x & 1:
+                    # x_j in Y puts x_j x in (Y)
+                    zvars[m, x] = [j for j in range(n) if m >> j & 1
+                                   or ech.locate(times[x][pos[j]], count) is not None]
+    colons = []
+    for Y, x, ym, yxm in pairs:
+        zv = zvars[ym, x]
+        z1dim = n - walk.dim(yxm, 2) + walk.dim(ym, 2)
+        # variable rows are distinct unit vectors of A_1, hence independent
+        zm = sum(1 << j for j in zv) if len(zv) == z1dim else None
+        colons.append((zv, z1dim, zm))
+    zsets = {zm for _, _, zm in colons if zm is not None}
+    for d in range(2, check_to + 2):
+        walk.fill(sets | zsets if d <= check_to else sets, d)
 
     first_witness = None
-    var_rows = {j: dict(algebra.var(j).terms) for j in range(n)}
-    dims = {}  # variable-ideal dimensions, shared by every (Y, x) pair
-    for Y in subsets:
-        y_rows = [var_rows[j] for j in sorted(Y)]
-        y2 = _variable_ideal_space(algebra, y_rows, 2)
-        for x in range(n):
-            if x in Y:
-                continue
-            z1 = _colon_against_space(algebra, algebra.var(x), 1, y2)
-            zvars = sorted(j for j in range(n) if z1.contains(var_rows[j]))
-            # variable rows are distinct unit vectors of A_1, hence independent
-            vars_span = len(zvars) == z1.dim
-            entry = {
-                "Y": sorted(Y), "x": x, "colon_degree1_dim": z1.dim,
-                "colon_vars": zvars, "variable_spanned": vars_span,
-            }
-            if not vars_span:
-                report.warnings.append(
-                    f"(({sorted(Y)}):x_{x}) has non-variable degree-1 part"
-                )
-            yx_rows = [var_rows[j] for j in sorted(Y | {x})]
-            fail_d = None
-            for d in range(2, check_to + 1):
-                colon_dim = (algebra.dim(d) - _variable_ideal_dim(algebra, dims, yx_rows, d + 1)
-                             + _variable_ideal_dim(algebra, dims, y_rows, d + 1))
-                if _variable_ideal_dim(algebra, dims, z1.rows, d) != colon_dim:
-                    fail_d = d
-                    break
-            if fail_d is not None:
-                report.passed = False
-                entry["fail_degree"] = fail_d
-                if first_witness is None:
-                    first_witness = (tuple(sorted(Y)), x, fail_d)
-            report.details.append(entry)
+    for (Y, x, ym, yxm), (zv, z1dim, zm) in zip(pairs, colons):
+        entry = {
+            "Y": list(Y), "x": x, "colon_degree1_dim": z1dim,
+            "colon_vars": zv, "variable_spanned": zm is not None,
+        }
+        z1 = None
+        if zm is None:
+            report.warnings.append(
+                f"(({list(Y)}):x_{x}) has non-variable degree-1 part"
+            )
+            ech = walk.at(ym, 2)
+            z1 = _colon_against_space(algebra, algebra.var(x), 1, ech.span(ech.counts[-1]))
+        fail_d = None
+        for d in range(2, check_to + 1):
+            colon_dim = algebra.dim(d) - walk.dim(yxm, d + 1) + walk.dim(ym, d + 1)
+            z_dim = walk.dim(zm, d) if z1 is None else _span_rank(algebra, z1.rows, d)
+            if z_dim != colon_dim:
+                fail_d = d
+                break
+        if fail_d is not None:
+            report.passed = False
+            entry["fail_degree"] = fail_d
+            if first_witness is None:
+                first_witness = (Y, x, fail_d)
+        report.details.append(entry)
     report.first_witness = first_witness
     if first_witness is not None:
         report.warnings.insert(

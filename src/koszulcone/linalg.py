@@ -41,7 +41,9 @@ eliminates below each pivot only.
 Echelon holds a chain of subspaces V_1 ⊂ V_2 ⊂ ... as one forward-only
 echelon basis, fed block by block: dim V_i is a row count, and membership in
 V_i is a head reduction against the first rows, with no elimination per
-subspace.  It is the filtration of a monomial ideal by its prefixes.
+subspace.  It is the filtration of a monomial ideal by its prefixes.  A
+chain can be cut back to an earlier V_i and fed again, which walks the
+variable ideals (Y)_d of a degree d along a trie of variable sets.
 """
 
 from __future__ import annotations
@@ -582,6 +584,14 @@ class Echelon:
             if r:
                 _keep(r, leads, kept, p)
         self.counts.append(len(kept))
+
+    def truncate(self, level):
+        """Cut the chain back to V_level, dropping the rows fed after it."""
+        count = self.counts[level]
+        for c, _ in self._rows[count:]:
+            del self._leads[c]
+        del self._rows[count:], self.counts[level + 1:]
+        self._spans = {k: s for k, s in self._spans.items() if k <= count}
 
     def locate(self, vec, count):
         """How many leading rows a sparse vector needs, or None outside their span.

@@ -1,14 +1,19 @@
 import gc
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import koszulcone.ideals
 from koszulcone.errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _variable_ideal_space,
-                               annihilator_vars, check_strongly_koszul)
-from koszulcone.linalg import GF, QQ, Subspace
+from koszulcone.algebra import GradedAlgebra
+from koszulcone.cli import parse_ring_text
+from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _indices,
+                               _VariableIdealWalk, annihilator_vars, check_strongly_koszul)
+from koszulcone.linalg import GF, QQ, Echelon, PrimeField, Subspace
 
+from ideal_oracle import variable_ideal_space
 from rowform import dense, sparse
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
 from test_dual import oracle_algebras
@@ -333,7 +338,7 @@ def test_colon_dimension_identity_matches_kernel_oracle(field):
                     identity = (A.dim(d) - J.membership_space(i, d + e).dim
                                 + J.membership_space(i - 1, d + e).dim)
                     assert kernel_dim == identity, (name, J.gens, i, d)
-                    span = _variable_ideal_space(A, var_rows(A, data.variables), d)
+                    span = variable_ideal_space(A, var_rows(A, data.variables), d)
                     if expected is None and span.dim != kernel_dim:
                         expected = d
                 assert (data.fail_degree, data.linear) == (expected, expected is None), \
@@ -355,11 +360,11 @@ def test_strongly_koszul_fail_degrees_match_kernel_oracle(field):
             Y, x = entry["Y"], entry["x"]
             xel = A.var(x)
             y_rows = var_rows(A, Y)
-            z1 = _colon_against_space(A, xel, 1, _variable_ideal_space(A, y_rows, 2))
+            z1 = _colon_against_space(A, xel, 1, variable_ideal_space(A, y_rows, 2))
             expected = None
             for d in (2, 3):
-                colon = _colon_against_space(A, xel, d, _variable_ideal_space(A, y_rows, d + 1))
-                if _variable_ideal_space(A, z1.rows, d).dim != colon.dim:
+                colon = _colon_against_space(A, xel, d, variable_ideal_space(A, y_rows, d + 1))
+                if variable_ideal_space(A, z1.rows, d).dim != colon.dim:
                     expected = d
                     break
             assert (entry["colon_degree1_dim"], entry.get("fail_degree")) == (z1.dim, expected), \
@@ -465,7 +470,7 @@ def test_membership_and_variable_ideal_spaces_match_product_oracle(field):
             for d in range(2, cutoff + 1):
                 rows = [row for w in dense(rows1, n, field.zero)
                         for row in product_rows(A, A.element(1, w), d)]
-                assert _variable_ideal_space(A, rows1, d) == \
+                assert variable_ideal_space(A, rows1, d) == \
                     Subspace.from_rows(field, sparse(rows), A.dim(d)), (name, rows1, d)
 
 
@@ -520,7 +525,91 @@ def test_annihilator_reports_match_kernel_oracle(field):
             assert sorted(report) == [2, 3, 4]
             for d in (2, 3, 4):
                 kernel_dim = _colon_against_space(A, mel, d, zero[d]).dim
-                span_dim = _variable_ideal_space(A, deg1.rows, d).dim
+                span_dim = variable_ideal_space(A, deg1.rows, d).dim
                 assert report[d] == (span_dim == kernel_dim), (name, exp, d)
                 outcomes.add(report[d])
     assert outcomes == {True, False}
+
+
+# -- variable-ideal dimensions from one walk per degree ------------------------
+
+def walk_rings(field, cutoff):
+    """squares, poly, conca, sym_relation, a generic ring, and conca with the
+    degree-1 basis permuted by prefer d, c, over one field."""
+    from test_cli import generic_ring_text  # test_cli imports this module
+    algebras = oracle_algebras(field, cutoff)
+    rings = {name: algebras[name] for name in ("squares", "poly", "conca", "sym_relation")}
+    override = "q" if field == QQ else str(field.char)
+    conca = (Path(__file__).resolve().parent.parent / "fixtures" / "conca.ring").read_text()
+    for name, text in (("generic-0-4-3", generic_ring_text(0, 4, 3)),
+                       ("conca-prefer-d-c", conca + "prefer d, c\n")):
+        js = parse_ring_text(text, field_override=override)
+        rings[name] = GradedAlgebra(js.presentation(), cutoff)
+    return rings
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_variable_ideal_walk_matches_canonical_spaces(field):
+    # seeded random variable sets in random order, so that the walk cuts back
+    # and feeds again, against the canonical space of each set built afresh
+    rng = random.Random(5050 + getattr(field, "char", 0))
+    cutoff = 5
+    rings = walk_rings(field, cutoff)
+    assert rings["conca-prefer-d-c"].var(0).terms[0][0] == 2  # a sits at position 2
+    cuts = 0
+    for name, A in rings.items():
+        walk = _VariableIdealWalk(A)
+        queries = [(rng.randrange(1 << A.n), d) for d in range(2, cutoff + 1) for _ in range(10)]
+        rng.shuffle(queries)
+        for mask, d in queries:
+            ys = list(_indices(mask))
+            held = list(walk._walks[d][1]) if d in walk._walks else []
+            cuts += held != ys[:len(held)]
+            expected = variable_ideal_space(A, var_rows(A, ys), d).dim
+            assert walk.dim(mask, d) == expected, (name, mask, d)
+            assert walk.at(mask, d).counts[-1] == expected, (name, mask, d)
+            assert walk._walks[d][1] == ys
+    assert cuts > 100
+
+
+def test_strongly_koszul_feeds_each_set_once_per_degree(monkeypatch):
+    # squares n = 5, check_to 4: one variable block per (set, degree) node of
+    # the trie of sets, and no reduced elimination: every colon's degree-1
+    # part is spanned by variables
+    A = squares_ring(5, cutoff=6)
+    blocks = {}
+    for d in range(2, 6):
+        for j in range(5):
+            blocks[id(A.multiplication_columns(A.var(j), d - 1))] = (j, d)
+    fed = []
+
+    class Counting(Echelon):
+        def __init__(self, field, ambient):
+            super().__init__(field, ambient)
+            self.chain = []
+
+        def extend(self, rows):
+            j, d = blocks[id(rows)]
+            self.chain.append(j)
+            fed.append((d, frozenset(self.chain)))
+            super().extend(rows)
+
+        def truncate(self, level):
+            del self.chain[level:]
+            super().truncate(level)
+
+    modes = []
+    rref = PrimeField.rref
+
+    def counting_rref(self, rows, ncols, reduced=True):
+        modes.append(reduced)
+        return rref(self, rows, ncols, reduced)
+
+    monkeypatch.setattr(koszulcone.ideals, "Echelon", Counting)
+    monkeypatch.setattr(PrimeField, "rref", counting_rref)
+    rep = check_strongly_koszul(A, check_to=4)
+    assert rep.passed and all(e["variable_spanned"] for e in rep.details)
+    assert True not in modes
+    assert len(fed) == len(set(fed))
+    per_degree = Counter(d for d, _ in fed)
+    assert sorted(per_degree) == [2, 3, 4, 5] and max(per_degree.values()) <= 2 ** 5, per_degree

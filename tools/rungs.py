@@ -45,6 +45,10 @@ RUNGS = {
     "squares7-verify": ("verify", "--method", "cone", "squares7-gf101.ring", "--hmax", "4",
                         "--dmax", "6"),
     "poly7-quotients": ("check", "quotients", "poly7-gf101.ring", "--dmax", "5"),
+    # every variable-ideal dimension of the strongly Koszul check; --out json
+    # makes the digest cover every (Y, x) entry, not only the verdict
+    "squares7-strongly-koszul": ("check", "strongly-koszul", "squares7-gf101.ring", "--dmax",
+                                 "4", "--out", "json"),
     # the closed form: explicit comparison maps and the regular-ordering check
     "poly7-closed": ("resolve", "--method", "closed", "poly7-gf101.ring", "--hmax", "3",
                      "--dmax", "4"),
