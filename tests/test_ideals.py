@@ -1,7 +1,6 @@
 import gc
 import random
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -13,10 +12,10 @@ from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _indices,
                                _VariableIdealWalk, annihilator_vars, check_strongly_koszul)
 from koszulcone.linalg import GF, QQ, Echelon, PrimeField, Subspace
 
-from ideal_oracle import variable_ideal_space
+from ideal_oracle import variable_ideal_space as _variable_ideal_space
 from rowform import dense, sparse
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
-from test_dual import oracle_algebras
+from test_dual import FIXTURES, oracle_algebras
 
 F101 = GF(101)
 
@@ -338,7 +337,7 @@ def test_colon_dimension_identity_matches_kernel_oracle(field):
                     identity = (A.dim(d) - J.membership_space(i, d + e).dim
                                 + J.membership_space(i - 1, d + e).dim)
                     assert kernel_dim == identity, (name, J.gens, i, d)
-                    span = variable_ideal_space(A, var_rows(A, data.variables), d)
+                    span = _variable_ideal_space(A, var_rows(A, data.variables), d)
                     if expected is None and span.dim != kernel_dim:
                         expected = d
                 assert (data.fail_degree, data.linear) == (expected, expected is None), \
@@ -360,11 +359,11 @@ def test_strongly_koszul_fail_degrees_match_kernel_oracle(field):
             Y, x = entry["Y"], entry["x"]
             xel = A.var(x)
             y_rows = var_rows(A, Y)
-            z1 = _colon_against_space(A, xel, 1, variable_ideal_space(A, y_rows, 2))
+            z1 = _colon_against_space(A, xel, 1, _variable_ideal_space(A, y_rows, 2))
             expected = None
             for d in (2, 3):
-                colon = _colon_against_space(A, xel, d, variable_ideal_space(A, y_rows, d + 1))
-                if variable_ideal_space(A, z1.rows, d).dim != colon.dim:
+                colon = _colon_against_space(A, xel, d, _variable_ideal_space(A, y_rows, d + 1))
+                if _variable_ideal_space(A, z1.rows, d).dim != colon.dim:
                     expected = d
                     break
             assert (entry["colon_degree1_dim"], entry.get("fail_degree")) == (z1.dim, expected), \
@@ -470,7 +469,7 @@ def test_membership_and_variable_ideal_spaces_match_product_oracle(field):
             for d in range(2, cutoff + 1):
                 rows = [row for w in dense(rows1, n, field.zero)
                         for row in product_rows(A, A.element(1, w), d)]
-                assert variable_ideal_space(A, rows1, d) == \
+                assert _variable_ideal_space(A, rows1, d) == \
                     Subspace.from_rows(field, sparse(rows), A.dim(d)), (name, rows1, d)
 
 
@@ -525,7 +524,7 @@ def test_annihilator_reports_match_kernel_oracle(field):
             assert sorted(report) == [2, 3, 4]
             for d in (2, 3, 4):
                 kernel_dim = _colon_against_space(A, mel, d, zero[d]).dim
-                span_dim = variable_ideal_space(A, deg1.rows, d).dim
+                span_dim = _variable_ideal_space(A, deg1.rows, d).dim
                 assert report[d] == (span_dim == kernel_dim), (name, exp, d)
                 outcomes.add(report[d])
     assert outcomes == {True, False}
@@ -540,7 +539,7 @@ def walk_rings(field, cutoff):
     algebras = oracle_algebras(field, cutoff)
     rings = {name: algebras[name] for name in ("squares", "poly", "conca", "sym_relation")}
     override = "q" if field == QQ else str(field.char)
-    conca = (Path(__file__).resolve().parent.parent / "fixtures" / "conca.ring").read_text()
+    conca = (FIXTURES / "conca.ring").read_text()
     for name, text in (("generic-0-4-3", generic_ring_text(0, 4, 3)),
                        ("conca-prefer-d-c", conca + "prefer d, c\n")):
         js = parse_ring_text(text, field_override=override)
@@ -565,7 +564,7 @@ def test_variable_ideal_walk_matches_canonical_spaces(field):
             ys = list(_indices(mask))
             held = list(walk._walks[d][1]) if d in walk._walks else []
             cuts += held != ys[:len(held)]
-            expected = variable_ideal_space(A, var_rows(A, ys), d).dim
+            expected = _variable_ideal_space(A, var_rows(A, ys), d).dim
             assert walk.dim(mask, d) == expected, (name, mask, d)
             assert walk.at(mask, d).counts[-1] == expected, (name, mask, d)
             assert walk._walks[d][1] == ys
