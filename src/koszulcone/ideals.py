@@ -37,7 +37,15 @@ walks each degree once, and an ideal keeps one walk for its colon checks.
 The decomposition table realizes the coefficient functions v = sum_i c_i(v) m_i
 with the support guarantee c_i(v) m_i outside the earlier prefix ideal: the
 algorithm peels off the minimal prefix containing v and solves the canonical
-(echelon) witness at each step, so the table is deterministic.
+(echelon) witness at each step, so the table is deterministic.  Each (j, d)
+keeps one linalg.Solver, fed the multiples m_j . A_{d - deg m_j} and then the
+canonical basis rows of (J_{j-1})_d, so a peel step is one head reduction,
+not one elimination; its answer is the solution that is zero on the
+dependent unknowns, the witness solve_columns gives.  The regular-ordering
+check reads that table: condition (2) decides each left-ideal containment
+(E_j, prefix, E_k) once per call, and condition (3) reads one whole
+decomposition of x_s x_t m_k per (k, s, t) and sums the right-hand sides of
+every i in one pass over the decompositions of x_t m_k and x_s m_j.
 """
 
 from __future__ import annotations
@@ -48,7 +56,7 @@ from itertools import combinations
 
 from .dual import QuadraticDual, left_ideal_contains
 from .errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from .linalg import Echelon, Subspace, kernel, rank, solve_columns
+from .linalg import Echelon, Solver, Subspace, kernel, rank
 
 __all__ = [
     "MonomialIdeal",
@@ -374,6 +382,15 @@ class MonomialIdeal:
     def _check_condition_two(self, report, colon_sets, check_to):
         dec = self.decomposition
         dual = self.dual
+        held = {}  # (E_j, prefix, E_k) -> whether prefix . L_{E_j} lies in L_{E_k}
+
+        def contained(Ej, prefix, Ek):
+            got = held.get((Ej, prefix, Ek))
+            if got is None:
+                got = held[Ej, prefix, Ek] = left_ideal_contains(
+                    dual, Ej, prefix, Ek, check_to).holds
+            return got
+
         for k in range(2, self.r + 1):
             Ek = colon_sets[k - 1]
             for t in sorted(Ek):
@@ -388,14 +405,10 @@ class MonomialIdeal:
                             "E_j": sorted(Ej), "E_k": sorted(Ek),
                         })
                         continue
-                    c1 = left_ideal_contains(dual, Ej, (t,), Ek, check_to)
-                    if c1.holds:
+                    if contained(Ej, (t,), Ek):
                         continue
                     for s in range(self.algebra.n):
-                        if dual.pair_word_is_zero(t, s):
-                            continue
-                        c2 = left_ideal_contains(dual, Ej, (t, s), Ek, check_to)
-                        if not c2.holds:
+                        if dual.pair_word_is_zero(t, s) or not contained(Ej, (t, s), Ek):
                             continue
                         if s in Ej:
                             report.passed = False
@@ -425,21 +438,24 @@ class MonomialIdeal:
             Ek = sorted(colon_sets[k - 1])
             for s in Ek:
                 for t in Ek:
-                    b = coeffs(t, k)
+                    # rhs_i = sum over j of c_i(x_s m_j) c_j(x_t m_k), every i at once
+                    rhs = {}
+                    for j, b in coeffs(t, k).items():
+                        for i, a in coeffs(s, j).items():
+                            c = A.multiply(a, b)
+                            rhs[i] = A.add(rhs[i], c) if i in rhs else c
+                    lhs = dict(dec.times_var_var(s, t, k))
                     for i in range(1, k):
-                        lhs = dec._coeff(i, k, s, t)
-                        rhs = A.zero(lhs.degree)
-                        for j in range(i, k):
-                            a = coeffs(s, j).get(i)
-                            if a is not None and j in b:
-                                rhs = A.add(rhs, A.multiply(a, b[j]))
-                        if lhs != rhs:
-                            report.passed = False
-                            report.details.append({
-                                "condition": 3, "i": i, "k": k, "s": s, "t": t,
-                                "lhs": A.format_element(lhs),
-                                "rhs": A.format_element(rhs),
-                            })
+                        got, want = lhs.get(i), rhs.get(i)
+                        if got == want or got is None and want.is_zero:
+                            continue
+                        zero = A.zero(self.degs[k - 1] + 2 - self.degs[i - 1])
+                        report.passed = False
+                        report.details.append({
+                            "condition": 3, "i": i, "k": k, "s": s, "t": t,
+                            "lhs": A.format_element(zero if got is None else got),
+                            "rhs": A.format_element(zero if want is None else want),
+                        })
 
     def check_star_condition(self):
         """The multigraded sufficient condition for a regular ordering.
@@ -510,6 +526,20 @@ class DecompositionTable:
         self.ideal = ideal
         self._var_gen = {}
         self._var_var_gen = {}
+        self._solvers = {}
+
+    def _solver(self, j, d):
+        """The Solver of v = c m_j + u (u in J_{j-1}) in degree d: its unknowns
+        are the multiples m_j . A_{d - deg m_j}, then the rows of the canonical
+        basis of (J_{j-1})_d, which fixes the coefficient on m_j."""
+        got = self._solvers.get((j, d))
+        if got is None:
+            J = self.ideal
+            A = J.algebra
+            got = self._solvers[j, d] = Solver(J.field, A.dim(d))
+            got.extend(A.multiplication_columns(J.gen_elements[j - 1], d - J.degs[j - 1]))
+            got.extend(J.membership_space(j - 1, d).rows)
+        return got
 
     def times_var(self, s, k):
         key = (s, k)
@@ -555,8 +585,9 @@ class DecompositionTable:
         """Greedy top-down decomposition with canonical echelon witnesses.
 
         Peels the minimal prefix j with v in J_j, solves v = u + c m_j with u
-        in J_{j-1} canonically, and recurses on u.  Checks the support
-        guarantee: each extracted c m_j lies outside J_{j-1}.
+        in J_{j-1} canonically, by one head reduction on the cached Solver of
+        (j, deg v), and recurses on u.  Checks the support guarantee: each
+        extracted c m_j lies outside J_{j-1}.
 
         Raises:
             NotInIdeal: if element is outside the prefix ideal J_bound.
@@ -565,7 +596,6 @@ class DecompositionTable:
         """
         J = self.ideal
         A = J.algebra
-        fld = J.field
         if bound is None:
             bound = J.r
         entries = []
@@ -579,24 +609,14 @@ class DecompositionTable:
             d = v.degree
             cdeg = d - J.degs[j - 1]
             gel = J.gen_elements[j - 1]
-            multiples = A.multiplication_columns(gel, cdeg)
-            prev = J.membership_space(j - 1, d).rows
-            # the unknowns are the coefficients of the multiples and then of
-            # the rows of J_{j-1}: solve rows^T . c = v, one equation per
-            # coordinate of A_d
-            eqs = [{} for _ in range(A.dim(d))]
-            for k, col in enumerate(multiples):
-                for c, x in col.items():
-                    eqs[c][k] = x
-            for k, row in enumerate(prev, len(multiples)):
-                for c, x in row.items():
-                    eqs[c][k] = x
-            sols, _ = solve_columns(fld, eqs, len(multiples) + len(prev), [dict(v.terms)])
-            if sols is None:
+            sol = self._solver(j, d).solve(v.terms)
+            if sol is None:
                 raise DecompositionFailure(
                     f"degree-{d} element in J_{j} has no expression over m_{j} and J_{j - 1}",
                     witness=(j, d))
-            coeff = A.from_sparse(cdeg, {k: x for k, x in sols[0].items() if k < len(multiples)})
+            # the first dim A_cdeg unknowns are the coefficients of the multiples
+            nmult = A.dim(cdeg)
+            coeff = A.from_sparse(cdeg, {k: x for k, x in sol.items() if k < nmult})
             if coeff.is_zero:
                 raise DecompositionFailure(
                     f"support guarantee: coefficient on m_{j} vanished in degree {d}",

@@ -43,7 +43,10 @@ echelon basis, fed block by block: dim V_i is a row count, and membership in
 V_i is a head reduction against the first rows, with no elimination per
 subspace.  It is the filtration of a monomial ideal by its prefixes.  A
 chain can be cut back to an earlier V_i and fed again, which walks the
-variable ideals (Y)_d of a degree d along a trie of variable sets.
+variable ideals (Y)_d of a degree d along a trie of variable sets.  Solver
+is that echelon with provenance: each kept row carries its expression in the
+vectors fed, so a system asked for many right-hand sides, such as one peel
+step of a decomposition, is solved by one head reduction per target.
 """
 
 from __future__ import annotations
@@ -614,6 +617,51 @@ class Echelon:
                 self.field, [{c: one, **tail} for c, tail in self._rows[:count]], self.ambient)
             self._spans[count] = got
         return got
+
+
+class Solver:
+    """Solutions w of sum_i w_i v_i = t over the vectors v_0, v_1, ... fed so far.
+
+    The echelon of Echelon with provenance: vector v_i is fed as the dict row
+    (v_i | -e_i), its provenance in the columns ambient + i, and head-reduced
+    (_head_reduce) against the rows kept before it, so the provenance part
+    of a row is minus its expression in the fed vectors.  A remainder with
+    no entry left of ambient is a free unknown, v_i in the span of the
+    vectors before it, and is not kept.  solve(t) head-reduces t, and the
+    provenance part of its remainder is the unique solution that is zero on
+    the free unknowns: the one solve_columns returns for the same system.
+    extend can be called again, with the unknowns numbered on.
+    """
+
+    __slots__ = ("field", "ambient", "fed", "_rows", "_leads")
+
+    def __init__(self, field, ambient):
+        self.field = field
+        self.ambient = ambient
+        self.fed = 0
+        self._rows = []  # (lead column, the row without its lead entry)
+        self._leads = {}  # lead column -> row index
+
+    def extend(self, vectors):
+        """Feed dict rows with field values as the next unknowns."""
+        p = self.field.char
+        leads, kept = self._leads, self._rows
+        for r in _entries(vectors, p):
+            r[self.ambient + self.fed] = p - 1 if p else -1
+            self.fed += 1
+            r, _, _ = _head_reduce(r, leads, kept, len(kept), p)
+            if min(r) < self.ambient:
+                _keep(r, leads, kept, p)
+
+    def solve(self, vec):
+        """The solution {unknown: nonzero value} for the target vec, a dict row
+        or its (column, value) pairs, or None when vec is outside the span."""
+        p, n = self.field.char, self.ambient
+        r, _, _ = _head_reduce(_entries([dict(vec)], p)[0], self._leads, self._rows,
+                               len(self._rows), p)
+        if r and min(r) < n:
+            return None
+        return {j - n: x if p else Fraction(x) for j, x in r.items()}
 
 
 def echelonize(field, rows, ncols):

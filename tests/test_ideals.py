@@ -6,12 +6,13 @@ import pytest
 
 import koszulcone.ideals
 from koszulcone.errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from koszulcone.algebra import GradedAlgebra
+from koszulcone.algebra import GradedAlgebra, RingPresentation
 from koszulcone.cli import parse_ring_text
 from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _indices,
                                _VariableIdealWalk, annihilator_vars, check_strongly_koszul)
 from koszulcone.linalg import GF, QQ, Echelon, PrimeField, Subspace
 
+from ideal_oracle import Decomposition, regular_ordering_report
 from ideal_oracle import variable_ideal_space as _variable_ideal_space
 from rowform import dense, sparse
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
@@ -278,17 +279,83 @@ def test_colon_sets_match_left_ideal_containment():
 
 @pytest.mark.parametrize("breakage", ["unsolvable", "zero-coefficient", "piece-in-prefix"])
 def test_decomposition_support_guarantees_are_typed(breakage, monkeypatch):
+    # the peel step of of_element is one Solver.solve: None is no solution, and
+    # the empty solution is zero on every unknown
     J = hhr_ideal()
     if breakage == "unsolvable":
-        monkeypatch.setattr(koszulcone.ideals, "solve_columns", lambda *args: (None, 0))
+        monkeypatch.setattr(koszulcone.ideals.Solver, "solve", lambda self, vec: None)
     elif breakage == "zero-coefficient":
-        monkeypatch.setattr(koszulcone.ideals, "solve_columns",
-                            lambda fld, rows, ncols, targets: (sparse([[fld.zero] * ncols]), None))
+        monkeypatch.setattr(koszulcone.ideals.Solver, "solve", lambda self, vec: {})
     else:
         monkeypatch.setattr(J, "contains", lambda element, prefix=None: True)
     with pytest.raises(DecompositionFailure) as e:
         J.decomposition.of_element(J.gen_elements[0])
     assert e.value.witness == (1, 2)
+
+
+def ordering_rings(field, cutoff=7):
+    """squares(4), poly(3), poly(4), hhr and sym_relation over one field."""
+    one = field.one
+    names = ("x1", "x2", "x3")
+    hhr = (((one, (0, 2)),), ((one, (2, 2)),))
+    sym = (((one, (0, 1)), (one, (0, 2)), (one, (1, 2))),)
+    return {
+        "squares4": squares_ring(4, cutoff, field),
+        "poly3": poly_ring(3, cutoff, field),
+        "poly4": poly_ring(4, cutoff, field),
+        "hhr": GradedAlgebra(RingPresentation(names, field, hhr), cutoff),
+        "sym_relation": GradedAlgebra(
+            RingPresentation(names, field, sym, ((1, 1, 0), (0, 1, 1))), cutoff),
+    }
+
+
+def random_ordering(A, rng):
+    """Degree-2 monomials in a random order, each kept when it lies outside
+    the ideal of those kept before it."""
+    cands = list(A.basis(2))
+    rng.shuffle(cands)
+    gens = []
+    for g in cands[:rng.randint(2, len(cands))]:
+        try:
+            MonomialIdeal(A, gens + [g])
+        except ValueError:  # redundant after the earlier ones
+            continue
+        gens.append(g)
+    return MonomialIdeal(A, gens)
+
+
+@pytest.mark.parametrize("field", [GF(101), QQ], ids=repr)
+def test_regular_ordering_report_equals_the_oracle(field):
+    # the cached solvers, the memoised containments and the all-i pass of
+    # condition (3) give the report of one elimination per peel step, detail
+    # by detail and warning by warning, in order
+    rng = random.Random(2100 + field.char)
+    failed = Counter()
+    for name, A in ordering_rings(field).items():
+        for _ in range(20):
+            J = random_ordering(A, rng)
+            mode = rng.choice(("symmetric", "literal"))
+            got = J.check_regular_ordering(3, mode=mode).as_dict()
+            assert got == regular_ordering_report(J, 3, mode).as_dict(), (name, J.gens)
+            failed.update(d.get("condition") for d in got["details"])
+            if name != "sym_relation":
+                continue
+            # a non-monomial relation: the entries themselves, value types included
+            dec, oracle = J.decomposition, Decomposition(J)
+            for k in range(1, J.r + 1):
+                for s in range(A.n):
+                    assert repr(dec.times_var(s, k)) == repr(oracle.times_var(s, k))
+                    for t in range(s, A.n):
+                        assert (repr(dec.times_var_var(s, t, k))
+                                == repr(oracle.times_var_var(s, t, k)))
+            v = A.zero(3)
+            for k, m in enumerate(J.gen_elements, 1):
+                for s in range(A.n):
+                    v = A.add(v, A.scale(field.of(rng.randint(-2, 2)),
+                                         A.multiply(A.var(s), m)))
+            assert repr(dec.of_element(v)) == repr(oracle.of_element(v))
+    # the sample holds failures of conditions (1), (2a) and (3)
+    assert failed[1] and failed["2a"] and failed[3], failed
 
 
 def test_regular_ordering_mode_is_a_value_error():

@@ -8,6 +8,7 @@ from koszulcone.dual import _assemble
 from koszulcone.linalg import (
     GF,
     QQ,
+    Solver,
     Subspace,
     echelonize,
     kernel,
@@ -664,3 +665,72 @@ def test_rank_mod_p_is_at_most_the_rational_rank(p):
         assert over_p <= over_q
     scaled = sparse([[p * (i == j) for j in range(4)] for i in range(4)])
     assert (rank(GF(p), scaled, 4), rank(QQ, scaled, 4)) == (0, 4)
+
+
+def _solver_vectors(rng, field, n, count):
+    """count dense vectors of length n: random ones, and among them zero
+    vectors, duplicates and combinations of the vectors before them."""
+    vecs = []
+    for _ in range(count):
+        kind = rng.randrange(5) if vecs else 0
+        if kind == 1:
+            v = [field.zero] * n
+        elif kind == 2:
+            v = list(rng.choice(vecs))
+        elif kind == 3:
+            a, b = rng.choice(vecs), rng.choice(vecs)
+            f, g = field.of(rng.randint(-3, 3)), field.of(rng.randint(-3, 3))
+            v = [field.add(field.mul(f, x), field.mul(g, y)) for x, y in zip(a, b)]
+        else:
+            v = [field.of(rng.randint(-3, 3)) if rng.random() < 0.5 else field.zero
+                 for _ in range(n)]
+        vecs.append(v)
+    return vecs
+
+
+@pytest.mark.parametrize("p", [2, 101, 0])
+def test_solver_matches_solve_columns_on_every_prefix(p):
+    # Solver: one echelon with provenance, fed in random blocks, against one
+    # solve_columns elimination per target over the vectors fed so far
+    field = GF(p) if p else QQ
+    rng = random.Random(5300 + p)
+    solved = unsolvable = 0
+    for _ in range(60):
+        n, count = rng.randint(1, 7), rng.randint(1, 10)
+        vecs = _solver_vectors(rng, field, n, count)
+        rows = sparse(vecs)
+        before = [dict(row) for row in rows]
+        solver, fed = Solver(field, n), 0
+        while fed < count:
+            step = rng.randint(1, count - fed)
+            solver.extend(rows[fed:fed + step])
+            fed += step
+            assert solver.fed == fed
+            eqs = transpose(rows[:fed], n)
+            for _ in range(4):
+                w = [field.of(rng.randint(-2, 2)) for _ in range(fed)]
+                t = [field.zero] * n
+                for c, v in zip(w, vecs):
+                    t = [field.add(x, field.mul(c, y)) for x, y in zip(t, v)]
+                if rng.random() < 0.3:
+                    i = rng.randrange(n)
+                    t[i] = field.add(t[i], field.one)
+                want, _ = solve_columns(field, eqs, fed, sparse([t]))
+                got = solver.solve(sparse([t])[0])
+                assert got == (None if want is None else want[0])
+                if got is None:
+                    unsolvable += 1
+                    continue
+                solved += 1
+                # field values of the same type as solve_columns gives
+                assert all(type(x) is (int if p else Fraction) for x in got.values())
+                if p:
+                    assert all(0 < x < p for x in got.values())
+        assert rows == before
+    assert solved > 100 and unsolvable > 20
+    # (column, value) pairs are targets too, and the zero target has the zero solution
+    solver = Solver(field, 2)
+    solver.extend(sparse([[1, 0], [2, 0]]))
+    assert solver.solve(((0, field.of(3)),)) == {0: field.of(3)}
+    assert solver.solve({}) == {}
+    assert solver.solve({1: field.one}) is None

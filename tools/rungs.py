@@ -75,6 +75,9 @@ RUNGS = {
     # sparse components in wide tensor powers: 7^6 positions, and 8^6 through
     # the closed form's ordering check, which reads degree min(h, d) + 2
     "squares7-dual6": ("dual", "squares7-gf101.ring", "--hmax", "6"),
+    # the regular-ordering check alone; --out json makes the digest cover
+    # every detail and warning of the report, not only the verdict
+    "poly7-regular": ("check", "regular", "poly7-gf101.ring", "--dmax", "4", "--out", "json"),
     "poly8-closed": ("resolve", "--method", "closed", "poly8-gf101.ring", "--hmax", "4",
                      "--dmax", "4"),
     # degrees 6-13 of the algebra are zero: built with no elimination
