@@ -13,7 +13,7 @@ degree d keeps one linalg.Echelon, grown lazily: the multiples of m_1, m_2,
 dim (J_i)_d.  Membership in J_i is one head reduction against the first rows,
 and the minimal prefix holding an element is the block of the last row its
 reduction uses.  The canonical RREF of a prefix space (membership_space) is
-built from those rows only when a decomposition asks for it.
+those rows back-substituted, built only when a decomposition asks for it.
 
 One colon rule serves every bounded check, and no colon is built above degree
 1: m_i maps A_d onto (J_i / J_{i-1})_{d+e} (e = deg m_i) with kernel the colon,
@@ -45,7 +45,9 @@ dependent unknowns, the witness solve_columns gives.  The regular-ordering
 check reads that table: condition (2) decides each left-ideal containment
 (E_j, prefix, E_k) once per call, and condition (3) reads one whole
 decomposition of x_s x_t m_k per (k, s, t) and sums the right-hand sides of
-every i in one pass over the decompositions of x_t m_k and x_s m_j.
+every i in one pass over the decompositions of x_t m_k and x_s m_j.  The
+solvers are dropped when the check returns: what the closed form reads
+afterwards is cached per entry, and a later decomposition rebuilds them.
 """
 
 from __future__ import annotations
@@ -324,9 +326,13 @@ class MonomialIdeal:
             report.details.append(lq.as_dict())
             return report
         colon_sets = self.colon_variable_sets()
-        self._check_condition_one(report, mode)
-        self._check_condition_two(report, colon_sets, check_to)
-        self._check_condition_three(report, colon_sets)
+        try:
+            self._check_condition_one(report, mode)
+            self._check_condition_two(report, colon_sets, check_to)
+            self._check_condition_three(report, colon_sets)
+        finally:
+            # what the closed form reads after the check is cached per entry
+            self.decomposition._solvers.clear()
         return report
 
     def _check_condition_one(self, report, mode):

@@ -15,28 +15,27 @@ kernel, built from the dict rows and read back into them once, at that
 boundary.  The kernel copies each row it reads, so a caller's row (a cached
 product column among them) is never mutated.
 
-Both fields share one elimination kernel.  The matrices of monomial ideals
-hold one or two nonzeros per row, so the kernel runs Gauss-Jordan on dict
-rows and touches nonzeros only: mod p over F_p, and over the rationals
-exactly, on ints while the entries are integral and on Fractions otherwise.
-Over F_p its work, the input's nonzero count plus one per entry updated, has
-a budget of 4 (nrows + ncols) + nrows ncols / 16.  A matrix that goes over
-it (a dense input by its nonzero count alone, before any elimination) is
-made dense and eliminated column by column in numpy int64 instead (products
-stay below 2**63 because p is capped), and its rows are read back as dict
-rows of Python ints.  The rationals have no dense kernel: the sparse one drops
-dependent rows as soon as they reduce to zero, which on the tall, generic QQ
-matrices of dual components is much faster than fraction-free (Bareiss)
-elimination over every row.  The reduced row echelon form of a matrix is
-unique, so both F_p kernels return the same rows and pivots, and every
-Subspace has a unique representation.
-
-rank() reads pivots only, so rref(reduced=False) skips back-substitution:
-it head-reduces each row against the rows kept before it and keeps the
-remainder, the loop that Echelon runs (_head_reduce).  The lead columns of
-any echelon basis are the RREF pivots, so every rank is the same.  Over F_p
-that loop keeps the work budget, and the numpy kernel it falls back to
-eliminates below each pivot only.
+Both fields share one sparse elimination loop, head reduction (_head_reduce):
+subtract the kept row whose lead is the row's minimum column until none
+fits.  The matrices of monomial ideals hold one or two nonzeros per row, so
+it touches nonzeros only: mod p over F_p, and over the rationals exactly, on
+ints while the entries are integral and on Fractions otherwise.  rref runs
+it forward over the rows (_echelon), which gives the pivots: the lead
+columns of any echelon basis are the RREF pivots, so rank() stops there.
+The reduced rows come from back-substitution on that echelon, from the last
+lead to the first (_back_substitute; Golub and Van Loan, Matrix
+Computations, sec. 3.1).  Over F_p the work of both passes, the input's
+nonzero count plus one per entry updated, has a budget of 4 (nrows + ncols)
++ nrows ncols / 16.  A matrix that goes over it (a dense input by its
+nonzero count alone, before any elimination) is made dense and eliminated
+column by column in numpy int64 instead (products stay below 2**63 because
+p is capped), below each pivot only when not reduced, and its rows are read
+back as dict rows of Python ints.  The rationals have no dense kernel: the
+sparse loop drops dependent rows as soon as they reduce to zero, which on
+the tall, generic QQ matrices of dual components is much faster than
+fraction-free (Bareiss) elimination over every row.  The reduced row
+echelon form of a matrix is unique, so both F_p kernels return the same
+rows and pivots, and every Subspace has a unique representation.
 
 Echelon holds a chain of subspaces V_1 ⊂ V_2 ⊂ ... as one forward-only
 echelon basis, fed block by block: dim V_i is a row count, and membership in
@@ -139,25 +138,10 @@ class PrimeField:
     def rref(self, rows, ncols, reduced=True):
         """(rref_rows, pivot_columns); rref_rows is None when not reduced.
 
-        Runs the sparse Gauss-Jordan kernel, or the head reduction of
-        _echelon_leads when not reduced, while its work stays within
-        _work_budget, and the dense numpy kernel otherwise.  Every kernel
-        finds the pivots of the unique RREF, and both reduced kernels return
-        its rows, so the answer does not depend on the kernel.
+        The sparse kernel while its work stays within _work_budget, the dense
+        numpy kernel otherwise (_rref).
         """
-        if not rows:
-            return [], []
-        p = self.char
-        budget = _work_budget(len(rows), ncols)
-        if reduced:
-            found = _sparse_rref(rows, ncols, p, budget)
-            if found is not None:
-                return _rows_of(found, 1, None)
-        else:
-            leads = _echelon_leads(rows, ncols, p, budget)
-            if leads is not None:
-                return None, leads
-        return _dense_rref(rows, ncols, p, reduced)
+        return _rref(rows, ncols, self.char, _work_budget(len(rows), ncols), reduced)
 
 
 def _work_budget(nrows, ncols):
@@ -166,88 +150,38 @@ def _work_budget(nrows, ncols):
     return SPARSE_WORK_SCALE * (4 * (nrows + ncols) + nrows * ncols // 16)
 
 
-def _sparse_rref(rows, ncols, p, budget):
-    """Gauss-Jordan on dict rows, over F_p when p is a prime and over the
-    rationals when p is 0; None once the work exceeds budget.
+def _rref(rows, ncols, p, budget, reduced):
+    """The body of both fields' rref, over F_p when p is a prime and over the
+    rationals (budget math.inf) when p is 0.
 
-    Each row is copied into a fresh dict row, so the caller's rows (cached
-    product columns among them) are never mutated.  Over F_p entries are
-    reduced mod p, and the input's entries count against the budget before
-    any row is copied, so a dense input costs one sum of row lengths.  Over
-    the rationals (budget math.inf) entries are exact: integral ones are read
-    as ints (so unit pivots keep the arithmetic on ints), the others stay
-    Fractions, and a pivot f is inverted as 1 / Fraction(f).
-
-    Returns {pivot column: {column: value}} holding each reduced row without
-    its pivot entry (which is 1).  The pivot rows stay in RREF throughout:
-    each is zero at every other pivot column.  So one pass over the pivot
-    columns a new row touches reduces it, its minimum column becomes its
-    pivot, and that column is cleared from the earlier pivot rows that hold
-    it, found through `holders` (non-pivot column -> pivot columns of the
-    rows nonzero there).
+    The forward echelon (_echelon) gives the pivots, and back-substitution
+    (_back_substitute) the reduced rows.  A matrix whose work goes over
+    budget in either pass is eliminated by the numpy kernel instead.  The
+    RREF is unique, so the answer does not depend on the kernel.
     """
-    work = sum(map(len, rows))
-    if work > budget:
-        return None
-    piv = {}
-    holders = {}
-    for r in _entries(rows, p):
-        for c in [c for c in r if c in piv]:
-            tail = piv[c]
-            work += len(tail)
-            _sub_multiple(r, r.pop(c), tail, p)
-        if work > budget:
-            return None
-        if not r:
-            continue
-        c0 = min(r)
-        f = r.pop(c0)
-        if f != 1:
-            if p:
-                inv = pow(f, p - 2, p)
-                r = {j: v * inv % p for j, v in r.items()}
-            else:
-                inv = 1 / Fraction(f)
-                if inv.denominator == 1:
-                    inv = inv.numerator
-                r = {j: v * inv for j, v in r.items()}
-        earlier = holders.pop(c0, ())
-        for j in r:
-            holders.setdefault(j, set()).add(c0)
-        for c in earlier:
-            tail = piv[c]
-            f = tail.pop(c0)
-            work += len(r)
-            for j, v in r.items():
-                x = tail.get(j, 0) - f * v
-                if p:
-                    x %= p
-                if x:
-                    if j not in tail:
-                        holders[j].add(c)
-                    tail[j] = x
-                else:
-                    del tail[j]
-                    holders[j].discard(c)
-        if work > budget:
-            return None
-        piv[c0] = r
-        if len(piv) == ncols:
-            break
-    return piv
+    if not rows:
+        return [], []
+    found = _echelon(rows, ncols, p, budget)
+    if found is not None:
+        if not reduced:
+            return None, sorted(c for c, _ in found[0])
+        found = _back_substitute(*found, p, budget)
+        if found is not None:
+            return _rows_of(found, p)
+    return _dense_rref(rows, ncols, p, reduced)
 
 
-def _echelon_leads(rows, ncols, p, budget):
-    """The pivot columns of the dict rows, over F_p when p is a prime and over
-    the rationals when p is 0, from a forward-only echelon basis with no
-    back-substitution; None once the work exceeds budget.
+def _echelon(rows, ncols, p, budget):
+    """(kept, work) of a forward-only echelon basis of the dict rows, or None
+    once the work exceeds budget.
 
     Each row's entries are reduced first (_entries), then the row is
     head-reduced against the rows kept before it (_head_reduce, the loop of
-    Echelon), and its remainder, if any, is kept with its lead scaled to 1
-    (_keep).  The kept rows have distinct lead columns, and the lead set of
-    an echelon basis is the RREF pivot set.  Work counts as in _sparse_rref:
-    the input's nonzero count plus one per entry updated.
+    Echelon), and its remainder, if any, is kept as (lead, tail) with its
+    lead scaled to 1 (_keep).  The kept rows have distinct lead columns, and
+    the lead set of an echelon basis is the RREF pivot set.  Work is the
+    input's nonzero count plus one per entry updated; a dense input goes
+    over budget by that count alone, before any row is copied.
     """
     work = sum(map(len, rows))
     if work > budget:
@@ -255,15 +189,39 @@ def _echelon_leads(rows, ncols, p, budget):
     leads = {}
     kept = []
     for r in _entries(rows, p):
-        r, _, spent = _head_reduce(r, leads, kept, len(kept), p)
-        work += spent
-        if work > budget:
-            return None
+        # most monomial rows open a new lead and need no reduction
+        if r and min(r) in leads:
+            r, _, spent = _head_reduce(r, leads, kept, len(kept), p)
+            work += spent
+            if work > budget:
+                return None
         if r:
             _keep(r, leads, kept, p)
             if len(kept) == ncols:
                 break
-    return sorted(leads)
+    return kept, work
+
+
+def _back_substitute(kept, work, p, budget):
+    """{pivot column: tail} of the RREF of the echelon rows kept, (lead,
+    tail) pairs with distinct leads, or None once the work exceeds budget.
+
+    The tails are reduced in place from the last lead to the first: the rows
+    with later leads are already zero at every other lead column, so
+    subtracting them (_sub_multiple) clears each lead column of a tail, and
+    no lead column comes back.  Work counts one per entry updated.
+    """
+    done = {}
+    for c, tail in sorted(kept, reverse=True):
+        if tail:
+            for d in [d for d in tail if d in done]:
+                t = done[d]
+                work += len(t)
+                _sub_multiple(tail, tail.pop(d), t, p)
+            if work > budget:
+                return None
+        done[c] = tail
+    return done
 
 
 def _entries(rows, p):
@@ -278,7 +236,8 @@ def _entries(rows, p):
 def _keep(r, leads, rows, p):
     """Append the nonzero dict row r to the echelon rows as (lead, tail): its
     minimum column, and the other entries scaled so that the lead entry would
-    be 1, as _sparse_rref scales its pivot rows."""
+    be 1.  Over the rationals a pivot f is inverted as 1 / Fraction(f), read
+    as an int when integral, so unit pivots keep the arithmetic on ints."""
     c = min(r)
     f = r.pop(c)
     if f != 1:
@@ -340,14 +299,14 @@ def _sub_multiple(r, f, tail, p):
             del r[j]
 
 
-def _rows_of(found, one, entry):
-    """(rref_rows, pivot_columns) of the sparse kernel's answer: each row is
-    {pivot: one, **tail}, with every tail value written as entry(value) when
-    entry is given."""
+def _rows_of(found, p):
+    """(rref_rows, pivot_columns) of {pivot: tail}: each row is {pivot: 1,
+    **tail}, with Fraction values over the rationals (p = 0)."""
     pivots = sorted(found)
-    if entry is None:
-        return [{c: one, **found[c]} for c in pivots], pivots
-    return [{c: one, **{j: entry(v) for j, v in found[c].items()}} for c in pivots], pivots
+    if p:
+        return [{c: 1, **found[c]} for c in pivots], pivots
+    one = Fraction(1)
+    return [{c: one, **{j: Fraction(v) for j, v in found[c].items()}} for c in pivots], pivots
 
 
 def _array(rows, ncols):
@@ -456,16 +415,8 @@ class RationalField:
 
     def rref(self, rows, ncols, reduced=True):
         """(rref_rows, pivot_columns) with Fraction entries; rref_rows is None
-        when not reduced.
-
-        Runs the sparse Gauss-Jordan kernel, or the head reduction of
-        _echelon_leads when not reduced, whatever the matrix's density.
-        """
-        if not rows:
-            return [], []
-        if not reduced:
-            return None, _echelon_leads(rows, ncols, 0, math.inf)
-        return _rows_of(_sparse_rref(rows, ncols, 0, math.inf), Fraction(1), Fraction)
+        when not reduced.  The sparse kernel whatever the density (_rref)."""
+        return _rref(rows, ncols, 0, math.inf, reduced)
 
 
 QQ = RationalField()
@@ -609,13 +560,14 @@ class Echelon:
         return None if r else used
 
     def span(self, count):
-        """The span of the first count rows as a canonical Subspace, built once."""
+        """The span of the first count rows as a canonical Subspace, built once
+        by back-substitution on copies of them: they are an echelon basis."""
         got = self._spans.get(count)
         if got is None:
-            one = self.field.one
-            got = Subspace.from_rows(
-                self.field, [{c: one, **tail} for c, tail in self._rows[:count]], self.ambient)
-            self._spans[count] = got
+            p = self.field.char
+            kept = [(c, dict(tail)) for c, tail in self._rows[:count]]
+            found = _back_substitute(kept, 0, p, math.inf)
+            got = self._spans[count] = Subspace(self.field, self.ambient, *_rows_of(found, p))
         return got
 
 

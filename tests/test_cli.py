@@ -827,7 +827,11 @@ def test_both_elimination_kernels_give_the_same_cli_bytes(ring, tmp_path, capsys
         used[scale] = len(dense_calls)
     assert all(code == 0 and err == "" for code, _, err in outputs[1])
     assert outputs[0] == outputs[1] == outputs[10 ** 12]
-    assert used[0] > used[1] > 0 and used[10 ** 12] == 0
+    assert used[0] > used[1] and used[10 ** 12] == 0
+    # the dense generic ring still mixes kernels under the budget rule; every
+    # sym_relation matrix fits it in the forward pass plus back-substitution
+    if ring == "generic4":
+        assert used[1] > 0
 
 
 # exit code, sha256 of stdout and sha256 of stderr of the parser's own paths

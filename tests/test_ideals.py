@@ -358,6 +358,20 @@ def test_regular_ordering_report_equals_the_oracle(field):
     assert failed[1] and failed["2a"] and failed[3], failed
 
 
+def test_ordering_check_releases_its_decomposition_solvers():
+    # the check builds one solver per (j, d) and drops them all on return; a
+    # later decomposition rebuilds its solver and gets the same answer
+    J = poly_m2(3)
+    assert J.check_regular_ordering(check_to=4).passed
+    dec = J.decomposition
+    assert dec._solvers == {}
+    A = J.algebra
+    v = A.add(A.multiply(A.var(0), J.gen_elements[-1]), A.multiply(A.var(2), J.gen_elements[0]))
+    got = dec.of_element(v)
+    assert dec._solvers
+    assert repr(got) == repr(Decomposition(J).of_element(v))
+
+
 def test_regular_ordering_mode_is_a_value_error():
     with pytest.raises(ValueError, match="symmetric"):
         hhr_ideal().check_regular_ordering(mode="printed")

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -8,6 +9,7 @@ from koszulcone.dual import _assemble
 from koszulcone.linalg import (
     GF,
     QQ,
+    Echelon,
     Solver,
     Subspace,
     echelonize,
@@ -535,15 +537,33 @@ def test_kernel_choice_follows_the_work_budget(p, monkeypatch):
     full = sparse([[rng.randrange(1, p) for _ in range(60)] for _ in range(60)])
     F.rref(full, 60)
     assert len(calls) == 1
-    # under budget by its nonzero count, over it by the fill-in: the
-    # elimination starts sparse and restarts dense
+    # under budget by its nonzero count, over it by the fill-in of the
+    # forward pass: the elimination starts sparse and restarts dense
     thin = sparse([[rng.randrange(1, p) if rng.random() < 0.03 else 0 for _ in range(200)]
                    for _ in range(200)])
     nnz = sum(map(len, thin))
     assert nnz <= 4 * 400 + 200 * 200 // 16
-    assert linalg._sparse_rref(thin, 200, p, 4 * 400 + 200 * 200 // 16) is None
+    assert linalg._echelon(thin, 200, p, 4 * 400 + 200 * 200 // 16) is None
     assert F.rref(thin, 200) == linalg._dense_rref(thin, 200, p, True)
     assert len(calls) == 3
+
+
+def test_back_substitution_over_budget_restarts_dense(monkeypatch):
+    # every row's lead column is new, so the forward pass does no update and
+    # its work is the nonzero count; back-substitution fills each tail with
+    # the tails of the rows below it, and that goes over budget
+    rows = [{i: 1, i + 1: 1, 200 + i % 50: 1} for i in range(199)] + [{199: 1, 200: 1}]
+    before = [dict(row) for row in rows]
+    budget = linalg._work_budget(200, 250)
+    kept, work = linalg._echelon(rows, 250, 101, budget)
+    assert [c for c, _ in kept] == list(range(200)) and work == 599 < budget == 4925
+    assert linalg._back_substitute(kept, work, 101, budget) is None
+    want = linalg._dense_rref(rows, 250, 101, True)
+    assert want == linalg._rref(rows, 250, 101, math.inf, True)
+    calls = _count_calls(monkeypatch, "_dense_rref")
+    assert F101.rref(rows, 250) == want
+    assert len(calls) == 1
+    assert rows == before
 
 
 def _check_dict_rows_give_the_dense_answers(field, rows, ncols, rng):
@@ -734,3 +754,35 @@ def test_solver_matches_solve_columns_on_every_prefix(p):
     assert solver.solve(((0, field.of(3)),)) == {0: field.of(3)}
     assert solver.solve({}) == {}
     assert solver.solve({1: field.one}) is None
+
+
+@pytest.mark.parametrize("p", [2, 101, 0])
+def test_echelon_span_is_the_canonical_subspace_of_the_rows_fed(p):
+    # span(count) back-substitutes copies of the echelon rows: it must give
+    # Subspace.from_rows of what was fed, and leave the rows as they were,
+    # which locate reads (a fed vector still needs no row fed after it)
+    field = GF(p) if p else QQ
+    entry = int if p else Fraction
+    rng = random.Random(5400 + p)
+    spans = 0
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        ech, blocks = Echelon(field, n), []
+        for _ in range(rng.randint(1, 6)):
+            if len(blocks) > 1 and rng.random() < 0.3:
+                level = rng.randrange(len(blocks))
+                ech.truncate(level)
+                del blocks[level:]
+            block = sparse(_solver_vectors(rng, field, n, rng.randint(0, 4)))
+            ech.extend(block)
+            blocks.append(block)
+            for level, count in enumerate(ech.counts):
+                fed = [row for block in blocks[:level] for row in block]
+                got = ech.span(count)
+                assert got == Subspace.from_rows(field, fed, n)
+                assert all(type(x) is entry for row in got.rows for x in row.values())
+                spans += 1
+            for level, block in enumerate(blocks, 1):
+                for row in block:
+                    assert ech.locate(row, ech.counts[-1]) <= ech.counts[level]
+    assert spans > 300
