@@ -161,11 +161,12 @@ def _rref(rows, ncols, p, budget, reduced):
     """
     if not rows:
         return [], []
-    found = _echelon(rows, ncols, p, budget)
-    if found is not None:
+    echelon = _echelon(rows, ncols, p, budget)
+    if echelon is not None:
+        kept, work = echelon
         if not reduced:
-            return None, sorted(c for c, _ in found[0])
-        found = _back_substitute(*found, p, budget)
+            return None, sorted(c for c, _ in kept)
+        found = _back_substitute(kept, work, p, budget)
         if found is not None:
             return _rows_of(found, p)
     return _dense_rref(rows, ncols, p, reduced)
