@@ -46,7 +46,6 @@ from .linalg import (
     echelonize,
     kernel,
     rank,
-    solve_columns,
 )
 
 __version__ = "0.1.0"

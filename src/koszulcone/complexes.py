@@ -14,8 +14,8 @@ kept on the dual, like the action matrices it is read from.
 Both resolutions of an ideal with linear quotients are one iterated mapping
 cone over the generators against their certified sub-Priddy complexes, and
 differ only in the comparison maps: the generic cone lifts them degreewise
-through canonical echelon solves, and under a regular ordering the closed
-form writes them out, so comparison_maps returns one step of it.  The
+on linalg.Solvers kept across its steps, and under a regular ordering the
+closed form writes them out, so comparison_maps returns one step of it.  The
 generic path is the in-house oracle for the closed form: both must verify.
 
 Cone sign conventions: cone(psi: K -> F)_l = F_l (+) K_{l-1} with
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .errors import (
     CalibrationFailure,
@@ -39,7 +40,7 @@ from .errors import (
     NotRegular,
     RegularOrderingViolation,
 )
-from .linalg import rank as mat_rank, solve_columns
+from .linalg import Solver, rank as mat_rank
 
 __all__ = [
     "Generator",
@@ -136,23 +137,28 @@ class ChainComplex:
     def degreewise_matrix(self, l, d):
         """The k-matrix of diff l in internal degree d: (rows, nrows, ncols)
         with sparse rows {column: value}, one per row (may be [])."""
-        A = self.algebra
-        src_dims = self.block_dims(l, d)
-        tgt_dims = self.block_dims(l - 1, d)
-        src_off = _offsets(src_dims)
-        tgt_off = _offsets(tgt_dims)
-        nrows, ncols = sum(tgt_dims), sum(src_dims)
-        mat = [{} for _ in range(nrows)]
-        for (r, c), a in self.diffs[l].items():
-            e = d - self.modules[l][c].internal_degree
-            if e < 0 or src_dims[c] == 0 or tgt_dims[r] == 0:
-                continue
-            cols = A.multiplication_columns(a, e)
-            ro, co = tgt_off[r], src_off[c]
+        blocks, row_off, col_off = self._blocks(l, d, 0)
+        mat = [{} for _ in range(row_off[-1])]
+        for ro, co, cols in blocks:
             for j, col in enumerate(cols):
                 for i, x in col.items():
                     mat[ro + i][co + j] = x
-        return mat, nrows, ncols
+        return mat, row_off[-1], col_off[-1]
+
+    def _blocks(self, l, d, start):
+        """(blocks, row offsets, column offsets) of diff l in internal degree
+        d: blocks lists (row offset, column offset, multiplication columns)
+        for each nonzero block of the k-matrix from column start on."""
+        A = self.algebra
+        row_off = _offsets(self.block_dims(l - 1, d))
+        col_off = _offsets(self.block_dims(l, d))
+        blocks = []
+        for (r, c), a in self.diffs[l].items():
+            e = d - self.modules[l][c].internal_degree
+            ro, co = row_off[r], col_off[c]
+            if e >= 0 and co >= start and col_off[c + 1] > co and row_off[r + 1] > ro:
+                blocks.append((ro, co, A.multiplication_columns(a, e)))
+        return blocks, row_off, col_off
 
     def homology_rank(self, i, d, diff_ranks=None):
         """dim over k of the degree-d part of H_i (needs diffs i and i+1).
@@ -178,12 +184,8 @@ class ChainComplex:
 
 
 def _offsets(dims):
-    out = []
-    acc = 0
-    for x in dims:
-        out.append(acc)
-        acc += x
-    return out
+    """The offset of each block and, last, the total."""
+    return [0, *accumulate(dims)]
 
 
 def _compose_columns(algebra, first, second):
@@ -330,15 +332,18 @@ def _base_complex(algebra, hmax):
     return ChainComplex(algebra, modules, diffs, kind="resolution")
 
 
-def _lift_comparison(F, K, m_element):
+def _lift_comparison(F, K, m_element, solvers):
     """Chain-map lift of multiplication by a generator, degree by degree.
 
     psi[0] is the homothety entry; psi[l] maps K_l into F_l solving
-    dF . psi_l = psi_{l-1} . dK with canonical echelon solutions, batched
-    over the basis of K_l.
+    dF . psi_l = psi_{l-1} . dK, one Solver.solve per basis vector of K_l.
+    solvers keeps one linalg.Solver per (l, D) across the steps of one cone:
+    a step appends generators after F's, so the k-matrix of dF in degree D
+    gains columns, fed once, and rows on which the old columns are zero.
+    The solution zero on the dependent unknowns depends only on the columns
+    and their order, so it is the one of a fresh elimination.
     """
     A = F.algebra
-    fld = A.field
     psi = [{(0, 0): m_element}]
     for l in range(1, len(K.modules)):
         src = K.modules[l]
@@ -347,33 +352,37 @@ def _lift_comparison(F, K, m_element):
             continue
         # K already carries the generator's degree shift in its labels
         D = src[0].internal_degree
+        solver = solvers.get((l, D)) or solvers.setdefault((l, D), Solver(A.field, 0))
+        fed = solver.fed
+        blocks, tgt_off, src_off = F._blocks(l, D, fed)
         # right-hand sides: psi_{l-1} o dK, flattened in internal degree D
-        tgt_dims = F.block_dims(l - 1, D)
-        tgt_off = _offsets(tgt_dims)
         targets = [{} for _ in src]
         for c, sums in _compose_columns(A, psi[l - 1], K.diffs[l]):
             for (r, _), elem in sums.items():
                 for k, x in elem.items():
                     targets[c][tgt_off[r] + k] = x
-        mat, _, ncols = F.degreewise_matrix(l, D)
-        if ncols == 0:
-            if any(targets):
-                raise LiftingFailure(f"nonzero lift target into a zero module at degree {l}")
-            psi.append({})
-            continue
-        sols, bad = solve_columns(fld, mat, ncols, targets)
-        if bad is not None:
-            raise LiftingFailure(f"no lift exists for target column {bad}")
-        # split each solution at the block offsets; an empty block shares its
-        # offset with the next, so bisect_right finds the block that holds w's key
-        src_off = _offsets(F.block_dims(l, D))
+        if src_off[-1] == 0 and any(targets):
+            raise LiftingFailure(f"nonzero lift target into a zero module at degree {l}")
+        solver.widen(tgt_off[-1])
+        new = [{} for _ in range(src_off[-1] - fed)]
+        for ro, co, cols in blocks:
+            for j, col in enumerate(cols, co - fed):
+                for i, x in col.items():
+                    new[j][ro + i] = x
+        solver.extend(new)
+        # split each solution, in unknown order, at the block offsets; an empty
+        # block shares its offset with the next, so bisect_right finds the
+        # block that holds w's key
         entries = {}
-        for c, w in enumerate(sols):
-            blocks = {}
-            for k, x in w.items():
+        for c, t in enumerate(targets):
+            w = solver.solve(t)
+            if w is None:
+                raise LiftingFailure(f"no lift exists for target column {c}")
+            parts = {}
+            for k, x in sorted(w.items()):
                 r = bisect_right(src_off, k) - 1
-                blocks.setdefault(r, {})[k - src_off[r]] = x
-            for r, vec in blocks.items():
+                parts.setdefault(r, {})[k - src_off[r]] = x
+            for r, vec in parts.items():
                 entries[(r, c)] = A.from_sparse(D - F.modules[l][r].internal_degree, vec)
         psi.append(entries)
     return psi
@@ -424,8 +433,9 @@ def iterated_mapping_cone(ideal, hmax):
     Requires linear quotients (the caller is expected to have checked; the
     colon variable sets come from the ideal's cache).
     """
+    solvers = {}
     F, _ = _iterated_cone(ideal, hmax, lambda F, K, i: (
-        K, _lift_comparison(F, K, ideal.gen_elements[i - 1])), None)
+        K, _lift_comparison(F, K, ideal.gen_elements[i - 1], solvers)), None)
     w = F.d_squared_witness()
     if w is not None:
         raise ConeNotComplex(f"cone differential broke d.d = 0 at {w}", witness=w)

@@ -40,8 +40,8 @@ algorithm peels off the minimal prefix containing v and solves the canonical
 (echelon) witness at each step, so the table is deterministic.  Each (j, d)
 keeps one linalg.Solver, fed the multiples m_j . A_{d - deg m_j} and then the
 canonical basis rows of (J_{j-1})_d, so a peel step is one head reduction,
-not one elimination; its answer is the solution that is zero on the
-dependent unknowns, the witness solve_columns gives.  The regular-ordering
+not one elimination; its answer, the canonical witness, is the solution that
+is zero on the dependent unknowns.  The regular-ordering
 check reads that table: condition (2) decides each left-ideal containment
 (E_j, prefix, E_k) once per call, and condition (3) reads one whole
 decomposition of x_s x_t m_k per (k, s, t) and sums the right-hand sides of

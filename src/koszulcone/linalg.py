@@ -7,13 +7,14 @@ fractions.Fraction.
 
 Matrices are lists of rows, and a row is a sparse dict {column: value} with
 no zero values: that is the one row form taken and handed back here, by
-rref, the kernels, every Subspace, and solve_columns, whose right-hand sides
-and solutions are dict rows too.  It is also the form of an algebra element:
-algebra.AlgebraElement.terms holds the same pairs, sorted, so elements reach
-elimination without conversion.  Dense arrays exist only inside the numpy
-kernel, built from the dict rows and read back into them once, at that
-boundary.  The kernel copies each row it reads, so a caller's row (a cached
-product column among them) is never mutated.
+rref, the kernels, every Subspace, and Solver, whose vectors, right-hand
+sides and solutions are dict rows too.  It is also the form of an algebra
+element: algebra.AlgebraElement.terms holds the same pairs, sorted, so
+elements reach elimination without conversion.  Dense arrays exist only
+inside the numpy kernel, built from the dict rows and read back into them
+once, at that boundary, and numpy is imported only when that kernel runs.
+The kernel copies each row it reads, so a caller's row (a cached product
+column among them) is never mutated.
 
 Both fields share one sparse elimination loop, head reduction (_head_reduce):
 subtract the kept row whose lead is the row's minimum column until none
@@ -45,7 +46,8 @@ chain can be cut back to an earlier V_i and fed again, which walks the
 variable ideals (Y)_d of a degree d along a trie of variable sets.  Solver
 is that echelon with provenance: each kept row carries its expression in the
 vectors fed, so a system asked for many right-hand sides, such as one peel
-step of a decomposition, is solved by one head reduction per target.
+step of a decomposition or one lift of a mapping cone, is solved by one head
+reduction per target.  It is the package's only linear solver.
 """
 
 from __future__ import annotations
@@ -53,8 +55,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
-
-import numpy as np
 
 # int64 products p^2 * n_cols must stay below 2**63 during elimination
 MAX_PRIME = 1 << 20
@@ -312,6 +312,7 @@ def _rows_of(found, p):
 
 def _array(rows, ncols):
     """The dict rows as a dense int64 array, the entry of the numpy kernel."""
+    import numpy as np
     m = np.zeros((len(rows), ncols), dtype=np.int64)
     lens = [len(row) for row in rows]
     m[np.repeat(np.arange(len(rows)), lens),
@@ -323,6 +324,7 @@ def _array(rows, ncols):
 def _dict_rows(m):
     """The rows of a 2-d int64 array as dict rows of Python ints, the exit of
     the numpy kernel."""
+    import numpy as np
     ri, ci = np.nonzero(m)
     cols, vals = ci.tolist(), m[ri, ci].tolist()
     ends = np.cumsum(np.bincount(ri, minlength=m.shape[0])).tolist()
@@ -336,6 +338,7 @@ def _dict_rows(m):
 
 def _dense_rref(rows, ncols, p, reduced):
     """The numpy int64 kernel: column by column over the whole matrix."""
+    import numpy as np
     m = _array(rows, ncols) % p
     nrows = m.shape[0]
     pivots = []
@@ -582,8 +585,9 @@ class Solver:
     no entry left of ambient is a free unknown, v_i in the span of the
     vectors before it, and is not kept.  solve(t) head-reduces t, and the
     provenance part of its remainder is the unique solution that is zero on
-    the free unknowns: the one solve_columns returns for the same system.
-    extend can be called again, with the unknowns numbered on.
+    the free unknowns, the vectors in the span of those before them, so it
+    depends only on the vectors and their order.  extend can be called
+    again, with the unknowns numbered on, and widen adds coordinates.
     """
 
     __slots__ = ("field", "ambient", "fed", "_rows", "_leads")
@@ -605,6 +609,15 @@ class Solver:
             r, _, _ = _head_reduce(r, leads, kept, len(kept), p)
             if min(r) < self.ambient:
                 _keep(r, leads, kept, p)
+
+    def widen(self, ambient):
+        """Grow to ambient coordinates, on which the vectors fed so far are
+        zero: the provenance columns, in the tails only, move right."""
+        n, shift = self.ambient, ambient - self.ambient
+        if shift:
+            self._rows = [(c, {j + shift if j >= n else j: x for j, x in tail.items()})
+                          for c, tail in self._rows]
+            self.ambient = ambient
 
     def solve(self, vec):
         """The solution {unknown: nonzero value} for the target vec, a dict row
@@ -665,28 +678,3 @@ def transpose(rows, ncols):
             out[c][r] = v
     return out
 
-
-def solve_columns(field, rows, ncols, targets):
-    """Canonical solutions w of rows . w = t, one per target column t.
-
-    rows is a matrix of dict rows with ncols columns, and each target is a
-    dict {row: value}.  One elimination of [rows | targets] serves every
-    target.  Each solution is a dict row {unknown: nonzero value}, the unique
-    solution whose free coordinates (non-pivot unknowns) are zero: same
-    input, same witness.  Returns (solutions, None), or (None, k) when target
-    k is the first without a solution.
-    """
-    aug = [dict(row) for row in rows]
-    for k, t in enumerate(targets):
-        for r, x in t.items():
-            aug[r][ncols + k] = x
-    rref, pivots = field.rref(aug, ncols + len(targets))
-    sols = [{} for _ in targets]
-    for row, c in zip(rref, pivots):
-        if c >= ncols:
-            # a pivot inside the target block: that target is inconsistent
-            return None, c - ncols
-        for j, x in row.items():
-            if j >= ncols:
-                sols[j - ncols][c] = x
-    return sols, None

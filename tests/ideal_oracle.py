@@ -16,7 +16,9 @@ one i at a time.
 from koszulcone.dual import left_ideal_contains
 from koszulcone.errors import DecompositionFailure, NotInIdeal
 from koszulcone.ideals import CheckReport
-from koszulcone.linalg import Subspace, solve_columns
+from koszulcone.linalg import Subspace
+
+from linalg_oracle import solve_columns
 
 
 def variable_ideal_space(algebra, rows, d):

@@ -1,7 +1,7 @@
 """The dense side of the tests, converted to and from linalg's row form.
 
 koszulcone.linalg takes and returns dict rows {column: nonzero value}, the
-targets and solutions of solve_columns among them.  The tests write literal
+targets and solutions of Solver among them.  The tests write literal
 matrices, and the oracles compute, on dense lists; these two helpers are the
 one place where the forms meet.
 """

@@ -6,8 +6,9 @@ import pytest
 from koszulcone.algebra import GradedAlgebra, RingPresentation, monomials_of_degree
 from koszulcone.cli import parse_ring_text
 from koszulcone.errors import DegreeOverflow, ElementMismatch
-from koszulcone.linalg import GF, QQ, Echelon, Subspace, rank, solve_columns, transpose
+from koszulcone.linalg import GF, QQ, Echelon, Subspace, rank, transpose
 
+from linalg_oracle import solve_columns
 from rowform import dense, sparse
 
 F101 = GF(101)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -35,10 +36,11 @@ from koszulcone.errors import (
 from koszulcone.ideals import MonomialIdeal
 from koszulcone.linalg import GF, QQ
 
+from linalg_oracle import solve_columns
 from rowform import sparse
 from syzygy_oracle import brute_force_betti
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
-from test_ideals import conca_ring, hhr_ideal, md_squares, poly_m2
+from test_ideals import conca_ring, hhr_ideal, md_squares, ordering_rings, poly_m2
 
 
 def poly_mixed_ideal():
@@ -412,12 +414,13 @@ def test_closed_form_without_precheck_raises_on_broken_ordering():
 
 def test_lifting_failure_on_inconsistent_system(monkeypatch):
     from koszulcone.errors import LiftingFailure
-    from koszulcone.linalg import GF, solve_columns
+    from koszulcone.linalg import GF, Solver
     f = GF(101)
-    mat = sparse([[1, 0], [0, 0]])
-    assert solve_columns(f, mat, 2, sparse([[0, 1]])) == (None, 0)
+    solver = Solver(f, 2)
+    solver.extend(sparse([[1, 0], [0, 0]]))
+    assert solver.solve({1: 1}) is None
     # the lift turns an unsolvable target into LiftingFailure
-    monkeypatch.setattr(koszulcone.complexes, "solve_columns", lambda *args: (None, 0))
+    monkeypatch.setattr(Solver, "solve", lambda self, vec: None)
     with pytest.raises(LiftingFailure, match="target column 0"):
         iterated_mapping_cone(hhr_ideal(), 3)
 
@@ -466,8 +469,8 @@ def corrupt_lifts(monkeypatch):
     cone has d.d != 0."""
     lift = koszulcone.complexes._lift_comparison
 
-    def corrupted(F, K, m_element):
-        psi = lift(F, K, m_element)
+    def corrupted(F, *args):
+        psi = lift(F, *args)
         A = F.algebra
         top = next((entries for entries in reversed(psi[1:]) if entries), None)
         if top is not None:
@@ -484,6 +487,127 @@ def test_cone_d_squared_failure_is_typed_with_witness(monkeypatch):
         iterated_mapping_cone(poly_m2(2), 3)
     l, row, col = e.value.witness
     assert 2 <= l <= 3 and row >= 0 and col >= 0
+
+
+def oracle_lift(F, K, m_element):
+    """The comparison-map lift of _lift_comparison from scratch: at each
+    (l, D), one solve_columns elimination of F's whole degreewise matrix."""
+    A = F.algebra
+    psi = [{(0, 0): m_element}]
+    for l in range(1, len(K.modules)):
+        entries = {}
+        if K.modules[l]:
+            D = K.modules[l][0].internal_degree
+            tgt_off = [0]
+            for d in F.block_dims(l - 1, D):
+                tgt_off.append(tgt_off[-1] + d)
+            targets = [{} for _ in K.modules[l]]
+            for c, sums in koszulcone.complexes._compose_columns(A, psi[l - 1], K.diffs[l]):
+                for (r, _), elem in sums.items():
+                    for k, x in elem.items():
+                        targets[c][tgt_off[r] + k] = x
+            mat, _, ncols = F.degreewise_matrix(l, D)
+            sols, bad = solve_columns(A.field, mat, ncols, targets)
+            assert bad is None
+            # the block of an unknown: the last generator whose columns start
+            # at or before it
+            starts = []
+            for r, d in enumerate(F.block_dims(l, D)):
+                starts += [r] * d
+            offset = {}
+            for k, r in enumerate(starts):
+                offset.setdefault(r, k)
+            for c, w in enumerate(sols):
+                blocks = {}
+                for k, x in sorted(w.items()):
+                    blocks.setdefault(starts[k], {})[k - offset[starts[k]]] = x
+                for r, vec in blocks.items():
+                    entries[(r, c)] = A.from_sparse(D - F.modules[l][r].internal_degree, vec)
+        psi.append(entries)
+    return psi
+
+
+def random_linear_quotient_ideals(A, rng, count):
+    """Up to count seeded ideals with linear quotients: up to one variable,
+    then degree-2 and degree-3 monomials, each outside the ideal of those
+    before it."""
+    for _ in range(count):
+        gens = []
+        for d, most in ((1, 1), (2, 6), (3, 3)):
+            cands = list(A.basis(d))
+            rng.shuffle(cands)
+            for g in cands[:rng.randint(0, most)]:
+                try:
+                    MonomialIdeal(A, gens + [g])
+                except ValueError:  # redundant after the earlier ones
+                    continue
+                gens.append(g)
+        if gens:
+            J = MonomialIdeal(A, gens)
+            if J.check_linear_quotients(4).passed:
+                yield J
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(101), QQ], ids=repr)
+def test_cone_on_kept_solvers_equals_the_oracle_cone(field):
+    # the lifts on one Solver per (l, D), kept across the cone's steps and
+    # fed only the new columns, give the complex of one elimination of the
+    # whole degreewise matrix per lift, byte for byte
+    rng = random.Random(2300 + field.char)
+    hmax = 4
+    compared = set()
+    for name, A in ordering_rings(field, cutoff=8).items():
+        for J in random_linear_quotient_ideals(A, rng, 10):
+            cone = iterated_mapping_cone(J, hmax)
+            oracle, _ = koszulcone.complexes._iterated_cone(J, hmax, lambda F, K, i: (
+                K, oracle_lift(F, K, J.gen_elements[i - 1])), None)
+            assert complex_to_json(cone) == complex_to_json(oracle), (name, J.gens)
+            compared.add((name, J.r > 4, len(set(J.degs)) > 1))
+    # every ring, with many generators and with mixed degrees among them
+    assert {name for name, _, _ in compared} == set(ordering_rings(field))
+    assert any(many for _, many, _ in compared)
+    assert any(mixed for _, _, mixed in compared)
+
+
+def test_each_kept_solver_is_fed_every_column_once(monkeypatch):
+    # per (l, D), the vectors fed to its one Solver over the whole cone are
+    # the columns of the last lift's degreewise matrix, in order, each once
+    from koszulcone.linalg import Solver, transpose
+    fed = {}
+    extend = Solver.extend
+
+    def logged_extend(self, vectors):
+        fed.setdefault(id(self), []).extend(dict(v) for v in vectors)
+        extend(self, vectors)
+
+    last, uses = {}, Counter()
+    lift = koszulcone.complexes._lift_comparison
+
+    def logged_lift(F, K, m_element, solvers):
+        psi = lift(F, K, m_element, solvers)
+        for l in range(1, len(K.modules)):
+            if K.modules[l]:
+                key = (l, K.modules[l][0].internal_degree)
+                assert last.get(key, (None, solvers[key]))[1] is solvers[key]
+                last[key] = (F, solvers[key])
+                uses[key] += 1
+        return psi
+
+    monkeypatch.setattr(Solver, "extend", logged_extend)
+    monkeypatch.setattr(koszulcone.complexes, "_lift_comparison", logged_lift)
+    most = 0
+    for J in (hhr_ideal(), poly_mixed_ideal(), md_squares(3, 2), poly_m2(3)):
+        fed.clear()
+        last.clear()
+        uses.clear()
+        iterated_mapping_cone(J, 4)
+        most = max(most, *uses.values())
+        for (l, D), (F, solver) in last.items():
+            mat, nrows, ncols = F.degreewise_matrix(l, D)
+            assert fed.get(id(solver), []) == transpose(mat, ncols), (J.gens, l, D)
+            assert (solver.fed, solver.ambient) == (ncols, nrows), (J.gens, l, D)
+    # some solver serves the lifts of three or more steps
+    assert most >= 3
 
 
 def test_self_term_mode_is_a_value_error():

@@ -15,10 +15,10 @@ from koszulcone.linalg import (
     echelonize,
     kernel,
     rank,
-    solve_columns,
     transpose,
 )
 
+from linalg_oracle import solve_columns
 from rowform import dense, sparse
 
 F101 = GF(101)
@@ -548,6 +548,24 @@ def test_kernel_choice_follows_the_work_budget(p, monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("p", [2, 101, 32749])
+def test_matrix_over_the_budget_takes_the_numpy_kernel(p, monkeypatch):
+    # numpy is imported inside the kernel, not with linalg: a dense matrix
+    # over the work budget still goes through it, once per rref, and gets
+    # the RREF and pivots of the sparse kernel run without a budget
+    rng = random.Random(2200 + p)
+    F = GF(p)
+    for nrows, ncols in [(40, 40), (25, 60), (60, 25)]:
+        rows = sparse([[rng.randrange(p) for _ in range(ncols)] for _ in range(nrows)])
+        assert sum(map(len, rows)) > linalg._work_budget(nrows, ncols)
+        for reduced in (True, False):
+            calls = _count_calls(monkeypatch, "_dense_rref")
+            got = F.rref([dict(row) for row in rows], ncols, reduced=reduced)
+            assert len(calls) == 1
+            assert got == linalg._rref(rows, ncols, p, math.inf, reduced)
+            monkeypatch.undo()
+
+
 def test_back_substitution_over_budget_restarts_dense(monkeypatch):
     # every row's lead column is new, so the forward pass does no update and
     # its work is the nonzero count; back-substitution fills each tail with
@@ -754,6 +772,43 @@ def test_solver_matches_solve_columns_on_every_prefix(p):
     assert solver.solve(((0, field.of(3)),)) == {0: field.of(3)}
     assert solver.solve({}) == {}
     assert solver.solve({1: field.one}) is None
+
+
+@pytest.mark.parametrize("p", [2, 101, 0])
+def test_widened_solver_matches_solve_columns(p):
+    # the cone's Solver: each block of vectors is fed after widening to the
+    # coordinates it uses, on which the vectors before it are zero, so the
+    # system grows by columns and by zero rows under the old columns
+    field = GF(p) if p else QQ
+    rng = random.Random(5350 + p)
+    solved = unsolvable = widened = 0
+    for _ in range(60):
+        solver, rows, n = Solver(field, 0), [], 0
+        for _ in range(rng.randint(1, 4)):
+            grow = rng.randint(0, 4)
+            widened += grow > 0
+            n += grow
+            solver.widen(n)
+            block = sparse(_solver_vectors(rng, field, n, rng.randint(0, 4)))
+            solver.extend(block)
+            rows += block
+            assert (solver.ambient, solver.fed) == (n, len(rows))
+            eqs = transpose(rows, n)
+            for _ in range(3):
+                t = {i: x for i in range(n) if (x := field.of(rng.randint(-2, 2)))}
+                if rng.random() < 0.7:
+                    t = {}
+                    for row in rows:
+                        c = field.of(rng.randint(-2, 2))
+                        for i, x in row.items():
+                            t[i] = field.add(t.get(i, field.zero), field.mul(c, x))
+                    t = {i: x for i, x in t.items() if x}
+                want, _ = solve_columns(field, eqs, len(rows), [t])
+                got = solver.solve(t)
+                assert got == (None if want is None else want[0])
+                solved += got is not None
+                unsolvable += got is None
+    assert solved > 100 and unsolvable > 20 and widened > 60
 
 
 @pytest.mark.parametrize("p", [2, 101, 0])

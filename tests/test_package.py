@@ -41,6 +41,33 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert found == []
 
 
+def test_sparse_cli_runs_leave_numpy_unloaded():
+    # numpy is imported only when the dense kernel runs, so the CLI's start-up
+    # and a resolve whose matrices all fit the sparse budget never load it;
+    # a matrix over the budget does, and gets the sparse kernel's RREF
+    script = """if True:
+        import math, random, sys
+        import koszulcone.cli
+        from koszulcone import linalg
+        loaded = ['numpy' in sys.modules]
+        code = koszulcone.cli.main(['resolve', 'hhr_example.ring', '--method', 'cone',
+                                    '--hmax', '4', '--dmax', '6', '--out', 'json'])
+        loaded.append('numpy' in sys.modules)
+        rng = random.Random(7)
+        full = [{j: rng.randrange(1, 101) for j in range(30)} for _ in range(30)]
+        got = linalg.GF(101).rref(full, 30)
+        loaded.append('numpy' in sys.modules)
+        assert got == linalg._rref(full, 30, 101, math.inf, True)
+        print(code, loaded, file=sys.stderr)
+    """
+    done = subprocess.run(
+        [sys.executable, "-c", script], cwd=SRC.parent.parent / "fixtures",
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)), capture_output=True, text=True,
+        check=True, timeout=120)
+    assert done.stdout.startswith("{")
+    assert done.stderr == "0 [False, False, True]\n"
+
+
 def tracer_keys():
     """Every koszulcone function that perfbench/tracer.py keys a metric on."""
     path = SRC.parent.parent / "perfbench" / "tracer.py"

@@ -16,6 +16,16 @@ CHECKOUT: the squares and polynomial rings are perfbench rings
 (perfbench/workloads.py, seed 0), and the generic rings are complete
 intersections of seeded dense quadrics.  Runs are sequential, one child at a
 time; repeat the command for more samples.
+
+To compare two checkouts, pair them rung by rung: run one rung on one
+checkout, then the same rung on the other (`--rung NAME`), and alternate
+which goes first.  A whole pass of one checkout followed by a whole pass of
+the other puts the host's drift within a pass on one side only; over 8 such
+passes one rung read 0.69x where rung-by-rung pairs read 1.14x.  Take
+medians of at least 8 pairs.  wall_s carries the interpreter's start-up and
+import, about 0.1-0.25 s, so a rung that runs under a second hides most of
+a gain or loss in that floor: report those rungs' times in-process as well,
+as CPU seconds of `koszulcone.cli.main` on the same arguments.
 """
 
 from __future__ import annotations
@@ -80,6 +90,9 @@ RUNGS = {
     "poly7-regular": ("check", "regular", "poly7-gf101.ring", "--dmax", "4", "--out", "json"),
     "poly8-closed": ("resolve", "--method", "closed", "poly8-gf101.ring", "--hmax", "4",
                      "--dmax", "4"),
+    # the generic cone on eight variables: its comparison-map lifts
+    "poly8-resolve": ("resolve", "--method", "cone", "poly8-gf101.ring", "--hmax", "4",
+                      "--dmax", "5", "--out", "json"),
     # degrees 6-13 of the algebra are zero: built with no elimination
     "squares5-resolve-d9": ("resolve", "--method", "cone", "squares5-gf101.ring", "--hmax", "4",
                             "--dmax", "9"),
