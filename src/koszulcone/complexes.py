@@ -147,8 +147,8 @@ class ChainComplex:
 
     def _blocks(self, l, d, start):
         """(blocks, row offsets, column offsets) of diff l in internal degree
-        d: blocks lists (row offset, column offset, multiplication columns)
-        for each nonzero block of the k-matrix from column start on."""
+        d, each offset list ending with the total: (row offset, column offset,
+        multiplication columns) per nonempty block from column start on."""
         A = self.algebra
         row_off = _offsets(self.block_dims(l - 1, d))
         col_off = _offsets(self.block_dims(l, d))
