@@ -250,7 +250,7 @@ def _trace_complex(algebra, space, hmax, kind, failure, shift=0, gen=None):
     space is a dual or a quotient dual; failure is the exception raised when
     d.d = 0 fails.  The entries depend on space and hmax only (shift and gen
     relabel generators), so they are built and certified once and kept on
-    space, next to its action matrices; a space that fails is not kept.
+    space; a space that fails is not kept.
     Each call gets its own Generator labels and copies of the entry dicts.
     """
     got = space._trace.get(hmax)

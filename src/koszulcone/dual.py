@@ -52,7 +52,6 @@ class QuadraticDual:
         self.field = algebra.field
         self.n = algebra.n
         self._components = {}
-        self._act = {}
         self._trace = {}  # hmax -> certified trace differential (complexes)
         self._quotients = {}
         self._relation_space = None
@@ -256,7 +255,6 @@ class QuotientDual:
         self.allowed = frozenset(allowed)
         self.field = parent.field
         self._components = {}
-        self._act = {}
         self._trace = {}
 
     def component(self, l):
@@ -292,18 +290,15 @@ class QuotientDual:
 
 
 def _act_matrix(space, dual, l, j, slot, allowed=None):
-    """Cached matrix of f -> f.x_j^* on the components of space, as dict rows.
+    """The matrix of f -> f.x_j^* on the components of space, as dict rows.
 
     Row r is {c: coefficient of basis vector r of component(l-1) in the
     image of basis vector c of component(l)}, with c ascending.  space is
     dual itself or a quotient of it (allowed its retained variables), and
     dual contracts the tensors.  A contraction outside component(l-1) of
-    space raises ClosureFailure.
+    space raises ClosureFailure.  Nothing is cached: the trace differential
+    built from these matrices is kept instead (complexes._trace_complex).
     """
-    key = (l, j, slot)
-    got = space._act.get(key)
-    if got is not None:
-        return got
     src = space.component(l)
     dst = space.component(l - 1)
     mat = [{} for _ in range(dst.dim)]
@@ -317,7 +312,6 @@ def _act_matrix(space, dual, l, j, slot, allowed=None):
                 witness=(l, j, i))
         for r, x in coords.items():
             mat[r][i] = x
-    space._act[key] = mat
     return mat
 
 

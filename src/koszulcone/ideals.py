@@ -431,23 +431,14 @@ class MonomialIdeal:
     def _check_condition_three(self, report, colon_sets):
         A = self.algebra
         dec = self.decomposition
-        # the decomposition of x_s m_j as {i: coefficient}, read once per (s, j)
-        times_var = {}
-
-        def coeffs(s, j):
-            got = times_var.get((s, j))
-            if got is None:
-                got = times_var[(s, j)] = dict(dec.times_var(s, j))
-            return got
-
         for k in range(2, self.r + 1):
             Ek = sorted(colon_sets[k - 1])
             for s in Ek:
                 for t in Ek:
                     # rhs_i = sum over j of c_i(x_s m_j) c_j(x_t m_k), every i at once
                     rhs = {}
-                    for j, b in coeffs(t, k).items():
-                        for i, a in coeffs(s, j).items():
+                    for j, b in dec.times_var(t, k):
+                        for i, a in dec.times_var(s, j):
                             c = A.multiply(a, b)
                             rhs[i] = A.add(rhs[i], c) if i in rhs else c
                     lhs = dict(dec.times_var_var(s, t, k))
@@ -576,16 +567,14 @@ class DecompositionTable:
         self._var_var_gen[key] = entries
         return entries
 
-    def _coeff(self, i, k, *variables):
-        """Coefficient on m_i in the decomposition of x_s m_k (variables (s,))
-        or x_s x_t m_k (variables (s, t)); a degree-typed zero if absent."""
-        entries = (self.times_var(*variables, k) if len(variables) == 1
-                   else self.times_var_var(*variables, k))
-        for j, c in entries:
+    def _coeff(self, i, k, s):
+        """Coefficient on m_i in the decomposition of x_s m_k; a degree-typed
+        zero if absent."""
+        for j, c in self.times_var(s, k):
             if j == i:
                 return c
         J = self.ideal
-        return J.algebra.zero(J.degs[k - 1] + len(variables) - J.degs[i - 1])
+        return J.algebra.zero(J.degs[k - 1] + 1 - J.degs[i - 1])
 
     def of_element(self, element, bound=None):
         """Greedy top-down decomposition with canonical echelon witnesses.

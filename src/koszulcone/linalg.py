@@ -16,15 +16,16 @@ once, at that boundary, and numpy is imported only when that kernel runs.
 The kernel copies each row it reads, so a caller's row (a cached product
 column among them) is never mutated.
 
-Both fields share one sparse elimination loop, head reduction (_head_reduce):
-subtract the kept row whose lead is the row's minimum column until none
-fits.  The matrices of monomial ideals hold one or two nonzeros per row, so
-it touches nonzeros only: mod p over F_p, and over the rationals exactly, on
-ints while the entries are integral and on Fractions otherwise.  rref runs
-it forward over the rows (_echelon), which gives the pivots: the lead
-columns of any echelon basis are the RREF pivots, so rank() stops there.
-The reduced rows come from back-substitution on that echelon, from the last
-lead to the first (_back_substitute; Golub and Van Loan, Matrix
+rref, Echelon and Solver over both fields run one sparse elimination loop
+(_forward): each row is head-reduced (_head_reduce), subtracting the kept
+row whose lead is the row's minimum column until none fits, and its
+remainder is kept with its lead scaled to 1 (_keep).  The matrices of monomial ideals hold one or two
+nonzeros per row, so it touches nonzeros only: mod p over F_p, and over the
+rationals exactly, on ints while the entries are integral and on Fractions
+otherwise.  rref runs it over copies of the rows, which gives the pivots:
+the lead columns of any echelon basis are the RREF pivots, so rank() stops
+there.  The reduced rows come from back-substitution on that echelon, from
+the last lead to the first (_back_substitute; Golub and Van Loan, Matrix
 Computations, sec. 3.1).  Over F_p the work of both passes, the input's
 nonzero count plus one per entry updated, has a budget of 4 (nrows + ncols)
 + nrows ncols / 16.  A matrix that goes over it (a dense input by its
@@ -154,53 +155,58 @@ def _rref(rows, ncols, p, budget, reduced):
     """The body of both fields' rref, over F_p when p is a prime and over the
     rationals (budget math.inf) when p is 0.
 
-    The forward echelon (_echelon) gives the pivots, and back-substitution
-    (_back_substitute) the reduced rows.  A matrix whose work goes over
-    budget in either pass is eliminated by the numpy kernel instead.  The
-    RREF is unique, so the answer does not depend on the kernel.
+    The forward loop (_forward) on copies of the rows gives the pivots, and
+    back-substitution (_back_substitute) the reduced rows.  A matrix whose
+    work goes over budget in either pass, a dense one by its nonzero count
+    before any row is copied, is eliminated by the numpy kernel instead.
+    The RREF is unique, so the answer does not depend on the kernel.
     """
     if not rows:
         return [], []
-    echelon = _echelon(rows, ncols, p, budget)
-    if echelon is not None:
-        kept, work = echelon
-        if not reduced:
-            return None, sorted(c for c, _ in kept)
-        found = _back_substitute(kept, work, p, budget)
-        if found is not None:
-            return _rows_of(found, p)
+    work = sum(map(len, rows))
+    if work <= budget:
+        leads, kept = {}, []
+        work = _forward(_entries(rows, p), leads, kept, ncols, p, work, budget)
+        if work is not None:
+            if not reduced:
+                return None, sorted(leads)
+            found = _back_substitute(kept, work, p, budget)
+            if found is not None:
+                return _rows_of(found, p)
     return _dense_rref(rows, ncols, p, reduced)
 
 
-def _echelon(rows, ncols, p, budget):
-    """(kept, work) of a forward-only echelon basis of the dict rows, or None
-    once the work exceeds budget.
+def _forward(rows, leads, kept, ambient, p, work=0, budget=math.inf):
+    """Feed fresh dict rows to the forward-only echelon (leads, kept) in
+    place; the work done, or None once it exceeds budget.
 
-    Each row's entries are reduced first (_entries), then the row is
-    head-reduced against the rows kept before it (_head_reduce, the loop of
-    Echelon), and its remainder, if any, is kept as (lead, tail) with its
-    lead scaled to 1 (_keep).  The kept rows have distinct lead columns, and
-    the lead set of an echelon basis is the RREF pivot set.  Work is the
-    input's nonzero count plus one per entry updated; a dense input goes
-    over budget by that count alone, before any row is copied.
+    The one loop of every RREF, rank, Echelon and Solver.  Each row is
+    head-reduced against the rows kept before it (_head_reduce, not called
+    while its minimum column is no lead), and its remainder is kept as
+    (lead, tail) with its lead scaled to 1 (_keep) if it has an entry left
+    of ambient.  The kept rows have distinct lead columns, and the lead set
+    of an echelon basis is the RREF pivot set; once every column left of
+    ambient is a lead, no row can be kept, and the loop stops.  Work counts
+    one per entry updated.
     """
-    work = sum(map(len, rows))
-    if work > budget:
-        return None
-    leads = {}
-    kept = []
-    for r in _entries(rows, p):
+    for r in rows:
+        if len(kept) == ambient:
+            break
+        if not r:
+            continue
+        c = min(r)
         # most monomial rows open a new lead and need no reduction
-        if r and min(r) in leads:
+        if c in leads:
             r, _, spent = _head_reduce(r, leads, kept, len(kept), p)
             work += spent
             if work > budget:
                 return None
-        if r:
-            _keep(r, leads, kept, p)
-            if len(kept) == ncols:
-                break
-    return kept, work
+            if not r:
+                continue
+            c = min(r)
+        if c < ambient:
+            _keep(r, c, leads, kept, p)
+    return work
 
 
 def _back_substitute(kept, work, p, budget):
@@ -234,12 +240,11 @@ def _entries(rows, p):
             for row in rows]
 
 
-def _keep(r, leads, rows, p):
+def _keep(r, c, leads, rows, p):
     """Append the nonzero dict row r to the echelon rows as (lead, tail): its
-    minimum column, and the other entries scaled so that the lead entry would
-    be 1.  Over the rationals a pivot f is inverted as 1 / Fraction(f), read
-    as an int when integral, so unit pivots keep the arithmetic on ints."""
-    c = min(r)
+    minimum column c, and the other entries scaled so that the lead entry
+    would be 1.  Over the rationals a pivot f is inverted as 1 / Fraction(f),
+    read as an int when integral, so unit pivots keep the arithmetic on ints."""
     f = r.pop(c)
     if f != 1:
         if p:
@@ -512,18 +517,19 @@ class Subspace:
 class Echelon:
     """A chain of subspaces V_1 ⊂ V_2 ⊂ ... of k^ambient as forward-only echelon rows.
 
-    Each extend() call feeds the spanning rows of the next subspace, as
-    sparse dicts with reduced field values.  A row is head-reduced against
-    the rows kept before it, and its remainder, if any, is kept with its
-    leading (minimum) column scaled to 1.  Kept rows are zero left of their
-    distinct lead columns and never change, so the first counts[i] rows are
-    a basis of V_i (counts[0] = 0, the zero subspace).  A vector in their
-    span has a unique expression over them, and head reduction finds it:
-    subtract the row whose lead is the vector's minimum column until none
-    fits.
+    Each extend() call feeds copies of the spanning rows of the next
+    subspace, sparse dicts with reduced field values, to the loop _forward:
+    a row is head-reduced against the rows kept before it, and its
+    remainder, if any, is kept with its leading (minimum) column scaled to
+    1.  Kept rows are zero left of their distinct lead columns and never
+    change, so the first counts[i] rows are a basis of V_i (counts[0] = 0,
+    the zero subspace).  A vector in their span has a unique expression over
+    them, and head reduction finds it: subtract the row whose lead is the
+    vector's minimum column until none fits.  span(count) back-substitutes
+    copies of the first count rows each time it is called.
     """
 
-    __slots__ = ("field", "ambient", "counts", "_rows", "_leads", "_spans")
+    __slots__ = ("field", "ambient", "counts", "_rows", "_leads")
 
     def __init__(self, field, ambient):
         self.field = field
@@ -531,17 +537,11 @@ class Echelon:
         self.counts = [0]
         self._rows = []  # (lead column, the row without its lead entry)
         self._leads = {}  # lead column -> row index
-        self._spans = {}
 
     def extend(self, rows):
         """Feed the rows spanning V_i over V_{i-1}, the last subspace fed."""
-        p = self.field.char
-        leads, kept = self._leads, self._rows
-        for row in rows:
-            r, _, _ = _head_reduce(dict(row), leads, kept, len(kept), p)
-            if r:
-                _keep(r, leads, kept, p)
-        self.counts.append(len(kept))
+        _forward(map(dict, rows), self._leads, self._rows, self.ambient, self.field.char)
+        self.counts.append(len(self._rows))
 
     def truncate(self, level):
         """Cut the chain back to V_level, dropping the rows fed after it."""
@@ -549,7 +549,6 @@ class Echelon:
         for c, _ in self._rows[count:]:
             del self._leads[c]
         del self._rows[count:], self.counts[level + 1:]
-        self._spans = {k: s for k, s in self._spans.items() if k <= count}
 
     def locate(self, vec, count):
         """How many leading rows a sparse vector needs, or None outside their span.
@@ -564,29 +563,27 @@ class Echelon:
         return None if r else used
 
     def span(self, count):
-        """The span of the first count rows as a canonical Subspace, built once
-        by back-substitution on copies of them: they are an echelon basis."""
-        got = self._spans.get(count)
-        if got is None:
-            p = self.field.char
-            kept = [(c, dict(tail)) for c, tail in self._rows[:count]]
-            found = _back_substitute(kept, 0, p, math.inf)
-            got = self._spans[count] = Subspace(self.field, self.ambient, *_rows_of(found, p))
-        return got
+        """The span of the first count rows as a canonical Subspace, by
+        back-substitution on copies of them: they are an echelon basis."""
+        p = self.field.char
+        kept = [(c, dict(tail)) for c, tail in self._rows[:count]]
+        found = _back_substitute(kept, 0, p, math.inf)
+        return Subspace(self.field, self.ambient, *_rows_of(found, p))
 
 
 class Solver:
     """Solutions w of sum_i w_i v_i = t over the vectors v_0, v_1, ... fed so far.
 
-    The echelon of Echelon with provenance: vector v_i is fed as the dict row
-    (v_i | -e_i), its provenance in the columns ambient + i, and head-reduced
-    (_head_reduce) against the rows kept before it, so the provenance part
-    of a row is minus its expression in the fed vectors.  A remainder with
-    no entry left of ambient is a free unknown, v_i in the span of the
-    vectors before it, and is not kept.  solve(t) head-reduces t, and the
-    provenance part of its remainder is the unique solution that is zero on
-    the free unknowns, the vectors in the span of those before them, so it
-    depends only on the vectors and their order.  extend can be called
+    The echelon of Echelon with provenance: vector v_i is fed to the forward
+    loop (_forward) as the dict row (v_i | -e_i), its provenance in the
+    columns ambient + i, and head-reduced against the rows kept before it,
+    so the provenance part of a row is minus its expression in the fed
+    vectors.  A remainder with no entry left of ambient is a free unknown,
+    v_i in the span of the vectors before it, and is not kept; neither is
+    any vector fed once every column is a lead.  solve(t) head-reduces t,
+    and the provenance part of its remainder is the unique solution that is
+    zero on the free unknowns, the vectors in the span of those before them,
+    so it depends only on the vectors and their order.  extend can be called
     again, with the unknowns numbered on, and widen adds coordinates.
     """
 
@@ -601,14 +598,12 @@ class Solver:
 
     def extend(self, vectors):
         """Feed dict rows with field values as the next unknowns."""
-        p = self.field.char
-        leads, kept = self._leads, self._rows
-        for r in _entries(vectors, p):
-            r[self.ambient + self.fed] = p - 1 if p else -1
-            self.fed += 1
-            r, _, _ = _head_reduce(r, leads, kept, len(kept), p)
-            if min(r) < self.ambient:
-                _keep(r, leads, kept, p)
+        p, n = self.field.char, self.ambient
+        rows = _entries(vectors, p)
+        for i, r in enumerate(rows, n + self.fed):
+            r[i] = p - 1 if p else -1
+        self.fed += len(rows)
+        _forward(rows, self._leads, self._rows, n, p)
 
     def widen(self, ambient):
         """Grow to ambient coordinates, on which the vectors fed so far are

@@ -241,6 +241,47 @@ def test_condition_one_readings_disagree_and_are_reported():
     assert any("readings disagree" in w for w in rep.warnings)
 
 
+def test_condition_one_literal_reading_is_ill_typed_across_degrees():
+    # the relation and prefer line of the symmetric-relation fixture with
+    # ideal x, y^2: deg m_1 != deg m_2, so the printed reading m_j^*(x_s m_j)
+    # of condition (1) is inhomogeneous at (j, k) = (1, 2); both readings fail
+    J = MonomialIdeal(sym_relation_ring(), [(1, 0, 0), (0, 2, 0)])
+    lhs = "2*x^2*y + 2*x^2*z + 99*x*y^2"
+    sym = J.check_regular_ordering(3)
+    assert not sym.passed
+    assert sym.warnings == ["condition (1) readings disagree on 1 instances; first: "
+                            "{'pair': (0, 2), 'j': 1, 'k': 2, 'literal_well_typed': False}"]
+    assert sym.details[0] == {"condition": 1, "pair": (0, 2), "j": 1, "k": 2, "lhs": lhs,
+                              "rhs": "x^2*y + x^2*z + 100*x*y^2"}
+    literal = J.check_regular_ordering(3, mode="literal")
+    assert not literal.passed and literal.warnings == sym.warnings
+    assert literal.details[0] == {"condition": 1, "pair": (0, 2), "j": 1, "k": 2, "lhs": lhs,
+                                  "rhs": "ill-typed (inhomogeneous literal reading)"}
+    assert literal.details[1:] == sym.details[1:]
+
+
+def test_condition_one_literal_reading_takes_a_zero_term_of_another_degree():
+    # ideal x, y, z^2: some printed terms x_t m_j^*(x_s m_j) with deg m_j !=
+    # deg m_k vanish, and the literal reading adds nothing for them instead
+    # of calling the reading ill-typed
+    A = sym_relation_ring()
+    J = MonomialIdeal(A, [(1, 0, 0), (0, 1, 0), (0, 0, 2)])
+    dec = J.decomposition
+    zero_terms = [
+        (j, k, s, t)
+        for (u, v) in A.non_basis_pairs() for (s, t) in A.structure_coefficients()[u, v]
+        for k in range(1, J.r + 1) for j in range(1, k + 1)
+        if (term := A.multiply(A.var(t), dec._coeff(j, j, s))).is_zero
+        and term.degree != A.multiply(A.var(s), dec._coeff(j, k, t)).degree]
+    assert zero_terms
+    literal = J.check_regular_ordering(3, mode="literal")
+    assert not literal.passed
+    assert [(d["j"], d["k"], d["rhs"]) for d in literal.details] == [
+        (1, 2, "100*x*y + y^2"), (2, 2, "100*x*y + 100*y*z"),
+        (1, 3, "ill-typed (inhomogeneous literal reading)"),
+        (2, 3, "ill-typed (inhomogeneous literal reading)"), (3, 3, "100*y*z")]
+
+
 def test_star_condition_hhr_passes():
     rep = hhr_ideal().check_star_condition()
     assert rep.passed
@@ -259,6 +300,19 @@ def test_star_condition_counterexample():
     rep = J.check_star_condition()
     assert not rep.passed
     assert any(d.get("clause") == "star" for d in rep.details)
+
+
+def test_star_condition_regular_decomposition_clause():
+    # hhr ring, ideal x1, x2: E_1 = {x3} and E_2 = {x1}; x1 x2 lies in J_1,
+    # but E_1 is not inside E_2
+    J = MonomialIdeal(hhr_ring(), [(1, 0, 0), (0, 1, 0)])
+    assert J.colon_variable_sets() == [frozenset({2}), frozenset({0})]
+    rep = J.check_star_condition()
+    assert not rep.passed
+    assert rep.details == [
+        {"clause": "star", "generator": 2, "variable": 0},
+        {"clause": "regular-decomposition", "generator": 2, "variable": 0, "g_index": 1},
+        {"regular_ordering_guaranteed": False}]
 
 
 def test_star_condition_requires_monomial_relations():

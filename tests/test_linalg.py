@@ -543,7 +543,8 @@ def test_kernel_choice_follows_the_work_budget(p, monkeypatch):
                    for _ in range(200)])
     nnz = sum(map(len, thin))
     assert nnz <= 4 * 400 + 200 * 200 // 16
-    assert linalg._echelon(thin, 200, p, 4 * 400 + 200 * 200 // 16) is None
+    assert linalg._forward(linalg._entries(thin, p), {}, [], 200, p, nnz,
+                           4 * 400 + 200 * 200 // 16) is None
     assert F.rref(thin, 200) == linalg._dense_rref(thin, 200, p, True)
     assert len(calls) == 3
 
@@ -573,7 +574,9 @@ def test_back_substitution_over_budget_restarts_dense(monkeypatch):
     rows = [{i: 1, i + 1: 1, 200 + i % 50: 1} for i in range(199)] + [{199: 1, 200: 1}]
     before = [dict(row) for row in rows]
     budget = linalg._work_budget(200, 250)
-    kept, work = linalg._echelon(rows, 250, 101, budget)
+    kept = []
+    work = linalg._forward(linalg._entries(rows, 101), {}, kept, 250, 101,
+                           sum(map(len, rows)), budget)
     assert [c for c, _ in kept] == list(range(200)) and work == 599 < budget == 4925
     assert linalg._back_substitute(kept, work, 101, budget) is None
     want = linalg._dense_rref(rows, 250, 101, True)

@@ -99,14 +99,17 @@ def test_every_traced_function_still_resolves():
 
 
 def test_cli_digest_prints_one_line_per_run(tmp_path):
-    # tools/cli_digest.py: fixtures x 11 subcommands x {GF(101), QQ} x {json, text}
+    # tools/cli_digest.py: fixtures x 11 subcommands x {GF(101), QQ} x {json, text},
+    # then an export -> verify --complex round trip per field
     root = SRC.parent.parent
     done = subprocess.run(
         [sys.executable, str(root / "tools" / "cli_digest.py"), str(root),
          "--fixture", "hhr_example.ring"],
         capture_output=True, text=True, check=True, timeout=120)
     lines = done.stdout.splitlines()
-    assert len(lines) == 11 * 2 * 2
+    assert len(lines) == 11 * 2 * 2 + 2 * 2
+    assert [line.split(" ", 3)[2] for line in lines[-4:]] == ["resolve", "verify"] * 2
+    assert not any(str(root) in line for line in lines)
     assert all(re.fullmatch(r"[0-9a-f]{64} 0 \S.* fixtures/hhr_example\.ring .*", line)
                for line in lines), lines
     assert len({line.split(" ", 2)[2] for line in lines}) == len(lines)

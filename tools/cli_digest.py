@@ -6,8 +6,11 @@
 Imports koszulcone from CHECKOUT/src and runs its CLI in this one process over
 every fixture (or the named fixtures and ring files) x the eleven subcommands
 (resolve and verify with --method cone and closed; dual, priddy, betti; check
-quotients, regular, strongly-koszul and star) x {GF(101), QQ} x {json, text}:
-352 runs on the eight fixtures.  Each run prints one line
+quotients, regular, strongly-koszul and star) x {GF(101), QQ} x {json, text},
+and then, per ring and field, one round trip: `resolve --method cone --export
+EXPORT` and `verify --complex EXPORT --out json`, where EXPORT is
+.cli_digest/export-FIELD.json under CHECKOUT, removed before each export.
+That is 48 runs per ring, 384 on the eight fixtures.  Each run prints one line
 
     <sha256 of stdout, a NUL byte and stderr> <exit code> <label>
 
@@ -15,8 +18,8 @@ so two checkouts are compared with `diff` of their outputs.  With no --fixture
 and no --ring, the fixture lines are followed by one line per run of
 PARSER_RUNS (--help texts and malformed command lines, at 80 columns), whose
 label starts with "parser:", so the diff also covers the argument parser's
-text.  Fixtures are
-passed relative to CHECKOUT, so no path of the checkout enters the output.
+text: 399 lines in all.  Fixtures and exports are passed relative to
+CHECKOUT, so no path of the checkout enters the output.
 A --ring file (a perfbench ring, a generated ring) is passed by its absolute
 path, which is the same for both checkouts.
 """
@@ -97,6 +100,14 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
                     argv = [*command, ring, "--hmax", str(hmax), "--dmax", str(dmax),
                             "--field", field, "--out", fmt]
                     yield f"{digest(main, argv)} {' '.join(argv)}"
+        for field in FIELDS:
+            export = Path(".cli_digest", f"export-{field}.json")
+            export.parent.mkdir(exist_ok=True)
+            export.unlink(missing_ok=True)
+            common = [ring, "--hmax", str(hmax), "--dmax", str(dmax), "--field", field]
+            for argv in (["resolve", "--method", "cone", *common, "--export", str(export)],
+                         ["verify", *common, "--complex", str(export), "--out", "json"]):
+                yield f"{digest(main, argv)} {' '.join(argv)}"
     os.environ["COLUMNS"] = "80"  # argparse wraps its text at the terminal width
     for argv in parser_runs:
         yield f"{digest(main, list(argv))} parser: {' '.join(argv)}".rstrip()
