@@ -261,25 +261,32 @@ def test_condition_one_literal_reading_is_ill_typed_across_degrees():
 
 
 def test_condition_one_literal_reading_takes_a_zero_term_of_another_degree():
-    # ideal x, y, z^2: some printed terms x_t m_j^*(x_s m_j) with deg m_j !=
-    # deg m_k vanish, and the literal reading adds nothing for them instead
-    # of calling the reading ill-typed
+    # a printed term x_t m_j^*(x_s m_j) with deg m_j != deg m_k that vanishes
+    # adds nothing to the literal reading instead of making it ill-typed
     A = sym_relation_ring()
-    J = MonomialIdeal(A, [(1, 0, 0), (0, 1, 0), (0, 0, 2)])
-    dec = J.decomposition
-    zero_terms = [
-        (j, k, s, t)
-        for (u, v) in A.non_basis_pairs() for (s, t) in A.structure_coefficients()[u, v]
-        for k in range(1, J.r + 1) for j in range(1, k + 1)
-        if (term := A.multiply(A.var(t), dec._coeff(j, j, s))).is_zero
-        and term.degree != A.multiply(A.var(s), dec._coeff(j, k, t)).degree]
-    assert zero_terms
-    literal = J.check_regular_ordering(3, mode="literal")
-    assert not literal.passed
-    assert [(d["j"], d["k"], d["rhs"]) for d in literal.details] == [
+    literal = []
+    for gens in ([(1, 0, 0), (0, 1, 0), (0, 0, 2)], [(1, 0, 0), (0, 0, 1), (0, 2, 0)]):
+        J = MonomialIdeal(A, gens)
+        dec = J.decomposition
+        zero_terms = [
+            (j, k, s, t)
+            for (u, v) in A.non_basis_pairs() for (s, t) in A.structure_coefficients()[u, v]
+            for k in range(1, J.r + 1) for j in range(1, k + 1)
+            if (term := A.multiply(A.var(t), dec._coeff(j, j, s))).is_zero
+            and term.degree != A.multiply(A.var(s), dec._coeff(j, k, t)).degree]
+        assert zero_terms, gens
+        literal.append(J.check_regular_ordering(3, mode="literal"))
+    # ideal x, y, z^2: (1, 3) and (2, 3) are ill-typed by their other terms
+    assert [(d["j"], d["k"], d["rhs"]) for d in literal[0].details] == [
         (1, 2, "100*x*y + y^2"), (2, 2, "100*x*y + 100*y*z"),
         (1, 3, "ill-typed (inhomogeneous literal reading)"),
         (2, 3, "ill-typed (inhomogeneous literal reading)"), (3, 3, "100*y*z")]
+    # ideal x, z, y^2: every printed term of another degree at (2, 3) vanishes,
+    # so the literal reading is well typed there and holds
+    assert literal[1].warnings == [
+        "condition (1) readings disagree on 2 instances; first: "
+        "{'pair': (0, 2), 'j': 1, 'k': 2, 'literal_well_typed': True}"]
+    assert [(d["j"], d["k"]) for d in literal[1].details] == [(1, 2), (2, 2), (1, 3), (3, 3)]
 
 
 def test_star_condition_hhr_passes():

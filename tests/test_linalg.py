@@ -777,6 +777,25 @@ def test_solver_matches_solve_columns_on_every_prefix(p):
     assert solver.solve({1: field.one}) is None
 
 
+def test_forward_loop_stops_once_every_column_is_a_lead(monkeypatch):
+    # rows fed to a full echelon lie in its span: the shared loop reduces
+    # none of them, a Solver still counts them as fed and solves over them,
+    # and a widened Solver takes rows again
+    calls = _count_calls(monkeypatch, "_head_reduce")
+    ech = Echelon(F101, 2)
+    ech.extend([{0: 1}, {1: 3}, {0: 2, 1: 5}])
+    ech.extend([{1: 7}])
+    assert (ech.counts, calls) == ([0, 2, 2], [])
+    solver = Solver(F101, 2)
+    solver.extend([{0: 1, 1: 1}, {1: 1}, {0: 4}])
+    assert (solver.fed, calls) == (3, [])
+    assert solver.solve({0: 1}) == {0: 1, 1: 100}
+    solver.widen(3)
+    solver.extend([{0: 1}, {2: 2}])
+    assert solver.fed == 5 and len(solver._rows) == 3
+    assert solver.solve({0: 1, 2: 1}) == {0: 1, 1: 100, 4: 51}
+
+
 @pytest.mark.parametrize("p", [2, 101, 0])
 def test_widened_solver_matches_solve_columns(p):
     # the cone's Solver: each block of vectors is fed after widening to the
