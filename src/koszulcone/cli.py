@@ -456,7 +456,7 @@ def cmd_betti(args):
     _require_linear_quotients(J, args.dmax)
     bt = betti_table(J, args.hmax)
     lines = ["ideal-level graded Betti numbers (rows q, columns homological degree):",
-             bt.text("ideal"),
+             bt.text(),
              f"regularity: {bt.regularity}",
              f"linear resolution: {bt.linear_resolution}"]
     _emit(args, lambda: {"command": "betti", **bt.as_dict()}, lines)

@@ -229,14 +229,12 @@ def _compose_columns(algebra, first, second):
 def _trace_differential(algebra, acts):
     """Entries sum_j acts[j][r][c] x_j of the trace-element differential.
 
-    acts[j] is the action matrix of x_j in dict rows, or None to leave x_j
-    out.  x_j is a unit vector of A_1, so acts[j][r][c] is the entry's
-    coordinate at x_j's basis position.
+    acts[j] is the action matrix of x_j in dict rows.  x_j is a unit vector
+    of A_1, so acts[j][r][c] is the entry's coordinate at x_j's basis
+    position.
     """
     coords = {}
     for j, act in enumerate(acts):
-        if act is None:
-            continue
         ((pos, _),) = algebra.var(j).terms
         for r, row in enumerate(act):
             for c, x in row.items():
@@ -259,7 +257,7 @@ def _trace_complex(algebra, space, hmax, kind, failure, shift=0, gen=None):
                  for l in range(hmax + 1)]
         diffs = [None]
         for l in range(1, hmax + 1):
-            acts = [space.act_matrix(l, j, slot="first") for j in range(algebra.n)]
+            acts = [space.act_matrix(l, j) for j in range(algebra.n)]
             diffs.append(_trace_differential(algebra, acts))
         # d.d reads only the entries, so the unlabeled words serve as modules
         if ChainComplex(algebra, words, diffs).d_squared_witness() is not None:
@@ -410,8 +408,8 @@ def _iterated_cone(ideal, hmax, step, keep):
     """The iterated mapping cone over m_1, ..., m_r, and step keep's (K, F, psi).
 
     Step i cones the resolution F of A/J_{i-1} against the i-th sub-Priddy
-    complex K, built to hmax - 1 as the cone uses; step(F, K, i) returns the complex whose negated differential
-    is the diagonal block (K, but for the printed closed form) and psi: K ->
+    complex K, built to hmax - 1 as the cone uses, whose negated differential
+    is the diagonal block; step(F, K, i) returns the comparison map psi: K ->
     F.  The basis is gen-major: homological degree l holds m_i (x)
     (quotient-dual basis of degree l-1) for each generator i in order.
     """
@@ -420,10 +418,10 @@ def _iterated_cone(ideal, hmax, step, keep):
     for i in range(1, ideal.r + 1):
         K = sub_priddy_complex(ideal.dual, ideal.colon_vars(i).variables, hmax - 1,
                                shift=ideal.degs[i - 1], gen=i)
-        diagonal, psi = step(F, K, i)
+        psi = step(F, K, i)
         if i == keep:
             kept = (K, F, psi)
-        F = _cone(F, diagonal, psi, hmax)
+        F = _cone(F, K, psi, hmax)
     return F, kept
 
 
@@ -434,8 +432,8 @@ def iterated_mapping_cone(ideal, hmax):
     colon variable sets come from the ideal's cache).
     """
     solvers = {}
-    F, _ = _iterated_cone(ideal, hmax, lambda F, K, i: (
-        K, _lift_comparison(F, K, ideal.gen_elements[i - 1], solvers)), None)
+    F, _ = _iterated_cone(ideal, hmax, lambda F, K, i: _lift_comparison(
+        F, K, ideal.gen_elements[i - 1], solvers), None)
     w = F.d_squared_witness()
     if w is not None:
         raise ConeNotComplex(f"cone differential broke d.d = 0 at {w}", witness=w)
@@ -472,7 +470,7 @@ def _explicit_comparison(ideal, F, K, k):
         for c, g in enumerate(K.modules[l]):
             word = dict(g.dual_word)
             for s, terms in lower.items():
-                contracted = dual.contract(word, l, s, slot="first")
+                contracted = dual.contract(word, l, s)
                 if not contracted:
                     continue
                 for j, coeff in terms:
@@ -487,28 +485,10 @@ def _explicit_comparison(ideal, F, K, k):
     return psi
 
 
-def _printed_diagonal(ideal, K, k):
-    """K without the self-terms of the x_s with x_s m_k outside J_{k-1}.
-
-    The printed convention's j = k terms +x_s (m_k (x) f.x_s^*) cancel
-    exactly those self-terms, so the trace differential leaves them out.
-    """
-    A = ideal.algebra
-    space = ideal.dual.quotient(ideal.colon_vars(k).variables)
-    kept = [all(j != k for j, _ in ideal.decomposition.times_var(s, k)) for s in range(A.n)]
-    diffs = [None] + [_trace_differential(A, [
-        space.act_matrix(l, s, slot="first") if kept[s] else None for s in range(A.n)])
-        for l in range(1, len(K.modules))]
-    return ChainComplex(A, K.modules, diffs, kind=K.kind)
-
-
-def _closed_form(ideal, hmax, printed, keep):
+def _closed_form(ideal, hmax, keep):
     """The iterated cone over the explicit comparison maps, d.d = 0 checked."""
-    def step(F, K, k):
-        psi = _explicit_comparison(ideal, F, K, k)
-        return (_printed_diagonal(ideal, K, k) if printed else K), psi
-
-    F, kept = _iterated_cone(ideal, hmax, step, keep)
+    F, kept = _iterated_cone(ideal, hmax, lambda F, K, k: _explicit_comparison(
+        ideal, F, K, k), keep)
     w = F.d_squared_witness()
     if w is not None:
         raise RegularOrderingViolation(f"closed-form differential broke d.d = 0 at {w}",
@@ -516,8 +496,7 @@ def _closed_form(ideal, hmax, printed, keep):
     return F, kept
 
 
-def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4,
-                           self_term_mode="strict"):
+def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4):
     """The explicit differential for ideals admitting a regular ordering.
 
     d(m_k (x) f) = -sum_s x_s (m_k (x) f.x_s^*)
@@ -527,23 +506,15 @@ def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4,
     sum being the sub-Priddy block.  Dropping invalid symbols is consistent
     by the well-definedness lemma, enforced as the exact d.d = 0 check on the
     whole complex, which raises RegularOrderingViolation.  Each sub-Priddy
-    block is certified first, and raises ClosureFailure.
-
-    self_term_mode="printed" adds the j = k convention terms +x_s (m_k (x)
-    f.x_s^*) for x_s m_k outside the earlier prefix, cancelling those
-    self-terms in the diagonal block.  Over a polynomial ring the two modes
-    agree identically (those contractions vanish on the quotient dual); in
-    general only the strict mode yields an exact complex, so "printed"
-    exists as a diagnostic.
+    block is certified first, and raises ClosureFailure.  The sum has no
+    j = k terms: with them (the printed convention) d.d = 0 still holds, but
+    exactness fails beyond polynomial rings, as on the hhr fixture.
     """
-    if self_term_mode not in ("strict", "printed"):
-        raise ValueError(
-            f"self_term_mode must be 'strict' or 'printed', not {self_term_mode!r}")
     if check_regular:
         rep = ideal.check_regular_ordering(check_to=check_to)
         if not rep.passed:
             raise NotRegular(f"regular-ordering check failed: {rep.details[:1]}")
-    return _closed_form(ideal, hmax, self_term_mode == "printed", None)[0]
+    return _closed_form(ideal, hmax, None)[0]
 
 
 def comparison_maps(ideal, r, hmax):
@@ -561,7 +532,7 @@ def comparison_maps(ideal, r, hmax):
     """
     if not 1 <= r <= ideal.r:
         raise ValueError(f"r must be a generator index in 1..{ideal.r}, not {r!r}")
-    K, F, psi = _closed_form(ideal, hmax + 1, False, r)[1]
+    K, F, psi = _closed_form(ideal, hmax + 1, r)[1]
     return K, ChainComplex(F.algebra, F.modules[: hmax + 1], F.diffs[: hmax + 1],
                            kind=F.kind), psi
 
@@ -631,8 +602,8 @@ def verify_complex(c, dmax, d2_certified=False):
     return VerifyReport(d2w is None, mw is None, homology, exact, d2w, mw)
 
 
-def homology_window(c, i_range, offsets=(0, 1)):
-    """Homology ranks on the diagonals internal = initial + i + offset.
+def homology_window(c, i_range):
+    """Homology ranks (i, j) on the diagonals internal = initial + i + j, j = 0, 1.
 
     The two-diagonal window characterizes linear strands of modules; it is
     also the bounded exactness statement for sub-Priddy complexes.
@@ -641,7 +612,7 @@ def homology_window(c, i_range, offsets=(0, 1)):
     diff_ranks = {}
     out = {}
     for i in i_range:
-        for j in offsets:
+        for j in (0, 1):
             out[(i, j)] = c.homology_rank(i, initial + i + j, diff_ranks)
     return out
 
@@ -703,8 +674,8 @@ class BettiTable:
             "linear_resolution": self.linear_resolution,
         }
 
-    def text(self, level="ideal"):
-        table = self.ideal if level == "ideal" else self.module
+    def text(self):
+        table = self.ideal
         if not table:
             return "(empty Betti table)"
         lmax = max(l for l, _ in table)

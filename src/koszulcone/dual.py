@@ -26,8 +26,8 @@ Slot conventions (fixed by the d.d = 0 calibration on polynomial rings and
 documented in the README): the module action f |-> f.x_j^* used by all
 differentials is the FIRST-slot contraction (pairing against words with x_j^*
 prepended); membership in a quotient dual is LAST-slot annihilation (the left
-ideal is spanned by words with an excluded variable in the final slot).  Both
-contractions are exposed; closure of every quotient-dual action is checked.
+ideal is spanned by words with an excluded variable in the final slot).
+Closure of every quotient-dual action is checked.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ from dataclasses import dataclass
 
 from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch
 from .linalg import Subspace, kernel
-
-CALIBRATED_SLOT = "first"
 
 # bound on the candidate entries of one component step: degree l builds on
 # n * (sum of the row lengths of comp(l-1)) of them
@@ -140,24 +138,16 @@ class QuadraticDual:
 
     # -- contractions and actions ---------------------------------------------
 
-    def contract(self, vec, l, j, slot=CALIBRATED_SLOT):
-        """Slot contraction of a degree-l dict tensor against the j-th dual variable.
+    def contract(self, vec, l, j):
+        """f |-> f.x_j^* on a degree-l dict tensor: the pairing f(x_j^* w),
+        i.e. the leading slot at index j dropped (first-slot contraction)."""
+        tail = self.n ** (l - 1)
+        lo = j * tail
+        return {pos - lo: x for pos, x in vec.items() if lo <= pos < lo + tail}
 
-        first: pairing f(x_j^* w), i.e. drop the leading slot at index j.
-        last:  pairing f(w x_j^*), i.e. drop the trailing slot at index j.
-        """
-        n = self.n
-        if slot == "first":
-            tail = n ** (l - 1)
-            lo = j * tail
-            return {pos - lo: x for pos, x in vec.items() if lo <= pos < lo + tail}
-        if slot == "last":
-            return {pos // n: x for pos, x in vec.items() if pos % n == j}
-        raise ValueError(f"unknown slot {slot!r}")
-
-    def act_matrix(self, l, j, slot=CALIBRATED_SLOT):
+    def act_matrix(self, l, j):
         """Matrix of f -> f.x_j^* from component(l) coords to component(l-1) coords."""
-        return _act_matrix(self, self, l, j, slot)
+        return _act_matrix(self, self, l, j)
 
     # -- quotient duals ---------------------------------------------------------
 
@@ -284,12 +274,12 @@ class QuotientDual:
     def rank(self, l):
         return self.component(l).dim
 
-    def act_matrix(self, l, j, slot=CALIBRATED_SLOT):
+    def act_matrix(self, l, j):
         """Action f -> f.x_j^* in quotient coordinates; closure is checked."""
-        return _act_matrix(self, self.parent, l, j, slot, self.allowed)
+        return _act_matrix(self, self.parent, l, j, self.allowed)
 
 
-def _act_matrix(space, dual, l, j, slot, allowed=None):
+def _act_matrix(space, dual, l, j, allowed=None):
     """The matrix of f -> f.x_j^* on the components of space, as dict rows.
 
     Row r is {c: coefficient of basis vector r of component(l-1) in the
@@ -303,12 +293,12 @@ def _act_matrix(space, dual, l, j, slot, allowed=None):
     dst = space.component(l - 1)
     mat = [{} for _ in range(dst.dim)]
     for i, b in enumerate(src.rows):
-        coords = dst.coords_of(dual.contract(b, l, j, slot))
+        coords = dst.coords_of(dual.contract(b, l, j))
         if coords is None:
             where = "the dual component (" if allowed is None else \
                 f"the quotient dual (allowed={sorted(allowed)}, "
             raise ClosureFailure(
-                f"action x_{j} left {where}degree {l}, basis vector {i}, slot {slot})",
+                f"action x_{j} left {where}degree {l}, basis vector {i}, slot first)",
                 witness=(l, j, i))
         for r, x in coords.items():
             mat[r][i] = x
@@ -354,7 +344,7 @@ def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
             g = f
             deg = d + len(prefix)
             for t in prefix:
-                g = dual.contract(g, deg, t, slot="first")
+                g = dual.contract(g, deg, t)
                 deg -= 1
             if not src_q.component(d).contains(g):
                 return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, True, False, d)

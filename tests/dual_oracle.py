@@ -11,11 +11,17 @@ annihilated_component() does the same for quotient duals: it imposes the
 last-slot annihilation at every position, where QuotientDual.component reads
 the pivot columns of comp(l-1) only.
 
+The package acts by the first-slot contraction only.  last_slot_contraction
+and last_slot_act_matrix are the other convention, kept here to show why:
+the last-slot action closes on the full dual components but not on quotient
+duals, which last-slot annihilation cuts out.
+
 The degree-2 helpers check component(2) against the presentation of the dual
 algebra by excluded-pair words: the rewriting rules of the basis-pair words,
 and the basis of component(2) dual to the excluded-pair word classes.
 """
 
+from koszulcone.errors import ClosureFailure
 from koszulcone.linalg import Subspace, kernel
 
 from rowform import dense, sparse
@@ -67,6 +73,29 @@ def annihilated_component(D, allowed, l):
                 v = [fld.add(acc, fld.mul(x, y)) for acc, y in zip(v, b)]
         span.append(v)
     return Subspace.from_rows(fld, sparse(span), n ** l)
+
+
+def last_slot_contraction(D, vec, j):
+    """f |-> f(w x_j^*) on a dict tensor of the dual D: the trailing slot at
+    index j dropped."""
+    n = D.n
+    return {pos // n: x for pos, x in vec.items() if pos % n == j}
+
+
+def last_slot_act_matrix(D, l, j, allowed=None):
+    """D.act_matrix(l, j), or that of D.quotient(allowed), with the
+    last-slot contraction; ClosureFailure when a contraction leaves
+    component(l-1)."""
+    space = D if allowed is None else D.quotient(allowed)
+    dst = space.component(l - 1)
+    mat = [{} for _ in range(dst.dim)]
+    for i, b in enumerate(space.component(l).rows):
+        coords = dst.coords_of(last_slot_contraction(D, b, j))
+        if coords is None:
+            raise ClosureFailure(f"last-slot action x_{j} left degree {l}", witness=(l, j, i))
+        for r, x in coords.items():
+            mat[r][i] = x
+    return mat
 
 
 def pair_expansion(A, a, b):

@@ -220,7 +220,7 @@ def test_criterion_8_sub_priddy_homology_windows():
     for name, D, subsets in cases:
         for E in subsets:
             c = sub_priddy_complex(D, E, 5)
-            window = homology_window(c, (1, 2, 3), offsets=(0, 1))
+            window = homology_window(c, (1, 2, 3))
             bad = {k: v for k, v in window.items() if v}
             if bad:
                 failures.append((name, sorted(E), bad))

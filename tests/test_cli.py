@@ -15,10 +15,10 @@ import pytest
 import koszulcone
 from koszulcone import algebra, cli, dual, linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
-from koszulcone.complexes import closed_form_resolution, complex_to_json
+from koszulcone.complexes import complex_to_json
 from koszulcone.errors import ParseError
 
-from test_complexes import corrupt_lifts
+from test_complexes import NON_KOSZUL_RING_TEXT, corrupt_lifts, printed_closed_form
 from test_ideals import hhr_ideal
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -292,6 +292,15 @@ def test_priddy_command(capsys):
     assert "PASSED" in out
 
 
+def test_priddy_command_fails_on_a_non_koszul_ring(tmp_path, capsys):
+    ring = tmp_path / "non_koszul.ring"
+    ring.write_text(NON_KOSZUL_RING_TEXT)
+    code, out, err = run_main(["priddy", str(ring), "--hmax", "4", "--dmax", "5"], capsys)
+    assert (code, err) == (1, "")
+    assert out.splitlines()[-1] == \
+        "bounded Koszulness certificate FAILED, witness (i, degree, rank) = (2, 4, 1)"
+
+
 def test_resolve_verify_round_trip(tmp_path, capsys):
     exported = tmp_path / "complex.json"
     code, out, _ = run_main(
@@ -513,6 +522,22 @@ BAD_COMPLEX_DOCS = {
 }
 
 
+def test_verify_rejects_an_entry_into_an_empty_module(tmp_path, capsys):
+    # the Koszul complex on three variables, exported to --hmax 4, has an
+    # empty module 4, so no entry of differentials[3] has a valid column
+    ring = str(FIXTURES / "poly_vars_n3.ring")
+    exported = tmp_path / "complex.json"
+    code, _, _ = run_main(["resolve", ring, "--hmax", "4", "--export", str(exported)], capsys)
+    doc = json.loads(exported.read_text())
+    assert code == 0 and [len(m["basis"]) for m in doc["modules"]] == [1, 3, 3, 1, 0]
+    doc["differentials"][3]["entries"].append(
+        {"row": 0, "col": 0, "coefficient": {"degree": 1, "coords": ["1", "0", "0"]}})
+    exported.write_text(json.dumps(doc))
+    code, out, err = run_main(["verify", ring, "--hmax", "4", "--complex", str(exported)], capsys)
+    assert (code, out, err) == (2, "", "input error: differentials[3].entries[0]: col must be "
+                                      "absent, as that module is empty, not 0\n")
+
+
 @pytest.mark.parametrize("case", sorted(BAD_COMPLEX_DOCS))
 def test_verify_rejects_malformed_complex(case, tmp_path, capsys):
     mutate, message = BAD_COMPLEX_DOCS[case]
@@ -698,8 +723,9 @@ def test_exported_json_bytes_are_pinned(kind, field, command, tmp_path, capsys):
 
 # sha256 of `resolve --method closed --hmax 4 --out json` stdout on the hhr
 # fixture and the polynomial rings with all quadrics, and of the printed-mode
-# closed form's complex_to_json on hhr, recorded before the closed form was
-# built as the iterated cone over its explicit comparison maps
+# closed form's complex_to_json on hhr (printed_closed_form), recorded before
+# the closed form was built as the iterated cone over its explicit comparison
+# maps
 PINNED_CLOSED_SHA256 = {
     ("hhr_example", "p=101"): "3276d8df16069f9dbdef81bec82fc6312215039d17f71a9152b449e7fcb530c2",
     ("poly3", "p=101"): "0c989dd5c1d0f0837bb261ebe1674f3d9ffa7286ea3617a820cab1e5df7b3584",
@@ -725,7 +751,7 @@ def test_closed_form_json_bytes_are_pinned(ring, field, tmp_path, capsys):
 
 
 def test_printed_closed_form_bytes_are_pinned():
-    F = closed_form_resolution(hhr_ideal(), 4, check_regular=False, self_term_mode="printed")
+    F = printed_closed_form(hhr_ideal(), 4)
     text = json.dumps(complex_to_json(F), sort_keys=True, indent=1)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         PINNED_CLOSED_SHA256["hhr_example", "printed"]

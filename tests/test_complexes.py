@@ -8,6 +8,7 @@ import pytest
 
 import koszulcone.complexes
 from koszulcone.algebra import GradedAlgebra
+from koszulcone.cli import parse_ring_text
 from koszulcone.complexes import (
     ChainComplex,
     ideal_resolution,
@@ -36,6 +37,7 @@ from koszulcone.errors import (
 from koszulcone.ideals import MonomialIdeal
 from koszulcone.linalg import GF, QQ
 
+from dual_oracle import annihilator_component
 from linalg_oracle import solve_columns
 from rowform import sparse
 from syzygy_oracle import brute_force_betti
@@ -102,6 +104,27 @@ def test_koszulness_certificate_conca():
     assert cert["passed"], cert["witness"]
 
 
+# k[x,y,z]/(x^2, yz, xz - y^2), a quadratic algebra that is not Koszul
+NON_KOSZUL_RING_TEXT = "field p=101\nvars x y z\nrel x^2\nrel y*z\nrel x*z - y^2\n"
+
+
+@pytest.mark.parametrize("field", ["101", "q"])
+def test_koszulness_certificate_fails_on_a_non_koszul_ring(field):
+    A = GradedAlgebra(parse_ring_text(NON_KOSZUL_RING_TEXT, field).presentation(), 5)
+    D = QuadraticDual(A)
+    # Froberg's criterion, independently of the Priddy complex: the t^4
+    # coefficient of H_A(t) H_{A^!}(-t) is 1 != 0, so A is not Koszul
+    hilbert = A.hilbert(4)
+    dual_dims = [annihilator_component(D, l).dim for l in range(5)]
+    assert (hilbert, dual_dims) == ([1, 3, 3, 1, 1], [1, 3, 6, 10, 15])
+    assert sum(hilbert[i] * dual_dims[4 - i] * (-1) ** (4 - i) for i in range(5)) == 1
+    # the certificate passes below the first homology, and fails at it
+    assert koszulness_certificate(D, 4, 3)["passed"]
+    cert = koszulness_certificate(D, 4, 5)
+    assert not cert["passed"] and cert["h0_ok"]
+    assert cert["witness"] == (2, 4, 1)
+
+
 def test_corrupted_differential_detected():
     D = QuadraticDual(poly_ring(3, cutoff=8))
     c = priddy_complex(D, 3)
@@ -141,7 +164,7 @@ def test_sub_priddy_homology_window():
     for D, subsets in cases:
         for E in subsets:
             c = sub_priddy_complex(D, E, 5)
-            window = homology_window(c, range(1, 4), offsets=(0, 1))
+            window = homology_window(c, range(1, 4))
             assert all(v == 0 for v in window.values()), (sorted(E), window)
 
 
@@ -193,29 +216,49 @@ def test_closed_form_requires_regular_ordering():
         closed_form_resolution(J, 3)
 
 
+def printed_closed_form(J, hmax):
+    """The closed form with the printed convention's j = k terms.
+
+    Those terms +x_s (m_k (x) f.x_s^*), for the x_s with x_s m_k outside
+    J_{k-1} (times_var(s, k) is x_s m_k itself), cancel the self-terms of x_s
+    in the diagonal blocks: the strict closed form with those terms dropped
+    from every entry between basis elements of one generator k.
+    """
+    A = J.algebra
+    F = closed_form_resolution(J, hmax, check_regular=False)
+    cancelled = {k: {A.var(s).terms[0][0] for s in range(A.n)
+                     if J.decomposition.times_var(s, k) == [(k, A.var(s))]}
+                 for k in range(1, J.r + 1)}
+    for l in range(2, hmax + 1):
+        for (r, c), a in list(F.diffs[l].items()):
+            k = F.modules[l][c].gen
+            if F.modules[l - 1][r].gen == k:
+                kept = {pos: x for pos, x in a.terms if pos not in cancelled[k]}
+                if kept:
+                    F.diffs[l][(r, c)] = A.from_sparse(a.degree, kept)
+                else:
+                    del F.diffs[l][(r, c)]
+    return F
+
+
 def test_printed_self_term_mode_is_not_exact_on_hhr():
     # negative control: the j = k convention terms cancel self-terms the
     # resolution needs once the quotient dual is not support-antisymmetric
     J = hhr_ideal()
-    F = closed_form_resolution(J, 4, check_regular=False, self_term_mode="printed")
+    F = printed_closed_form(J, 4)
+    assert F.diffs != closed_form_resolution(J, 4).diffs
     rep = verify_complex(F, 8)
     assert rep.d2_zero
     assert not rep.exact_positive
 
 
-def test_printed_and_strict_agree_on_polynomial_rings():
+def test_self_terms_only_on_colon_variables_in_polynomial_rings():
+    # spec note: no self-term with x_s m_k outside the prefix survives, so
+    # over a polynomial ring the printed convention gives the same complex
     for mk in (lambda: poly_m2(2), lambda: poly_m2(3), poly_mixed_ideal):
         J = mk()
-        a = closed_form_resolution(J, 4)
-        b = closed_form_resolution(J, 4, check_regular=False, self_term_mode="printed")
-        assert all(a.diffs[l] == b.diffs[l] for l in range(1, 5))
-
-
-def test_self_terms_only_on_colon_variables_in_polynomial_rings():
-    # spec note: no self-term with x_s m_k outside the prefix survives
-    for mk in (lambda: poly_m2(3), poly_mixed_ideal):
-        J = mk()
         F = closed_form_resolution(J, 4)
+        assert printed_closed_form(J, 4).diffs == F.diffs
         sets = J.colon_variable_sets()
         A = J.algebra
         for l in range(2, 5):
@@ -559,8 +602,8 @@ def test_cone_on_kept_solvers_equals_the_oracle_cone(field):
     for name, A in ordering_rings(field, cutoff=8).items():
         for J in random_linear_quotient_ideals(A, rng, 10):
             cone = iterated_mapping_cone(J, hmax)
-            oracle, _ = koszulcone.complexes._iterated_cone(J, hmax, lambda F, K, i: (
-                K, oracle_lift(F, K, J.gen_elements[i - 1])), None)
+            oracle, _ = koszulcone.complexes._iterated_cone(
+                J, hmax, lambda F, K, i: oracle_lift(F, K, J.gen_elements[i - 1]), None)
             assert complex_to_json(cone) == complex_to_json(oracle), (name, J.gens)
             compared.add((name, J.r > 4, len(set(J.degs)) > 1))
     # every ring, with many generators and with mixed degrees among them
@@ -608,11 +651,6 @@ def test_each_kept_solver_is_fed_every_column_once(monkeypatch):
             assert (solver.fed, solver.ambient) == (ncols, nrows), (J.gens, l, D)
     # some solver serves the lifts of three or more steps
     assert most >= 3
-
-
-def test_self_term_mode_is_a_value_error():
-    with pytest.raises(ValueError, match="strict"):
-        closed_form_resolution(hhr_ideal(), 3, self_term_mode="literal")
 
 
 # -- d.d witnesses on corrupted complexes ----------------------------------------
@@ -1106,7 +1144,7 @@ def test_a_failing_space_raises_on_every_call(monkeypatch):
     assert priddy_complex(D, 3).d_squared_witness() is None
     # an action leaving the quotient dual is not closed
     Q = QuadraticDual(poly_ring(3, cutoff=8))
-    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j, slot: {2: 1})
+    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j: {2: 1})
     for _ in range(2):
         with pytest.raises(ClosureFailure):
             sub_priddy_complex(Q, {0, 1}, 2)

@@ -23,6 +23,8 @@ from dual_oracle import (
     deg2_consistency,
     deg2_labeled_duals,
     deg2_relations,
+    last_slot_act_matrix,
+    last_slot_contraction,
 )
 from rowform import sparse
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
@@ -194,23 +196,22 @@ def test_ambient_limit(monkeypatch):
 def test_contraction_slots():
     D = dual_of(poly_ring(2))
     q = D.component(2).rows[0]  # x(x)y - y(x)x normalized
-    assert D.contract(q, 2, 0, slot="first") == {1: 1}
-    assert D.contract(q, 2, 1, slot="first") == {0: 100}
-    assert D.contract(q, 2, 0, slot="last") == {1: 100}
-    assert D.contract(q, 2, 1, slot="last") == {0: 1}
+    assert D.contract(q, 2, 0) == {1: 1}
+    assert D.contract(q, 2, 1) == {0: 100}
+    assert last_slot_contraction(D, q, 0) == {1: 100}
+    assert last_slot_contraction(D, q, 1) == {0: 1}
 
 
 def test_degree1_action_pairs_variables():
     D = dual_of(poly_ring(3))
     v = {1: 1}
-    assert D.contract(v, 1, 1, slot="first") == {0: 1}
-    assert D.contract(v, 1, 0, slot="first") == {}
+    assert D.contract(v, 1, 1) == {0: 1}
+    assert D.contract(v, 1, 0) == {}
 
 
 def test_act_matrix_shapes():
     D = dual_of(squares_ring(2))
-    for slot in ("first", "last"):
-        m = D.act_matrix(3, 0, slot=slot)
+    for m in (D.act_matrix(3, 0), last_slot_act_matrix(D, 3, 0)):
         assert len(m) == D.component(2).dim
         assert all(0 <= c < D.component(3).dim for row in m for c in row)
 
@@ -249,9 +250,9 @@ def test_quotient_killed_by_excluded_actions():
         for l in (1, 2, 3):
             comp = Q.component(l)
             for b in comp.rows:
-                assert D.contract(b, l, 1, slot="last") == {}
+                assert last_slot_contraction(D, b, 1) == {}
             full = D.component(l)
-            killed = [b for b in full.rows if not D.contract(b, l, 1, slot="last")]
+            killed = [b for b in full.rows if not last_slot_contraction(D, b, 1)]
             # maximality: count independent vectors of the full component
             # killed by the excluded action
             from koszulcone.linalg import Subspace
@@ -312,7 +313,7 @@ def test_labeled_dual_contraction_sign():
     D = dual_of(poly_ring(2))
     labels, rows = deg2_labeled_duals(D)
     f = rows[labels.index((1, 0))]
-    img = D.contract(sparse([f])[0], 2, 1, slot="first")
+    img = D.contract(sparse([f])[0], 2, 1)
     assert img in ({0: 1}, {0: 100})
 
 
@@ -374,13 +375,12 @@ def test_calibration_first_slot_action_last_slot_membership():
     # the quotient dual is cut out by last-slot annihilation; the first-slot
     # contraction preserves it, the last-slot contraction does not.  This is
     # the d.d = 0 calibration that fixes the action convention globally.
-    from koszulcone.errors import ClosureFailure
     D = dual_of(hhr_ring())
     Q = D.quotient({2})
     for j in range(3):
-        Q.act_matrix(2, j, slot="first")  # closure holds
+        Q.act_matrix(2, j)  # closure holds
     with pytest.raises(ClosureFailure):
-        Q.act_matrix(2, 2, slot="last")
+        last_slot_act_matrix(D, 2, 2, allowed={2})
 
 
 def test_full_component_trace_complex_closes_both_slots():
@@ -390,7 +390,8 @@ def test_full_component_trace_complex_closes_both_slots():
     for mk in (poly_ring, squares_ring):
         A = mk(3, cutoff=6)
         D = dual_of(A)
-        for slot in ("first", "last"):
+        for slot, act in (("first", D.act_matrix),
+                          ("last", lambda l, j: last_slot_act_matrix(D, l, j))):
             modules = []
             for l in range(4):
                 comp = D.component(l)
@@ -398,8 +399,7 @@ def test_full_component_trace_complex_closes_both_slots():
                                 for i, r in enumerate(comp.rows)])
             diffs = [None]
             for l in range(1, 4):
-                diffs.append(_trace_differential(
-                    A, [D.act_matrix(l, j, slot=slot) for j in range(A.n)]))
+                diffs.append(_trace_differential(A, [act(l, j) for j in range(A.n)]))
             c = ChainComplex(A, modules, diffs)
             assert c.d_squared_witness() is None, (mk.__name__, slot)
 
@@ -408,7 +408,7 @@ def test_action_leaving_the_dual_component_is_typed_with_witness(monkeypatch):
     D = dual_of(poly_ring(3))
     assert (D.component(3).dim, D.component(2).dim) == (1, 3)
     outside = {0: 1}  # x0 (x) x0 is not in the exterior component(2)
-    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j, slot: outside)
+    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j: outside)
     with pytest.raises(ClosureFailure) as e:
         D.act_matrix(3, 2)
     assert e.value.witness == (3, 2, 0)
@@ -418,7 +418,7 @@ def test_quotient_action_leaving_the_component_is_typed_with_witness(monkeypatch
     Q = dual_of(poly_ring(3)).quotient({0, 1})
     assert (Q.rank(2), Q.rank(1)) == (1, 2)
     outside = {2: 1}  # x2 is excluded
-    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j, slot: outside)
+    monkeypatch.setattr(QuadraticDual, "contract", lambda self, vec, l, j: outside)
     with pytest.raises(ClosureFailure) as e:
         Q.act_matrix(2, 1)
     assert e.value.witness == (2, 1, 0)

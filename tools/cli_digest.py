@@ -15,10 +15,11 @@ That is 48 runs per ring, 384 on the eight fixtures.  Each run prints one line
     <sha256 of stdout, a NUL byte and stderr> <exit code> <label>
 
 so two checkouts are compared with `diff` of their outputs.  With no --fixture
-and no --ring, the fixture lines are followed by one line per run of
-PARSER_RUNS (--help texts and malformed command lines, at 80 columns), whose
-label starts with "parser:", so the diff also covers the argument parser's
-text: 399 lines in all.  Fixtures and exports are passed relative to
+and no --ring, the fixture lines are followed by one `selftest` run (the one
+CLI caller of closed_form_resolution(..., check_regular=False)) and one line
+per run of PARSER_RUNS (--help texts and malformed command lines, at 80
+columns), whose label starts with "parser:", so the diff also covers the
+argument parser's text: 400 lines in all.  Fixtures and exports are passed relative to
 CHECKOUT, so no path of the checkout enters the output.
 A --ring file (a perfbench ring, a generated ring) is passed by its absolute
 path, which is the same for both checkouts.
@@ -90,7 +91,7 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
     from koszulcone.cli import main
 
     os.chdir(checkout)
-    parser_runs = () if fixtures or rings else PARSER_RUNS
+    selftest, parser_runs = ((), ()) if fixtures or rings else ((("selftest",),), PARSER_RUNS)
     if not fixtures and not rings:
         fixtures = sorted(p.name for p in Path("fixtures").glob("*.ring"))
     for ring in [f"fixtures/{name}" for name in fixtures or ()] + rings:
@@ -108,6 +109,8 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
             for argv in (["resolve", "--method", "cone", *common, "--export", str(export)],
                          ["verify", *common, "--complex", str(export), "--out", "json"]):
                 yield f"{digest(main, argv)} {' '.join(argv)}"
+    for argv in selftest:
+        yield f"{digest(main, list(argv))} {' '.join(argv)}"
     os.environ["COLUMNS"] = "80"  # argparse wraps its text at the terminal width
     for argv in parser_runs:
         yield f"{digest(main, list(argv))} parser: {' '.join(argv)}".rstrip()
