@@ -91,8 +91,8 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
     from koszulcone.cli import main
 
     os.chdir(checkout)
-    selftest, parser_runs = ((), ()) if fixtures or rings else ((("selftest",),), PARSER_RUNS)
-    if not fixtures and not rings:
+    defaults = not fixtures and not rings
+    if defaults:
         fixtures = sorted(p.name for p in Path("fixtures").glob("*.ring"))
     for ring in [f"fixtures/{name}" for name in fixtures or ()] + rings:
         for command in COMMANDS:
@@ -109,10 +109,10 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
             for argv in (["resolve", "--method", "cone", *common, "--export", str(export)],
                          ["verify", *common, "--complex", str(export), "--out", "json"]):
                 yield f"{digest(main, argv)} {' '.join(argv)}"
-    for argv in selftest:
-        yield f"{digest(main, list(argv))} {' '.join(argv)}"
+    if defaults:
+        yield f"{digest(main, ['selftest'])} selftest"
     os.environ["COLUMNS"] = "80"  # argparse wraps its text at the terminal width
-    for argv in parser_runs:
+    for argv in PARSER_RUNS if defaults else ():
         yield f"{digest(main, list(argv))} parser: {' '.join(argv)}".rstrip()
 
 
