@@ -11,8 +11,9 @@ linear algebra over the exact field.
 Elements and normal forms share one form: the sorted (basis position,
 value) pairs of their nonzero coordinates, AlgebraElement.terms; in a monomial
 ring a normal form is one pair or none.  It is linalg's row form as pairs, so
-dict(a.terms) is a row {position: value} with no zero values, and products,
-sums and the product columns of multiplication_columns walk nonzeros only.
+dict(a.terms) is a row {position: value} with no zero values, and products
+and sums walk nonzeros only.  A product of basis monomials is a normal form
+already, so multiplication_columns reads a single term's columns by lookup.
 Dense coordinate lists exist only at the JSON boundary: element() reads them
 and coords() writes them.
 """
@@ -367,8 +368,10 @@ class GradedAlgebra:
         """Columns of the multiplication operator A_e -> A_{e+deg a} by a.
 
         Cached per (element, source degree); column j is the product of a and
-        the j-th basis monomial of A_e as a sparse dict {position: value}
+        the j-th basis monomial mu_j of A_e as a sparse dict {position: value}
         without zeros.  Callers read the columns and must not mutate them.
+        For a single term c*m, column j is the normal form of m*mu_j, read by
+        one lookup and copied (c = 1) or scaled once: k is a field.
         """
         key = (a.degree, a.terms, e)
         got = self._mult_columns.get(key)
@@ -378,8 +381,15 @@ class GradedAlgebra:
             if mus:
                 dd = self._product_degree(a.degree + e)
                 terms = self._terms(a)
-                # the int 1 keeps each coefficient as a's own field element
-                got = [self._expand(dd, terms, ((mu, 1),)) for mu in mus]
+                if len(terms) == 1:
+                    (m, c), = terms
+                    p, index, nf = self.field.char, dd.index, dd.nf
+                    cols = [nf[index[tuple(map(add, m, mu))]] for mu in mus]
+                    got = ([dict(col) for col in cols] if c == 1 else
+                           [{k: c * x % p if p else c * x for k, x in col} for col in cols])
+                else:
+                    # the int 1 keeps each coefficient as a's own field element
+                    got = [self._expand(dd, terms, ((mu, 1),)) for mu in mus]
             self._mult_columns[key] = got
         return got
 

@@ -5,9 +5,9 @@ differential matrices with homogeneous algebra-element entries.  Everything
 is verified exactly: d.d = 0 as symbolic matrix identities, minimality as a
 constant-term scan, and homology by rank computations on the degreewise
 k-matrices.  One sparse composition kernel (_compose_columns) serves d.d,
-verify_chain_map and the lifts' right-hand sides: it expands the nonzero
-terms of entry pairs (GradedAlgebra._expand) into {position: value} sums,
-reduced once per column.  The trace differential of a dual or quotient dual
+verify_chain_map and the lifts' right-hand sides: it adds the normal form
+of each product of single-term entries, and the expansion of any other
+(GradedAlgebra._expand), into {position: value} sums, reduced once per column.  The trace differential of a dual or quotient dual
 depends on it and hmax only, so it is built and its d.d certified once and
 kept on the dual, like the action matrices it is read from.
 
@@ -28,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field as dc_field
 from itertools import accumulate
+from operator import add
 
 from .errors import (
     CalibrationFailure,
@@ -195,10 +196,12 @@ def _compose_columns(algebra, first, second):
     appearance; sums maps (row, degree) to the sum of the nonzero products as
     a sparse dict {basis position: value}, empty when they cancel.  A key
     enters sums with its first nonzero product.  Each entry's nonzero terms
-    are read once per call, each product is expanded on the nonzeros of its
-    factors and normal forms (GradedAlgebra._expand), and a column's sums are
-    reduced once, at its end.  Keying by degree too diagnoses inhomogeneous
-    (corrupted) input instead of crashing on a mixed-degree sum.
+    are read once per call.  A product of single terms c*m and c'*m' is
+    c*c' times the normal form of m*m', zero exactly when that is empty;
+    other products are expanded on the nonzeros of their factors
+    (GradedAlgebra._expand).  A column's sums are reduced once, at its end.
+    Keying by degree too diagnoses inhomogeneous (corrupted) input instead
+    of crashing on a mixed-degree sum.
     """
     by_inner = {}
     for (r, g), a in first.items():
@@ -213,13 +216,15 @@ def _compose_columns(algebra, first, second):
             for r, da, ta in by_inner.get(g, ()):
                 d = da + db
                 dd = degrees.get(d) or degrees.setdefault(d, algebra._product_degree(d))
-                prod = algebra._expand(dd, ta, tb)
-                if not prod:
-                    continue
-                acc = sums.setdefault((r, d), prod)
-                if acc is not prod:
-                    for k, v in prod.items():
-                        acc[k] = acc.get(k, 0) + v
+                if len(ta) == len(tb) == 1:
+                    (ma, ca), (mb, cb) = ta[0], tb[0]
+                    scale, prod = ca * cb, dd.nf[dd.index[tuple(map(add, ma, mb))]]
+                else:
+                    scale, prod = 1, algebra._expand(dd, ta, tb).items()
+                if prod:
+                    acc = sums.setdefault((r, d), {})
+                    for k, v in prod:
+                        acc[k] = acc.get(k, 0) + scale * v
         yield c, {key: algebra._nonzeros(acc) for key, acc in sums.items()}
 
 
