@@ -218,13 +218,15 @@ def _compose_columns(algebra, first, second):
                 dd = degrees.get(d) or degrees.setdefault(d, algebra._product_degree(d))
                 if len(ta) == len(tb) == 1:
                     (ma, ca), (mb, cb) = ta[0], tb[0]
-                    scale, prod = ca * cb, dd.nf[dd.index[tuple(map(add, ma, mb))]]
-                else:
-                    scale, prod = 1, algebra._expand(dd, ta, tb).items()
-                if prod:
-                    acc = sums.setdefault((r, d), {})
-                    for k, v in prod:
-                        acc[k] = acc.get(k, 0) + scale * v
+                    if nf := dd.nf[dd.index[tuple(map(add, ma, mb))]]:
+                        scale, acc = ca * cb, sums.setdefault((r, d), {})
+                        for k, x in nf:
+                            acc[k] = acc.get(k, 0) + scale * x
+                elif prod := algebra._expand(dd, ta, tb):
+                    acc = sums.setdefault((r, d), prod)
+                    if acc is not prod:
+                        for k, v in prod.items():
+                            acc[k] = acc.get(k, 0) + v
         yield c, {key: algebra._nonzeros(acc) for key, acc in sums.items()}
 
 
