@@ -382,9 +382,8 @@ class GradedAlgebra:
                 dd = self._product_degree(a.degree + e)
                 terms = self._terms(a)
                 if len(terms) == 1:
-                    (m, c), = terms
-                    p, index, nf = self.field.char, dd.index, dd.nf
-                    cols = [nf[index[tuple(map(add, m, mu))]] for mu in mus]
+                    (m, c), p = terms[0], self.field.char
+                    cols = [dd.nf[dd.index[tuple(map(add, m, mu))]] for mu in mus]
                     got = ([dict(col) for col in cols] if c == 1 else
                            [{k: c * x % p if p else c * x for k, x in col} for col in cols])
                 else:

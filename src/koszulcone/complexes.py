@@ -7,9 +7,10 @@ constant-term scan, and homology by rank computations on the degreewise
 k-matrices.  One sparse composition kernel (_compose_columns) serves d.d,
 verify_chain_map and the lifts' right-hand sides: it adds the normal form
 of each product of single-term entries, and the expansion of any other
-(GradedAlgebra._expand), into {position: value} sums, reduced once per column.  The trace differential of a dual or quotient dual
-depends on it and hmax only, so it is built and its d.d certified once and
-kept on the dual, like the action matrices it is read from.
+(GradedAlgebra._expand), into {position: value} sums, reduced once per
+column.  The trace differential of a dual or quotient dual depends on it
+and hmax only, so it is built and its d.d certified once and kept on the
+dual, like the action matrices it is read from.
 
 Both resolutions of an ideal with linear quotients are one iterated mapping
 cone over the generators against their certified sub-Priddy complexes, and
