@@ -37,6 +37,7 @@ from koszulcone.errors import (
 from koszulcone.ideals import MonomialIdeal
 from koszulcone.linalg import GF, QQ
 
+import algebra_oracle
 from dual_oracle import annihilator_component
 from linalg_oracle import solve_columns
 from rowform import sparse
@@ -1064,6 +1065,44 @@ def test_sparse_composition_keeps_cancelled_sums_as_empty_dicts():
     second = {(0, 0): y, (1, 0): minus_x, (0, 1): x}
     cols = assert_same_columns(A, first, second)
     assert cols == [(0, [((0, 2), {})]), (1, [((0, 2), {0: 1})])]
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_composition_keys_match_the_per_product_expansion(field):
+    # a key enters sums with its first nonzero product, as in the loop of one
+    # GradedAlgebra._expand per product that the kernel replaced
+    fld = FIELDS[field]
+
+    def columns(A, first, second):
+        got = [(c, list(sums.items()))
+               for c, sums in koszulcone.complexes._compose_columns(A, first, second)]
+        want = [(c, list(sums.items()))
+                for c, sums in algebra_oracle.compose_columns(A, first, second)]
+        assert got == want
+        types = [[{k: type(x) for k, x in v.items()} for _, v in sums] for _, sums in got]
+        assert types == [[{k: type(x) for k, x in v.items()} for _, v in sums]
+                         for _, sums in want]
+        return got
+
+    S = squares_ring(2, cutoff=6, field=fld)
+    x1, x2 = S.var(0), S.var(1)
+    x1x2 = dict(S.multiply(x1, x2).terms)
+    # a unit x unit product whose normal form is empty: x1*x1 = 0
+    assert columns(S, {(0, 0): x1}, {(0, 0): x1}) == [(0, [])]
+    # a two-term product that cancels inside itself: (x1 + x2)(x1 - x2) = 0
+    assert columns(S, {(0, 0): S.add(x1, x2)}, {(0, 0): S.sub(x1, x2)}) == [(0, [])]
+    # a zero product, then a nonzero one: the key enters with the second
+    assert columns(S, {(0, 0): x1, (0, 1): x2}, {(0, 0): x1, (1, 0): x1}) == \
+        [(0, [((0, 2), x1x2)])]
+    # products that cancel across entries keep their key with {}
+    P = poly_ring(2, cutoff=6, field=fld)
+    y1, y2 = P.var(0), P.var(1)
+    minus_y1 = P.scale(fld.of(-1), y1)
+    assert columns(P, {(0, 0): y1, (0, 1): y2}, {(0, 0): y2, (1, 0): minus_y1}) == \
+        [(0, [((0, 2), {})])]
+    # a single-term and a two-term product on one key: y1*y2 + (y1 + y2)*y2
+    assert columns(P, {(0, 0): y1, (0, 1): P.add(y1, y2)}, {(0, 0): y2, (1, 0): y2}) == \
+        [(0, [((0, 2), dict(P.multiply(P.add(P.scale(fld.of(2), y1), y2), y2).terms))])]
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))

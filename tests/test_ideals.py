@@ -1,6 +1,7 @@
 import gc
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +13,7 @@ from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _indices,
                                _VariableIdealWalk, annihilator_vars, check_strongly_koszul)
 from koszulcone.linalg import GF, QQ, Echelon, PrimeField, Subspace
 
+import algebra_oracle
 from ideal_oracle import Decomposition, regular_ordering_report
 from ideal_oracle import variable_ideal_space as _variable_ideal_space
 from rowform import dense, sparse
@@ -588,6 +590,42 @@ def test_multiplication_columns_match_multiply(field):
                         assert col == nonzeros, (name, a, e, mu)
                         assert {k: type(x) for k, x in col.items()} == \
                             {k: type(x) for k, x in nonzeros.items()}
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_multiplication_columns_match_per_column_expansion(field):
+    # the one-pass block of a unit, a scaled and a two-term element against
+    # one GradedAlgebra._expand per column: equal dicts, equal value types
+    from test_cli import generic_ring_text  # test_cli imports this module
+    rng = random.Random(9090 + getattr(field, "char", 0))
+    cutoff = 5
+    rings = oracle_algebras(field, cutoff)
+    override = "q" if field == QQ else str(field.char)
+    for seed, n, nrels in ((0, 4, 3), (1, 3, 2)):
+        js = parse_ring_text(generic_ring_text(seed, n, nrels), field_override=override)
+        rings[f"generic-{seed}-{n}-{nrels}"] = GradedAlgebra(js.presentation(), cutoff)
+    value_type = Fraction if field == QQ else int
+    kinds = Counter()
+    for name, A in rings.items():
+        for deg in range(3):
+            if A.dim(deg) < 2:
+                continue
+            k, j = rng.sample(range(A.dim(deg)), 2)
+            c = field.of(rng.randint(2, 100)) or field.one  # GF(2) has no other unit
+            elements = [A.from_sparse(deg, {k: field.one}), A.from_sparse(deg, {k: c, j: c})]
+            if c != field.one:
+                elements.append(A.from_sparse(deg, {k: c}))
+            for a in elements:
+                kind = "two-term" if len(a.terms) > 1 else \
+                    "unit" if a.terms[0][1] == field.one else "scaled"
+                for e in range(cutoff - deg + 1):
+                    cols = A.multiplication_columns(a, e)
+                    assert cols == algebra_oracle.multiplication_columns(A, a, e), \
+                        (name, a, e)
+                    assert all(type(x) is value_type for col in cols for x in col.values())
+                    kinds[kind] += len(cols)
+    assert kinds["unit"] and kinds["two-term"]
+    assert bool(kinds["scaled"]) == (field != GF(2))
 
 
 @pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)

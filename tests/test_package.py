@@ -68,12 +68,18 @@ def test_sparse_cli_runs_leave_numpy_unloaded():
     assert done.stderr == "0 [False, False, True]\n"
 
 
-def tracer_keys():
-    """Every koszulcone function that perfbench/tracer.py keys a metric on."""
+def load_tracer():
+    """perfbench/tracer.py as a module."""
     path = SRC.parent.parent / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def tracer_keys():
+    """Every koszulcone function that perfbench/tracer.py keys a metric on."""
+    tracer = load_tracer()
     keys = {*tracer.RREF, tracer.RANK, *tracer.COMPONENT, tracer.MULT_COLUMNS,
             tracer.DEGREEWISE}
     for group in (*tracer.INCLUSIVE.values(), tracer.CALL_COUNTS.values()):
@@ -96,6 +102,26 @@ def test_every_traced_function_still_resolves():
         if not callable(obj):
             missing.append(key)
     assert missing == []
+
+
+def test_tracer_tells_a_multiplication_columns_miss_from_a_hit():
+    # the tracer counts a multiplication_columns call that reaches no traced
+    # function as a cache hit, so a miss on built degrees must still reach
+    # one: it reads the source basis through GradedAlgebra.basis
+    import koszulcone.cli  # imports every layer module the tracer wraps
+    from koszulcone.algebra import GradedAlgebra, RingPresentation
+    from koszulcone.linalg import GF
+
+    A = GradedAlgebra(RingPresentation(("x", "y"), GF(101)), 4)
+    x, y = A.var(0), A.var(1)
+    elements = (x, A.scale(2, x), A.add(x, y))
+    A.hilbert(4)
+    tracer = load_tracer().Tracer(koszulcone)
+    with tracer.installed():
+        for a in elements * 2:
+            A.multiplication_columns(a, 2)
+    raw = tracer.snapshot()
+    assert (raw["algebra.mult_columns_calls"], raw["algebra.mult_columns_hits"]) == (6, 3)
 
 
 def test_cli_digest_prints_one_line_per_run(tmp_path):
