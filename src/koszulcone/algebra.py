@@ -13,7 +13,7 @@ value) pairs of their nonzero coordinates, AlgebraElement.terms; in a monomial
 ring a normal form is one pair or none.  It is linalg's row form as pairs, so
 dict(a.terms) is a row {position: value} with no zero values, and products
 and sums walk nonzeros only.  A product of basis monomials is a normal form
-already, so multiplication_columns reads a single term's columns by lookup.
+already, so multiply and multiplication_columns read single terms by lookup.
 Dense coordinate lists exist only at the JSON boundary: element() reads them
 and coords() writes them.
 """
@@ -26,7 +26,7 @@ from math import comb
 from operator import add
 
 from .errors import DegreeOverflow, ElementMismatch, TooManyMonomials
-from .linalg import Subspace
+from .linalg import Subspace, _qq_value
 
 __all__ = [
     "RingPresentation",
@@ -245,7 +245,7 @@ class GradedAlgebra:
         p = self.field.char
         if p:
             return {k: x for k, v in acc.items() if (x := v % p)}
-        return {k: v for k, v in acc.items() if v}
+        return {k: _qq_value(v) for k, v in acc.items() if v}
 
     def _element(self, d, acc):
         """The degree-d element of a sparse accumulator {position: value}."""
@@ -359,10 +359,15 @@ class GradedAlgebra:
         return [(basis[k], c) for k, c in a.terms]
 
     def multiply(self, a, b):
-        """Product in A, by expanding basis monomial representatives."""
-        dd = self._product_degree(a.degree + b.degree)
+        """Product in A: for single terms c*m and c'*m', c*c' times the normal
+        form of m*m', read by one lookup; else by expanding basis monomials."""
+        dd = self._product_degree(d := a.degree + b.degree)
+        if len(a.terms) == len(b.terms) == 1:
+            (ka, ca), (kb, cb), mul = a.terms[0], b.terms[0], self.field.mul
+            m = tuple(map(add, self._degree(a.degree).basis[ka], self._degree(b.degree).basis[kb]))
+            return AlgebraElement(d, tuple((k, mul(mul(ca, cb), x)) for k, x in dd.nf[dd.index[m]]))
         product = self._expand(dd, self._terms(a), self._terms(b))
-        return AlgebraElement(a.degree + b.degree, tuple(sorted(product.items())))
+        return AlgebraElement(d, tuple(sorted(product.items())))
 
     def multiplication_columns(self, a, e):
         """Columns of the multiplication operator A_e -> A_{e+deg a} by a.
@@ -382,10 +387,10 @@ class GradedAlgebra:
                 dd = self._product_degree(a.degree + e)
                 terms = self._terms(a)
                 if len(terms) == 1:
-                    (m, c), p = terms[0], self.field.char
+                    (m, c), p, mul = terms[0], self.field.char, self.field.mul
                     cols = [dd.nf[dd.index[tuple(map(add, m, mu))]] for mu in mus]
                     got = ([dict(col) for col in cols] if c == 1 else
-                           [{k: c * x % p if p else c * x for k, x in col} for col in cols])
+                           [{k: c * x % p if p else mul(c, x) for k, x in col} for col in cols])
                 else:
                     # the int 1 keeps each coefficient as a's own field element
                     got = [self._expand(dd, terms, ((mu, 1),)) for mu in mus]

@@ -2,8 +2,8 @@
 
 Everything downstream (graded bases, dual components, differentials, homology
 ranks) reduces to the operations here, so exactness is non-negotiable: prime
-field elements are Python ints kept in [0, p), rational entries are
-fractions.Fraction.
+field elements are Python ints kept in [0, p), and a rational is an int when
+integral, else a fractions.Fraction (_qq_value), from parsing to output.
 
 Matrices are lists of rows, and a row is a sparse dict {column: value} with
 no zero values: that is the one row form taken and handed back here, by
@@ -231,29 +231,31 @@ def _back_substitute(kept, work, p, budget):
     return done
 
 
+def _qq_value(x):
+    """The rational x in QQ's one value form: an int when integral, else x."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def _entries(rows, p):
     """Fresh copies of the dict rows with their values reduced mod p, or over
-    the rationals (p = 0) read as ints where integral, without zeros."""
+    the rationals (p = 0) in the value form of _qq_value, without zeros."""
     if p:
         return [{j: x for j, v in row.items() if (x := v % p)} for row in rows]
-    return [{j: v.numerator if v.denominator == 1 else v for j, v in row.items() if v}
-            for row in rows]
+    return [{j: _qq_value(v) for j, v in row.items() if v} for row in rows]
 
 
 def _keep(r, c, leads, rows, p):
     """Append the nonzero dict row r to the echelon rows as (lead, tail): its
     minimum column c, and the other entries scaled so that the lead entry
     would be 1.  Over the rationals a pivot f is inverted as 1 / Fraction(f),
-    read as an int when integral, so unit pivots keep the arithmetic on ints."""
+    an int when integral, so unit pivots keep the arithmetic on ints."""
     f = r.pop(c)
     if f != 1:
         if p:
             inv = pow(f, p - 2, p)
             r = {j: v * inv % p for j, v in r.items()}
         else:
-            inv = 1 / Fraction(f)
-            if inv.denominator == 1:
-                inv = inv.numerator
+            inv = -1 if f == -1 else _qq_value(1 / Fraction(f))
             r = {j: v * inv for j, v in r.items()}
     leads[c] = len(rows)
     rows.append((c, r))
@@ -307,12 +309,10 @@ def _sub_multiple(r, f, tail, p):
 
 def _rows_of(found, p):
     """(rref_rows, pivot_columns) of {pivot: tail}: each row is {pivot: 1,
-    **tail}, with Fraction values over the rationals (p = 0)."""
+    **tail}, its values in the form of _qq_value over the rationals (p = 0)."""
     pivots = sorted(found)
-    if p:
-        return [{c: 1, **found[c]} for c in pivots], pivots
-    one = Fraction(1)
-    return [{c: one, **{j: Fraction(v) for j, v in found[c].items()}} for c in pivots], pivots
+    tails = [found[c] for c in pivots]
+    return [{c: 1, **t} for c, t in zip(pivots, tails if p else _entries(tails, p))], pivots
 
 
 def _array(rows, ncols):
@@ -370,10 +370,10 @@ def _dense_rref(rows, ncols, p, reduced):
 
 
 class RationalField:
-    """Exact rational arithmetic on fractions.Fraction.
+    """Exact rational arithmetic on ints and fractions.Fraction (_qq_value).
 
     rref runs the sparse kernel shared with F_p, exactly and without a work
-    budget; the reduced rows hold Fractions only.
+    budget; the reduced rows hold values in that form.
     """
 
     char = 0
@@ -389,23 +389,23 @@ class RationalField:
 
     @property
     def zero(self):
-        return Fraction(0)
+        return 0
 
     @property
     def one(self):
-        return Fraction(1)
+        return 1
 
     def of(self, n):
-        return Fraction(n)
+        return n if type(n) is int else _qq_value(Fraction(n))
 
     def add(self, a, b):
-        return a + b
+        return _qq_value(a + b)
 
     def sub(self, a, b):
-        return a - b
+        return _qq_value(a - b)
 
     def mul(self, a, b):
-        return a * b
+        return _qq_value(a * b)
 
     def neg(self, a):
         return -a
@@ -413,18 +413,17 @@ class RationalField:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        return 1 / Fraction(a)
+        return _qq_value(1 / Fraction(a))
 
     def format(self, a):
-        a = Fraction(a)
-        return f"{a.numerator}/{a.denominator}" if a.denominator != 1 else str(a.numerator)
+        return str(a)  # "n/d" for a Fraction, which is never integral
 
     def parse(self, s):
-        return Fraction(s)
+        return _qq_value(Fraction(s))
 
     def rref(self, rows, ncols, reduced=True):
-        """(rref_rows, pivot_columns) with Fraction entries; rref_rows is None
-        when not reduced.  The sparse kernel whatever the density (_rref)."""
+        """(rref_rows, pivot_columns); rref_rows is None when not reduced.
+        The sparse kernel whatever the density (_rref)."""
         return _rref(rows, ncols, 0, math.inf, reduced)
 
 
@@ -487,21 +486,17 @@ class Subspace:
         {column: value} is zero on every pivot column, coeffs {basis row:
         value} is in ascending row order, and vec = sum_k coeffs[k] rows[k] +
         residual.  Over F_p the values are ints in [0, p); over QQ they are
-        Fractions, like the basis rows.
+        in the form of _qq_value, like the basis rows.
         """
         p = self.field.char
-        if p:
-            v = {j: x for j, a in vec.items() if (x := a % p)}
-        else:
-            v = {j: a if type(a) is Fraction else Fraction(a) for j, a in vec.items() if a}
+        v = {j: x for j, a in vec.items() if (x := a % p)} if p else _entries([vec], p)[0]
         # a row's coefficient is vec's entry at its pivot, because every
         # other basis row is zero there
-        row_at = self._row_at
-        coeffs = {}
+        row_at, coeffs = self._row_at, {}
         for k in sorted(row_at[c] for c in v if c in row_at):
             f = coeffs[k] = v[self.pivots[k]]
             _sub_multiple(v, f, self.rows[k], p)
-        return v, coeffs
+        return (v, coeffs) if p else tuple(_entries((v, coeffs), p))
 
     def contains(self, vec):
         residual, _ = self.reduce(vec)
@@ -622,7 +617,7 @@ class Solver:
                                len(self._rows), p)
         if r and min(r) < n:
             return None
-        return {j - n: x if p else Fraction(x) for j, x in r.items()}
+        return {j - n: x if p else _qq_value(x) for j, x in r.items()}
 
 
 def echelonize(field, rows, ncols):

@@ -1,14 +1,22 @@
 """The reference products of the tests: one general expansion per product.
 
-koszulcone.algebra.GradedAlgebra.multiplication_columns reads the columns
-of a single term from the normal forms by lookup, and
+koszulcone.algebra.GradedAlgebra.multiply and multiplication_columns read
+the product of single terms from the normal forms by lookup, and
 koszulcone.complexes._compose_columns adds each product of single-term
 entries straight into its sums.  These oracles compute the same through
-GradedAlgebra._expand, one call per column or product, as both did before,
-so the tests compare them on values, value types and the keys of the sums.
+GradedAlgebra._expand, one call per product or column, as all three did
+before, so the tests compare them on values, value types and the keys of
+the sums.
 """
 
-from koszulcone.algebra import GradedAlgebra
+from koszulcone.algebra import AlgebraElement, GradedAlgebra
+
+
+def multiply(algebra: GradedAlgebra, a, b):
+    """a * b by expanding basis monomial representatives, whatever the terms."""
+    d = a.degree + b.degree
+    product = algebra._expand(algebra._product_degree(d), algebra._terms(a), algebra._terms(b))
+    return AlgebraElement(d, tuple(sorted(product.items())))
 
 
 def multiplication_columns(algebra: GradedAlgebra, a, e):

@@ -2,9 +2,17 @@
 
 koszulcone.linalg takes and returns dict rows {column: nonzero value}, the
 targets and solutions of Solver among them.  The tests write literal
-matrices, and the oracles compute, on dense lists; these two helpers are the
-one place where the forms meet.
+matrices, and the oracles compute, on dense lists; sparse and dense are the
+one place where the forms meet.  canonical_qq is the value form over QQ.
 """
+
+from fractions import Fraction
+
+
+def canonical_qq(x):
+    """True when x is a rational in the one value form over QQ: an int when
+    integral, else a Fraction whose denominator is above 1."""
+    return type(x) is int or (type(x) is Fraction and x.denominator > 1)
 
 
 def sparse(rows):

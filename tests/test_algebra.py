@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -8,8 +10,9 @@ from koszulcone.cli import parse_ring_text
 from koszulcone.errors import DegreeOverflow, ElementMismatch
 from koszulcone.linalg import GF, QQ, Echelon, Subspace, rank, transpose
 
+import algebra_oracle
 from linalg_oracle import solve_columns
-from rowform import dense, sparse
+from rowform import canonical_qq, dense, sparse
 
 F101 = GF(101)
 
@@ -488,3 +491,77 @@ def test_element_form_is_canonical_and_agrees_with_dense_coordinates(p):
             A.zero(cutoff + 1)
         with pytest.raises(ElementMismatch):
             A.element(1, [fld.one] * (A.dim(1) + 1))
+
+
+# -- products of single terms against the general expansion -----------------------
+
+# k[x,y,z]/(2xy - 3xz + 5yz): the symmetric relation of the sym_relation
+# fixture with non-unit coefficients, so that over QQ the normal form of x*z,
+# and the products and differentials built on it, hold proper fractions
+FRACTIONAL_RING_TEXT = """\
+field q
+vars x y z
+rel 2*x*y - 3*x*z + 5*y*z
+prefer x*y, y*z
+ideal x*y, y*z
+"""
+
+
+def fractional_ring(cutoff=6):
+    return GradedAlgebra(parse_ring_text(FRACTIONAL_RING_TEXT).presentation(), cutoff)
+
+
+def test_the_fractional_ring_has_proper_fractions_in_its_normal_forms():
+    A = fractional_ring()
+    xz = A.monomial_element((1, 0, 1))
+    assert xz.terms == ((0, Fraction(2, 3)), (1, Fraction(5, 3)))
+    assert A.format_element(xz) == "2/3*x*y + 5/3*y*z"
+    assert all(canonical_qq(x) for d in range(5) for nf in A._degree(d).nf for _, x in nf)
+
+
+@pytest.mark.parametrize("p", [2, 101, 0])
+def test_multiply_matches_the_general_expansion(p):
+    # a product of single terms c*m and c'*m' is c*c' times one normal-form
+    # lookup; the oracle expands every product, as multiply did before
+    field = QQ if p == 0 else GF(p)
+    rng = random.Random(2700 + p)
+    cutoff = 5
+    coefficients = [field.one] if p == 2 else [
+        field.of(c) for c in (1, -1, 2, Fraction(2, 3), Fraction(-5, 2))]
+    value_ok = canonical_qq if p == 0 else (lambda x: type(x) is int and 0 < x < p)
+    rings = [poly_ring(3, cutoff, field), squares_ring(3, cutoff, field)]
+    rings += [GradedAlgebra(random_presentation(rng, field, p or 7), cutoff) for _ in range(4)]
+    if p == 0:
+        rings.append(fractional_ring(cutoff))
+
+    def elements(A, d):
+        dim = A.dim(d)
+        out = [A.from_sparse(d, {rng.randrange(dim): rng.choice(coefficients)})
+               for _ in range(3)]
+        if dim > 1:
+            k, j = rng.sample(range(dim), 2)
+            out.append(A.from_sparse(d, {k: rng.choice(coefficients), j: field.one}))
+        return out + [A.zero(d)]
+
+    kinds = Counter()
+    for A in rings:
+        for da in range(3):
+            for db in range(3):
+                if not (A.dim(da) and A.dim(db)):
+                    continue
+                for a in elements(A, da):
+                    for b in elements(A, db):
+                        got, want = A.multiply(a, b), algebra_oracle.multiply(A, a, b)
+                        assert got == want, (A.presentation, a, b)
+                        assert [type(v) for _, v in got.terms] == \
+                            [type(v) for _, v in want.terms]
+                        assert all(value_ok(v) for _, v in got.terms)
+                        single = len(a.terms) == len(b.terms) == 1
+                        kinds[(single, bool(got.terms))] += 1
+    # single x single products that vanish (x1*x1 in the squares ring) and
+    # that do not, and multi-term or zero factors
+    assert all(kinds[key] for key in ((True, True), (True, False), (False, True)))
+    if p == 0:
+        A = rings[-1]
+        x, z = A.var(0), A.var(2)
+        assert A.multiply(A.scale(Fraction(3, 2), x), z).terms == ((0, 1), (1, Fraction(5, 2)))

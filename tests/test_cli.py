@@ -5,9 +5,12 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,9 +18,13 @@ import pytest
 import koszulcone
 from koszulcone import algebra, cli, dual, linalg
 from koszulcone.cli import format_jobspec, main, parse_ring_text
-from koszulcone.complexes import complex_to_json
+from koszulcone.complexes import _compose_columns, complex_to_json, iterated_mapping_cone
 from koszulcone.errors import ParseError
+from koszulcone.ideals import MonomialIdeal
 
+import algebra_oracle
+from rowform import canonical_qq
+from test_algebra import FRACTIONAL_RING_TEXT, fractional_ring
 from test_complexes import NON_KOSZUL_RING_TEXT, corrupt_lifts, printed_closed_form
 from test_ideals import hhr_ideal
 
@@ -669,6 +676,85 @@ def test_gf101_and_rationals_agree_on_fixtures(fixture, capsys):
             assert (code, err) == (0, ""), (command, field)
             answers.append(_field_invariants(command, json.loads(out)))
         assert answers[0] == answers[1], command
+
+
+def test_proper_fractions_over_the_rationals_from_products_to_verify(tmp_path, capsys):
+    # the normal forms of the fractional ring hold proper fractions, so its
+    # products, compositions and differentials do too: each kernel equals its
+    # per-product expansion, every value is in the one QQ value form, and
+    # resolve --field q exports a resolution that verify certifies
+    A = fractional_ring()
+    F = iterated_mapping_cone(MonomialIdeal(A, parse_ring_text(FRACTIONAL_RING_TEXT).ideal), 4)
+    rng = random.Random(2728)
+    fractions = Counter()
+    for l in range(1, len(F.diffs)):
+        for a in F.diffs[l].values():
+            assert all(canonical_qq(x) for _, x in a.terms)
+            fractions["differentials"] += any(type(x) is Fraction for _, x in a.terms)
+            for e in range(3):
+                cols = A.multiplication_columns(a, e)
+                assert cols == algebra_oracle.multiplication_columns(A, a, e)
+                assert all(canonical_qq(x) for col in cols for x in col.values())
+                fractions["columns"] += any(type(x) is Fraction for col in cols for x in col.values())
+        # d_l against one scaled element per generator of F_l, into one column
+        second = {(g, 0): A.scale(A.field.of(rng.choice((1, -1, Fraction(3, 2)))),
+                                  A.var(rng.randrange(3)))
+                  for g in range(len(F.modules[l]))}
+        got = [(c, list(sums.items())) for c, sums in _compose_columns(A, F.diffs[l], second)]
+        want = [(c, list(sums.items()))
+                for c, sums in algebra_oracle.compose_columns(A, F.diffs[l], second)]
+        assert got == want
+        values = [x for _, sums in got for _, acc in sums for x in acc.values()]
+        assert all(canonical_qq(x) for x in values)
+        fractions["compositions"] += any(type(x) is Fraction for x in values)
+    assert F.d_squared_witness() is None
+    assert all(fractions[kind] for kind in ("differentials", "columns", "compositions"))
+    ring, export = tmp_path / "fractional.ring", tmp_path / "fractional.json"
+    ring.write_text(FRACTIONAL_RING_TEXT)
+    bounds = ["--hmax", "4", "--dmax", "5", "--field", "q", "--out", "json"]
+    code, out, err = run_main(["resolve", "--method", "cone", str(ring), "--export", str(export),
+                               *bounds], capsys)
+    assert (code, err) == (0, "")
+    assert any("/" in x for x in re.findall(r'"(-?[0-9/]+)"', export.read_text()))
+    code, out, err = run_main(["verify", "--complex", str(export), str(ring), *bounds], capsys)
+    doc = json.loads(out)
+    assert (code, err) == (0, "")
+    assert doc["d2_zero"] and doc["exact_in_positive_degrees"] and doc["minimal"]
+
+
+def random_integer_ring_text(rng):
+    """Ring file text over QQ in 3-4 variables with 1-2 relations, each a sum
+    of quadratic monomials with integer coefficients in +-1..+-7."""
+    names = [f"x{i}" for i in range(1, rng.randint(3, 4) + 1)]
+    quadrics = [f"{a}*{b}" if a != b else f"{a}^2"
+                for a, b in itertools.combinations_with_replacement(names, 2)]
+    lines = ["field q", "vars " + " ".join(names)]
+    for _ in range(rng.randint(1, 2)):
+        terms = [f"{rng.choice('+-')} {rng.randint(1, 7)}*{m}"
+                 for m in rng.sample(quadrics, rng.randint(1, 4))]
+        lines.append("rel " + " ".join(terms).lstrip("+ "))
+    return "\n".join(lines) + "\n"
+
+
+def test_a_large_prime_and_the_rationals_agree_on_random_integer_rings(tmp_path, capsys):
+    # GF(1048573) divides no minor of these small integer matrices in
+    # practice, so dual dims and Priddy ranks must agree with QQ's; a draw
+    # that differs is a finding about the elimination, not a bad seed
+    rng = random.Random(27027)
+    ring = tmp_path / "random.ring"
+    for _ in range(20):
+        text = random_integer_ring_text(rng)
+        ring.write_text(text)
+        for command, bounds in (("dual", ["--hmax", "4"]),
+                                ("priddy", ["--hmax", "3", "--dmax", "4"])):
+            answers = []
+            for field in ("1048573", "q"):
+                code, out, err = run_main([command, str(ring), *bounds, "--field", field,
+                                           "--out", "json"], capsys)
+                answers.append((code, _field_invariants(command, json.loads(out))
+                                if code == 0 else None))
+            assert answers[0] == answers[1], (command, text)
+            assert answers[0][0] in (0, 1)
 
 
 def all_quadrics_ring_text(kind, n, field):

@@ -19,7 +19,7 @@ from koszulcone.linalg import (
 )
 
 from linalg_oracle import solve_columns
-from rowform import dense, sparse
+from rowform import canonical_qq, dense, sparse
 
 F101 = GF(101)
 
@@ -347,7 +347,7 @@ def test_rational_rref_matches_fraction_gauss_jordan(monkeypatch):
 def _check_row_form(field, rows, ncols, rng):
     """The row form of every answer on the dict rows of a matrix: RREF,
     kernel and Subspace rows hold nonzero field values at columns below
-    ncols (Fractions over QQ, ints in [0, p) over F_p); reduce leaves the
+    ncols (canonical_qq over QQ, ints in [0, p) over F_p); reduce leaves the
     residual zero at every pivot, and coords_of rebuilds the members of the
     row space and returns None off it."""
     p = field.char
@@ -360,7 +360,7 @@ def _check_row_form(field, rows, ncols, rng):
         if p:
             assert all(type(x) is int and 0 < x < p for x in row.values())
         else:
-            assert all(type(x) is Fraction and x for x in row.values())
+            assert all(canonical_qq(x) and x for x in row.values())
 
     def combine(pairs):
         """sum k * row over (field element k, dict row) pairs, as a dict row."""
@@ -431,7 +431,7 @@ def test_rational_reduce_matches_the_dense_loop():
             want_residual, want_coeffs = _dense_reduce(sub, dense([vec], ambient)[0])
             assert dense([residual], ambient)[0] == want_residual
             assert dense([coeffs], sub.dim)[0] == want_coeffs
-            assert all(type(x) is Fraction and x for x in [*residual.values(), *coeffs.values()])
+            assert all(canonical_qq(x) and x for x in [*residual.values(), *coeffs.values()])
             assert vec == before
         assert sub.contains(sparse([inside])[0]) and sub.contains(sparse(vecs[2:3])[0])
 
@@ -610,7 +610,7 @@ def _check_dict_rows_give_the_dense_answers(field, rows, ncols, rng):
     ker = dense(kernel(field, m, ncols).rows, ncols)
     assert len(ker) == ncols - len(pivots)
     assert all(not field.of(sum(a * b for a, b in zip(row, v))) for row in rows for v in ker)
-    entry = int if p else Fraction
+    entry_ok = (lambda x: type(x) is int) if p else canonical_qq
     targets = [[field.of(rng.randint(-3, 3)) for _ in rows] for _ in range(3)]
     sols, bad = solve_columns(field, m, ncols, sparse(targets))
     solvable = [len(textbook([row + [t[r]] for r, row in enumerate(rows)], ncols + 1)[1]) ==
@@ -618,7 +618,7 @@ def _check_dict_rows_give_the_dense_answers(field, rows, ncols, rng):
     if bad is None:
         assert all(solvable)
         for w, t in zip(dense(sols, ncols, field.zero), targets):
-            assert all(type(x) is entry for x in w)
+            assert all(entry_ok(x) for x in w)
             assert all(not w[c] for c in range(ncols) if c not in pivots)
             assert [field.of(sum(a * x for a, x in zip(row, w))) for row in rows] == t
     else:
@@ -764,7 +764,7 @@ def test_solver_matches_solve_columns_on_every_prefix(p):
                     continue
                 solved += 1
                 # field values of the same type as solve_columns gives
-                assert all(type(x) is (int if p else Fraction) for x in got.values())
+                assert all(type(x) is int if p else canonical_qq(x) for x in got.values())
                 if p:
                     assert all(0 < x < p for x in got.values())
         assert rows == before
@@ -839,7 +839,7 @@ def test_echelon_span_is_the_canonical_subspace_of_the_rows_fed(p):
     # Subspace.from_rows of what was fed, and leave the rows as they were,
     # which locate reads (a fed vector still needs no row fed after it)
     field = GF(p) if p else QQ
-    entry = int if p else Fraction
+    entry_ok = (lambda x: type(x) is int) if p else canonical_qq
     rng = random.Random(5400 + p)
     spans = 0
     for _ in range(40):
@@ -857,7 +857,7 @@ def test_echelon_span_is_the_canonical_subspace_of_the_rows_fed(p):
                 fed = [row for block in blocks[:level] for row in block]
                 got = ech.span(count)
                 assert got == Subspace.from_rows(field, fed, n)
-                assert all(type(x) is entry for row in got.rows for x in row.values())
+                assert all(entry_ok(x) for row in got.rows for x in row.values())
                 spans += 1
             for level, block in enumerate(blocks, 1):
                 for row in block:

@@ -169,3 +169,23 @@ def test_rungs_prints_one_json_line_per_run():
         [sys.executable, "-m", "koszulcone.cli", *argv], cwd=root / "fixtures",
         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), capture_output=True, check=True, timeout=120)
     assert run["stdout_sha256"] == hashlib.sha256(direct.stdout).hexdigest()
+
+
+def test_rungs_in_process_prints_cpu_seconds_and_the_same_digest():
+    # tools/rungs.py --in-process: CPU seconds of koszulcone.cli.main in one
+    # process, with the digest a child process prints for the same rung
+    root = SRC.parent.parent
+    argv = [sys.executable, str(root / "tools" / "rungs.py"), str(root), "--rung", "hhr-resolve"]
+    child = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True,
+                                      timeout=120).stdout)
+    done = subprocess.run(argv + ["--in-process", "3"], capture_output=True, text=True,
+                          check=True, timeout=120)
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    run = json.loads(lines[0])
+    assert (run["rung"], run["argv"], run["rc"], run["runs"]) == (
+        "hhr-resolve", child["argv"], 0, 3)
+    assert run["cpu_s"] > 0 and "wall_s" not in run
+    assert run["stdout_sha256"] == child["stdout_sha256"]
+    bad = subprocess.run(argv + ["--in-process", "0"], capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 2 and "--in-process" in bad.stderr

@@ -1,6 +1,6 @@
-"""Whole-process timings of the koszulcone CLI on rings too large for bench jobs.
+"""Timings of the koszulcone CLI on rings too large for bench jobs.
 
-    python tools/rungs.py CHECKOUT [--rung NAME ...]
+    python tools/rungs.py CHECKOUT [--rung NAME ...] [--in-process N]
 
 Writes the ring files of the ladder below into a temporary directory and runs
 each rung there as its own `python -m koszulcone.cli ...` process, importing
@@ -27,17 +27,37 @@ the import of koszulcone, about 0.09 s on a 2-core Xeon VM (0.22 s once
 numpy loads), so a rung that runs under a second hides much of a gain or
 loss in that floor: report those rungs' times in-process as well, as CPU
 seconds of `koszulcone.cli.main` on the same arguments.
+
+`--in-process N` does that.  It imports koszulcone from CHECKOUT/src into
+this process and calls `koszulcone.cli.main` on each rung's arguments N + 1
+times, in the ring directory, with stdout and stderr captured.  The first
+call is not timed: it pays the import of numpy and fills the package's
+caches of monomial tuples.  Each line is then
+
+    {"rung": ..., "argv": [...], "rc": ..., "cpu_s": ..., "runs": N,
+     "stdout_sha256": ...}
+
+where cpu_s is the median process CPU time of the N timed calls, each after
+a garbage collection, and stdout_sha256 is of the first call's stdout,
+encoded as UTF-8: the digest a child process prints for the same rung.  To
+compare two checkouts, pair them rung by rung as above, each side in its own
+`--in-process` command.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import gc
 import hashlib
+import importlib
+import io
 import itertools
 import json
 import os
 import random
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -157,17 +177,57 @@ def run_rung(checkout, name, workdir):
     }
 
 
+def in_process_runs(cli, name, workdir, runs):
+    """The JSON-ready record of runs + 1 calls of cli.main on one rung, in
+    this process; the first call is not timed."""
+    argv = list(RUNGS[name])
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        times = []
+        for k in range(runs + 1):
+            out = io.StringIO()
+            gc.collect()
+            t0 = time.process_time()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                rc = cli.main(argv)
+            times.append(time.process_time() - t0)
+            if k == 0:
+                first_rc, digest = rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    finally:
+        os.chdir(cwd)
+    return {
+        "rung": name,
+        "argv": argv,
+        "rc": first_rc,
+        "cpu_s": round(statistics.median(times[1:]), 4),
+        "runs": runs,
+        "stdout_sha256": digest,
+    }
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("checkout", help="directory holding src/koszulcone")
     p.add_argument("--rung", action="append", choices=sorted(RUNGS),
                    help="rung to run (repeatable; default every rung)")
+    p.add_argument("--in-process", type=int, metavar="N",
+                   help="time N calls of koszulcone.cli.main in this process, after "
+                        "one untimed call, instead of one child process per rung")
     args = p.parse_args(argv)
+    if args.in_process is not None and args.in_process < 1:
+        p.error("--in-process needs at least one timed run")
+    cli = None
+    if args.in_process:
+        sys.path.insert(0, str(Path(args.checkout).resolve() / "src"))
+        cli = importlib.import_module("koszulcone.cli")
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         write_rings(workdir)
         for name in args.rung or RUNGS:
-            print(json.dumps(run_rung(args.checkout, name, workdir)), flush=True)
+            record = (in_process_runs(cli, name, workdir, args.in_process) if cli else
+                      run_rung(args.checkout, name, workdir))
+            print(json.dumps(record), flush=True)
     return 0
 
 
