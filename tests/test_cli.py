@@ -694,8 +694,9 @@ def test_proper_fractions_over_the_rationals_from_products_to_verify(tmp_path, c
             for e in range(3):
                 cols = A.multiplication_columns(a, e)
                 assert cols == algebra_oracle.multiplication_columns(A, a, e)
-                assert all(canonical_qq(x) for col in cols for x in col.values())
-                fractions["columns"] += any(type(x) is Fraction for col in cols for x in col.values())
+                values = [x for col in cols for x in col.values()]
+                assert all(canonical_qq(x) for x in values)
+                fractions["columns"] += any(type(x) is Fraction for x in values)
         # d_l against one scaled element per generator of F_l, into one column
         second = {(g, 0): A.scale(A.field.of(rng.choice((1, -1, Fraction(3, 2)))),
                                   A.var(rng.randrange(3)))
