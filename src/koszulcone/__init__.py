@@ -15,20 +15,14 @@ from .complexes import (
     ChainComplex,
     Generator,
     VerifyReport,
-    betti_from_complex,
     betti_table,
     closed_form_resolution,
-    comparison_maps,
     complex_from_json,
     complex_to_json,
-    homology_window,
-    ideal_resolution,
     iterated_mapping_cone,
     koszulness_certificate,
-    linear_strand,
     priddy_complex,
     sub_priddy_complex,
-    verify_chain_map,
     verify_complex,
 )
 from .dual import QuadraticDual, QuotientDual, left_ideal_contains
@@ -36,7 +30,6 @@ from .ideals import (
     ColonData,
     DecompositionTable,
     MonomialIdeal,
-    annihilator_vars,
     check_strongly_koszul,
 )
 from .linalg import (

@@ -4,9 +4,9 @@ A ChainComplex holds labeled free modules per homological degree and
 differential matrices with homogeneous algebra-element entries.  Everything
 is verified exactly: d.d = 0 as symbolic matrix identities, minimality as a
 constant-term scan, and homology by rank computations on the degreewise
-k-matrices.  One sparse composition kernel (_compose_columns) serves d.d,
-verify_chain_map and the lifts' right-hand sides: it adds the normal form
-of each product of single-term entries, and the expansion of any other
+k-matrices.  One sparse composition kernel (_compose_columns) serves d.d
+and the lifts' right-hand sides: it adds the normal form of each product of
+single-term entries, and the expansion of any other
 (GradedAlgebra._expand), into {position: value} sums, reduced once per
 column.  The trace differential of a dual or quotient dual depends on it
 and hmax only, so it is built and its d.d certified once and kept on the
@@ -16,8 +16,8 @@ Both resolutions of an ideal with linear quotients are one iterated mapping
 cone over the generators against their certified sub-Priddy complexes, and
 differ only in the comparison maps: the generic cone lifts them degreewise
 on linalg.Solvers kept across its steps, and under a regular ordering the
-closed form writes them out, so comparison_maps returns one step of it.  The
-generic path is the in-house oracle for the closed form: both must verify.
+closed form writes them out.  The generic path is the in-house oracle for
+the closed form: both must verify.
 
 Cone sign conventions: cone(psi: K -> F)_l = F_l (+) K_{l-1} with
 differential (f, k) |-> (dF f + psi k, -dK k); the shifted copy carries the
@@ -38,7 +38,6 @@ from .errors import (
     InputError,
     LiftingFailure,
     NonMinimalCone,
-    NotMinimal,
     NotRegular,
     RegularOrderingViolation,
 )
@@ -54,11 +53,7 @@ __all__ = [
     "sub_priddy_complex",
     "iterated_mapping_cone",
     "closed_form_resolution",
-    "comparison_maps",
-    "verify_chain_map",
     "verify_complex",
-    "homology_window",
-    "linear_strand",
     "betti_table",
     "complex_to_json",
     "complex_from_json",
@@ -412,8 +407,8 @@ def _cone(F, K, psi, hmax):
     return ChainComplex(A, modules, diffs, kind="resolution")
 
 
-def _iterated_cone(ideal, hmax, step, keep):
-    """The iterated mapping cone over m_1, ..., m_r, and step keep's (K, F, psi).
+def _iterated_cone(ideal, hmax, step):
+    """The iterated mapping cone over m_1, ..., m_r.
 
     Step i cones the resolution F of A/J_{i-1} against the i-th sub-Priddy
     complex K, built to hmax - 1 as the cone uses, whose negated differential
@@ -422,15 +417,11 @@ def _iterated_cone(ideal, hmax, step, keep):
     (quotient-dual basis of degree l-1) for each generator i in order.
     """
     F = _base_complex(ideal.algebra, hmax)
-    kept = None
     for i in range(1, ideal.r + 1):
         K = sub_priddy_complex(ideal.dual, ideal.colon_vars(i).variables, hmax - 1,
                                shift=ideal.degs[i - 1], gen=i)
-        psi = step(F, K, i)
-        if i == keep:
-            kept = (K, F, psi)
-        F = _cone(F, K, psi, hmax)
-    return F, kept
+        F = _cone(F, K, step(F, K, i), hmax)
+    return F
 
 
 def iterated_mapping_cone(ideal, hmax):
@@ -440,8 +431,8 @@ def iterated_mapping_cone(ideal, hmax):
     colon variable sets come from the ideal's cache).
     """
     solvers = {}
-    F, _ = _iterated_cone(ideal, hmax, lambda F, K, i: _lift_comparison(
-        F, K, ideal.gen_elements[i - 1], solvers), None)
+    F = _iterated_cone(ideal, hmax, lambda F, K, i: _lift_comparison(
+        F, K, ideal.gen_elements[i - 1], solvers))
     w = F.d_squared_witness()
     if w is not None:
         raise ConeNotComplex(f"cone differential broke d.d = 0 at {w}", witness=w)
@@ -493,17 +484,6 @@ def _explicit_comparison(ideal, F, K, k):
     return psi
 
 
-def _closed_form(ideal, hmax, keep):
-    """The iterated cone over the explicit comparison maps, d.d = 0 checked."""
-    F, kept = _iterated_cone(ideal, hmax, lambda F, K, k: _explicit_comparison(
-        ideal, F, K, k), keep)
-    w = F.d_squared_witness()
-    if w is not None:
-        raise RegularOrderingViolation(f"closed-form differential broke d.d = 0 at {w}",
-                                       witness=w)
-    return F, kept
-
-
 def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4):
     """The explicit differential for ideals admitting a regular ordering.
 
@@ -522,45 +502,15 @@ def closed_form_resolution(ideal, hmax, check_regular=True, check_to=4):
         rep = ideal.check_regular_ordering(check_to=check_to)
         if not rep.passed:
             raise NotRegular(f"regular-ordering check failed: {rep.details[:1]}")
-    return _closed_form(ideal, hmax, None)[0]
+    F = _iterated_cone(ideal, hmax, lambda F, K, k: _explicit_comparison(ideal, F, K, k))
+    w = F.d_squared_witness()
+    if w is not None:
+        raise RegularOrderingViolation(f"closed-form differential broke d.d = 0 at {w}",
+                                       witness=w)
+    return F
 
 
-def comparison_maps(ideal, r, hmax):
-    """The explicit chain map from the r-th sub-Priddy complex into the
-    closed-form resolution of the previous prefix.
-
-    psi_l(m_r (x) f) = sum over s and j < r of c_j(x_s m_r) (m_j (x) f.x_s^*).
-    (K, F, psi) is step r of the closed form built to hmax + 1, F cut to hmax;
-    the d.d = 0 check of that whole closed form covers the chain-map
-    identity, and raises RegularOrderingViolation for every r on an ordering
-    that is not regular.  psi[l] is an entry dict K_l -> F_l.
-
-    Raises:
-        ValueError: if r is not a generator index 1..ideal.r.
-    """
-    if not 1 <= r <= ideal.r:
-        raise ValueError(f"r must be a generator index in 1..{ideal.r}, not {r!r}")
-    K, F, psi = _closed_form(ideal, hmax + 1, r)[1]
-    return K, ChainComplex(F.algebra, F.modules[: hmax + 1], F.diffs[: hmax + 1],
-                           kind=F.kind), psi
-
-
-def verify_chain_map(F, K, psi, hmax):
-    """Exact check of dF . psi_l = psi_{l-1} . dK for 1 <= l <= hmax."""
-    A = F.algebra
-    for l in range(1, hmax + 1):
-        if _compose(A, F.diffs[l], psi[l]) != _compose(A, psi[l - 1], K.diffs[l]):
-            return False, l
-    return True, None
-
-
-def _compose(algebra, first, second):
-    """Nonzero entries of first o second as sparse dicts, keyed (row, degree, col)."""
-    return {(r, d, c): v for c, sums in _compose_columns(algebra, first, second)
-            for (r, d), v in sums.items() if v}
-
-
-# -- verification, strands, Betti tables -----------------------------------------
+# -- verification and Betti tables --------------------------------------------------
 
 
 @dataclass
@@ -608,55 +558,6 @@ def verify_complex(c, dmax, d2_certified=False):
             if h:
                 exact = False
     return VerifyReport(d2w is None, mw is None, homology, exact, d2w, mw)
-
-
-def homology_window(c, i_range):
-    """Homology ranks (i, j) on the diagonals internal = initial + i + j, j = 0, 1.
-
-    The two-diagonal window characterizes linear strands of modules; it is
-    also the bounded exactness statement for sub-Priddy complexes.
-    """
-    initial = min((g.internal_degree for g in c.modules[0]), default=0)
-    diff_ranks = {}
-    out = {}
-    for i in i_range:
-        for j in (0, 1):
-            out[(i, j)] = c.homology_rank(i, initial + i + j, diff_ranks)
-    return out
-
-
-def ideal_resolution(c):
-    """Truncate a resolution of A/J to the resolution of the ideal J.
-
-    Drops homological degree zero and shifts: the generators of J become the
-    new degree-zero module.
-    """
-    modules = [list(m) for m in c.modules[1:]]
-    diffs = [None] + [dict(c.diffs[l]) for l in range(2, len(c.modules))]
-    return ChainComplex(c.algebra, modules, diffs, kind=c.kind + "_ideal")
-
-
-def linear_strand(c):
-    """Restriction to basis elements of internal degree initial + homological degree."""
-    mw = c.minimality_witness()
-    if mw is not None:
-        raise NotMinimal(f"constant differential entry at {mw}")
-    initial = min((g.internal_degree for g in c.modules[0]), default=0)
-    keep = []
-    old_to_new = []
-    for l, mod in enumerate(c.modules):
-        sel = [i for i, g in enumerate(mod) if g.internal_degree == initial + l]
-        keep.append(sel)
-        old_to_new.append({i: k for k, i in enumerate(sel)})
-    modules = [[c.modules[l][i] for i in keep[l]] for l in range(len(c.modules))]
-    diffs = [None]
-    for l in range(1, len(c.modules)):
-        entries = {}
-        for (r, cc), a in c.diffs[l].items():
-            if cc in old_to_new[l] and r in old_to_new[l - 1]:
-                entries[(old_to_new[l - 1][r], old_to_new[l][cc])] = a
-        diffs.append(entries)
-    return ChainComplex(c.algebra, modules, diffs, kind=c.kind + "_linear_strand")
 
 
 @dataclass
@@ -731,16 +632,6 @@ def betti_table(ideal, hmax):
         regularity=ideal.max_degree,
         linear_resolution=len(degs) <= 1,
     )
-
-
-def betti_from_complex(c):
-    """Ideal-level Betti counts read off a resolution of A/J (shift by one)."""
-    out = {}
-    for l in range(1, len(c.modules)):
-        for g in c.modules[l]:
-            key = (l - 1, g.internal_degree)
-            out[key] = out.get(key, 0) + 1
-    return out
 
 
 # -- serialization -----------------------------------------------------------------

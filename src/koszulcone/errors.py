@@ -83,10 +83,6 @@ class NotRegular(KoszulConeError):
     """closed_form_resolution invoked although the regular-ordering check fails."""
 
 
-class NotMinimal(KoszulConeError):
-    """linear_strand() needs a minimal complex but found a constant entry."""
-
-
 class ParseError(KoszulConeError):
     """Input-file syntax error, with position information."""
 

@@ -19,8 +19,7 @@ One colon rule serves every bounded check, and no colon is built above degree
 1: m_i maps A_d onto (J_i / J_{i-1})_{d+e} (e = deg m_i) with kernel the colon,
 so dim (J_{i-1} : m_i)_d = dim A_d - dim (J_i)_{d+e} + dim (J_{i-1})_{d+e}
 (Herzog-Takayama, HHA 4, 2002); (Y) + (x) = (Y u {x}) gives the same identity
-for variable ideals, and J_{i-1} = 0 gives dim (0:m)_d = dim A_d - rank(m . A_d)
-for annihilators.  The ideal generated by the degree-1 part of a colon lies
+for variable ideals.  The ideal generated by the degree-1 part of a colon lies
 inside it, so equal dimensions mean equal spaces.
 
 The variable ideals (Y)_d those identities read are counted on one
@@ -58,14 +57,13 @@ from itertools import combinations
 
 from .dual import QuadraticDual, left_ideal_contains
 from .errors import DecompositionFailure, NotInIdeal, NotMultigraded
-from .linalg import Echelon, Solver, Subspace, kernel, rank
+from .linalg import Echelon, Solver, kernel, rank
 
 __all__ = [
     "MonomialIdeal",
     "DecompositionTable",
     "ColonData",
     "CheckReport",
-    "annihilator_vars",
     "check_strongly_koszul",
 ]
 
@@ -626,28 +624,6 @@ class DecompositionTable:
             bound = j - 1
         entries.reverse()
         return entries
-
-
-def annihilator_vars(algebra, exp, check_to=0):
-    """Degree-1 annihilator data of a monomial class.
-
-    Returns (variables, degree1_space, report): the variable indices killed by
-    the monomial, the full degree-1 part of (0:m) as a subspace of A_1, and
-    for each 2 <= d <= check_to whether (0:m)_d is generated by the degree-1
-    part (False flags a higher minimal generator of the annihilator).
-    """
-    mel = algebra.monomial_element(tuple(exp))
-    vars_ = frozenset(j for j in range(algebra.n)
-                      if algebra.multiply(algebra.var(j), mel).is_zero)
-    zero_target = Subspace.zero(algebra.field, algebra.dim(1 + mel.degree))
-    deg1 = _colon_against_space(algebra, mel, 1, zero_target)
-    report = {}
-    for d in range(2, check_to + 1):
-        # dim (0:m)_d = dim A_d - rank(m . A_d), and the span lies inside (0:m)_d
-        colon_dim = algebra.dim(d) - rank(algebra.field, algebra.multiplication_columns(mel, d),
-                                          algebra.dim(d + mel.degree))
-        report[d] = _span_rank(algebra, deg1.rows, d) == colon_dim
-    return vars_, deg1, report
 
 
 def check_strongly_koszul(algebra, check_to=4):

@@ -11,12 +11,18 @@ condition (3) for every i at once.  Decomposition and
 regular_ordering_report do none of that: each peel step is one solve_columns
 elimination, each containment is decided afresh, and condition (3) is summed
 one i at a time.
+
+annihilator_vars reads the degree-1 annihilator of a monomial class and
+whether it generates the annihilator up to a bound, by the colon rule with
+J_{i-1} = 0: dim (0:m)_d = dim A_d - rank(m . A_d).  No CLI command reads
+annihilators; the package asks the same question only of the colons
+((Y) : x) of variable ideals (check_strongly_koszul).
 """
 
 from koszulcone.dual import left_ideal_contains
 from koszulcone.errors import DecompositionFailure, NotInIdeal
-from koszulcone.ideals import CheckReport
-from koszulcone.linalg import Subspace
+from koszulcone.ideals import CheckReport, _colon_against_space, _span_rank
+from koszulcone.linalg import Subspace, rank
 
 from linalg_oracle import solve_columns
 
@@ -26,6 +32,28 @@ def variable_ideal_space(algebra, rows, d):
     rows = [col for w in rows
             for col in algebra.multiplication_columns(algebra.from_sparse(1, w), d - 1)]
     return Subspace.from_rows(algebra.field, rows, algebra.dim(d))
+
+
+def annihilator_vars(algebra, exp, check_to=0):
+    """Degree-1 annihilator data of a monomial class.
+
+    Returns (variables, degree1_space, report): the variable indices killed by
+    the monomial, the full degree-1 part of (0:m) as a subspace of A_1, and
+    for each 2 <= d <= check_to whether (0:m)_d is generated by the degree-1
+    part (False flags a higher minimal generator of the annihilator).
+    """
+    mel = algebra.monomial_element(tuple(exp))
+    vars_ = frozenset(j for j in range(algebra.n)
+                      if algebra.multiply(algebra.var(j), mel).is_zero)
+    zero_target = Subspace.zero(algebra.field, algebra.dim(1 + mel.degree))
+    deg1 = _colon_against_space(algebra, mel, 1, zero_target)
+    report = {}
+    for d in range(2, check_to + 1):
+        # dim (0:m)_d = dim A_d - rank(m . A_d), and the span lies inside (0:m)_d
+        colon_dim = algebra.dim(d) - rank(algebra.field, algebra.multiplication_columns(mel, d),
+                                          algebra.dim(d + mel.degree))
+        report[d] = _span_rank(algebra, deg1.rows, d) == colon_dim
+    return vars_, deg1, report
 
 
 class Decomposition:

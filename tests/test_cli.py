@@ -634,6 +634,82 @@ def test_verify_non_json_complex_is_input_error(tmp_path, capsys):
     assert err.startswith("input error: ") and "is not JSON" in err
 
 
+def exit_code(argv, capsys):
+    """main's exit code on argv, with argparse's SystemExit(2) read as 2;
+    any other exception escapes."""
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        assert e.code == 2, argv
+        code = 2
+    capsys.readouterr()
+    return code
+
+
+def json_leaves(obj, path=()):
+    """The paths to the scalars and empty containers of a JSON value."""
+    if isinstance(obj, (dict, list)) and obj:
+        for key, value in (obj.items() if isinstance(obj, dict) else enumerate(obj)):
+            yield from json_leaves(value, path + (key,))
+    else:
+        yield path
+
+
+def test_mutated_complex_documents_exit_cleanly(tmp_path, capsys):
+    # one leaf of the hhr export replaced, deleted or duplicated: verify
+    # --complex reports it with an exit code and no traceback
+    doc = _export_hhr(tmp_path, capsys)
+    leaves = list(json_leaves(doc))
+    values = (None, True, -1, 0, 1, 2, 100, 10 ** 12, 1.5, "", "0", "-1", "1/2", "x", [], {},
+              [[0, "1"]])
+    rng = random.Random(2828)
+    bad = tmp_path / "bad.json"
+    codes = Counter()
+    for _ in range(300):
+        mutated = json.loads(json.dumps(doc))
+        *path, last = rng.choice(leaves)
+        parent = mutated
+        for key in path:
+            parent = parent[key]
+        how = rng.choice(("replace", "delete", "duplicate"))
+        if how == "replace":
+            parent[last] = json.loads(json.dumps(rng.choice(values)))
+        elif how == "delete":
+            del parent[last]
+        elif isinstance(parent, list):
+            parent.insert(last, parent[last])
+        else:
+            parent[last] = [parent[last], parent[last]]
+        bad.write_text(json.dumps(mutated))
+        codes[exit_code(["verify", str(FIXTURES / "hhr_example.ring"), "--complex", str(bad),
+                         "--hmax", "3"], capsys)] += 1
+    assert set(codes) <= {0, 1, 2} and codes[2] > 0, codes
+
+
+def test_mutated_ring_texts_exit_cleanly(tmp_path, capsys):
+    # one character of a fixture inserted, deleted or replaced: five
+    # commands report the ring with an exit code and no traceback
+    texts = [path.read_text() for path in sorted(FIXTURES.glob("*.ring"))]
+    alphabet = "x123^*+-/ \n0pqrelvaidf,#"
+    rng = random.Random(2829)
+    ring = tmp_path / "mutated.ring"
+    codes = Counter()
+    for _ in range(300):
+        text = list(rng.choice(texts))
+        i = rng.randrange(len(text))
+        how = rng.choice(("insert", "delete", "replace"))
+        if how == "insert":
+            text.insert(i, rng.choice(alphabet))
+        elif how == "delete":
+            del text[i]
+        else:
+            text[i] = rng.choice(alphabet)
+        ring.write_text("".join(text))
+        for command in (["betti"], ["dual"], ["resolve"], ["priddy"], ["check", "quotients"]):
+            codes[exit_code([*command, str(ring), "--hmax", "2", "--dmax", "3"], capsys)] += 1
+    assert set(codes) <= {0, 1, 2} and codes[0] > 0 and codes[2] > 0, codes
+
+
 @pytest.mark.parametrize("field", ["103", "q"])
 def test_verify_refuses_a_complex_over_another_field(field, tmp_path, capsys):
     exported = tmp_path / "complex.json"

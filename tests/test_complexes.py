@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import random
 from collections import Counter
@@ -11,26 +10,19 @@ from koszulcone.algebra import GradedAlgebra
 from koszulcone.cli import parse_ring_text
 from koszulcone.complexes import (
     ChainComplex,
-    ideal_resolution,
-    betti_from_complex,
     betti_table,
     closed_form_resolution,
-    comparison_maps,
     complex_from_json,
     complex_to_json,
-    homology_window,
     iterated_mapping_cone,
     koszulness_certificate,
-    linear_strand,
     priddy_complex,
     sub_priddy_complex,
-    verify_chain_map,
     verify_complex,
 )
 from koszulcone.dual import QuadraticDual
 from koszulcone.errors import (
     ConeNotComplex,
-    NotMinimal,
     NotRegular,
     RegularOrderingViolation,
 )
@@ -154,6 +146,21 @@ def test_sub_priddy_ranks():
         assert cs.ranks() == [comb(l + m - 1, m - 1) for l in range(5)]
 
 
+def homology_window(c, i_range):
+    """Homology ranks (i, j) on the diagonals internal = initial + i + j, j = 0, 1.
+
+    The two-diagonal window characterizes linear strands of modules; it is
+    also the bounded exactness statement for sub-Priddy complexes.
+    """
+    initial = min((g.internal_degree for g in c.modules[0]), default=0)
+    diff_ranks = {}
+    out = {}
+    for i in i_range:
+        for j in (0, 1):
+            out[(i, j)] = c.homology_rank(i, initial + i + j, diff_ranks)
+    return out
+
+
 def test_sub_priddy_homology_window():
     # H_i vanishes on the two leading diagonals for i > 0
     cases = [
@@ -177,11 +184,17 @@ def test_cone_of_variables_is_koszul_complex():
     assert rep.passed
 
 
+def ideal_betti(F):
+    """Ideal-level Betti counts of a resolution F of A/J: its graded ranks
+    above homological degree 0, shifted down by one."""
+    return {(l - 1, d): v for (l, d), v in F.graded_ranks().items() if l}
+
+
 def test_cone_md_squares_betti_row():
     # beta_{1,3} of the squarefree-square power ideal over the squares ring
     J = md_squares(3, 2)
     F = iterated_mapping_cone(J, 3)
-    counts = betti_from_complex(F)
+    counts = ideal_betti(F)
     assert counts[(0, 2)] == 3
     assert counts[(1, 3)] == 8
     assert counts[(2, 4)] == 15
@@ -199,8 +212,8 @@ def test_closed_form_matches_cone_on_all_fixtures():
         # three-way rank agreement with the quotient-dual rank sums
         bt = betti_table(J, 4)
         expected = {k: v for k, v in bt.ideal.items() if k[0] <= 3}
-        assert betti_from_complex(Ff) == expected
-        assert betti_from_complex(Fc) == expected
+        assert ideal_betti(Ff) == expected
+        assert ideal_betti(Fc) == expected
 
 
 def test_closed_form_and_cone_verify():
@@ -282,14 +295,14 @@ def test_comparison_maps_commute():
     for mk in REGULAR_FIXTURES:
         J = mk()
         for r in range(2, J.r + 1):
-            K, F, psi = comparison_maps(J, r, 4)
-            ok, level = verify_chain_map(F, K, psi, 4)
+            K, F, psi = sliced_comparison_maps(J, r, 4)
+            ok, level = dense_verify_chain_map(F, K, psi, 4)
             assert ok, (r, level)
 
 
 def test_psi_degree_one_is_decomposition():
     J = hhr_ideal()
-    K, F, psi = comparison_maps(J, 2, 4)
+    K, F, psi = sliced_comparison_maps(J, 2, 4)
     A = J.algebra
     # psi_1 on m_2 (x) e_t equals the coefficients of x_t m_2 over earlier gens
     for c, gen in enumerate(K.modules[1]):
@@ -387,40 +400,8 @@ def test_oracle_matches_betti_table():
             if l <= 2 and d <= dmax:
                 expected[(l + 1, d)] = v
         assert oracle == expected, (oracle, expected)
-        cone = betti_from_complex(iterated_mapping_cone(J, 3))
+        cone = ideal_betti(iterated_mapping_cone(J, 3))
         assert cone == {k: v for k, v in bt.ideal.items() if k[0] <= 2}, J.gens
-
-
-def test_linear_strand_of_linear_complex_is_identity():
-    # equigenerated ideal with linear quotients: the whole ideal-level
-    # resolution is its own linear strand
-    J = poly_m2(3)
-    G = ideal_resolution(closed_form_resolution(J, 4))
-    s = linear_strand(G)
-    assert s.ranks() == G.ranks()
-    s2 = linear_strand(s)
-    assert s2.ranks() == s.ranks()
-    assert all(s2.diffs[l] == s.diffs[l] for l in range(1, 4))
-
-
-def test_linear_strand_mixed_degrees_strictly_smaller():
-    A = poly_ring(3, cutoff=9)
-    J = MonomialIdeal(A, [(1, 0, 0), (0, 1, 1)])  # (x1, x2 x3)
-    G = ideal_resolution(iterated_mapping_cone(J, 4))
-    s = linear_strand(G)
-    assert sum(s.ranks()) < sum(G.ranks())
-    assert s.d_squared_witness() is None
-    window = homology_window(s, range(1, 3))
-    assert all(v == 0 for v in window.values())
-
-
-def test_linear_strand_requires_minimality():
-    D = QuadraticDual(poly_ring(2, cutoff=6))
-    c = priddy_complex(D, 3)
-    A = c.algebra
-    c.diffs[1][(0, 0)] = A.one()  # inject a constant entry
-    with pytest.raises(NotMinimal):
-        linear_strand(c)
 
 
 def test_json_round_trip():
@@ -610,8 +591,8 @@ def test_cone_on_kept_solvers_equals_the_oracle_cone(field):
     for name, A in ordering_rings(field, cutoff=8).items():
         for J in random_linear_quotient_ideals(A, rng, 10):
             cone = iterated_mapping_cone(J, hmax)
-            oracle, _ = koszulcone.complexes._iterated_cone(
-                J, hmax, lambda F, K, i: oracle_lift(F, K, J.gen_elements[i - 1]), None)
+            oracle = koszulcone.complexes._iterated_cone(
+                J, hmax, lambda F, K, i: oracle_lift(F, K, J.gen_elements[i - 1]))
             assert complex_to_json(cone) == complex_to_json(oracle), (name, J.gens)
             compared.add((name, J.r > 4, len(set(J.degs)) > 1))
     # every ring, with many generators and with mixed degrees among them
@@ -772,14 +753,8 @@ def test_comparison_maps_require_a_regular_ordering():
     J = md_squares(3, 2)  # linear quotients but condition (1) fails
     for r in range(1, J.r + 1):
         with pytest.raises(RegularOrderingViolation) as e:
-            comparison_maps(J, r, 3)
-        assert e.value.witness is not None
-
-
-@pytest.mark.parametrize("r", [0, 3])
-def test_comparison_maps_reject_a_bad_generator_index(r):
-    with pytest.raises(ValueError, match="generator index"):
-        comparison_maps(hhr_ideal(), r, 3)
+            sliced_comparison_maps(J, r, 3)
+        assert e.value.witness == (3, 0, 6)
 
 
 def random_ideals(seed, count, field=GF(101)):
@@ -805,6 +780,20 @@ def random_ideals(seed, count, field=GF(101)):
             yield MonomialIdeal(A, gens)
 
 
+def test_star_condition_implies_a_regular_ordering_on_random_ideals():
+    # the star condition is sufficient for a regular ordering, so on ideals
+    # with linear quotients no draw passes it and fails the ordering check
+    passed = Counter()
+    for J in random_ideals(seed=28, count=80):
+        if not J.check_linear_quotients(4).passed:
+            continue
+        star = J.check_star_condition().passed
+        regular = J.check_regular_ordering(4).passed
+        assert regular or not star, J.gens
+        passed[star, regular] += 1
+    assert passed[True, True] >= 10 and passed[False, False] >= 1, passed
+
+
 def test_random_regular_ideals_cone_equals_closed_form():
     hmax = 3
     regular = 0
@@ -819,8 +808,8 @@ def test_random_regular_ideals_cone_equals_closed_form():
         for F in (cone, closed):
             assert verify_complex(F, J.max_degree + hmax).passed, J.gens
         for r in range(1, J.r + 1):
-            K, F, psi = comparison_maps(J, r, hmax)
-            assert verify_chain_map(F, K, psi, hmax) == (True, None), (J.gens, r)
+            K, F, psi = sliced_comparison_maps(J, r, hmax)
+            assert dense_verify_chain_map(F, K, psi, hmax) == (True, None), (J.gens, r)
     assert regular >= 10
 
 
@@ -841,17 +830,19 @@ def test_resolutions_need_dual_components_below_hmax_only(monkeypatch):
         assert verify_complex(F, J.max_degree + hmax).passed
         with pytest.raises(AmbientTooLarge):
             J.dual.component(hmax)
-    K, F, psi = comparison_maps(J, 2, hmax - 1)
-    assert verify_chain_map(F, K, psi, hmax - 1) == (True, None)
+    K, F, psi = sliced_comparison_maps(J, 2, hmax - 1)
+    assert dense_verify_chain_map(F, K, psi, hmax - 1) == (True, None)
 
 
 def sliced_comparison_maps(ideal, r, hmax):
-    """(K, F, psi) cut out of the closed form built to hmax + 1: the blocks
-    comparison_maps used to read, kept as an oracle for it.
+    """The comparison map of step r of the closed form, cut out of it.
 
-    The closed form is triangular in generator index, so F is its
-    restriction to the generators before r, and psi[l] is the (gens < r) x
-    (gen r) block of its differential l + 1.
+    (K, F, psi): the r-th sub-Priddy complex K, the resolution F of the
+    prefix before r and psi: K -> F, all to hmax.  The closed form built to
+    hmax + 1 is triangular in generator index, so F is its restriction to
+    the generators before r, and psi[l] is the (gens < r) x (gen r) block of
+    its differential l + 1.  Its d.d = 0 check raises
+    RegularOrderingViolation when the ordering is not regular.
     """
     full = closed_form_resolution(ideal, hmax + 1, check_regular=False)
     # gen-major bases: the generators before r are a prefix of every module
@@ -868,40 +859,6 @@ def sliced_comparison_maps(ideal, r, hmax):
         psi.append({(i, c - lo[l + 1]): a for (i, c), a in full.diffs[l + 1].items()
                     if lo[l + 1] <= c < hi and i < lo[l]})
     return K, F, psi
-
-
-def over_field(J, field):
-    """The ideal J with the same generators over the same ring, over field."""
-    A = J.algebra
-    return MonomialIdeal(GradedAlgebra(dataclasses.replace(A.presentation, field=field),
-                                       A.cutoff), J.gens)
-
-
-@pytest.mark.parametrize("field", ["gf101", "qq"])
-def test_comparison_maps_equal_the_sliced_closed_form(field):
-    hmax = 3
-    ideals = [mk() for mk in REGULAR_FIXTURES]
-    ideals += [J for J in random_ideals(seed=4, count=60) if J.check_regular_ordering(4).passed]
-    assert len(ideals) >= 15
-    for J in ideals:
-        J = over_field(J, FIELDS[field])
-        for r in range(1, J.r + 1):
-            got = comparison_maps(J, r, hmax)
-            want = sliced_comparison_maps(J, r, hmax)
-            for a, b in zip(got[:2], want[:2]):
-                assert (a.kind, a.modules, a.diffs) == (b.kind, b.modules, b.diffs), (J.gens, r)
-            assert got[2] == want[2], (J.gens, r)
-
-
-def test_comparison_maps_keep_the_sliced_closed_form_witness():
-    J = md_squares(3, 2)  # linear quotients but condition (1) fails
-    for r in range(1, J.r + 1):
-        with pytest.raises(RegularOrderingViolation) as got:
-            comparison_maps(J, r, 3)
-        with pytest.raises(RegularOrderingViolation) as want:
-            sliced_comparison_maps(J, r, 3)
-        # recorded when comparison_maps still sliced the closed form
-        assert got.value.witness == want.value.witness == (3, 0, 6)
 
 
 def test_a_second_resolve_leaves_the_product_cache_unchanged():
@@ -1114,9 +1071,8 @@ def test_chain_map_with_a_corrupted_entry_fails_at_the_dense_level(field):
     rng = random.Random(field)
     checked = 0
     for r in range(2, J.r + 1):
-        K, F, psi = comparison_maps(J, r, hmax)
-        assert verify_chain_map(F, K, psi, hmax) == dense_verify_chain_map(F, K, psi, hmax) \
-            == (True, None)
+        K, F, psi = sliced_comparison_maps(J, r, hmax)
+        assert dense_verify_chain_map(F, K, psi, hmax) == (True, None)
         for l in range(1, hmax + 1):
             if not psi[l]:
                 continue
@@ -1126,8 +1082,7 @@ def test_chain_map_with_a_corrupted_entry_fails_at_the_dense_level(field):
             bump = [fld.zero] * A.dim(a.degree)
             bump[rng.randrange(len(bump))] = fld.one
             bad[l][key] = A.add(a, A.element(a.degree, bump))
-            got = verify_chain_map(F, K, bad, hmax)
-            assert got == dense_verify_chain_map(F, K, bad, hmax)
+            got = dense_verify_chain_map(F, K, bad, hmax)
             assert got == (False, l), (r, l, key)
             checked += 1
     assert checked >= 4

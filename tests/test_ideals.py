@@ -9,11 +9,11 @@ from koszulcone.errors import DecompositionFailure, NotInIdeal, NotMultigraded
 from koszulcone.algebra import GradedAlgebra, RingPresentation
 from koszulcone.cli import parse_ring_text
 from koszulcone.ideals import (MonomialIdeal, _colon_against_space, _indices,
-                               _VariableIdealWalk, annihilator_vars, check_strongly_koszul)
+                               _VariableIdealWalk, check_strongly_koszul)
 from koszulcone.linalg import GF, QQ, Echelon, PrimeField, Subspace
 
 import algebra_oracle
-from ideal_oracle import Decomposition, regular_ordering_report
+from ideal_oracle import Decomposition, annihilator_vars, regular_ordering_report
 from ideal_oracle import variable_ideal_space as _variable_ideal_space
 from rowform import canonical_qq, dense, sparse
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring

@@ -41,6 +41,32 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert found == []
 
 
+def test_every_public_name_is_used_outside_the_tests():
+    # a public module-level function or class of the package that no
+    # package module, tool or bench file names is code only tests run, and
+    # belongs with them; a name counts as used where it appears as a name or
+    # an attribute outside its own definition, and the re-exports of
+    # __init__ do not count
+    root = SRC.parent.parent
+    defined, used = {}, set()
+    paths = [*SRC.glob("*.py"), *(root / "tools").glob("*.py"), *(root / "perfbench").glob("*.py")]
+    for path in sorted(paths):
+        if path.name == "__init__.py" and path.parent == SRC:
+            continue
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            own = None
+            if path.parent == SRC and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                own = top.name
+                if not own.startswith("_"):
+                    defined[own] = f"{path.name}:{top.lineno}"
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    used.add(name)
+    assert len(defined) >= 60
+    assert sorted(f"{where}:{name}" for name, where in defined.items() if name not in used) == []
+
+
 def test_sparse_cli_runs_leave_numpy_unloaded():
     # numpy is imported only when the dense kernel runs, so the CLI's start-up
     # and a resolve whose matrices all fit the sparse budget never load it;
