@@ -754,7 +754,18 @@ def test_comparison_maps_require_a_regular_ordering():
     for r in range(1, J.r + 1):
         with pytest.raises(RegularOrderingViolation) as e:
             sliced_comparison_maps(J, r, 3)
-        assert e.value.witness == (3, 0, 6)
+        assert e.value.witness is not None
+
+
+def test_comparison_maps_keep_the_sliced_closed_form_witness():
+    J = md_squares(3, 2)  # linear quotients but condition (1) fails
+    with pytest.raises(RegularOrderingViolation) as whole:
+        closed_form_resolution(J, 4, check_regular=False)
+    for r in range(1, J.r + 1):
+        with pytest.raises(RegularOrderingViolation) as got:
+            sliced_comparison_maps(J, r, 3)
+        # the slice raises the witness of the closed form it is cut from
+        assert got.value.witness == whole.value.witness == (3, 0, 6)
 
 
 def random_ideals(seed, count, field=GF(101)):
