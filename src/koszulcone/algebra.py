@@ -26,7 +26,7 @@ from math import comb
 from operator import add
 
 from .errors import DegreeOverflow, ElementMismatch, TooManyMonomials
-from .linalg import Subspace, _qq_value
+from .linalg import _nonzeros
 
 __all__ = [
     "RingPresentation",
@@ -240,16 +240,9 @@ class GradedAlgebra:
             raise DegreeOverflow(f"product degree {d} exceeds cutoff {self.cutoff}")
         return self._degree(d)
 
-    def _nonzeros(self, acc):
-        """A sparse accumulator's values as field elements, without zeros."""
-        p = self.field.char
-        if p:
-            return {k: x for k, v in acc.items() if (x := v % p)}
-        return {k: _qq_value(v) for k, v in acc.items() if v}
-
     def _element(self, d, acc):
         """The degree-d element of a sparse accumulator {position: value}."""
-        return AlgebraElement(d, tuple(sorted(self._nonzeros(acc).items())))
+        return AlgebraElement(d, tuple(sorted(_nonzeros(acc, self.field.char).items())))
 
     # -- queries -----------------------------------------------------------
 
@@ -261,23 +254,10 @@ class GradedAlgebra:
     def basis(self, d):
         return self._degree(d).basis
 
-    def monomial_index(self, d):
-        return self._degree(d).index
-
-    def relation_space(self, d):
-        index = self._degree(d).index
-        return Subspace.from_rows(self.field, self._relation_rows(d, index), len(index))
-
-    def hilbert(self, dmax):
-        return [self.dim(d) for d in range(dmax + 1)]
-
     def zero(self, d):
         """The zero of degree d; DegreeOverflow past the cutoff."""
         self.dim(d)
         return AlgebraElement(d, ())
-
-    def one(self):
-        return AlgebraElement(0, ((0, self.field.one),))
 
     def element(self, d, coords):
         """The degree-d element with the dense coordinate list coords."""
@@ -311,19 +291,6 @@ class GradedAlgebra:
         exp[i] = 1
         return self.monomial_element(tuple(exp))
 
-    def normal_form(self, terms, degree):
-        """Class of a homogeneous free polynomial given as (coeff, exp) terms."""
-        fld = self.field
-        data = self._degree(degree)
-        acc = {}
-        for coeff, exp in terms:
-            if sum(exp) != degree:
-                raise ValueError("normal_form needs a homogeneous input")
-            c = fld.of(coeff)
-            for k, x in data.nf[data.index[tuple(exp)]]:
-                acc[k] = acc.get(k, 0) + c * x
-        return self._element(degree, acc)
-
     def add(self, a, b):
         _same_degree(a, b)
         acc = dict(a.terms)
@@ -351,7 +318,7 @@ class GradedAlgebra:
                 c = ca * cb
                 for k, x in nf[index[tuple(map(add, ma, mb))]]:
                     acc[k] = acc.get(k, 0) + c * x
-        return self._nonzeros(acc)
+        return _nonzeros(acc, self.field.char)
 
     def _terms(self, a):
         """The nonzero terms of an element as (basis monomial, coefficient) pairs."""

@@ -41,7 +41,7 @@ from .errors import (
     NotRegular,
     RegularOrderingViolation,
 )
-from .linalg import Solver, rank as mat_rank
+from .linalg import Solver, _nonzeros, rank as mat_rank
 
 __all__ = [
     "Generator",
@@ -90,11 +90,6 @@ class ChainComplex:
     @property
     def length(self):
         return len(self.modules) - 1
-
-    def rank(self, l):
-        if l < 0 or l >= len(self.modules):
-            return 0
-        return len(self.modules[l])
 
     def ranks(self):
         return [len(m) for m in self.modules]
@@ -205,7 +200,7 @@ def _compose_columns(algebra, first, second):
     by_col = {}
     for (g, c), b in second.items():
         by_col.setdefault(c, []).append((g, b.degree, algebra._terms(b)))
-    degrees = {}
+    degrees, p = {}, algebra.field.char
     for c, col_entries in by_col.items():
         sums = {}
         for g, db, tb in col_entries:
@@ -223,7 +218,7 @@ def _compose_columns(algebra, first, second):
                     if acc is not prod:
                         for k, v in prod.items():
                             acc[k] = acc.get(k, 0) + v
-        yield c, {key: algebra._nonzeros(acc) for key, acc in sums.items()}
+        yield c, {key: _nonzeros(acc, p) for key, acc in sums.items()}
 
 
 # -- Priddy and sub-Priddy complexes -----------------------------------------
@@ -314,7 +309,6 @@ def koszulness_certificate(dual, hmax, dmax):
     h0 = {d: c.homology_rank(0, d, diff_ranks) for d in range(0, dmax + 1)}
     h0_ok = h0.get(0, 0) == 1 and all(v == 0 for d, v in h0.items() if d > 0)
     return {
-        "complex": c,
         "passed": passed and h0_ok,
         "witness": witness,
         "homology": ranks,
@@ -585,8 +579,6 @@ class BettiTable:
 
     def text(self):
         table = self.ideal
-        if not table:
-            return "(empty Betti table)"
         lmax = max(l for l, _ in table)
         qs = sorted({d - l for (l, d) in table})
         lines = []

@@ -18,7 +18,8 @@ writes out both kinds of component, and no elimination runs on rows of
 V^(x l): its rows are RREF.
 
 Components exist only as dict rows {position in V^(x l): value}, over every
-field; over F_p each emitted entry is reduced mod p once.  The bound is on
+field; each emitted entry is reduced mod p once over F_p, and put in the one
+value form once over QQ (linalg._nonzeros).  The bound is on
 what a step stores, not on n^l: its n * (sum of the row lengths of
 comp(l-1)) candidate entries, at most CANDIDATE_ENTRY_LIMIT.
 
@@ -35,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch
-from .linalg import Subspace, kernel
+from .linalg import Subspace, _nonzeros, kernel
 
 # bound on the candidate entries of one component step: degree l builds on
 # n * (sum of the row lengths of comp(l-1)) of them
@@ -82,8 +83,6 @@ class QuadraticDual:
 
     def component(self, l):
         """Canonical echelon basis of the degree-l dual component in V^(x l)."""
-        if l < 0:
-            return Subspace.zero(self.field, 1)
         got = self._components.get(l)
         if got is not None:
             return got
@@ -199,9 +198,8 @@ def _leading_pair_constraints(fld, nf2, prev, n, keep):
                         img[t * rest + r] = img.get(t * rest + r, 0) + f * x
             c = i * k + kk
             for key, val in img.items():
-                if val := (val % p if p else val):
-                    constraints.setdefault(key, {})[c] = val
-    return [constraints[key] for key in sorted(constraints)]
+                constraints.setdefault(key, {})[c] = val
+    return [row for key in sorted(constraints) if (row := _nonzeros(constraints[key], p))]
 
 
 def _assemble(fld, coeffs, basis, ambient):
@@ -229,7 +227,7 @@ def _assemble(fld, coeffs, basis, ambient):
             for pos, x in basis.rows[kk].items():
                 key = off + pos
                 row[key] = get(key, 0) + y * x
-        rows.append({pos: v for pos, x in row.items() if (v := x % p if p else x)})
+        rows.append(_nonzeros(row, p))
     return Subspace(fld, ambient, rows, pivots)
 
 
@@ -322,20 +320,12 @@ def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
     """Decide degree by degree whether prefix . L_src is contained in L_dst.
 
     L_E is the left ideal of the dual algebra generated by the dual variables
-    with indices outside E.  The empty-prefix case is decided exactly on
-    generators; with a nonempty prefix the answer is a bounded certificate
-    (holds up to lmax) or a definitive failure with its witness degree.
+    with indices outside E.  The answer is a bounded certificate (holds up to
+    lmax) or a definitive failure with its witness degree.
     """
     src_allowed = frozenset(src_allowed)
     dst_allowed = frozenset(dst_allowed)
     prefix = tuple(prefix)
-    if len(prefix) > 2:
-        raise ValueError(f"prefix {prefix} is longer than two letters; only one- and "
-                         "two-letter prefixes occur")
-    if not prefix:
-        holds = dst_allowed <= src_allowed
-        return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, True, holds,
-                                 None if holds else 1)
     src_q = dual.quotient(src_allowed)
     dst_q = dual.quotient(dst_allowed)
     for d in range(1, lmax + 1):

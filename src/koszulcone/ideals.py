@@ -223,15 +223,6 @@ class MonomialIdeal:
             self._dual = QuadraticDual(self.algebra)
         return self._dual
 
-    def supp(self, exp=None):
-        """Support of a monomial (variable indices dividing it) or of the ideal."""
-        if exp is not None:
-            return frozenset(i for i, e in enumerate(exp) if e > 0)
-        out = set()
-        for g in self.gens:
-            out |= self.supp(g)
-        return frozenset(out)
-
     # -- membership ---------------------------------------------------------
 
     def _filtration(self, d, prefix):

@@ -236,12 +236,18 @@ def _qq_value(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _entries(rows, p):
-    """Fresh copies of the dict rows with their values reduced mod p, or over
-    the rationals (p = 0) in the value form of _qq_value, without zeros."""
+def _nonzeros(row, p):
+    """A fresh copy of the dict row or sparse accumulator, without zeros: its
+    values reduced mod p, or over the rationals (p = 0) in the value form of
+    _qq_value."""
     if p:
-        return [{j: x for j, v in row.items() if (x := v % p)} for row in rows]
-    return [{j: _qq_value(v) for j, v in row.items() if v} for row in rows]
+        return {j: x for j, v in row.items() if (x := v % p)}
+    return {j: _qq_value(v) for j, v in row.items() if v}
+
+
+def _entries(rows, p):
+    """_nonzeros of each dict row."""
+    return [_nonzeros(row, p) for row in rows]
 
 
 def _keep(r, c, leads, rows, p):
@@ -489,7 +495,7 @@ class Subspace:
         in the form of _qq_value, like the basis rows.
         """
         p = self.field.char
-        v = {j: x for j, a in vec.items() if (x := a % p)} if p else _entries([vec], p)[0]
+        v = _nonzeros(vec, p)
         # a row's coefficient is vec's entry at its pivot, because every
         # other basis row is zero there
         row_at, coeffs = self._row_at, {}
@@ -613,7 +619,7 @@ class Solver:
         """The solution {unknown: nonzero value} for the target vec, a dict row
         or its (column, value) pairs, or None when vec is outside the span."""
         p, n = self.field.char, self.ambient
-        r, _, _ = _head_reduce(_entries([dict(vec)], p)[0], self._leads, self._rows,
+        r, _, _ = _head_reduce(_nonzeros(dict(vec), p), self._leads, self._rows,
                                len(self._rows), p)
         if r and min(r) < n:
             return None

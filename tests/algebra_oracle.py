@@ -10,6 +10,7 @@ the sums.
 """
 
 from koszulcone.algebra import AlgebraElement, GradedAlgebra
+from koszulcone.linalg import _nonzeros
 
 
 def multiply(algebra: GradedAlgebra, a, b):
@@ -52,4 +53,4 @@ def compose_columns(algebra: GradedAlgebra, first, second):
                 if acc is not prod:
                     for k, v in prod.items():
                         acc[k] = acc.get(k, 0) + v
-        yield c, {key: algebra._nonzeros(acc) for key, acc in sums.items()}
+        yield c, {key: _nonzeros(acc, algebra.field.char) for key, acc in sums.items()}

@@ -91,7 +91,7 @@ def test_normal_form_spec_examples():
 
 def test_squares_ring_hilbert():
     A = squares_ring(2, cutoff=4)
-    assert A.hilbert(4) == [1, 2, 1, 0, 0]
+    assert [A.dim(d) for d in range(5)] == [1, 2, 1, 0, 0]
     x1sq = A.monomial_element((2, 0))
     assert x1sq.is_zero
     assert A.multiply(A.monomial_element((1, 1)), A.var(0)).is_zero
@@ -100,7 +100,7 @@ def test_squares_ring_hilbert():
 def test_unit_multiplication():
     A = sym_relation_ring()
     m = A.monomial_element((0, 1, 1))
-    assert A.multiply(A.one(), m) == m
+    assert A.multiply(A.monomial_element((0, 0, 0)), m) == m
 
 
 def test_structure_coefficients_sym_ring():
@@ -163,11 +163,11 @@ def test_multiplication_associative_random():
 
 
 def test_normal_form_linear():
+    # 2xz + 3y^2 = -2xy - 2yz + 3y^2 over the basis xy, yz, x^2, y^2, z^2
     A = sym_relation_ring()
-    el = A.normal_form([(2, (1, 0, 1)), (3, (0, 2, 0))], 2)
     a = A.scale(2, A.monomial_element((1, 0, 1)))
     b = A.scale(3, A.monomial_element((0, 2, 0)))
-    assert el == A.add(a, b)
+    assert A.coords(A.add(a, b)) == [99, 99, 0, 3, 0]
 
 
 def test_degree_overflow():
@@ -213,7 +213,7 @@ def test_rational_field_ring():
     names = ("x", "y", "z")
     rel = ((QQ.one, (0, 1)), (QQ.one, (0, 2)), (QQ.one, (1, 2)))
     B = GradedAlgebra(RingPresentation(names, QQ, (rel,), ((1, 1, 0), (0, 1, 1))), 4)
-    assert B.hilbert(3) == A.hilbert(3)
+    assert [B.dim(d) for d in range(4)] == [A.dim(d) for d in range(4)]
     xz = B.monomial_element((1, 0, 1))
     assert [str(c) for c in B.coords(xz)] == ["-1", "-1", "0", "0", "0"]
 
@@ -310,14 +310,16 @@ def test_basis_choice_matches_incremental_greedy(p, trials, cutoff):
             basis, nf, warnings = greedy_reference(pres, d)
             expected_warnings += warnings
             assert list(A.basis(d)) == basis
+            index = {m: i for i, m in enumerate(monomials_of_degree(A.n, d))}
+            relations = Subspace.from_rows(field, A._relation_rows(d, index), len(index))
             for m, coords in nf.items():
                 assert tuple(A.coords(A.monomial_element(m))) == coords
                 # m - nf(m) lies in the relation span
                 v = [field.zero] * len(nf)
-                v[A.monomial_index(d)[m]] = field.one
+                v[index[m]] = field.one
                 for b, c in zip(basis, coords):
-                    v[A.monomial_index(d)[b]] = field.sub(v[A.monomial_index(d)[b]], c)
-                assert A.relation_space(d).contains(sparse([v])[0])
+                    v[index[b]] = field.sub(v[index[b]], c)
+                assert relations.contains(sparse([v])[0])
         assert A.warnings == expected_warnings
         assert any("InconsistentPreferred" in w for w in expected_warnings)
 
@@ -373,7 +375,7 @@ def test_degrees_above_a_zero_degree_match_full_elimination(field, monkeypatch):
             dim = A.dim(d)
             assert (len(calls) == before) == (d >= n + 2), (n, d)
             index, basis, span = full_elimination_reference(A.presentation, d)
-            assert A.monomial_index(d) == index
+            assert A._degree(d).index == index
             assert list(A.basis(d)) == basis and dim == len(basis) == (comb(n, d) if d <= n else 0)
             for m, i in index.items():
                 nf = A.monomial_element(m)
@@ -390,7 +392,7 @@ def test_a_preferred_monomial_of_a_zero_degree_still_warns():
     js = parse_ring_text("field p=101\nvars x y\nrel x^2\nrel y^2\n"
                          "prefer x*y, x^2*y^2, x*y^3, x^2*y^2\nideal x\n")
     A = GradedAlgebra(js.presentation(), 6)
-    assert A.hilbert(6) == [1, 2, 1, 0, 0, 0, 0]
+    assert [A.dim(d) for d in range(7)] == [1, 2, 1, 0, 0, 0, 0]
     assert A.warnings == [
         f"InconsistentPreferred: monomial {m} is dependent in degree 4; skipped"
         for m in ("x^2*y^2", "x*y^3", "x^2*y^2")]

@@ -974,18 +974,17 @@ def test_check_quotients_failing_ordering_is_pinned(e, field, tmp_path, capsys):
                    f"'checked_to': 4, 'linear': False, 'fail_degree': {e}}}\n")
 
 
-def generic_ring_text(seed, n, nrels):
-    """Ring file over GF(101) whose nrels relations each use every quadratic
-    monomial of x1..xn with a seeded random nonzero coefficient; ideal (x1)."""
-    rng = random.Random(seed)
-    names = [f"x{i}" for i in range(1, n + 1)]
-    quadrics = [f"{a}*{b}" if a != b else f"{a}^2" for a, b in
-                itertools.combinations_with_replacement(names, 2)]
-    lines = ["field p=101", "vars " + " ".join(names)]
-    lines += ["rel " + " + ".join(f"{rng.randrange(1, 101)}*{m}" for m in quadrics)
-              for _ in range(nrels)]
-    lines.append("ideal x1")
-    return "\n".join(lines) + "\n"
+def load_rungs():
+    """tools/rungs.py as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "rungs.py"
+    spec = importlib.util.spec_from_file_location("tools_rungs", path)
+    rungs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rungs)
+    return rungs
+
+
+# the dense generic rings of the rung ladder
+generic_ring_text = load_rungs().generic_ring_text
 
 
 @pytest.mark.parametrize("ring", ["sym_relation", "generic4"])

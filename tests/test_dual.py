@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
 from pathlib import Path
@@ -26,7 +27,7 @@ from dual_oracle import (
     last_slot_act_matrix,
     last_slot_contraction,
 )
-from rowform import sparse
+from rowform import canonical_qq, sparse
 from test_algebra import hhr_ring, poly_ring, squares_ring, sym_relation_ring
 
 F101 = GF(101)
@@ -157,6 +158,20 @@ def test_components_are_the_canonical_rref_of_their_rows(field):
                 assert (comp.rows, comp.pivots) == (ref.rows, ref.pivots), (name, l, S)
                 assert [{j: type(x) for j, x in r.items()} for r in comp.rows] == \
                     [{j: type(x) for j, x in r.items()} for r in ref.rows], (name, l, S)
+
+
+def test_qq_components_hold_the_one_value_form():
+    # over QQ, the entries of the dense ring's comp(0..5) and of its
+    # quotients by one excluded variable include integral sums of Fraction
+    # products; every stored value must be in the one value form
+    from test_cli import generic_ring_text  # test_cli imports this module
+    js = parse_ring_text(generic_ring_text(2, 4, 2), field_override="q")
+    D = QuadraticDual(GradedAlgebra(js.presentation(), 2))
+    spaces = [D] + [D.quotient(S) for S in combinations(range(4), 3)]
+    values = [x for space in spaces for l in range(6)
+              for row in space.component(l).rows for x in row.values()]
+    assert len(values) > 10_000 and any(type(x) is Fraction for x in values)
+    assert all(canonical_qq(x) for x in values)
 
 
 def test_hhr_dual_dims_match_inverted_hilbert_series():
@@ -320,7 +335,7 @@ def test_labeled_dual_contraction_sign():
 def test_left_ideal_contains_identity():
     D = dual_of(poly_ring(3))
     rep = left_ideal_contains(D, {0, 1}, (), {0, 1}, 4)
-    assert rep.definitive and rep.holds
+    assert (rep.definitive, rep.holds, rep.checked_to) == (False, True, 4)
 
 
 def test_left_ideal_contains_generator_test():
@@ -437,9 +452,3 @@ def test_invert_refuses_a_singular_matrix():
     with pytest.raises(ValueError, match=r"^3 x 3 matrix to invert has rank 2$"):
         _invert(F101, [[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     assert _invert(F101, [[2, 0], [0, 1]]) == [[51, 0], [0, 1]]
-
-
-def test_containment_prefix_longer_than_two_is_a_value_error():
-    D = dual_of(poly_ring(3))
-    with pytest.raises(ValueError, match="longer than two"):
-        left_ideal_contains(D, {0, 1}, (0, 1, 2), {0}, 2)

@@ -78,18 +78,6 @@ def test_membership_spec_examples():
     assert not J.contains(xz, prefix=1)  # xz is not a multiple of xy alone
 
 
-def test_supp():
-    J = hhr_ideal()
-    assert J.supp((1, 1, 0)) == {0, 1}
-    assert J.supp() == {0, 1, 2}
-    # support of the defining relations of the hhr ring is {x1, x3}
-    rel_support = set()
-    for rel in J.algebra.presentation.relations:
-        for _, (i, jj) in rel:
-            rel_support |= {i, jj}
-    assert rel_support == {0, 2}
-
-
 def test_colon_vars_hhr():
     J = hhr_ideal()
     assert J.colon_vars(1, check_to=4).variables == {2}
@@ -163,7 +151,7 @@ def test_decompose_minimal_generator():
     entries = J.decomposition.of_element(J.gen_elements[1])
     assert len(entries) == 1
     j, c = entries[0]
-    assert j == 2 and c == J.algebra.one()
+    assert j == 2 and c == J.algebra.monomial_element((0, 0, 0))
 
 
 def test_decompose_sym_ring_spec_example():

@@ -42,29 +42,49 @@ def test_package_imports_only_the_standard_library_and_numpy():
 
 
 def test_every_public_name_is_used_outside_the_tests():
-    # a public module-level function or class of the package that no
-    # package module, tool or bench file names is code only tests run, and
-    # belongs with them; a name counts as used where it appears as a name or
-    # an attribute outside its own definition, and the re-exports of
-    # __init__ do not count
+    # a public module-level function or class of the package, or a public
+    # method or property of one of its classes, that no package module, tool
+    # or bench file names is code only tests run, and belongs with them; a
+    # name counts as used where it appears as a name or an attribute outside
+    # a definition of that name, and the re-exports of __init__ do not count.
+    # Members are matched by name alone, so a member that shares its name
+    # with one in use elsewhere is not seen: a ChainComplex.rank would pass
+    # on QuotientDual.rank, a GradedAlgebra.one on the fields' one, and a
+    # GradedAlgebra.relation_space on QuadraticDual.relation_space
     root = SRC.parent.parent
     defined, used = {}, set()
+
+    def define(node, where):
+        if not node.name.startswith("_"):
+            defined.setdefault(node.name, []).append(f"{where}{node.name}")
+
+    def visit(node, own):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            own = own | {node.name}
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        if name is not None and name not in own:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, own)
+
     paths = [*SRC.glob("*.py"), *(root / "tools").glob("*.py"), *(root / "perfbench").glob("*.py")]
     for path in sorted(paths):
         if path.name == "__init__.py" and path.parent == SRC:
             continue
-        for top in ast.parse(path.read_text(), filename=str(path)).body:
-            own = None
-            if path.parent == SRC and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                own = top.name
-                if not own.startswith("_"):
-                    defined[own] = f"{path.name}:{top.lineno}"
-            for node in ast.walk(top):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name is not None and name != own:
-                    used.add(name)
-    assert len(defined) >= 60
-    assert sorted(f"{where}:{name}" for name, where in defined.items() if name not in used) == []
+        tree = ast.parse(path.read_text(), filename=str(path))
+        visit(tree, frozenset())
+        if path.parent != SRC:
+            continue
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                define(top, f"{path.name}:{top.lineno}:")
+            if isinstance(top, ast.ClassDef):
+                for member in top.body:
+                    if isinstance(member, ast.FunctionDef):
+                        define(member, f"{path.name}:{member.lineno}:{top.name}.")
+    assert len(defined) >= 120
+    assert sorted(where for name, wheres in defined.items() if name not in used
+                  for where in wheres) == []
 
 
 def test_sparse_cli_runs_leave_numpy_unloaded():
@@ -141,7 +161,8 @@ def test_tracer_tells_a_multiplication_columns_miss_from_a_hit():
     A = GradedAlgebra(RingPresentation(("x", "y"), GF(101)), 4)
     x, y = A.var(0), A.var(1)
     elements = (x, A.scale(2, x), A.add(x, y))
-    A.hilbert(4)
+    for d in range(5):
+        A.dim(d)  # builds degree d, outside the trace
     tracer = load_tracer().Tracer(koszulcone)
     with tracer.installed():
         for a in elements * 2:
@@ -199,7 +220,8 @@ def test_rungs_prints_one_json_line_per_run():
 
 def test_rungs_in_process_prints_cpu_seconds_and_the_same_digest():
     # tools/rungs.py --in-process: CPU seconds of koszulcone.cli.main in one
-    # process, with the digest a child process prints for the same rung
+    # process, their median and quartiles, with the digest a child process
+    # prints for the same rung
     root = SRC.parent.parent
     argv = [sys.executable, str(root / "tools" / "rungs.py"), str(root), "--rung", "hhr-resolve"]
     child = json.loads(subprocess.run(argv, capture_output=True, text=True, check=True,
@@ -211,7 +233,11 @@ def test_rungs_in_process_prints_cpu_seconds_and_the_same_digest():
     run = json.loads(lines[0])
     assert (run["rung"], run["argv"], run["rc"], run["runs"]) == (
         "hhr-resolve", child["argv"], 0, 3)
-    assert run["cpu_s"] > 0 and "wall_s" not in run
+    assert 0 < run["cpu_q1_s"] <= run["cpu_s"] <= run["cpu_q3_s"] and "wall_s" not in run
     assert run["stdout_sha256"] == child["stdout_sha256"]
+    # one timed call is its own median and quartiles
+    one = json.loads(subprocess.run(argv + ["--in-process", "1"], capture_output=True,
+                                    text=True, check=True, timeout=120).stdout)
+    assert one["runs"] == 1 and one["cpu_q1_s"] == one["cpu_s"] == one["cpu_q3_s"]
     bad = subprocess.run(argv + ["--in-process", "0"], capture_output=True, text=True, timeout=120)
     assert bad.returncode == 2 and "--in-process" in bad.stderr

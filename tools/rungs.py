@@ -34,14 +34,16 @@ times, in the ring directory, with stdout and stderr captured.  The first
 call is not timed: it pays the import of numpy and fills the package's
 caches of monomial tuples.  Each line is then
 
-    {"rung": ..., "argv": [...], "rc": ..., "cpu_s": ..., "runs": N,
-     "stdout_sha256": ...}
+    {"rung": ..., "argv": [...], "rc": ..., "cpu_s": ..., "cpu_q1_s": ...,
+     "cpu_q3_s": ..., "runs": N, "stdout_sha256": ...}
 
 where cpu_s is the median process CPU time of the N timed calls, each after
-a garbage collection, and stdout_sha256 is of the first call's stdout,
-encoded as UTF-8: the digest a child process prints for the same rung.  To
-compare two checkouts, pair them rung by rung as above, each side in its own
-`--in-process` command.
+a garbage collection, cpu_q1_s and cpu_q3_s their lower and upper quartiles
+(inclusive method; all three are the one time when N is 1), and
+stdout_sha256 is of the first call's stdout, encoded as UTF-8: the digest a
+child process prints for the same rung.  To compare two checkouts, pair them
+rung by rung as above, each side in its own `--in-process` command; the
+quartiles tell whether a change in the median exceeds the spread of a side.
 """
 
 from __future__ import annotations
@@ -196,11 +198,15 @@ def in_process_runs(cli, name, workdir, runs):
                 first_rc, digest = rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
     finally:
         os.chdir(cwd)
+    timed = times[1:]
+    q1, q2, q3 = statistics.quantiles(timed, method="inclusive") if runs > 1 else timed * 3
     return {
         "rung": name,
         "argv": argv,
         "rc": first_rc,
-        "cpu_s": round(statistics.median(times[1:]), 4),
+        "cpu_s": round(q2, 4),
+        "cpu_q1_s": round(q1, 4),
+        "cpu_q3_s": round(q3, 4),
         "runs": runs,
         "stdout_sha256": digest,
     }
