@@ -27,7 +27,6 @@ from .complexes import (
 )
 from .dual import QuadraticDual, QuotientDual, left_ideal_contains
 from .ideals import (
-    ColonData,
     DecompositionTable,
     MonomialIdeal,
     check_strongly_koszul,
@@ -36,7 +35,6 @@ from .linalg import (
     GF,
     QQ,
     Subspace,
-    echelonize,
     kernel,
     rank,
 )

@@ -201,8 +201,7 @@ def parse_ring_text(text, field_override=None):
     if field is None:
         field = GF(101)
     relations = [_parse_relation(rest, vi, field, line_no) for rest, vi, line_no in rel_lines]
-    char = getattr(field, "char", 0)
-    return JobSpec(char, var_names, tuple(relations), tuple(preferred), tuple(ideal))
+    return JobSpec(field.char, var_names, tuple(relations), tuple(preferred), tuple(ideal))
 
 
 def format_jobspec(js):
@@ -383,7 +382,9 @@ def cmd_check(args):
     for w in report.warnings:
         lines.append(f"  note: {w}")
     if not report.passed:
-        shown = [d for d in report.details if _detail_is_failure(d)][:10]
+        # check regular nests the failed linear-quotient report in its details
+        shown = [f for d in report.details for f in d.get("details", [d])
+                 if _detail_is_failure(f)][:10]
         for d in shown:
             lines.append(f"  witness: {d}")
     _emit(args, lambda: {"command": f"check {args.what}", **report.as_dict()}, lines)
@@ -508,16 +509,15 @@ def cmd_selftest(args):
         results.append((name, passed))
         print(f"{'PASS' if passed else 'FAIL'}  {name}")
 
-    from .linalg import echelonize, rank as mat_rank, transpose
+    from .linalg import kernel, rank as mat_rank, transpose
 
     f101 = GF(101)
     ok = True
     for _ in range(10):
         m, n = rng.randint(1, 6), rng.randint(1, 6)
         rows = [{j: x for j in range(n) if (x := rng.randrange(101))} for _ in range(m)]
-        ok &= mat_rank(f101, rows, n) == mat_rank(f101, transpose(rows, n), m)
-        rref, rk, piv, ker = echelonize(f101, rows, n)
-        ok &= rk + ker.dim == n
+        rk = mat_rank(f101, rows, n)
+        ok &= rk == mat_rank(f101, transpose(rows, n), m) and rk + kernel(f101, rows, n).dim == n
     record("exact linear algebra invariants (seeded)", ok)
 
     pres = RingPresentation(("x1", "x2", "x3"), f101)

@@ -152,18 +152,17 @@ class ChainComplex:
                 blocks.append((ro, co, A.multiplication_columns(a, e)))
         return blocks, row_off, col_off
 
-    def homology_rank(self, i, d, diff_ranks=None):
+    def homology_rank(self, i, d, diff_ranks):
         """dim over k of the degree-d part of H_i (needs diffs i and i+1).
 
         diff_ranks maps (l, d) to the rank of diff l in degree d and is filled
         as ranks are computed.  Adjacent homology ranks share a differential,
-        so the calls of one computation pass one dict; it is valid only while
-        the differentials stay unchanged.
+        so the calls of one computation pass one dict (_homology); it is valid
+        only while the differentials stay unchanged.
         """
         total = sum(self.block_dims(i, d))
         if total == 0:
             return 0
-        diff_ranks = {} if diff_ranks is None else diff_ranks
         rank_out = self._diff_rank(i, d, diff_ranks) if i >= 1 else 0
         rank_in = self._diff_rank(i + 1, d, diff_ranks) if i + 1 < len(self.modules) else 0
         return total - rank_out - rank_in
@@ -294,27 +293,24 @@ def koszulness_certificate(dual, hmax, dmax):
     definitive witness against Koszulness.
     """
     c = priddy_complex(dual, hmax)
-    diff_ranks = {}
-    ranks = {}
-    passed = True
-    witness = None
-    for i in range(1, hmax):
-        for d in range(0, dmax + 1):
-            h = c.homology_rank(i, d, diff_ranks)
-            ranks[(i, d)] = h
-            if h != 0 and passed:
-                passed = False
-                witness = (i, d, h)
+    homology = _homology(c, range(hmax), dmax)
+    ranks = {key: h for key, h in homology.items() if key[0]}
+    witness = next(((i, d, h) for (i, d), h in ranks.items() if h), None)
     # augmentation sanity: H_0 is the ground field in degree 0
-    h0 = {d: c.homology_rank(0, d, diff_ranks) for d in range(0, dmax + 1)}
-    h0_ok = h0.get(0, 0) == 1 and all(v == 0 for d, v in h0.items() if d > 0)
+    h0_ok = all(h == (d == 0) for (i, d), h in homology.items() if i == 0)
     return {
-        "passed": passed and h0_ok,
+        "passed": witness is None and h0_ok,
         "witness": witness,
         "homology": ranks,
-        "h0_ok": h0_ok,
         "ranks": c.ranks(),
     }
+
+
+def _homology(c, degrees, dmax):
+    """{(i, d): dim H_i in internal degree d} for i in degrees and 0 <= d <=
+    dmax, the differential ranks computed once for all of them."""
+    diff_ranks = {}
+    return {(i, d): c.homology_rank(i, d, diff_ranks) for i in degrees for d in range(dmax + 1)}
 
 
 # -- iterated mapping cone ------------------------------------------------------
@@ -412,7 +408,7 @@ def _iterated_cone(ideal, hmax, step):
     """
     F = _base_complex(ideal.algebra, hmax)
     for i in range(1, ideal.r + 1):
-        K = sub_priddy_complex(ideal.dual, ideal.colon_vars(i).variables, hmax - 1,
+        K = sub_priddy_complex(ideal.dual, ideal.colon_sets[i - 1], hmax - 1,
                                shift=ideal.degs[i - 1], gen=i)
         F = _cone(F, K, step(F, K, i), hmax)
     return F
@@ -450,7 +446,7 @@ def _explicit_comparison(ideal, F, K, k):
     """
     A = ideal.algebra
     dual = ideal.dual
-    quots = [dual.quotient(ideal.colon_vars(j).variables) for j in range(1, k)]
+    quots = [dual.quotient(E) for E in ideal.colon_sets[:k - 1]]
     lower = {s: terms for s in range(A.n)
              if (terms := [(j, cf) for j, cf in ideal.decomposition.times_var(s, k) if j < k])}
     psi = [{(0, 0): ideal.gen_elements[k - 1]}]
@@ -542,16 +538,8 @@ def verify_complex(c, dmax, d2_certified=False):
     """
     d2w = None if d2_certified else c.d_squared_witness()
     mw = c.minimality_witness()
-    homology = {}
-    diff_ranks = {}
-    exact = True
-    for i in range(1, c.length):
-        for d in range(0, dmax + 1):
-            h = c.homology_rank(i, d, diff_ranks)
-            homology[(i, d)] = h
-            if h:
-                exact = False
-    return VerifyReport(d2w is None, mw is None, homology, exact, d2w, mw)
+    homology = _homology(c, range(1, c.length), dmax)
+    return VerifyReport(d2w is None, mw is None, homology, not any(homology.values()), d2w, mw)
 
 
 @dataclass
@@ -607,7 +595,7 @@ def betti_table(ideal, hmax):
     dual = ideal.dual
     ideal_table = {}
     for i in range(1, ideal.r + 1):
-        quot = dual.quotient(ideal.colon_vars(i).variables)
+        quot = dual.quotient(ideal.colon_sets[i - 1])
         q = ideal.degs[i - 1]
         for l in range(hmax + 1):
             rk = quot.rank(l)
@@ -633,7 +621,7 @@ def complex_to_json(c):
     fld = c.algebra.field
     doc = {
         "kind": c.kind,
-        "field": getattr(fld, "char", 0),
+        "field": fld.char,
         "length": c.length,
         "modules": [],
         "differentials": [],

@@ -33,8 +33,6 @@ Closure of every quotient-dual action is checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import AmbientTooLarge, ClosureFailure, DimensionMismatch
 from .linalg import Subspace, _nonzeros, kernel
 
@@ -303,29 +301,14 @@ def _act_matrix(space, dual, l, j, allowed=None):
     return mat
 
 
-@dataclass
-class ContainmentReport:
-    """Degree-bounded answer to: does prefix . L_src lie inside L_dst?"""
-
-    src_allowed: frozenset
-    prefix: tuple
-    dst_allowed: frozenset
-    checked_to: int
-    definitive: bool
-    holds: bool
-    fail_degree: int | None = None
-
-
 def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
-    """Decide degree by degree whether prefix . L_src is contained in L_dst.
+    """Whether prefix . L_src lies in L_dst in every degree up to lmax.
 
     L_E is the left ideal of the dual algebra generated by the dual variables
-    with indices outside E.  The answer is a bounded certificate (holds up to
-    lmax) or a definitive failure with its witness degree.
+    with indices outside E.  True is a bounded certificate (the containment
+    holds up to lmax); False is definitive, and the least lmax that gives it
+    is the failing degree.
     """
-    src_allowed = frozenset(src_allowed)
-    dst_allowed = frozenset(dst_allowed)
-    prefix = tuple(prefix)
     src_q = dual.quotient(src_allowed)
     dst_q = dual.quotient(dst_allowed)
     for d in range(1, lmax + 1):
@@ -337,5 +320,5 @@ def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
                 g = dual.contract(g, deg, t)
                 deg -= 1
             if not src_q.component(d).contains(g):
-                return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, True, False, d)
-    return ContainmentReport(src_allowed, prefix, dst_allowed, lmax, False, True)
+                return False
+    return True

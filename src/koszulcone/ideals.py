@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import combinations
 
 from .dual import QuadraticDual, left_ideal_contains
@@ -62,30 +63,9 @@ from .linalg import Echelon, Solver, kernel, rank
 __all__ = [
     "MonomialIdeal",
     "DecompositionTable",
-    "ColonData",
     "CheckReport",
     "check_strongly_koszul",
 ]
-
-
-@dataclass
-class ColonData:
-    """Colon variables of one prefix step plus its bounded verification."""
-
-    index: int
-    variables: frozenset
-    checked_to: int
-    linear: bool
-    fail_degree: int | None = None
-
-    def as_dict(self):
-        return {
-            "generator": self.index,
-            "colon_variables": sorted(self.variables),
-            "checked_to": self.checked_to,
-            "linear": self.linear,
-            "fail_degree": self.fail_degree,
-        }
 
 
 @dataclass
@@ -199,7 +179,6 @@ class MonomialIdeal:
             raise ValueError("generator degrees must be nondecreasing")
         self.gen_elements = [algebra.monomial_element(g) for g in self.gens]
         self._filtrations = {}
-        self._colon_vars = {}
         self._var_ideal_walk = _VariableIdealWalk(algebra)
         self._dual = None
         self.decomposition = DecompositionTable(self)
@@ -244,9 +223,7 @@ class MonomialIdeal:
         """(J_prefix)_d as a canonical Subspace, built from the filtration rows."""
         return self._filtration(d, prefix).span(self._prefix_dim(prefix, d))
 
-    def contains(self, element, prefix=None):
-        if prefix is None:
-            prefix = self.r
+    def contains(self, element, prefix):
         if element.is_zero:
             return True
         if prefix == 0:
@@ -256,44 +233,43 @@ class MonomialIdeal:
 
     # -- colon ideals ----------------------------------------------------------
 
-    def colon_vars(self, i, check_to=0):
-        """Variables of (J_{i-1} : m_i), with bounded linearity verification.
-
-        The set {j : x_j m_i in J_{i-1}} is exact and computed once per i; for
-        2 <= d <= check_to the check compares dim (J_{i-1} : m_i)_d = dim A_d -
-        dim (J_i)_{d+e} + dim (J_{i-1})_{d+e} (e = deg m_i) with the dimension of
-        the ideal those variables generate in degree d, read from the prefix
-        filtration and from the ideal's variable-ideal walk (tri-state: linear
-        up to the bound, or first failing degree).
-        """
+    @cached_property
+    def colon_sets(self):
+        """The exact colon variable sets E_i = {j : x_j m_i in J_{i-1}}, i = 1..r."""
         A = self.algebra
-        if i not in self._colon_vars:
-            mel = self.gen_elements[i - 1]
-            self._colon_vars[i] = frozenset(
-                j for j in range(A.n) if self.contains(A.multiply(A.var(j), mel), prefix=i - 1))
-        vars_ = self._colon_vars[i]
-        mask = sum(1 << j for j in vars_)
-        e = self.degs[i - 1]
-        fail_degree = None
-        for d in range(2, check_to + 1):
-            colon_dim = A.dim(d) - self._prefix_dim(i, d + e) + self._prefix_dim(i - 1, d + e)
-            if self._var_ideal_walk.dim(mask, d) != colon_dim:
-                fail_degree = d
-                break
-        return ColonData(i, vars_, check_to, fail_degree is None, fail_degree)
-
-    def colon_variable_sets(self):
-        return [self.colon_vars(i).variables for i in range(1, self.r + 1)]
+        return tuple(frozenset(j for j in range(A.n)
+                               if self.contains(A.multiply(A.var(j), mel), i))
+                     for i, mel in enumerate(self.gen_elements))
 
     # -- ordering checks -----------------------------------------------------------
 
     def check_linear_quotients(self, check_to=4):
+        """E_i with bounded linearity verification, one detail per generator.
+
+        For 2 <= d <= check_to the check compares dim (J_{i-1} : m_i)_d =
+        dim A_d - dim (J_i)_{d+e} + dim (J_{i-1})_{d+e} (e = deg m_i) with the
+        dimension of the ideal E_i generates in degree d, read from the
+        prefix filtration and from the ideal's variable-ideal walk: linear up
+        to the bound, or the first failing degree.
+        """
+        A = self.algebra
         report = CheckReport("linear-quotients", True)
-        for i in range(1, self.r + 1):
-            data = self.colon_vars(i, check_to)
-            report.details.append(data.as_dict())
-            if not data.linear:
-                report.passed = False
+        for i, (E, e) in enumerate(zip(self.colon_sets, self.degs), 1):
+            mask = sum(1 << j for j in E)
+            fail_degree = None
+            for d in range(2, check_to + 1):
+                colon_dim = A.dim(d) - self._prefix_dim(i, d + e) + self._prefix_dim(i - 1, d + e)
+                if self._var_ideal_walk.dim(mask, d) != colon_dim:
+                    fail_degree = d
+                    report.passed = False
+                    break
+            report.details.append({
+                "generator": i,
+                "colon_variables": sorted(E),
+                "checked_to": check_to,
+                "linear": fail_degree is None,
+                "fail_degree": fail_degree,
+            })
         return report
 
     def check_regular_ordering(self, check_to=4, mode="symmetric"):
@@ -314,11 +290,10 @@ class MonomialIdeal:
             report.warnings.append("linear-quotients precondition failed")
             report.details.append(lq.as_dict())
             return report
-        colon_sets = self.colon_variable_sets()
         try:
             self._check_condition_one(report, mode)
-            self._check_condition_two(report, colon_sets, check_to)
-            self._check_condition_three(report, colon_sets)
+            self._check_condition_two(report, check_to)
+            self._check_condition_three(report)
         finally:
             # what the closed form reads after the check is cached per entry
             self.decomposition._solvers.clear()
@@ -374,7 +349,8 @@ class MonomialIdeal:
                 f"first: {disagreements[0]}"
             )
 
-    def _check_condition_two(self, report, colon_sets, check_to):
+    def _check_condition_two(self, report, check_to):
+        colon_sets = self.colon_sets
         dec = self.decomposition
         dual = self.dual
         held = {}  # (E_j, prefix, E_k) -> whether prefix . L_{E_j} lies in L_{E_k}
@@ -382,8 +358,7 @@ class MonomialIdeal:
         def contained(Ej, prefix, Ek):
             got = held.get((Ej, prefix, Ek))
             if got is None:
-                got = held[Ej, prefix, Ek] = left_ideal_contains(
-                    dual, Ej, prefix, Ek, check_to).holds
+                got = held[Ej, prefix, Ek] = left_ideal_contains(dual, Ej, prefix, Ek, check_to)
             return got
 
         for k in range(2, self.r + 1):
@@ -417,7 +392,8 @@ class MonomialIdeal:
                                 f"j={j}, k={k}, t={t}, s={s}"
                             )
 
-    def _check_condition_three(self, report, colon_sets):
+    def _check_condition_three(self, report):
+        colon_sets = self.colon_sets
         A = self.algebra
         dec = self.decomposition
         for k in range(2, self.r + 1):
@@ -469,13 +445,13 @@ class MonomialIdeal:
                     report.details.append({
                         "clause": "star", "generator": i, "variable": y,
                     })
-        colon_sets = self.colon_variable_sets()
+        colon_sets = self.colon_sets
         for i in range(1, self.r + 1):
             for s in sorted(colon_sets[i - 1]):
                 v = A.multiply(A.var(s), self.gen_elements[i - 1])
                 if v.is_zero:
                     continue
-                j = self._minimal_prefix(v)
+                j = self._minimal_prefix(v, self.r)
                 if j is not None and not colon_sets[j - 1] <= colon_sets[i - 1]:
                     report.passed = False
                     report.details.append({
@@ -485,11 +461,9 @@ class MonomialIdeal:
         report.details.append({"regular_ordering_guaranteed": report.passed})
         return report
 
-    def _minimal_prefix(self, element, bound=None):
+    def _minimal_prefix(self, element, bound):
         """The least j <= bound with element in J_j, or None; one reduction
         finds the last filtration row the element's expression uses."""
-        if bound is None:
-            bound = self.r
         ech = self._filtration(element.degree, bound)
         need = ech.locate(element.terms, ech.counts[bound])
         if need is None:
@@ -565,7 +539,7 @@ class DecompositionTable:
         J = self.ideal
         return J.algebra.zero(J.degs[k - 1] + 1 - J.degs[i - 1])
 
-    def of_element(self, element, bound=None):
+    def of_element(self, element, bound):
         """Greedy top-down decomposition with canonical echelon witnesses.
 
         Peels the minimal prefix j with v in J_j, solves v = u + c m_j with u
@@ -580,8 +554,6 @@ class DecompositionTable:
         """
         J = self.ideal
         A = J.algebra
-        if bound is None:
-            bound = J.r
         entries = []
         v = element
         while not v.is_zero:

@@ -626,26 +626,11 @@ class Solver:
         return {j - n: x if p else _qq_value(x) for j, x in r.items()}
 
 
-def echelonize(field, rows, ncols):
-    """Reduced row echelon form with rank, pivot columns and kernel.
-
-    Args:
-        field: PrimeField or RationalField.
-        rows: matrix as a list of rows (may be empty).
-        ncols: number of columns (needed when rows is empty).
-
-    Returns:
-        (rref_rows, rank, pivot_columns, kernel) where kernel is the Subspace
-        {v : rows . v = 0} of k^ncols in canonical echelon form.
-    """
+def kernel(field, rows, ncols):
+    """The Subspace {v : rows . v = 0} of k^ncols, from the RREF of rows: it
+    is spanned by one sparse row per free column f, 1 at f and minus column
+    f of the RREF at the pivot columns."""
     rref, pivots = field.rref(list(rows), ncols)
-    kernel = _kernel_from_rref(field, rref, pivots, ncols)
-    return rref, len(pivots), pivots, kernel
-
-
-def _kernel_from_rref(field, rref, pivots, ncols):
-    """The kernel spanned by one sparse row per free column f: 1 at f and
-    minus column f of the RREF at the pivot columns."""
     pivot_set = set(pivots)
     vecs = {f: {f: field.one} for f in range(ncols) if f not in pivot_set}
     for row, c in zip(rref, pivots):
@@ -654,10 +639,6 @@ def _kernel_from_rref(field, rref, pivots, ncols):
             if f != c:
                 vecs[f][c] = field.neg(x)
     return Subspace.from_rows(field, list(vecs.values()), ncols)
-
-
-def kernel(field, rows, ncols):
-    return echelonize(field, rows, ncols)[3]
 
 
 def rank(field, rows, ncols):

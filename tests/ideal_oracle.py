@@ -98,11 +98,9 @@ class Decomposition:
         J = self.ideal
         return J.algebra.zero(J.degs[k - 1] + len(variables) - J.degs[i - 1])
 
-    def of_element(self, element, bound=None):
+    def of_element(self, element, bound):
         J = self.ideal
         A = J.algebra
-        if bound is None:
-            bound = J.r
         entries = []
         v = element
         while not v.is_zero:
@@ -142,7 +140,7 @@ def regular_ordering_report(J, check_to, mode="symmetric"):
         report.warnings.append("linear-quotients precondition failed")
         report.details.append(lq.as_dict())
         return report
-    colon_sets = J.colon_variable_sets()
+    colon_sets = J.colon_sets
     dec = Decomposition(J)
     _condition_one(J, dec, report, mode)
     _condition_two(J, dec, report, colon_sets, check_to)
@@ -205,12 +203,12 @@ def _condition_two(J, dec, report, colon_sets, check_to):
                     report.details.append({"condition": "2a", "j": j, "k": k, "t": t,
                                            "E_j": sorted(Ej), "E_k": sorted(Ek)})
                     continue
-                if left_ideal_contains(dual, Ej, (t,), Ek, check_to).holds:
+                if left_ideal_contains(dual, Ej, (t,), Ek, check_to):
                     continue
                 for s in range(J.algebra.n):
                     if dual.pair_word_is_zero(t, s):
                         continue
-                    if not left_ideal_contains(dual, Ej, (t, s), Ek, check_to).holds:
+                    if not left_ideal_contains(dual, Ej, (t, s), Ek, check_to):
                         continue
                     if s in Ej:
                         report.passed = False

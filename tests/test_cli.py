@@ -974,6 +974,26 @@ def test_check_quotients_failing_ordering_is_pinned(e, field, tmp_path, capsys):
                    f"'checked_to': 4, 'linear': False, 'fail_degree': {e}}}\n")
 
 
+@pytest.mark.parametrize("literal", [[], ["--literal"]])
+def test_check_regular_without_linear_quotients_prints_the_quotient_witness(
+        literal, tmp_path, capsys):
+    # the failed linear-quotient report is nested in the regular-ordering
+    # details; the text prints its failing detail, the JSON nests it as before
+    ring = tmp_path / "pure_powers.ring"
+    ring.write_text("field p=101\nvars x y\nideal x^2, y^2\n")
+    code, out, err = run_main(["check", "regular", *literal, str(ring)], capsys)
+    assert (code, err) == (1, "")
+    assert out == ("check regular: FAIL\n  note: linear-quotients precondition failed\n"
+                   "  witness: {'generator': 2, 'colon_variables': [], 'checked_to': 4, "
+                   "'linear': False, 'fail_degree': 2}\n")
+    code, out, err = run_main(["check", "regular", *literal, str(ring), "--out", "json"], capsys)
+    doc = json.loads(out)
+    assert (code, doc["passed"], doc["warnings"]) == (1, False,
+                                                      ["linear-quotients precondition failed"])
+    assert [d["check"] for d in doc["details"]] == ["linear-quotients"]
+    assert [d["fail_degree"] for d in doc["details"][0]["details"]] == [None, 2]
+
+
 def load_rungs():
     """tools/rungs.py as a module."""
     path = Path(__file__).resolve().parent.parent / "tools" / "rungs.py"

@@ -72,18 +72,16 @@ def test_membership_spec_examples():
     A = J.algebra
     assert J.contains(J.gen_elements[0], prefix=1)
     xz = A.monomial_element((1, 0, 1))
-    assert J.contains(xz)  # xz = -xy - yz lies in (xy, yz)
+    assert J.contains(xz, J.r)  # xz = -xy - yz lies in (xy, yz)
     xsq = A.monomial_element((2, 0, 0))
-    assert not J.contains(xsq)
+    assert not J.contains(xsq, J.r)
     assert not J.contains(xz, prefix=1)  # xz is not a multiple of xy alone
 
 
 def test_colon_vars_hhr():
     J = hhr_ideal()
-    assert J.colon_vars(1, check_to=4).variables == {2}
-    data = J.colon_vars(2, check_to=4)
-    assert data.variables == {0, 2}
-    assert data.linear
+    assert J.colon_sets == (frozenset({2}), frozenset({0, 2}))
+    assert [d["linear"] for d in J.check_linear_quotients(4).details] == [True, True]
 
 
 def test_colon_vars_md_squares_closed_form():
@@ -92,12 +90,12 @@ def test_colon_vars_md_squares_closed_form():
         J = md_squares(n, d)
         for i, g in enumerate(J.gens, start=1):
             maxv = max(k for k, e in enumerate(g) if e)
-            assert J.colon_vars(i, check_to=3).variables == set(range(maxv + 1)), (n, d, i)
+            assert J.colon_sets[i - 1] == set(range(maxv + 1)), (n, d, i)
 
 
 def test_first_generator_colon_is_kill_set():
     J = md_squares(3, 2)
-    assert J.colon_vars(1).variables == {0, 1}  # x1 x2: both squares vanish
+    assert J.colon_sets[0] == {0, 1}  # x1 x2: both squares vanish
 
 
 def test_check_linear_quotients():
@@ -148,7 +146,7 @@ def test_strongly_koszul_conca_witness():
 
 def test_decompose_minimal_generator():
     J = sym_ideal()
-    entries = J.decomposition.of_element(J.gen_elements[1])
+    entries = J.decomposition.of_element(J.gen_elements[1], J.r)
     assert len(entries) == 1
     j, c = entries[0]
     assert j == 2 and c == J.algebra.monomial_element((0, 0, 0))
@@ -158,7 +156,7 @@ def test_decompose_sym_ring_spec_example():
     # xz = -xy - yz with coefficients m_1^* = -1, m_2^* = -1
     J = sym_ideal()
     A = J.algebra
-    entries = dict(J.decomposition.of_element(A.monomial_element((1, 0, 1))))
+    entries = dict(J.decomposition.of_element(A.monomial_element((1, 0, 1)), J.r))
     assert A.coords(entries[1]) == [100]
     assert A.coords(entries[2]) == [100]
 
@@ -192,7 +190,7 @@ def test_decompose_not_in_ideal():
     J = sym_ideal()
     A = J.algebra
     with pytest.raises(NotInIdeal):
-        J.decomposition.of_element(A.monomial_element((2, 0, 0)))
+        J.decomposition.of_element(A.monomial_element((2, 0, 0)), J.r)
 
 
 def test_regular_ordering_hhr():
@@ -302,7 +300,7 @@ def test_star_condition_regular_decomposition_clause():
     # hhr ring, ideal x1, x2: E_1 = {x3} and E_2 = {x1}; x1 x2 lies in J_1,
     # but E_1 is not inside E_2
     J = MonomialIdeal(hhr_ring(), [(1, 0, 0), (0, 1, 0)])
-    assert J.colon_variable_sets() == [frozenset({2}), frozenset({0})]
+    assert J.colon_sets == (frozenset({2}), frozenset({0}))
     rep = J.check_star_condition()
     assert not rep.passed
     assert rep.details == [
@@ -320,11 +318,10 @@ def test_colon_sets_match_left_ideal_containment():
     # E_j in E_k iff L^k in L^j (degree-1 generator test)
     from koszulcone.dual import left_ideal_contains
     J = md_squares(3, 2)
-    sets = J.colon_variable_sets()
+    sets = J.colon_sets
     for j in range(J.r):
         for k in range(J.r):
-            rep = left_ideal_contains(J.dual, sets[k], (), sets[j], 3)
-            assert rep.holds == (sets[j] <= sets[k])
+            assert left_ideal_contains(J.dual, sets[k], (), sets[j], 3) == (sets[j] <= sets[k])
 
 
 @pytest.mark.parametrize("breakage", ["unsolvable", "zero-coefficient", "piece-in-prefix"])
@@ -337,9 +334,9 @@ def test_decomposition_support_guarantees_are_typed(breakage, monkeypatch):
     elif breakage == "zero-coefficient":
         monkeypatch.setattr(koszulcone.ideals.Solver, "solve", lambda self, vec: {})
     else:
-        monkeypatch.setattr(J, "contains", lambda element, prefix=None: True)
+        monkeypatch.setattr(J, "contains", lambda element, prefix: True)
     with pytest.raises(DecompositionFailure) as e:
-        J.decomposition.of_element(J.gen_elements[0])
+        J.decomposition.of_element(J.gen_elements[0], J.r)
     assert e.value.witness == (1, 2)
 
 
@@ -403,7 +400,7 @@ def test_regular_ordering_report_equals_the_oracle(field):
                 for s in range(A.n):
                     v = A.add(v, A.scale(field.of(rng.randint(-2, 2)),
                                          A.multiply(A.var(s), m)))
-            assert repr(dec.of_element(v)) == repr(oracle.of_element(v))
+            assert repr(dec.of_element(v, J.r)) == repr(oracle.of_element(v, J.r))
     # the sample holds failures of conditions (1), (2a) and (3)
     assert failed[1] and failed["2a"] and failed[3], failed
 
@@ -417,9 +414,9 @@ def test_ordering_check_releases_its_decomposition_solvers():
     assert dec._solvers == {}
     A = J.algebra
     v = A.add(A.multiply(A.var(0), J.gen_elements[-1]), A.multiply(A.var(2), J.gen_elements[0]))
-    got = dec.of_element(v)
+    got = dec.of_element(v, J.r)
     assert dec._solvers
-    assert repr(got) == repr(Decomposition(J).of_element(v))
+    assert repr(got) == repr(Decomposition(J).of_element(v, J.r))
 
 
 def test_regular_ordering_mode_is_a_value_error():
@@ -455,12 +452,14 @@ def test_colon_dimension_identity_matches_kernel_oracle(field):
     for name, A in oracle_algebras(field).items():
         pure_cubes = [MonomialIdeal(A, [(3, 0, 0), (0, 3, 0)])] if name == "poly" else []
         for J in [random_ideal(A, rng) for _ in range(3)] + pure_cubes:
+            details = J.check_linear_quotients(4).details
             for i in range(1, J.r + 1):
                 mel, e = J.gen_elements[i - 1], J.degs[i - 1]
-                data = J.colon_vars(i, check_to=4)
+                data = details[i - 1]
                 deg1 = _colon_against_space(A, mel, 1, J.membership_space(i - 1, 1 + e))
-                assert data.variables == {j for j in range(A.n)
-                                          if deg1.contains(dict(A.var(j).terms))}
+                assert J.colon_sets[i - 1] == {j for j in range(A.n)
+                                               if deg1.contains(dict(A.var(j).terms))}
+                assert data["colon_variables"] == sorted(J.colon_sets[i - 1])
                 expected = None
                 for d in range(2, 5):
                     kernel_dim = _colon_against_space(
@@ -468,10 +467,10 @@ def test_colon_dimension_identity_matches_kernel_oracle(field):
                     identity = (A.dim(d) - J.membership_space(i, d + e).dim
                                 + J.membership_space(i - 1, d + e).dim)
                     assert kernel_dim == identity, (name, J.gens, i, d)
-                    span = _variable_ideal_space(A, var_rows(A, data.variables), d)
+                    span = _variable_ideal_space(A, var_rows(A, J.colon_sets[i - 1]), d)
                     if expected is None and span.dim != kernel_dim:
                         expected = d
-                assert (data.fail_degree, data.linear) == (expected, expected is None), \
+                assert (data["fail_degree"], data["linear"]) == (expected, expected is None), \
                     (name, J.gens, i)
                 outcomes.append(expected)
     assert {None, 2, 3} <= set(outcomes)  # failing orderings are covered
@@ -518,7 +517,7 @@ def test_back_to_back_objects_give_independent_answers():
         for build in n3:
             A = build()
             J = MonomialIdeal(A, [(1, 1, 0), (0, 1, 1)])
-            assert [d.fail_degree for d in map(J.colon_vars, (1, 2), (4, 4))] == [None, None]
+            assert [d["fail_degree"] for d in J.check_linear_quotients(4).details] == [None, None]
             rep = check_strongly_koszul(A, check_to=3)
             assert rep.passed and all("fail_degree" not in e for e in rep.details)
             del A, J, rep
@@ -529,7 +528,8 @@ def test_back_to_back_objects_give_independent_answers():
             gc.collect()
     A = poly_ring(2, cutoff=8)  # two ideals of one algebra
     assert MonomialIdeal(A, [(2, 0), (1, 1)]).check_linear_quotients(4).passed
-    assert MonomialIdeal(A, [(2, 0), (0, 2)]).colon_vars(2, 4).fail_degree == 2
+    assert MonomialIdeal(A, [(2, 0), (0, 2)]).check_linear_quotients(4).details[1][
+        "fail_degree"] == 2
 
 
 @pytest.mark.parametrize("field", [F101, QQ], ids=repr)

@@ -50,9 +50,12 @@ def test_every_public_name_is_used_outside_the_tests():
     # Members are matched by name alone, so a member that shares its name
     # with one in use elsewhere is not seen: a ChainComplex.rank would pass
     # on QuotientDual.rank, a GradedAlgebra.one on the fields' one, and a
-    # GradedAlgebra.relation_space on QuadraticDual.relation_space
+    # GradedAlgebra.relation_space on QuadraticDual.relation_space.  A
+    # public field of a dataclass counts as used where its name is loaded as
+    # an attribute (x.name), by name alone too: a field whose name any other
+    # attribute read in use shares is not seen
     root = SRC.parent.parent
-    defined, used = {}, set()
+    defined, used, loaded, fields = {}, set(), set(), {}
 
     def define(node, where):
         if not node.name.startswith("_"):
@@ -64,6 +67,8 @@ def test_every_public_name_is_used_outside_the_tests():
         name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
         if name is not None and name not in own:
             used.add(name)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.attr)
         for child in ast.iter_child_nodes(node):
             visit(child, own)
 
@@ -79,12 +84,21 @@ def test_every_public_name_is_used_outside_the_tests():
             if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
                 define(top, f"{path.name}:{top.lineno}:")
             if isinstance(top, ast.ClassDef):
+                is_dataclass = any(
+                    getattr(dec, "id", None) == "dataclass"
+                    or getattr(getattr(dec, "func", None), "id", None) == "dataclass"
+                    for dec in top.decorator_list)
                 for member in top.body:
                     if isinstance(member, ast.FunctionDef):
                         define(member, f"{path.name}:{member.lineno}:{top.name}.")
-    assert len(defined) >= 120
-    assert sorted(where for name, wheres in defined.items() if name not in used
-                  for where in wheres) == []
+                    elif (is_dataclass and isinstance(member, ast.AnnAssign)
+                          and not member.target.id.startswith("_")):
+                        fields[f"{path.name}:{member.lineno}:{top.name}.{member.target.id}"] = \
+                            member.target.id
+    assert len(defined) >= 120 and len(fields) >= 30
+    unused = [where for name, wheres in defined.items() if name not in used for where in wheres]
+    unused += [where for where, name in fields.items() if name not in loaded]
+    assert sorted(unused) == []
 
 
 def test_sparse_cli_runs_leave_numpy_unloaded():
@@ -172,7 +186,7 @@ def test_tracer_tells_a_multiplication_columns_miss_from_a_hit():
 
 
 def test_cli_digest_prints_one_line_per_run(tmp_path):
-    # tools/cli_digest.py: fixtures x 11 subcommands x {GF(101), QQ} x {json, text},
+    # tools/cli_digest.py: fixtures x 12 subcommands x {GF(101), QQ} x {json, text},
     # then an export -> verify --complex round trip per field
     root = SRC.parent.parent
     done = subprocess.run(
@@ -180,7 +194,7 @@ def test_cli_digest_prints_one_line_per_run(tmp_path):
          "--fixture", "hhr_example.ring"],
         capture_output=True, text=True, check=True, timeout=120)
     lines = done.stdout.splitlines()
-    assert len(lines) == 11 * 2 * 2 + 2 * 2
+    assert len(lines) == 12 * 2 * 2 + 2 * 2
     assert [line.split(" ", 3)[2] for line in lines[-4:]] == ["resolve", "verify"] * 2
     assert not any(str(root) in line for line in lines)
     assert all(re.fullmatch(r"[0-9a-f]{64} 0 \S.* fixtures/hhr_example\.ring .*", line)

@@ -4,23 +4,25 @@
                                [--hmax 3] [--dmax 5]
 
 Imports koszulcone from CHECKOUT/src and runs its CLI in this one process over
-every fixture (or the named fixtures and ring files) x the eleven subcommands
+every fixture (or the named fixtures and ring files) x the twelve subcommands
 (resolve and verify with --method cone and closed; dual, priddy, betti; check
-quotients, regular, strongly-koszul and star) x {GF(101), QQ} x {json, text},
-and then, per ring and field, one round trip: `resolve --method cone --export
-EXPORT` and `verify --complex EXPORT --out json`, where EXPORT is
-.cli_digest/export-FIELD.json under CHECKOUT, removed before each export.
-That is 48 runs per ring, 384 on the eight fixtures.  Each run prints one line
+quotients, regular, regular --literal, strongly-koszul and star) x {GF(101),
+QQ} x {json, text}, and then, per ring and field, one round trip: `resolve
+--method cone --export EXPORT` and `verify --complex EXPORT --out json`, where
+EXPORT is .cli_digest/export-FIELD.json under CHECKOUT, removed before each
+export.
+That is 52 runs per ring, 416 on the eight fixtures.  Each run prints one line
 
     <sha256 of stdout, a NUL byte and stderr> <exit code> <label>
 
 so two checkouts are compared with `diff` of their outputs.  With no --fixture
-and no --ring, the fixture lines are followed by one `selftest` run (the one
-CLI caller of closed_form_resolution(..., check_regular=False)) and one line
-per run of PARSER_RUNS (--help texts and malformed command lines, at 80
-columns), whose label starts with "parser:", so the diff also covers the
-argument parser's text: 400 lines in all.  Fixtures and exports are passed relative to
-CHECKOUT, so no path of the checkout enters the output.
+and no --ring, the fixture lines are followed by two `selftest` runs (the one
+CLI caller of closed_form_resolution(..., check_regular=False)), with the
+default seed and with --seed 1, and one line per run of PARSER_RUNS (--help
+texts and malformed command lines, at 80 columns), whose label starts with
+"parser:", so the diff also covers the argument parser's text: 433 lines in
+all.  Fixtures and exports are passed relative to CHECKOUT, so no path of the
+checkout enters the output.
 A --ring file (a perfbench ring, a generated ring) is passed by its absolute
 path, which is the same for both checkouts.
 """
@@ -41,6 +43,7 @@ COMMANDS = (
     ("betti",),
     ("check", "quotients"),
     ("check", "regular"),
+    ("check", "regular", "--literal"),
     ("check", "strongly-koszul"),
     ("check", "star"),
     ("verify", "--method", "cone"),
@@ -109,8 +112,8 @@ def digest_lines(checkout, fixtures=None, hmax=3, dmax=5, rings=None):
             for argv in (["resolve", "--method", "cone", *common, "--export", str(export)],
                          ["verify", *common, "--complex", str(export), "--out", "json"]):
                 yield f"{digest(main, argv)} {' '.join(argv)}"
-    if defaults:
-        yield f"{digest(main, ['selftest'])} selftest"
+    for argv in (["selftest"], ["selftest", "--seed", "1"]) if defaults else ():
+        yield f"{digest(main, argv)} {' '.join(argv)}"
     os.environ["COLUMNS"] = "80"  # argparse wraps its text at the terminal width
     for argv in PARSER_RUNS if defaults else ():
         yield f"{digest(main, list(argv))} parser: {' '.join(argv)}".rstrip()
