@@ -297,14 +297,17 @@ def _json_text(value, indent="\n"):
     return _ENCODER.encode(value).replace("\n", indent)
 
 
-def _emit(args, payload, text_lines):
+def _emit(args, A, payload, text_lines):
     """Print the text lines, or under --out json the document that the
-    function payload builds: text runs never build it."""
+    function payload builds: text runs never build it.  Then each warning of
+    the algebra A (a skipped prefer monomial) goes to stderr as a note."""
     if args.out == "json":
         print(_json_text(payload()))
     else:
         for line in text_lines:
             print(line)
+    for w in A.warnings:
+        print(f"note: {w}", file=sys.stderr)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -329,7 +332,7 @@ def cmd_dual(args):
     lines = [f"dual component dims up to degree {args.hmax}:"]
     lines += [f"  degree {l}: dim {comp.dim}" for l, comp in enumerate(comps)]
     lines.append(f"degree-2 dual basis labels (excluded pairs): {pairs}")
-    _emit(args, payload, lines)
+    _emit(args, A, payload, lines)
     return 0
 
 
@@ -354,7 +357,7 @@ def cmd_priddy(args):
     else:
         lines.append(f"bounded Koszulness certificate FAILED, witness "
                      f"(i, degree, rank) = {cert['witness']}")
-    _emit(args, payload, lines)
+    _emit(args, A, payload, lines)
     return 0 if cert["passed"] else 1
 
 
@@ -387,7 +390,7 @@ def cmd_check(args):
                  if _detail_is_failure(f)][:10]
         for d in shown:
             lines.append(f"  witness: {d}")
-    _emit(args, lambda: {"command": f"check {args.what}", **report.as_dict()}, lines)
+    _emit(args, A, lambda: {"command": f"check {args.what}", **report.as_dict()}, lines)
     return 0 if report.passed else 1
 
 
@@ -445,7 +448,7 @@ def cmd_resolve(args):
                  f"exact in 0 < i < {F.length} up to degree {args.dmax}: {rep.exact_positive}")
     if args.export:
         lines.append(f"complex JSON written to {args.export}")
-    _emit(args, lambda: {"command": "resolve", "complex": doc, "verified": rep.as_dict()},
+    _emit(args, A, lambda: {"command": "resolve", "complex": doc, "verified": rep.as_dict()},
           lines)
     return 0 if rep.passed else 1
 
@@ -460,7 +463,7 @@ def cmd_betti(args):
              bt.text(),
              f"regularity: {bt.regularity}",
              f"linear resolution: {bt.linear_resolution}"]
-    _emit(args, lambda: {"command": "betti", **bt.as_dict()}, lines)
+    _emit(args, A, lambda: {"command": "betti", **bt.as_dict()}, lines)
     return 0
 
 
@@ -497,7 +500,7 @@ def cmd_verify(args):
         nz = {k: v for k, v in rep.homology.items() if v}
         if nz:
             lines.append(f"nonzero homology ranks: {nz}")
-    _emit(args, lambda: {"command": "verify", **rep.as_dict()}, lines)
+    _emit(args, A, lambda: {"command": "verify", **rep.as_dict()}, lines)
     return 0 if rep.passed else 1
 
 

@@ -233,7 +233,10 @@ class QuotientDual:
     """Graded dual of the quotient of the dual algebra by excluded variables.
 
     allowed is the set of retained variable indices; the quotient kills the
-    left ideal spanned by words ending in an excluded dual variable.
+    left ideal L spanned by words ending in an excluded dual variable.  Its
+    graded dual is the annihilator of L (Polishchuk-Positselski, Quadratic
+    Algebras, ch. 1): component(l) is the part of comp(l) with no support on
+    a word of V^(x l) whose last letter is excluded.
     """
 
     def __init__(self, parent, allowed):
@@ -308,17 +311,22 @@ def left_ideal_contains(dual, src_allowed, prefix, dst_allowed, lmax):
     with indices outside E.  True is a bounded certificate (the containment
     holds up to lmax); False is definitive, and the least lmax that gives it
     is the failing degree.
+
+    In degree d it says: each row f of the dst quotient in degree
+    d + len(prefix), contracted by the prefix, lies in the src quotient (and
+    then so does their span).  That contraction is f's block at
+    lo <= pos < lo + n^d, lo the prefix's word index times n^d; it lies in
+    comp(d), as _assemble writes each row of comp(l) as blocks of comp(l-1)
+    rows, and it keeps each last letter pos % n.  So by the support fact of
+    QuotientDual one scan of f decides it: no contraction is built, and no
+    component of the src quotient.
     """
-    src_q = dual.quotient(src_allowed)
-    dst_q = dual.quotient(dst_allowed)
+    n = dual.n
+    word = sum(t * n ** i for i, t in enumerate(reversed(prefix)))
     for d in range(1, lmax + 1):
-        top = dst_q.component(d + len(prefix))
-        for f in top.rows:
-            g = f
-            deg = d + len(prefix)
-            for t in prefix:
-                g = dual.contract(g, deg, t)
-                deg -= 1
-            if not src_q.component(d).contains(g):
-                return False
+        lo, hi = word * n ** d, (word + 1) * n ** d
+        for f in dual.quotient(dst_allowed).component(d + len(prefix)).rows:
+            for pos in f:
+                if lo <= pos < hi and pos % n not in src_allowed:
+                    return False
     return True

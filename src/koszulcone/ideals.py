@@ -40,12 +40,12 @@ algorithm peels off the minimal prefix containing v and solves the canonical
 keeps one linalg.Solver, fed the multiples m_j . A_{d - deg m_j} and then the
 canonical basis rows of (J_{j-1})_d, so a peel step is one head reduction,
 not one elimination; its answer, the canonical witness, is the solution that
-is zero on the dependent unknowns.  The regular-ordering
-check reads that table: condition (2) decides each left-ideal containment
-(E_j, prefix, E_k) once per call, and condition (3) reads one whole
-decomposition of x_s x_t m_k per (k, s, t) and sums the right-hand sides of
-every i in one pass over the decompositions of x_t m_k and x_s m_j.  The
-solvers are dropped when the check returns: what the closed form reads
+is zero on the dependent unknowns.  The regular-ordering check reads that
+table: condition (2) decides each left-ideal containment (E_j, prefix, E_k)
+by one scan of the quotient dual's rows (dual.left_ideal_contains), and
+condition (3) reads one whole decomposition of x_s x_t m_k per (k, s, t) and
+sums every i's right-hand side in one pass over those of x_t m_k and x_s m_j.
+The solvers are dropped when the check returns: what the closed form reads
 afterwards is cached per entry, and a later decomposition rebuilds them.
 """
 
@@ -353,14 +353,6 @@ class MonomialIdeal:
         colon_sets = self.colon_sets
         dec = self.decomposition
         dual = self.dual
-        held = {}  # (E_j, prefix, E_k) -> whether prefix . L_{E_j} lies in L_{E_k}
-
-        def contained(Ej, prefix, Ek):
-            got = held.get((Ej, prefix, Ek))
-            if got is None:
-                got = held[Ej, prefix, Ek] = left_ideal_contains(dual, Ej, prefix, Ek, check_to)
-            return got
-
         for k in range(2, self.r + 1):
             Ek = colon_sets[k - 1]
             for t in sorted(Ek):
@@ -375,10 +367,11 @@ class MonomialIdeal:
                             "E_j": sorted(Ej), "E_k": sorted(Ek),
                         })
                         continue
-                    if contained(Ej, (t,), Ek):
+                    if left_ideal_contains(dual, Ej, (t,), Ek, check_to):
                         continue
                     for s in range(self.algebra.n):
-                        if dual.pair_word_is_zero(t, s) or not contained(Ej, (t, s), Ek):
+                        if dual.pair_word_is_zero(t, s) or \
+                                not left_ideal_contains(dual, Ej, (t, s), Ek, check_to):
                             continue
                         if s in Ej:
                             report.passed = False

@@ -60,10 +60,6 @@ from itertools import chain
 # int64 products p^2 * n_cols must stay below 2**63 during elimination
 MAX_PRIME = 1 << 20
 
-# scale of the sparse kernel's work budget over F_p (see _work_budget); 0
-# sends every nonzero matrix to the numpy kernel
-SPARSE_WORK_SCALE = 1
-
 
 def _is_prime(p):
     if p < 2:
@@ -148,7 +144,7 @@ class PrimeField:
 def _work_budget(nrows, ncols):
     """Work the sparse kernel may do over F_p (the input's nonzero count plus
     one per entry updated) before the matrix goes to the numpy kernel."""
-    return SPARSE_WORK_SCALE * (4 * (nrows + ncols) + nrows * ncols // 16)
+    return 4 * (nrows + ncols) + nrows * ncols // 16
 
 
 def _rref(rows, ncols, p, budget, reduced):

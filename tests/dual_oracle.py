@@ -16,6 +16,11 @@ and last_slot_act_matrix are the other convention, kept here to show why:
 the last-slot action closes on the full dual components but not on quotient
 duals, which last-slot annihilation cuts out.
 
+contracted_left_ideal_contains decides a left-ideal containment by
+contraction: it contracts each row of the dst quotient dual by the prefix,
+slot by slot, and asks the src quotient dual's component for the result.
+The package reads the support of the rows instead (dual.left_ideal_contains).
+
 The degree-2 helpers check component(2) against the presentation of the dual
 algebra by excluded-pair words: the rewriting rules of the basis-pair words,
 and the basis of component(2) dual to the excluded-pair word classes.
@@ -96,6 +101,24 @@ def last_slot_act_matrix(D, l, j, allowed=None):
         for r, x in coords.items():
             mat[r][i] = x
     return mat
+
+
+def contracted_left_ideal_contains(D, src_allowed, prefix, dst_allowed, lmax):
+    """left_ideal_contains(D, ...) by contraction: every row of the dst
+    quotient dual in degree d + len(prefix), contracted by the prefix
+    (D.contract, one slot at a time), lies in the src quotient dual's
+    degree-d component, for 1 <= d <= lmax."""
+    src_q = D.quotient(src_allowed)
+    dst_q = D.quotient(dst_allowed)
+    for d in range(1, lmax + 1):
+        for f in dst_q.component(d + len(prefix)).rows:
+            g, deg = f, d + len(prefix)
+            for t in prefix:
+                g = D.contract(g, deg, t)
+                deg -= 1
+            if not src_q.component(d).contains(g):
+                return False
+    return True
 
 
 def pair_expansion(A, a, b):

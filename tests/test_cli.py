@@ -27,6 +27,7 @@ from rowform import canonical_qq
 from test_algebra import FRACTIONAL_RING_TEXT, fractional_ring
 from test_complexes import NON_KOSZUL_RING_TEXT, corrupt_lifts, printed_closed_form
 from test_ideals import hhr_ideal
+from test_linalg import scale_work_budget
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -228,6 +229,22 @@ def test_dangling_sign_or_empty_list_item_is_a_parse_error(line, message, tmp_pa
     ring.write_text(text)
     code, out, err = run_main(["dual", str(ring)], capsys)
     assert (code, out, err) == (2, "", f"input error: {message} (line 3, col 1)\n")
+
+
+@pytest.mark.parametrize("command", [["dual"], ["priddy"], ["check", "regular"]])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_skipped_prefer_monomial_is_a_note_on_stderr(command, fmt, tmp_path, capsys):
+    # x*y = x^2 in degree 2, so the second preferred monomial is dependent and
+    # the basis skips it: stdout and the exit code are those of "prefer x^2"
+    head = "field p=101\nvars x y\nrel x^2 - x*y\n"
+    runs = []
+    for prefer in ("x^2, x*y", "x^2"):
+        ring = tmp_path / "prefer.ring"
+        ring.write_text(f"{head}prefer {prefer}\nideal x\n")
+        runs.append(run_main([*command, str(ring), "--out", fmt], capsys))
+    (code, out, err), alone = runs
+    assert (code, out) == alone[:2] and alone[2] == ""
+    assert err == "note: InconsistentPreferred: monomial x*y is dependent in degree 2; skipped\n"
 
 
 def test_betti_command_spec_example(capsys):
@@ -1009,8 +1026,8 @@ generic_ring_text = load_rungs().generic_ring_text
 
 @pytest.mark.parametrize("ring", ["sym_relation", "generic4"])
 def test_both_elimination_kernels_give_the_same_cli_bytes(ring, tmp_path, capsys, monkeypatch):
-    # SPARSE_WORK_SCALE 0 eliminates every nonzero GF(p) matrix in the dense
-    # kernel, 10**12 every one in the sparse kernel; 1 is the budget rule
+    # a work budget scaled by 0 eliminates every nonzero GF(p) matrix in the
+    # dense kernel, by 10**12 every one in the sparse kernel; 1 is the rule
     if ring == "sym_relation":
         path = FIXTURES / "sym_relation.ring"
     else:
@@ -1026,7 +1043,7 @@ def test_both_elimination_kernels_give_the_same_cli_bytes(ring, tmp_path, capsys
     monkeypatch.setattr(linalg, "_dense_rref", counting)
     outputs, used = {}, {}
     for scale in (0, 1, 10 ** 12):
-        monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+        scale_work_budget(monkeypatch, scale)
         dense_calls.clear()
         outputs[scale] = [
             run_main([*command, str(path), "--hmax", "4", "--dmax", "4", "--out", fmt], capsys)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import comb
@@ -21,6 +22,7 @@ from dual_oracle import (
     _invert,
     annihilated_component,
     annihilator_component,
+    contracted_left_ideal_contains,
     deg2_consistency,
     deg2_labeled_duals,
     deg2_relations,
@@ -380,6 +382,48 @@ def test_left_ideal_naive_literal_reading_has_degenerate_gap():
         == [True, False, False, False]
     assert left_ideal_contains(D, frozenset(), (0, 1), {0, 1}, 3)
     assert 1 in {0, 1}  # s lies in Ek; the sound conclusion is s not in Ej
+
+
+@pytest.mark.parametrize("field", [GF(101), GF(2), QQ], ids=repr)
+def test_left_ideal_scan_matches_the_contraction_oracle(field):
+    # the package reads the support of the dst quotient's rows; the oracle
+    # contracts them by the prefix and asks the src quotient dual
+    from test_cli import generic_ring_text  # test_cli imports this module
+    override = "q" if field == QQ else str(field.char)
+    algebras = oracle_algebras(field, cutoff=2)
+    for seed, n, nrels in ((1, 3, 2), (7, 4, 1)):
+        js = parse_ring_text(generic_ring_text(seed, n, nrels), field_override=override)
+        algebras[f"generic-{seed}-{n}-{nrels}"] = GradedAlgebra(js.presentation(), 2)
+    rng = random.Random(31)
+    answers = Counter()
+    for name, A in algebras.items():
+        D = QuadraticDual(A)
+        for _ in range(12):
+            src, dst = (frozenset(j for j in range(A.n) if rng.random() < 0.6)
+                        for _ in range(2))
+            prefix = tuple(rng.randrange(A.n) for _ in range(rng.randint(0, 2)))
+            lmax = rng.randint(1, 3)
+            got = left_ideal_contains(D, src, prefix, dst, lmax)
+            assert got == contracted_left_ideal_contains(D, src, prefix, dst, lmax), \
+                (name, sorted(src), prefix, sorted(dst), lmax)
+            answers[got] += 1
+    assert answers[True] > 20 and answers[False] > 20
+
+
+def test_left_ideal_contains_contracts_nothing_and_builds_no_src_quotient(monkeypatch):
+    calls = []
+    contract = QuadraticDual.contract
+    monkeypatch.setattr(QuadraticDual, "contract",
+                        lambda self, *args: calls.append(args) or contract(self, *args))
+    D = dual_of(hhr_ring())
+    answers = set()
+    for src in (frozenset(), frozenset({0}), frozenset({1, 2})):
+        for prefix in ((), (0,), (2, 1)):
+            for dst in (frozenset({0, 1}), frozenset({2})):
+                answers.add(left_ideal_contains(D, src, prefix, dst, 3))
+                assert D.quotient(src)._components == {}
+    assert answers == {True, False}
+    assert calls == []
 
 
 def test_calibration_first_slot_action_last_slot_membership():

@@ -326,9 +326,20 @@ def _rational_inputs(rng):
                for _ in range(nrows)], ncols
 
 
+_WORK_BUDGET = linalg._work_budget
+
+
+def scale_work_budget(monkeypatch, scale):
+    """Patch the F_p work budget to scale times its rule: 0 sends every
+    nonzero matrix to the dense kernel, 10**12 keeps every one on the sparse
+    kernel, 1 is the rule itself.  Repeated calls do not compound."""
+    monkeypatch.setattr(linalg, "_work_budget",
+                        lambda nrows, ncols: scale * _WORK_BUDGET(nrows, ncols))
+
+
 def test_rational_rref_matches_fraction_gauss_jordan(monkeypatch):
     # the budget of the F_p kernels does not reach the rationals
-    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", 0)
+    scale_work_budget(monkeypatch, 0)
     rng = random.Random(47)
     for rows, ncols in _rational_inputs(rng):
         m = sparse(rows)
@@ -490,7 +501,7 @@ def _kernel_inputs(rng, p):
 def test_sparse_kernel_matches_dense_kernel(p, scale, monkeypatch):
     # scale 0 sends every nonzero matrix to the dense kernel, 10**12 keeps
     # every one on the sparse kernel, 1 is the budget rule itself
-    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+    scale_work_budget(monkeypatch, scale)
     F = GF(p)
     rng = random.Random(1000 + p)
     for label, rows, ncols in _kernel_inputs(rng, p):
@@ -635,7 +646,7 @@ def _check_dict_rows_give_the_dense_answers(field, rows, ncols, rng):
 def test_dict_rows_give_the_dense_answers_over_a_prime_field(scale, monkeypatch):
     # scale 0 sends every nonzero matrix to the dense kernel, which builds its
     # array from the dict rows
-    monkeypatch.setattr(linalg, "SPARSE_WORK_SCALE", scale)
+    scale_work_budget(monkeypatch, scale)
     calls = _count_calls(monkeypatch, "_dense_rref")
     rng = random.Random(3000)
     for _, rows, ncols in _kernel_inputs(rng, 101):
